@@ -10,8 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from tangencylab.planar import region_probe, tangency_locus
 from tangencylab.renorm import ModelParams, renormalized_family
-from tangencylab.verify import region_probe
 
 
 def main():
@@ -40,14 +40,19 @@ def main():
                 probes["lower"][0].penetration(float(t) + probes["lower"][1]),
             ])
 
+    mus = [float(m) for m in np.linspace(args.mu_min, args.mu_max, args.mu_points)]
+    locus_probes = {mu: region_probe(fam, mu, "upper") for mu in mus}
+    fit = tangency_locus(
+        lambda mu, nu: locus_probes[mu][0].penetration(nu),
+        {mu: (pred - 0.03, pred + 0.03) for mu, (_, pred) in locus_probes.items()},
+    )
     with open(args.out / "locus.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["mu_bar", "nu_bar"])
-        for mu in np.linspace(args.mu_min, args.mu_max, args.mu_points):
-            probe, pred = region_probe(fam, float(mu), "upper")
-            nu0 = probe.locate_zero((pred - 0.03, pred + 0.03))
-            w.writerow([float(mu), nu0])
+        for mu, nu0 in zip(fit.mu_values, fit.nu_values):
+            w.writerow([mu, nu0])
             print(f"mu={mu:.4f}: upper tangency at nu={nu0:+.6f}")
+    print(f"locus slope {fit.slope:.4f}; no sign change at mu={list(fit.skipped)}")
 
 
 if __name__ == "__main__":

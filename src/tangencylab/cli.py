@@ -140,18 +140,8 @@ def cmd_cantor(args, parser) -> int:
 
 def _renorm_row(task):
     lam, sigma, a, b, c, eps, n, grid = task
-    mp = renorm.ModelParams(lam, sigma, a, b, c, eps)
-    xs = np.linspace(-2.0, 2.0, grid)
-    X, Y = np.meshgrid(xs, xs)
-    dev = renorm.deviation_from_limit(mp, n)
-    best = None
-    for mu in np.linspace(0.0, 4.0, 3):
-        for nu in np.linspace(-1.0, 1.0, 3):
-            d1, d2 = dev(X, Y)
-            s1, s2 = float(np.max(np.abs(d1))), float(np.max(np.abs(d2)))
-            if best is None or max(s1, s2) > max(best[2], best[3]):
-                best = (float(mu), float(nu), s1, s2)
-    return {"n": n, "mu_bar": best[0], "nu_bar": best[1], "sup_H1": best[2], "sup_H2": best[3]}
+    s1, s2 = renorm.residual_sup(renorm.ModelParams(lam, sigma, a, b, c, eps), n, grid=grid)
+    return {"n": n, "sup_H1": s1, "sup_H2": s2}
 
 
 def cmd_renorm(args, parser) -> int:
@@ -186,8 +176,8 @@ def cmd_renorm(args, parser) -> int:
         total = max(r["sup_H1"], r["sup_H2"])
         ratio = total / prev if prev else float("nan")
         prev = total
-        csv_rows.append([r["n"], r["mu_bar"], r["nu_bar"], r["sup_H1"], r["sup_H2"], ratio])
-    _write_csv(out / "residuals.csv", ["n", "mu_bar", "nu_bar", "sup_H1", "sup_H2", "ratio"], csv_rows, cfg)
+        csv_rows.append([r["n"], r["sup_H1"], r["sup_H2"], ratio])
+    _write_csv(out / "residuals.csv", ["n", "sup_H1", "sup_H2", "ratio"], csv_rows, cfg)
 
     target = renorm.decay_rate_bound(mp)
     if args.eps > 0:
@@ -291,7 +281,7 @@ def cmd_tangency(args, parser) -> int:
     if args.points > 0 and args.t_max >= args.t_min:
         fam = renorm.renormalized_family(mp, args.n)
         ts = np.linspace(args.t_min, args.t_max, args.points)
-        probes = {r: verify.region_probe(fam, args.mu_bar, r)[0] for r in ("upper", "lower")}
+        probes = {r: planar.region_probe(fam, args.mu_bar, r)[0] for r in ("upper", "lower")}
         pens = {r: [probes[r].penetration(float(t)) for t in ts] for r in probes}
         for i, t in enumerate(ts):
             scan_rows.append([float(t), pens["upper"][i], pens["lower"][i]])

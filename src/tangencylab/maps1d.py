@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.optimize import brentq
 
 __all__ = [
     "DomainError",
@@ -183,7 +184,6 @@ class PeriodicOrbit1D:
     multiplier: object
     residual: float
     resolved: bool = True
-    bracket: tuple | None = None
 
     def __post_init__(self):
         if len(self.points) != self.period:
@@ -209,10 +209,11 @@ def find_periodic(
 ) -> list[PeriodicOrbit1D]:
     """All period-`period` orbits of `fmap` found inside `domain`.
 
-    Bracketing by uniform subdivision of F^p(y) - y followed by bisection
-    polishing to width 1e-14 (robust against the slope-3^p stiffness that
-    defeats Newton here).  Orbits are deduplicated by membership, represented
-    by their smallest point, and carry the multiplier along the cycle.
+    Bracketing by uniform subdivision of F^p(y) - y followed by Brent's
+    method to width 1e-14 inside each sign-change cell (robust against the
+    slope-3^p stiffness that defeats Newton here).  Orbits are deduplicated
+    by membership, represented by their smallest point, and carry the
+    multiplier along the cycle.
 
     Piecewise-affine maps with rational branch data and rational domain
     endpoints take an exact path: the itinerary of each bracket is pinned and
@@ -259,29 +260,14 @@ def _float_roots(fmap, period, lo, hi, cells_per_unit, tol):
         if not (np.isfinite(ga) and np.isfinite(gb)):
             continue
         if ga == 0.0:
-            roots.append((float(a), None))
+            roots.append(float(a))
             continue
         if ga * gb < 0.0:
-            roots.append(_float_bisect(fmap, period, float(a), float(b)))
+            root = brentq(lambda x: _iter_map(fmap, x, period) - x, float(a), float(b), xtol=1e-14)
+            roots.append(float(root))
     if np.isfinite(g[-1]) and g[-1] == 0.0:
-        roots.append((float(xs[-1]), None))
+        roots.append(float(xs[-1]))
     return roots
-
-
-def _float_bisect(fmap, period, a, b):
-    ga = _iter_map(fmap, a, period) - a
-    for _ in range(200):
-        if b - a < 1e-14:
-            break
-        m = 0.5 * (a + b)
-        gm = _iter_map(fmap, m, period) - m
-        if gm == 0.0:
-            return (m, None)
-        if ga * gm < 0.0:
-            b = m
-        else:
-            a, ga = m, gm
-    return (0.5 * (a + b), (a, b))
 
 
 def _itinerary(fmap: PiecewiseAffineMap, x, period):
@@ -306,13 +292,13 @@ def _exact_roots(fmap: PiecewiseAffineMap, period, lo, hi, cells_per_unit):
         except DomainError:
             continue
         if ga == 0:
-            roots.append((a, None))
+            roots.append(a)
         if gb == 0 and i == n_cells - 1:
-            roots.append((b, None))
+            roots.append(b)
         if ga * gb < 0:
             r = _exact_cell_root(fmap, period, a, b)
             if r is not None:
-                roots.append((r, None))
+                roots.append(r)
     return roots
 
 
@@ -368,7 +354,7 @@ def _assemble_orbits(fmap, roots, period, tol, exact):
     eq_tol = 0 if exact else max(tol, 1e-11)
     orbits: list[PeriodicOrbit1D] = []
     seen: list = []
-    for x, bracket in roots:
+    for x in roots:
         minimal = True
         for d in _divisors(period):
             if abs(_iter_map(fmap, x, d) - x) <= eq_tol:
@@ -391,7 +377,6 @@ def _assemble_orbits(fmap, roots, period, tol, exact):
                 multiplier=_multiplier(fmap, orbit, exact),
                 residual=res,
                 resolved=res <= max(tol, 1e-10) * max(1.0, abs(float(rep))),
-                bracket=bracket,
             )
         )
     orbits.sort(key=lambda o: float(o.points[0]))

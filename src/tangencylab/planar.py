@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .maps1d import Cubic1D
 
@@ -53,6 +54,7 @@ __all__ = [
     "limit_upper_gap",
     "LocusFit",
     "tangency_locus",
+    "region_probe",
 ]
 
 
@@ -532,7 +534,7 @@ def window_extremal_gap(
 
     `mode` "peak" tracks the maximum of (unstable - stable), "valley" the
     minimum.  More robust than local-minimum detection when interpolation
-    ripple sits near zero, so parameter scans bisect on this.
+    ripple sits near zero, so parameter scans locate their zeros on this.
     """
     (xlo, xhi), (ylo, yhi) = window
     xs = np.linspace(xlo, xhi, n_fibers)
@@ -631,13 +633,14 @@ def classify_tangency(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FiberGapProbe:
     """t -> TangencyCandidate for one tangency region of a parameter scan.
 
-    `curve` maps the scan parameter t to family parameters.  Saddles are
-    re-solved at every t (seeded from the previous solution), both manifolds
-    regrown, and the window's extremal gap measured.  `mode` is "peak" for
+    `curve` maps the scan parameter t to family parameters.  Every call
+    solves both saddles afresh from `unstable_seed` and `stable_seed`,
+    regrows both manifolds and measures the window's extremal gap, so the
+    result depends on t alone, not on earlier calls.  `mode` is "peak" for
     regions where the unstable curve crests into the stable one from below
     and "valley" for the mirrored geometry.
     """
@@ -656,32 +659,16 @@ class FiberGapProbe:
     h_max: float = 5e-3
     n_fibers: int = 81
     clip: float = 12.0
-    freeze_unstable: bool = False
 
-    def __post_init__(self):
-        self._u_seed = tuple(self.unstable_seed)
-        self._s_seed = tuple(self.stable_seed)
-        self._frozen_wu = None
-
-    def _unstable_curveline(self, params):
-        su = find_saddle(self.family, params, period=self.period, seed=self._u_seed)
-        self._u_seed = su.location
-        return grow_manifold(
+    def __call__(self, t: float) -> TangencyCandidate:
+        params = self.curve(t)
+        su = find_saddle(self.family, params, period=self.period, seed=self.unstable_seed)
+        wu = grow_manifold(
             self.family, params, su, "unstable",
             target_arclength=self.unstable_arclength, h_max=self.h_max,
             direction=self.unstable_direction, clip=self.clip,
         )
-
-    def __call__(self, t: float) -> TangencyCandidate:
-        params = self.curve(t)
-        if self.freeze_unstable:
-            if self._frozen_wu is None:
-                self._frozen_wu = self._unstable_curveline(self.curve(0.0))
-            wu = self._frozen_wu
-        else:
-            wu = self._unstable_curveline(params)
-        ss = find_saddle(self.family, params, period=self.period, seed=self._s_seed)
-        self._s_seed = ss.location
+        ss = find_saddle(self.family, params, period=self.period, seed=self.stable_seed)
         ws = grow_manifold(
             self.family, params, ss, "stable",
             target_arclength=self.stable_arclength, h_max=self.h_max,
@@ -692,27 +679,12 @@ class FiberGapProbe:
     def penetration(self, t: float) -> float:
         return self(t).penetration
 
-    def locate_zero(self, bracket: tuple, tol: float = 1e-8) -> float:
-        lo, hi = bracket
-        plo, phi = self.penetration(lo), self.penetration(hi)
-        if plo == 0.0:
-            return lo
-        if phi == 0.0:
-            return hi
-        if plo * phi > 0:
-            raise ValueError(f"no penetration sign change over {bracket}: {plo} vs {phi}")
-        for _ in range(200):
-            if hi - lo < tol:
-                break
-            mid = 0.5 * (lo + hi)
-            pm = self.penetration(mid)
-            if pm == 0.0:
-                return mid
-            if plo * pm < 0:
-                hi, phi = mid, pm
-            else:
-                lo, plo = mid, pm
-        return 0.5 * (lo + hi)
+    def locate_zero(self, bracket: tuple) -> float:
+        """Zero of the penetration inside `bracket`, by Brent's method to 1e-8.
+
+        Raises `ValueError` when the penetration has the same sign at both ends.
+        """
+        return float(brentq(self.penetration, *bracket, xtol=1e-8))
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +748,7 @@ def limit_upper_gap(mu: float, nu: float, freeze_unstable_at=None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Tangency locus in (mu, nu)
+# Tangency locus in (mu, nu) and region probes of the n-step family
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -791,41 +763,65 @@ class LocusFit:
 
 def tangency_locus(
     gap_fn: Callable[[float, float], float],
-    mu_values: Sequence[float],
-    nu_bracket: tuple,
-    tol: float = 1e-10,
+    brackets: Mapping[float, tuple],
 ) -> LocusFit:
-    """For each mu, bisect gap_fn(mu, .) = 0 over the nu bracket; fit the locus.
+    """Tangency locus nu(mu) and its least-squares line.
 
-    Grid points whose bracket shows no sign change are skipped and reported.
+    `brackets` maps each mu to a (nu_lo, nu_hi) bracket; the root of
+    gap_fn(mu, .) inside it is found by Brent's method to 1e-8.  A mu whose
+    bracket shows no sign change is skipped and reported.
     """
     mus, nus, skipped = [], [], []
-    for mu in mu_values:
-        lo, hi = nu_bracket
-        glo, ghi = gap_fn(mu, lo), gap_fn(mu, hi)
-        if glo == 0.0:
-            mus.append(mu); nus.append(lo); continue
-        if ghi == 0.0:
-            mus.append(mu); nus.append(hi); continue
-        if glo * ghi > 0:
+    for mu, (lo, hi) in brackets.items():
+        try:
+            nu = brentq(lambda v: gap_fn(mu, v), lo, hi, xtol=1e-8)
+        except WindowRejected:
+            raise  # a failed measurement, not a lost locus
+        except ValueError:  # no sign change over the bracket
             skipped.append(mu)
             continue
-        for _ in range(200):
-            if hi - lo < tol:
-                break
-            mid = 0.5 * (lo + hi)
-            gm = gap_fn(mu, mid)
-            if gm == 0.0:
-                lo = hi = mid
-                break
-            if glo * gm < 0:
-                hi, ghi = mid, gm
-            else:
-                lo, glo = mid, gm
         mus.append(mu)
-        nus.append(0.5 * (lo + hi))
+        nus.append(float(nu))
     if len(mus) < 2:
         raise ValueError("locus lost on too many grid points to fit a slope")
     slope, intercept = np.polyfit(mus, nus, 1)
     decreasing = all(b < a for a, b in zip(nus, nus[1:]))
     return LocusFit(float(slope), float(intercept), tuple(mus), tuple(nus), tuple(skipped), decreasing)
+
+
+def _cubic_arclength(mu, nu, x_from, x_to, samples=2000):
+    xs = np.linspace(x_from, x_to, samples)
+    ys = -(xs ** 3) + mu * xs + nu
+    return float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
+
+
+def region_probe(fam: PlanarFamily, mu: float, region: str):
+    """FiberGapProbe for the upper (peak) or lower (valley) near-touch of the
+    n-step family at fixed mu, scanning t = nu; window and growth targets are
+    centered on the limit family's analytic prediction.
+
+    Returns (probe, nu_pred) with nu_pred the limit family's tangency
+    parameter at this mu.
+    """
+    nu_pred = float(brentq(lambda v: limit_upper_gap(mu, v), -0.6, 0.6, xtol=1e-10))
+    f1 = Cubic1D(mu, nu_pred)
+    y1p = periodic_ordinate(mu, nu_pred, +1)
+    y1m = periodic_ordinate(mu, nu_pred, -1)
+    cpos = f1.critical_points()[1]
+    seed_u = (f1(y1p), y1p)
+    x_start = f1(y1p)
+    if region == "upper":
+        window = ((cpos - 0.45, cpos + 0.45), (y1p - 0.8, y1p + 0.4))
+        seed_s, sdir = seed_u, (1.0, 0.0)
+        u_len = _cubic_arclength(mu, nu_pred, x_start, cpos + 0.75) + 0.3
+        mode = "peak"
+    else:
+        window = ((-cpos - 0.45, -cpos + 0.45), (y1m - 0.4, y1m + 0.8))
+        seed_s, sdir = (f1(y1m), y1m), (-1.0, 0.0)
+        u_len = _cubic_arclength(mu, nu_pred, x_start, -cpos + 0.75) + 0.3
+        mode = "valley"
+    return FiberGapProbe(
+        fam, lambda t: (mu, t), seed_u, seed_s, window, mode,
+        unstable_direction=(1.0, -1.0), stable_direction=sdir,
+        unstable_arclength=u_len, stable_arclength=4.5,
+    ), nu_pred

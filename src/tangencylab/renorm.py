@@ -243,27 +243,17 @@ def residual_sup(
     n: int,
     box=((-2.0, 2.0), (-2.0, 2.0)),
     grid: int = 101,
-    param_grid: int = 3,
 ) -> tuple[float, float]:
-    """Sup over a box grid of the componentwise deviation from the limit map,
-    maximized over a (mu_bar, nu_bar) grid on [0,4]x[-1,1].
+    """Sup over a box grid of the componentwise deviation from the limit map.
 
-    The deviation of this model is parameter independent, but the sweep keeps
-    the parameter loop so the measurement contract is the same as for any
-    family.
+    The deviation of this model does not depend on (mu_bar, nu_bar), see
+    `deviation_from_limit`, so one evaluation over the box is the sup over
+    every parameter.
     """
     (xlo, xhi), (ylo, yhi) = box
-    xs = np.linspace(xlo, xhi, grid)
-    ys = np.linspace(ylo, yhi, grid)
-    X, Y = np.meshgrid(xs, ys)
-    dev = deviation_from_limit(params, n)
-    sup1 = sup2 = 0.0
-    for _mu in np.linspace(0.0, 4.0, param_grid):
-        for _nu in np.linspace(-1.0, 1.0, param_grid):
-            d1, d2 = dev(X, Y)
-            sup1 = max(sup1, float(np.max(np.abs(d1))))
-            sup2 = max(sup2, float(np.max(np.abs(d2))))
-    return sup1, sup2
+    X, Y = np.meshgrid(np.linspace(xlo, xhi, grid), np.linspace(ylo, yhi, grid))
+    d1, d2 = deviation_from_limit(params, n)(X, Y)
+    return float(np.max(np.abs(d1))), float(np.max(np.abs(d2)))
 
 
 def residual_table(params: ModelParams, n_values, **kw) -> list[dict]:

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import cantor, maps1d, planar, renorm, wangyoung
 
-__all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all", "EXPECTED", "region_probe"]
+__all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all", "EXPECTED"]
 
 # Reference constants the checks compare against; kept in one mutable table
 # so fault-injection tests can corrupt a single entry and watch the named
@@ -159,41 +158,6 @@ def _criterion_velocity(c: _Check):
 # 5. Tangency antimonotonicity
 # ---------------------------------------------------------------------------
 
-def _cubic_arclength(mu, nu, x_from, x_to, samples=2000):
-    xs = np.linspace(x_from, x_to, samples)
-    ys = -(xs ** 3) + mu * xs + nu
-    return float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
-
-
-def region_probe(fam, mu, region: str, freeze_unstable=False):
-    """FiberGapProbe for the upper (peak) or lower (valley) near-touch of the
-    n-step family at fixed mu, scanning t = nu; window and growth targets are
-    centered on the limit family's analytic prediction."""
-    nu_pred = float(brentq(lambda v: planar.limit_upper_gap(mu, v), -0.6, 0.6, xtol=1e-10))
-    f1 = maps1d.Cubic1D(mu, nu_pred)
-    y1p = planar.periodic_ordinate(mu, nu_pred, +1)
-    y1m = planar.periodic_ordinate(mu, nu_pred, -1)
-    cpos = f1.critical_points()[1]
-    seed_u = (f1(y1p), y1p)
-    x_start = f1(y1p)
-    if region == "upper":
-        window = ((cpos - 0.45, cpos + 0.45), (y1p - 0.8, y1p + 0.4))
-        seed_s, sdir = seed_u, (1.0, 0.0)
-        u_len = _cubic_arclength(mu, nu_pred, x_start, cpos + 0.75) + 0.3
-        mode = "peak"
-    else:
-        window = ((-cpos - 0.45, -cpos + 0.45), (y1m - 0.4, y1m + 0.8))
-        seed_s, sdir = (f1(y1m), y1m), (-1.0, 0.0)
-        u_len = _cubic_arclength(mu, nu_pred, x_start, -cpos + 0.75) + 0.3
-        mode = "valley"
-    return planar.FiberGapProbe(
-        fam, lambda t: (mu, t), seed_u, seed_s, window, mode,
-        unstable_direction=(1.0, -1.0), stable_direction=sdir,
-        unstable_arclength=u_len, stable_arclength=4.5,
-        freeze_unstable=freeze_unstable,
-    ), nu_pred
-
-
 def _criterion_tangency(c: _Check):
     mp = renorm.ModelParams()
     n = 6
@@ -203,7 +167,7 @@ def _criterion_tangency(c: _Check):
     tol = 0.1 + residual
     fam = renorm.renormalized_family(mp, n)
 
-    up, nu_pred = region_probe(fam, 3.0, "upper")
+    up, nu_pred = planar.region_probe(fam, 3.0, "upper")
     t_up = up.locate_zero((nu_pred - 0.03, nu_pred + 0.03))
     ev_up = planar.classify_tangency(up, t_up, 1e-3)
     c.expect(ev_up.classification == "contact-making", f"upper event at nu={t_up:.6f} is contact-making")
@@ -221,56 +185,24 @@ def _criterion_tangency(c: _Check):
     )
     c.expect(ev_up.richardson_consistent, "upper slope Richardson-consistent under dt halving")
 
-    lo, _ = region_probe(fam, 3.0, "lower")
+    lo, _ = planar.region_probe(fam, 3.0, "lower")
     t_lo = lo.locate_zero((nu_pred - 0.03, nu_pred + 0.03))
     ev_lo = planar.classify_tangency(lo, t_lo, 1e-3)
     c.expect(ev_lo.classification == "contact-breaking", f"lower event at nu={t_lo:.6f} is contact-breaking")
     c.expect(ev_lo.gap_slope < 0, f"lower gap slope {ev_lo.gap_slope:.4f} negative")
 
-    probes = {}
-
-    def locus_gap(mu, nu):
-        if mu not in probes:
-            probes[mu] = region_probe(fam, mu, "upper")
-        return probes[mu][0].penetration(nu)
-
     mus = [float(m) for m in np.linspace(2.85, 3.15, 7)]
-    brackets = {mu: region_probe(fam, mu, "upper")[1] for mu in mus}
-    fit = _locus_with_brackets(locus_gap, mus, brackets)
+    probes = {mu: planar.region_probe(fam, mu, "upper") for mu in mus}
+    fit = planar.tangency_locus(
+        lambda mu, nu: probes[mu][0].penetration(nu),
+        {mu: (pred - 0.03, pred + 0.03) for mu, (_, pred) in probes.items()},
+    )
     c.expect(not fit.skipped, f"locus found at every mu grid point {list(fit.mu_values)}")
     c.expect(
         abs(fit.slope - EXPECTED["locus_slope"]) <= 0.1,
         f"locus slope {fit.slope:.4f} within 0.1 of {EXPECTED['locus_slope']:.4f}",
     )
     c.expect(fit.strictly_decreasing, f"locus nu(mu) strictly decreasing: {[f'{v:.4f}' for v in fit.nu_values]}")
-
-
-def _locus_with_brackets(gap_fn, mus, brackets, half_width=0.03):
-    mus_out, nus_out, skipped = [], [], []
-    for mu in (float(m) for m in mus):
-        pred = brackets[mu]
-        lo, hi = pred - half_width, pred + half_width
-        glo, ghi = gap_fn(mu, lo), gap_fn(mu, hi)
-        if glo * ghi > 0:
-            skipped.append(mu)
-            continue
-        for _ in range(60):
-            if hi - lo < 1e-8:
-                break
-            mid = 0.5 * (lo + hi)
-            gm = gap_fn(mu, mid)
-            if gm == 0.0:
-                lo = hi = mid
-                break
-            if glo * gm < 0:
-                hi, ghi = mid, gm
-            else:
-                lo, glo = mid, gm
-        mus_out.append(mu)
-        nus_out.append(0.5 * (lo + hi))
-    slope, intercept = np.polyfit(mus_out, nus_out, 1)
-    decreasing = all(b < a for a, b in zip(nus_out, nus_out[1:]))
-    return planar.LocusFit(float(slope), float(intercept), tuple(mus_out), tuple(nus_out), tuple(skipped), decreasing)
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +354,12 @@ CRITERIA = {
 def run_criterion(key: str) -> CriterionResult:
     title, fn, limit = CRITERIA[key]
     check = _Check()
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         fn(check)
     except Exception as exc:  # a crashed criterion is a failed criterion
         check.failures.append(f"raised {type(exc).__name__}: {exc}")
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     if dt > limit:
         check.failures.append(f"runtime {dt:.1f}s exceeded the {limit:.0f}s budget")
     return CriterionResult(

@@ -1,3 +1,4 @@
+import csv
 import json
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 
 from tangencylab import verify
 from tangencylab.cli import ExperimentConfig, main
+from tangencylab.renorm import ModelParams, residual_sup
 
 
 def read_artifacts(d):
@@ -84,6 +86,12 @@ class TestRenormCommand:
         doc = json.loads((tmp_path / "rate.json").read_text())
         assert doc["mode"] == "exact-law"
         assert doc["certified"] is True
+        lines = (tmp_path / "residuals.csv").read_text().splitlines()
+        assert lines[1] == "n,sup_H1,sup_H2,ratio"
+        rows = list(csv.DictReader(lines[1:]))
+        assert [int(r["n"]) for r in rows] == list(range(4, 15))
+        for r in rows:
+            assert float(r["sup_H2"]) == residual_sup(ModelParams(), int(r["n"]), grid=41)[1]
 
     def test_rejects_bad_model(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

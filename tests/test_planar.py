@@ -299,7 +299,7 @@ class TestVelocities:
 class TestLocus:
     def test_limit_surrogate_slope(self):
         mus = np.linspace(2.95, 3.05, 5)
-        fit = tangency_locus(limit_upper_gap, [float(m) for m in mus], (-0.3, 0.3))
+        fit = tangency_locus(limit_upper_gap, {float(m): (-0.3, 0.3) for m in mus})
         assert abs(fit.slope + 5.0 / 6.0) < 0.02
         assert fit.strictly_decreasing
         assert not fit.skipped
@@ -311,7 +311,7 @@ class TestLocus:
             return limit_upper_gap(mu, nu, freeze_unstable_at=(3.0, 0.0))
 
         mus = np.linspace(2.98, 3.02, 5)
-        fit = tangency_locus(gap, [float(m) for m in mus], (-0.3, 0.3))
+        fit = tangency_locus(gap, {float(m): (-0.3, 0.3) for m in mus})
         assert abs(fit.slope + 2.5) < 0.05
 
     def test_lost_locus_skipped(self):
@@ -319,21 +319,48 @@ class TestLocus:
             return 1.0  # never crosses
 
         with pytest.raises(ValueError):
-            tangency_locus(gap, [2.9, 3.0, 3.1], (-0.1, 0.1))
+            tangency_locus(gap, {mu: (-0.1, 0.1) for mu in (2.9, 3.0, 3.1)})
+
+    def test_partially_lost_locus_skipped_and_rest_fitted(self):
+        # the root near nu = -5/6 (mu - 3) lies outside the bracket given for
+        # mu = 3.0, so that point alone is lost
+        brackets = {float(m): (-0.3, 0.3) for m in np.linspace(2.95, 3.05, 5)}
+        brackets[3.0] = (0.2, 0.3)
+        fit = tangency_locus(limit_upper_gap, brackets)
+        assert fit.skipped == (3.0,)
+        assert 3.0 not in fit.mu_values
+        assert len(fit.mu_values) == 4
+        assert all(abs(limit_upper_gap(m, v)) < 1e-6 for m, v in zip(fit.mu_values, fit.nu_values))
+        assert abs(fit.slope + 5.0 / 6.0) < 0.02
+
+
+def upper_probe_at_mu3():
+    fam = renormalized_family(ModelParams(), 6)
+    f1 = Cubic1D(3.0, 0.0)
+    y1p = periodic_ordinate(3.0, 0.0, +1)
+    return FiberGapProbe(
+        fam, lambda t: (3.0, t), (f1(y1p), y1p), (f1(y1p), y1p),
+        ((0.55, 1.45), (1.2, 2.6)), "peak",
+        unstable_direction=(1, -1), stable_direction=(1, 0),
+    )
 
 
 class TestProbeOnRenormalizedFamily:
     def test_upper_probe_classifies_making(self):
-        fam = renormalized_family(ModelParams(), 6)
-        f1 = Cubic1D(3.0, 0.0)
-        y1p = periodic_ordinate(3.0, 0.0, +1)
-        probe = FiberGapProbe(
-            fam, lambda t: (3.0, t), (f1(y1p), y1p), (f1(y1p), y1p),
-            ((0.55, 1.45), (1.2, 2.6)), "peak",
-            unstable_direction=(1, -1), stable_direction=(1, 0),
-        )
+        probe = upper_probe_at_mu3()
         t0 = probe.locate_zero((-0.03, 0.03))
         ev = classify_tangency(probe, t0, 1e-3)
         assert ev.classification == "contact-making"
         assert abs(ev.gap_slope - 0.9) < 0.11
         assert math.hypot(ev.location[0] - 1, ev.location[1] - 2) < 0.3
+
+    def test_probe_is_independent_of_call_order(self):
+        probe = upper_probe_at_mu3()
+        fresh = probe(0.0)
+        probe(0.03)
+        after_other_call = probe(0.0)
+        other = upper_probe_at_mu3()
+        other(-0.03)
+        on_second_probe = other(0.0)
+        assert fresh == after_other_call == on_second_probe
+        assert repr(fresh) == repr(after_other_call) == repr(on_second_probe)
