@@ -18,4 +18,6 @@ cli        experiment orchestration (`tangencylab` command)
 
 __version__ = "0.1.0"
 
-from . import cantor, cli, maps1d, planar, renorm, verify, wangyoung  # noqa: F401,E402
+# `cli` is left to `import tangencylab.cli`, so `python -m tangencylab.cli`
+# does not find it already imported
+from . import cantor, maps1d, planar, renorm, verify, wangyoung  # noqa: F401,E402

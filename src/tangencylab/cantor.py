@@ -13,8 +13,11 @@ error.  Float stages (e.g. smooth images) go through the same code paths.
 from __future__ import annotations
 
 import csv
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, truediv
 from typing import Callable, Sequence
 
 from .maps1d import AffineBranch, n_map
@@ -128,6 +131,30 @@ class ThicknessReport:
         }
 
 
+def _on_grid(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Exact rationals as integer multiples of 1/D, D their least common
+    denominator: returns (the integers, D)."""
+    dens = {v.denominator for v in values}
+    scale = math.lcm(*dens)
+    factor = {d: scale // d for d in dens}
+    return [v.numerator * factor[v.denominator] for v in values], scale
+
+
+def _nearest_blockers(lengths: Sequence, order) -> list:
+    """For each gap, visited in `order`, the nearest gap visited before it that
+    is at least as long (ties block), or None: one monotone-stack pass."""
+    out = [None] * len(lengths)
+    stack: list[int] = []
+    for i in order:
+        glen = lengths[i]
+        while stack and lengths[stack[-1]] < glen:
+            stack.pop()
+        if stack:
+            out[i] = stack[-1]
+        stack.append(i)
+    return out
+
+
 def thickness(stage: CantorStage) -> ThicknessReport:
     """Gap/bridge thickness of a stage.
 
@@ -135,31 +162,45 @@ def thickness(stage: CantorStage) -> ThicknessReport:
     of the gap that avoids every gap of length >= the current one (ties
     block), bounded by the convex hull of the stage.  The thickness is the
     minimum ratio Length(bridge)/Length(gap); exact when endpoints are exact.
+
+    Linear time: the blocking gaps come from one monotone-stack pass per
+    direction.  A stage of `Fraction` endpoints is measured on the integer
+    grid of their common denominator, so each ratio is one `Fraction` of two
+    integers; other stages use their own endpoint arithmetic.
     """
     if len(stage.intervals) < 2:
         raise ThicknessUndefinedError("need at least two intervals")
     gaps = stage.gaps()
+    ends = [v for iv in stage.intervals for v in iv]
+    if {type(v) for v in ends} == {Fraction}:
+        ends, _ = _on_grid(ends)
+        ratio = Fraction
+    else:
+        ratio = truediv
+    # lows/highs hold the interval ends in the arithmetic the ratios use; the
+    # records carry the stage's own endpoints.  Gap i runs from highs[i] to lows[i + 1].
+    lows, highs = ends[0::2], ends[1::2]
+    lengths = [lo - hi for hi, lo in zip(highs, lows[1:])]
+    n = len(lengths)
+    left = _nearest_blockers(lengths, range(n))
+    right = _nearest_blockers(lengths, range(n - 1, -1, -1))
     hull_lo, hull_hi = stage.hull
     records = []
-    for i, (glo, ghi) in enumerate(gaps):
-        glen = ghi - glo
-        # left endpoint: bridge extends leftward until a blocking gap or the hull
-        left_bound = hull_lo
-        for j in range(i - 1, -1, -1):
-            jlo, jhi = gaps[j]
-            if jhi - jlo >= glen:
-                left_bound = jhi
-                break
-        records.append(((glo, ghi), glo, (left_bound, glo), (glo - left_bound) / glen))
-        # right endpoint: symmetric
-        right_bound = hull_hi
-        for j in range(i + 1, len(gaps)):
-            jlo, jhi = gaps[j]
-            if jhi - jlo >= glen:
-                right_bound = jlo
-                break
-        records.append(((glo, ghi), ghi, (ghi, right_bound), (right_bound - ghi) / glen))
-    best = min(records, key=lambda r: r[3])
+    for i, gap in enumerate(gaps):
+        glo, ghi = gap
+        j = left[i]
+        if j is None:
+            bound, reach = hull_lo, lows[0]
+        else:
+            bound, reach = gaps[j][1], lows[j + 1]
+        records.append((gap, glo, (bound, glo), ratio(highs[i] - reach, lengths[i])))
+        j = right[i]
+        if j is None:
+            bound, reach = hull_hi, highs[-1]
+        else:
+            bound, reach = gaps[j][0], highs[j]
+        records.append((gap, ghi, (ghi, bound), ratio(reach - lows[i + 1], lengths[i])))
+    best = min(records, key=itemgetter(3))
     return ThicknessReport(
         thickness=best[3],
         witness_gap=best[0],
@@ -268,49 +309,69 @@ def _build_nmap_scaffold(m: int) -> NmapCantorData:
     )
 
 
-def _refine_once(first_gen: Sequence[tuple], current: Sequence[tuple]) -> list[tuple]:
+def _covered(current: Sequence[tuple], lo, hi) -> Sequence[tuple]:
+    """The run of sorted disjoint intervals in `current` that meet (lo, hi)
+    in more than a point, found by bisection."""
+    return current[bisect_right(current, lo, key=itemgetter(1)):bisect_left(current, hi, key=itemgetter(0))]
+
+
+def _refine_once(first_gen: Sequence[tuple], current: Sequence[tuple], scale: int) -> list[tuple]:
     """One Markov refinement step under the N-map: preimages of `current`
-    inside the first-generation cover, all exact."""
+    inside the sorted first-generation cover, all exact.
+
+    `current` is a sorted stage on the integer grid 1/scale (each endpoint
+    times `scale`); the preimages come back sorted on the grid 1/(3*scale).
+    A branch x -> s*x + c with s = +-3 and integer c pulls Y back to
+    +-(Y - c*scale), so the work is one bisection per branch plus the output.
+    """
     s = n_map()
     out = []
     for (lo, hi) in first_gen:
         br = s.branches[s.branch_index(lo)]
         if not (br.contains(lo) and br.contains(hi)):
             raise ConstructionError(f"first-generation interval [{lo},{hi}] straddles a kink")
-        img_lo, img_hi = sorted((br(lo), br(hi)))
-        for (jlo, jhi) in current:
-            a, b = max(jlo, img_lo), min(jhi, img_hi)
-            if a < b:
-                if (a, b) != (jlo, jhi):
-                    raise ConstructionError(
-                        f"branch image of [{lo},{hi}] covers [{jlo},{jhi}] only partially"
-                    )
-                pre = sorted((br.inverse(a), br.inverse(b)))
-                out.append((pre[0], pre[1]))
-    out.sort()
+        img_lo, img_hi = sorted((br(lo) * scale, br(hi) * scale))
+        covered = _covered(current, img_lo, img_hi)
+        for jlo, jhi in covered[:1] + covered[-1:]:
+            if jlo < img_lo or jhi > img_hi:
+                raise ConstructionError(
+                    f"branch image of [{lo},{hi}] covers "
+                    f"[{Fraction(jlo, scale)},{Fraction(jhi, scale)}] only partially"
+                )
+        shift = int(br.intercept) * scale
+        if br.slope > 0:
+            out += [(a - shift, b - shift) for a, b in covered]
+        else:
+            out += [(shift - b, shift - a) for a, b in reversed(covered)]
     return out
 
 
 def build_nmap_cantor(m: int, generation: int) -> CantorStage:
     """Generation-`generation` stage of the affine Cantor set anchored to the
     m-periodic base orbit of the N-map.  All endpoints exact rationals.
+
+    The refinement runs on an integer grid and converts to `Fraction` once,
+    in time linear in the number of intervals per generation.
     """
     if generation < 1:
         raise ValueError("generation must be >= 1")
     data = _build_nmap_scaffold(m)
-    current = sorted(data.first_generation)
     first = sorted(data.first_generation)
+    ends, scale = _on_grid([v for iv in first for v in iv])
+    current = list(zip(ends[0::2], ends[1::2]))
     for _ in range(generation - 1):
-        current = _refine_once(first, current)
+        current = _refine_once(first, current, scale)
+        scale *= 3
     stage = CantorStage(
         ambient=data.ambient,
-        intervals=tuple(current),
+        intervals=tuple((Fraction(a, scale), Fraction(b, scale)) for a, b in current),
         generation=generation,
         source=f"nmap-cantor-m{m}",
     )
     # the turning points +-1/2 must fall in gaps at every generation
     for t in (HALF, -HALF):
-        if any(a <= t <= b for a, b in stage.intervals):
+        i = bisect_right(stage.intervals, t, key=itemgetter(0))
+        if i and t <= stage.intervals[i - 1][1]:
             raise ConstructionError(f"turning point {t} not in a gap")
     return stage
 
@@ -326,8 +387,9 @@ def nominal_thickness_bound(m: int) -> Fraction:
     1 - 48/N long, so the thickness is at most (3^m - 49)/24 at every
     generation, and (3^m - 49)/24 < (3^m - 45)/22 is the same inequality as
     3^m > 1.  Generations 1-2 attain (3^m - 49)/24; later ones fall below it
-    (m=6 gives 49/3 from generation 3 on).  Reports carry both numbers so
-    the discrepancy is visible rather than silently resolved.
+    (m=6 gives 49/3 from generation 3 on; `nmap_cantor_report` gives the
+    closed form per generation).  Reports carry both numbers so the
+    discrepancy is visible rather than silently resolved.
     """
     return Fraction(3**m - 45, 22)
 
@@ -344,6 +406,7 @@ def nmap_cantor_report(m: int, generation: int) -> dict:
     left, mid, _ = s.branches
     gap_lower = mid.inverse(data.q[2]) - left.inverse(data.q[2])  # straddles -1/2
     bound = nominal_thickness_bound(m)
+    j = min((generation - 1) // 2, (m - 4) // 2)
     return {
         "m": m,
         "generation": generation,
@@ -361,8 +424,9 @@ def nmap_cantor_report(m: int, generation: int) -> dict:
         "nominal_delta": Fraction(22, 3**m - 1),
         "nominal_bound": bound,
         "bound_holds": rep.thickness >= bound,
-        # attained at generations 1-2 only; an upper bound at every generation
-        "realized_closed_form": Fraction(3**m - 49, 24),
+        # the exact thickness: (3^m-49)/24 at generations 1-2, 12*9^(j-1) lower
+        # at generations 2j+1 and 2j+2, frozen at (5*3^m-117)/216 from m-3 on
+        "realized_closed_form": Fraction(3**m - 49, 24) - Fraction(3 * (9**j - 1), 2),
         "stage": stage,
         "thickness_report": rep,
     }
@@ -448,7 +512,7 @@ def markov_cantor(system: MarkovBranchSystem, generation: int) -> CantorStage:
         nxt = []
         for dom, br in system.branches:
             img = sorted((br(dom[0]), br(dom[1])))
-            for (jlo, jhi) in current:
+            for (jlo, jhi) in _covered(current, img[0], img[1]):
                 a, b = max(jlo, img[0]), min(jhi, img[1])
                 if a < b:
                     pre = sorted((br.inverse(a), br.inverse(b)))

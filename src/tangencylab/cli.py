@@ -78,7 +78,9 @@ def _write_json(path: Path, payload: dict, cfg: ExperimentConfig) -> None:
     payload = dict(payload)
     payload["config_hash"] = cfg.hash
     payload["schema_version"] = SCHEMA_VERSION
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
 
 
 def _write_csv(path: Path, header, rows, cfg: ExperimentConfig) -> None:

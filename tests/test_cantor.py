@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -5,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tangencylab import cantor
 from tangencylab.cantor import (
     CantorStage,
     ConstructionError,
     MarkovBranchSystem,
+    ThicknessReport,
     ThicknessUndefinedError,
     build_nmap_cantor,
     gap_lemma_check,
@@ -47,6 +50,76 @@ def brute_thickness(stage):
             ratio = (p - bound) / glen if direction < 0 else (bound - p) / glen
             best = ratio if best is None else min(best, ratio)
     return best
+
+
+def quadratic_thickness(stage):
+    """Reference report: for every gap, rescan the gap list outward for the
+    first gap at least as long (ties block), and keep the first minimum."""
+    gaps = stage.gaps()
+    hull_lo, hull_hi = stage.hull
+    records = []
+    for i, (glo, ghi) in enumerate(gaps):
+        glen = ghi - glo
+        left_bound = hull_lo
+        for j in range(i - 1, -1, -1):
+            jlo, jhi = gaps[j]
+            if jhi - jlo >= glen:
+                left_bound = jhi
+                break
+        records.append(((glo, ghi), glo, (left_bound, glo), (glo - left_bound) / glen))
+        right_bound = hull_hi
+        for j in range(i + 1, len(gaps)):
+            jlo, jhi = gaps[j]
+            if jhi - jlo >= glen:
+                right_bound = jlo
+                break
+        records.append(((glo, ghi), ghi, (ghi, right_bound), (right_bound - ghi) / glen))
+    best = min(records, key=lambda r: r[3])
+    return ThicknessReport(best[3], best[0], best[2], tuple(records))
+
+
+def quadratic_nmap_intervals(m, gen):
+    """Reference refinement: intersect every first-generation branch image
+    with every current interval, in Fractions."""
+    s = n_map()
+    first = sorted(cantor._build_nmap_scaffold(m).first_generation)
+    current = first
+    for _ in range(gen - 1):
+        out = []
+        for lo, hi in first:
+            br = s.branches[s.branch_index(lo)]
+            img_lo, img_hi = sorted((br(lo), br(hi)))
+            for jlo, jhi in current:
+                a, b = max(jlo, img_lo), min(jhi, img_hi)
+                if a < b:
+                    assert (a, b) == (jlo, jhi)
+                    out.append(tuple(sorted((br.inverse(a), br.inverse(b)))))
+        current = sorted(out)
+    return tuple(current)
+
+
+@st.composite
+def stages(draw):
+    """Stages whose interval and gap lengths come from small sets, so equal
+    gaps (ties) are common, with Fraction, int, float or mixed endpoints."""
+    kind = draw(st.sampled_from(["fraction", "int", "float", "mixed"]))
+    n = draw(st.integers(min_value=2, max_value=12))
+    widths = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
+    x = draw(st.integers(-5, 5))
+    pts = []
+    for k in range(n):
+        pts += [x, x + widths[k]]
+        x += widths[k] + (gaps[k] if k < n - 1 else 0)
+    if kind == "fraction":
+        den = draw(st.sampled_from([1, 3, 7, 12]))
+        pts = [F(p, den) for p in pts]
+    elif kind == "float":
+        pts = [p / 10 for p in pts]
+    elif kind == "mixed":
+        pts = [F(p) if i % 3 == 0 else p for i, p in enumerate(pts)]
+    ivals = tuple(zip(pts[0::2], pts[1::2]))
+    return CantorStage((pts[0], pts[-1]), ivals, 1)
 
 
 class TestConstruction:
@@ -97,6 +170,42 @@ class TestConstruction:
                 img = tuple(sorted((br(lo), br(hi))))
                 assert img in cur_set
 
+    @pytest.mark.parametrize("m", [6, 8, 10])
+    @pytest.mark.parametrize("gen", [1, 2, 3, 4, 5])
+    def test_matches_quadratic_refinement(self, m, gen):
+        got = build_nmap_cantor(m, gen).intervals
+        assert got == quadratic_nmap_intervals(m, gen)
+        assert {type(v) for iv in got for v in iv} == {F}
+
+    @staticmethod
+    def doctored_m6(monkeypatch, old, new):
+        """Make the m=6 scaffold hand out `new` in place of first-generation
+        interval `old`."""
+        scaffold = cantor._build_nmap_scaffold
+
+        def doctored(m):
+            data = scaffold(m)
+            first = tuple(new if iv == old else iv for iv in data.first_generation)
+            return dataclasses.replace(data, first_generation=first)
+
+        monkeypatch.setattr(cantor, "_build_nmap_scaffold", doctored)
+
+    def test_straddling_first_generation_rejected(self, monkeypatch):
+        # pushing the right end of [-96/91, -47/91] past the kink at -1/2
+        self.doctored_m6(monkeypatch, (F(-96, 91), F(-47, 91)), (F(-96, 91), F(-45, 91)))
+        with pytest.raises(ConstructionError, match=r"\[-96/91,-45/91\] straddles a kink"):
+            build_nmap_cantor(6, 2)
+
+    def test_partial_cover_rejected(self, monkeypatch):
+        # stretching [-44/91, 15/91] so the image of [-132/91, -865/819]
+        # (which ends at 15/91) only reaches part of it
+        self.doctored_m6(monkeypatch, (F(-44, 91), F(15, 91)), (F(-44, 91), F(16, 91)))
+        with pytest.raises(
+            ConstructionError,
+            match=r"image of \[-132/91,-865/819\] covers \[-44/91,16/91\] only partially",
+        ):
+            build_nmap_cantor(6, 2)
+
     def test_rejects_bad_m(self):
         for m in (4, 5, 7):
             with pytest.raises(ValueError):
@@ -135,6 +244,22 @@ class TestThickness:
     def test_matches_brute_oracle(self, m, gen):
         st1 = build_nmap_cantor(m, gen)
         assert thickness(st1).thickness == brute_thickness(st1)
+
+    @given(stages())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_quadratic_reference(self, stage):
+        got, want = thickness(stage), quadratic_thickness(stage)
+        assert got == want
+        # equal values of another type (2.0 == Fraction(2)) would pass `==`
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("m,last", [(6, 5), (8, 7), (10, 9), (12, 9)])
+    def test_realized_closed_form(self, m, last):
+        # (3^m-49)/24 - 3(9^j-1)/2, j = min((gen-1)//2, (m-4)//2)
+        for gen in range(1, last + 1):
+            rep = nmap_cantor_report(m, gen)
+            assert rep["realized_closed_form"] == rep["thickness"], (m, gen)
+        assert rep["thickness"] == F(5 * 3**m - 117, 216)
 
     def test_stabilization_profile(self):
         # the hull-end cascade bites at generation m-3 and the value then

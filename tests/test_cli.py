@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import tangencylab
 from tangencylab import verify
 from tangencylab.cli import ExperimentConfig, main
 from tangencylab.renorm import ModelParams, residual_sup
@@ -11,6 +16,17 @@ from tangencylab.renorm import ModelParams, residual_sup
 
 def read_artifacts(d):
     return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
+
+
+def test_module_entry_point_imports_cleanly():
+    # `python -m tangencylab.cli` warns if the package imported `cli` first
+    src = str(Path(tangencylab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "tangencylab.cli", "--help"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestConfig:
@@ -48,6 +64,13 @@ class TestCantorCommand:
         t6 = json.loads((tmp_path / "6" / "thickness.json").read_text())["thickness"]
         t8 = json.loads((tmp_path / "8" / "thickness.json").read_text())["thickness"]
         assert F(t8["num"], t8["den"]) > F(t6["num"], t6["den"])
+
+    def test_closed_form_matches_thickness(self, tmp_path):
+        # m=8 steps down at generations 3 and 5
+        for gen in (2, 3, 5):
+            main(["cantor", "--m", "8", "--gen", str(gen), "--out", str(tmp_path)])
+            doc = json.loads((tmp_path / "thickness.json").read_text())
+            assert doc["realized_closed_form_gen_stable"] == doc["thickness"]
 
     def test_odd_m_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
