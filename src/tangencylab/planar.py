@@ -44,7 +44,6 @@ __all__ = [
     "polyline_curve",
     "WindowRejected",
     "TangencyCandidate",
-    "detect_tangencies",
     "window_extremal_gap",
     "FiberGapProbe",
     "TangencyEvent",
@@ -330,12 +329,29 @@ def grow_manifold(
     Seeds a linear fundamental domain [p + eps*v, M(p + eps*v)] on the
     relevant eigendirection (M is the period-composed map, squared when the
     multiplier is negative so the branch is preserved; the inverse map for
-    stable manifolds) and pushes it forward level by level, bisecting the
-    seed parameter until consecutive image points meet the spacing and
-    turning-angle controls.  `direction` orients the eigenvector (its sign
-    is otherwise arbitrary); `branch` then selects the side.  Growth stops
-    at `target_arclength`, at the point budget, or when the curve leaves
-    the |coordinate| <= clip box (the last two mark the curve incomplete).
+    stable manifolds) and pushes it forward level by level.  `direction`
+    orients the eigenvector (its sign is otherwise arbitrary); `branch` then
+    selects the side.
+
+    Level L is the image of the domain under M^L, sampled at seed parameters
+    ts in [0, 1].  It starts from the ts that level L-1 ended with, whose
+    points are one application of M to level L-1's final points, and then
+    bisects ts until consecutive image points meet the spacing and
+    turning-angle controls; only the bisection midpoints are pushed through
+    all L levels from the seed domain.  A bisection pass that would overrun
+    `max_points` leaves the level coarse and marks the curve incomplete.
+
+    Each level's points are then appended in order, and growth stops at the
+    first point that, in this order of precedence,
+
+    1. is non-finite or leaves the |coordinate| <= clip box: the point is
+       dropped and the curve marked incomplete;
+    2. brings the arclength to `target_arclength`: the point is kept;
+    3. brings the curve to `max_points` points: the point is kept and the
+       curve marked incomplete.
+
+    A curve still short of the target after `max_levels` levels is
+    incomplete too.
     """
     if kind == "unstable":
         mult, v = saddle.eig_unstable, saddle.vec_unstable
@@ -347,6 +363,8 @@ def grow_manifold(
         base_map = family.inverse
     else:
         raise ValueError("kind must be 'unstable' or 'stable'")
+    if max_points < 2:
+        raise ValueError("max_points must be >= 2")
 
     reps = saddle.period * (2 if mult < 0 else 1)
     p = np.array(saddle.location)
@@ -359,29 +377,24 @@ def grow_manifold(
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(levels * reps):
                 x, y = base_map(params, x, y)
-        return x, y
+        return np.column_stack([np.asarray(x, float), np.asarray(y, float)])
 
     x0 = p + branch * seed_eps * vv
-    x1 = np.array(advance(x0[0], x0[1], 1))
+    x1 = advance(x0[0], x0[1], 1)[0]
     if np.linalg.norm(x1 - p) <= np.linalg.norm(x0 - p):
         raise ValueError("seed direction is not expanding under the chosen map")
 
     def eval_level(ts, level):
-        px = x0[0] + ts * (x1[0] - x0[0])
-        py = x0[1] + ts * (x1[1] - x0[1])
-        px, py = advance(px, py, level)
-        return np.column_stack([np.asarray(px, float), np.asarray(py, float)])
+        return advance(x0[0] + ts * (x1[0] - x0[0]), x0[1] + ts * (x1[1] - x0[1]), level)
 
-    pts: list[np.ndarray] = [x0.copy()]
-    arc = [0.0]
+    kept: list[np.ndarray] = [x0[None, :]]  # the points kept, one array per level
+    arcs: list[np.ndarray] = [np.zeros(1)]
+    n_points = 1
     complete = True
-    done = False
     ts = np.array([0.0, 1.0])
     cos_max = math.cos(angle_max)
     for level in range(max_levels):
-        if done:
-            break
-        P = eval_level(ts, level)
+        P = eval_level(ts, 0) if level == 0 else advance(P[:, 0], P[:, 1], 1)
         for _pass in range(80):
             seg = np.diff(P, axis=0)
             d = np.hypot(seg[:, 0], seg[:, 1])
@@ -397,7 +410,7 @@ def grow_manifold(
             need &= (np.diff(ts) > 1e-14) & (d > h_min) & finite[:-1] & finite[1:]
             if not need.any():
                 break
-            if len(ts) + int(need.sum()) + len(pts) > max_points:
+            if len(ts) + int(need.sum()) + n_points > max_points:
                 complete = False
                 break
             tm = 0.5 * (ts[:-1] + ts[1:])[need]
@@ -405,22 +418,31 @@ def grow_manifold(
             P = np.vstack([P, eval_level(tm, level)])
             order = np.argsort(ts)
             ts, P = ts[order], P[order]
+
         # append this level; index 0 duplicates the previous level's endpoint
-        for q in P[1:]:
-            if not np.isfinite(q).all() or np.max(np.abs(q)) > clip:
-                complete = False
-                done = True
-                break
-            arc.append(arc[-1] + float(math.hypot(q[0] - pts[-1][0], q[1] - pts[-1][1])))
-            pts.append(q.copy())
-            if arc[-1] >= target_arclength:
-                done = True
-                break
-            if len(pts) > max_points:
-                complete = False
-                done = True
-                break
-    return ManifoldCurve(np.array(pts), kind, saddle, np.array(arc), complete=complete)
+        new = P[1:]
+        escaped = ~np.isfinite(new).all(axis=1) | (np.abs(new) > clip).any(axis=1)
+        n_ok = int(np.argmax(escaped)) if escaped.any() else len(new)
+        seg = np.diff(np.vstack([kept[-1][-1], new[:n_ok]]), axis=0)
+        arc = np.cumsum(np.concatenate([arcs[-1][-1:], np.hypot(seg[:, 0], seg[:, 1])]))[1:]
+        reached = arc >= target_arclength
+        at_target = int(np.argmax(reached)) if reached.any() else n_ok
+        at_budget = max_points - n_points - 1
+        stop = min(at_target, at_budget)
+        if stop < n_ok:  # target or budget reached at a point that is kept
+            keep, done = stop + 1, True
+            complete = complete and at_target <= at_budget
+        else:  # everything before the first escaped point, if any
+            keep, done = n_ok, n_ok < len(new)
+            complete = complete and not done
+        kept.append(new[:keep])
+        arcs.append(arc[:keep])
+        n_points += keep
+        if done:
+            break
+    else:  # max_levels levels grown, short of the target
+        complete = False
+    return ManifoldCurve(np.concatenate(kept), kind, saddle, np.concatenate(arcs), complete=complete)
 
 
 # ---------------------------------------------------------------------------
@@ -431,26 +453,46 @@ class WindowRejected(ValueError):
     """A fiber crossed a curve zero or multiple times inside the window."""
 
 
-def _fiber_ordinate(curve: ManifoldCurve, x: float, ylo: float, yhi: float) -> float:
+def _fiber_ordinates(curve: ManifoldCurve, xs, ylo: float, yhi: float) -> np.ndarray:
+    """Ordinate at which each vertical fiber x in `xs` (ascending) meets `curve`.
+
+    A segment meets fiber x when x lies between its end abscissas (ends
+    included); the ordinate is linearly interpolated, or the midpoint on a
+    vertical segment.  Per fiber, crossings outside [ylo, yhi] are ignored
+    and one within 1e-12 of an earlier one along the curve is the same
+    crossing; a fiber left with no crossing or with several raises
+    `WindowRejected`.
+    """
+    xs = np.asarray(xs, dtype=float)
     pts = curve.points
-    xs, ys = pts[:, 0], pts[:, 1]
-    hits = []
-    sgn = np.sign(xs - x)
-    for i in np.nonzero(sgn[:-1] * sgn[1:] <= 0)[0]:
-        x0, y0 = pts[i]
-        x1, y1 = pts[i + 1]
-        if x0 == x1:
-            y = 0.5 * (y0 + y1)
-        else:
-            y = y0 + (x - x0) * (y1 - y0) / (x1 - x0)
-        if ylo <= y <= yhi:
-            if not any(abs(y - h) < 1e-12 for h in hits):
-                hits.append(float(y))
-    if len(hits) != 1:
+    xa, ya, xb, yb = pts[:-1, 0], pts[:-1, 1], pts[1:, 0], pts[1:, 1]
+    # one sorted-fiber lookup per segment; a NaN end sorts past every fiber
+    start = np.searchsorted(xs, np.minimum(xa, xb), "left")
+    count = np.searchsorted(xs, np.maximum(xa, xb), "right") - start
+    seg = np.repeat(np.arange(len(xa)), count)
+    fib = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count - start, count)
+    x0, y0, x1, y1 = xa[seg], ya[seg], xb[seg], yb[seg]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.where(x0 == x1, 0.5 * (y0 + y1), y0 + (xs[fib] - x0) * (y1 - y0) / (x1 - x0))
+    inside = (ylo <= y) & (y <= yhi)
+    order = np.argsort(fib[inside], kind="stable")  # keeps curve order within a fiber
+    fib, y = fib[inside][order], y[inside][order]
+    lo = np.searchsorted(fib, np.arange(len(xs)), "left")
+    hits = np.searchsorted(fib, np.arange(len(xs)), "right") - lo
+    # one crossing after de-duplication iff every hit is within 1e-12 of the first
+    spread = np.zeros(len(xs))
+    np.maximum.at(spread, fib, np.abs(y - y[lo[fib]]))
+    rejected = (hits == 0) | (spread >= 1e-12)
+    if rejected.any():
+        j = int(np.argmax(rejected))
+        distinct: list[float] = []
+        for h in y[lo[j] : lo[j] + hits[j]]:
+            if not any(abs(h - k) < 1e-12 for k in distinct):
+                distinct.append(float(h))
         raise WindowRejected(
-            f"fiber x={x}: expected one crossing in y-range [{ylo},{yhi}], got {len(hits)}"
+            f"fiber x={float(xs[j])}: expected one crossing in y-range [{ylo},{yhi}], got {len(distinct)}"
         )
-    return hits[0]
+    return y[lo]
 
 
 def _quad_vertex(xs, gs):
@@ -475,54 +517,6 @@ class TangencyCandidate:
     fit_noise: float
 
 
-def detect_tangencies(
-    wu: ManifoldCurve,
-    ws: ManifoldCurve,
-    window,
-    n_fibers: int = 81,
-    fiber_margin: float = 0.0,
-) -> list[TangencyCandidate]:
-    """Near-tangencies of two curves inside a window, via vertical fibers.
-
-    Each fiber must meet each curve exactly once inside the window (else
-    `WindowRejected`).  Interior local minima of |gap| are refined by a
-    quadratic fit; the candidate records the extremal gap, its
-    sign-normalized penetration, and the discrete curvature of each curve.
-    """
-    (xlo, xhi), (ylo, yhi) = window
-    xs = np.linspace(xlo + fiber_margin, xhi - fiber_margin, n_fibers)
-    gu = np.array([_fiber_ordinate(wu, float(x), ylo, yhi) for x in xs])
-    gs = np.array([_fiber_ordinate(ws, float(x), ylo, yhi) for x in xs])
-    gap = gu - gs
-    out = []
-    for i in range(1, n_fibers - 1):
-        if abs(gap[i]) <= abs(gap[i - 1]) and abs(gap[i]) <= abs(gap[i + 1]):
-            # skip plateau duplicates
-            if i >= 2 and abs(gap[i]) == abs(gap[i - 1]):
-                continue
-            xv, gv, curv = _quad_vertex(xs[i - 1 : i + 2], gap[i - 1 : i + 2])
-            if not (xs[i - 1] <= xv <= xs[i + 1]):
-                xv, gv = float(xs[i]), float(gap[i])
-            kind = "peak" if curv < 0 else "valley"
-            pen = gv if kind == "peak" else -gv
-            ku = _local_curvature(xs, gu, i)
-            ks = _local_curvature(xs, gs, i)
-            noise = _fit_noise(xs, gap, i)
-            yv = _fiber_ordinate(wu, xv, ylo, yhi) if xlo <= xv <= xhi else float(gu[i])
-            out.append(
-                TangencyCandidate(
-                    location=(xv, float(yv)),
-                    gap=gv,
-                    penetration=pen,
-                    kind=kind,
-                    curvature_unstable=ku,
-                    curvature_stable=ks,
-                    fit_noise=noise,
-                )
-            )
-    return out
-
-
 def window_extremal_gap(
     wu: ManifoldCurve,
     ws: ManifoldCurve,
@@ -538,8 +532,8 @@ def window_extremal_gap(
     """
     (xlo, xhi), (ylo, yhi) = window
     xs = np.linspace(xlo, xhi, n_fibers)
-    gu = np.array([_fiber_ordinate(wu, float(x), ylo, yhi) for x in xs])
-    gs = np.array([_fiber_ordinate(ws, float(x), ylo, yhi) for x in xs])
+    gu = _fiber_ordinates(wu, xs, ylo, yhi)
+    gs = _fiber_ordinates(ws, xs, ylo, yhi)
     gap = gu - gs
     i = int(np.argmax(gap) if mode == "peak" else np.argmin(gap))
     i = min(max(i, 1), n_fibers - 2)
@@ -547,7 +541,7 @@ def window_extremal_gap(
     if not (xs[i - 1] <= xv <= xs[i + 1]):
         xv, gv = float(xs[i]), float(gap[i])
     pen = gv if mode == "peak" else -gv
-    yv = _fiber_ordinate(wu, xv, ylo, yhi) if xlo <= xv <= xhi else float(gu[i])
+    yv = _fiber_ordinates(wu, [xv], ylo, yhi)[0] if xlo <= xv <= xhi else gu[i]
     return TangencyCandidate(
         location=(xv, float(yv)),
         gap=gv,

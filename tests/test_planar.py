@@ -2,17 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from tangencylab.maps1d import Cubic1D
 from tangencylab.planar import (
+    _fiber_ordinates,
     FiberGapProbe,
     NewtonDivergenceError,
     PlanarFamily,
     WindowRejected,
     classify_tangency,
     cubic_henon,
-    detect_tangencies,
     find_fixed_points,
     find_saddle,
     grow_manifold,
@@ -188,13 +190,171 @@ class TestManifolds:
         s = find_saddle(fam, p, seed=(0.0, 0.0))
         w = grow_manifold(fam, p, s, "unstable", target_arclength=50.0,
                           max_points=500, direction=(1, 1))
+        assert len(w.points) <= 500
         assert not w.complete
+
+    def test_point_budget_below_two_rejected(self):
+        s = find_saddle(cubic_henon(), (2.8, 0.1), seed=(0.0, 0.0))
+        with pytest.raises(ValueError, match="max_points"):
+            grow_manifold(cubic_henon(), (2.8, 0.1), s, "unstable", max_points=1)
 
     def test_stable_needs_inverse(self):
         fam = limit_family()
         s = find_saddle(cubic_henon(), (2.8, 0.1), seed=(0.0, 0.0))
         with pytest.raises(ValueError):
             grow_manifold(fam, (3.0, 0.0), s, "stable")
+
+
+def assert_sequential_arclength(w, target):
+    """Arclength is the left-to-right running sum of segment lengths, and
+    only the last point may reach `target`."""
+    acc, want = 0.0, [0.0]
+    for (xa, ya), (xb, yb) in zip(w.points[:-1], w.points[1:]):
+        acc += float(np.hypot(xb - xa, yb - ya))
+        want.append(acc)
+    assert w.arclength.tolist() == want
+    assert np.all(w.arclength[:-1] < target)
+
+
+def reference_grow_manifold(family, params, saddle, kind, target_arclength, h_max=1e-2,
+                            max_points=2_000_000, direction=None, clip=50.0):
+    """Reference growth loop: each level pushed through every map step from the
+    seed domain, each point appended one at a time; default controls only."""
+    h_min, angle_max, seed_eps = 1e-5, 0.2, 1e-6
+    mult, v = (saddle.eig_unstable, saddle.vec_unstable) if kind == "unstable" else (
+        saddle.eig_stable, saddle.vec_stable)
+    base_map = family.forward if kind == "unstable" else family.inverse
+    reps = saddle.period * (2 if mult < 0 else 1)
+    vv = np.array(v, dtype=float)
+    vv /= np.linalg.norm(vv)
+    if direction is not None and float(np.dot(vv, np.asarray(direction, float))) < 0:
+        vv = -vv
+    x0 = np.array(saddle.location) + seed_eps * vv
+
+    def advance(x, y, levels):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(levels * reps):
+                x, y = base_map(params, x, y)
+        return x, y
+
+    x1 = np.array(advance(x0[0], x0[1], 1))
+
+    def eval_level(ts, level):
+        px, py = advance(x0[0] + ts * (x1[0] - x0[0]), x0[1] + ts * (x1[1] - x0[1]), level)
+        return np.column_stack([np.asarray(px, float), np.asarray(py, float)])
+
+    pts, arc, complete, done = [x0.copy()], [0.0], True, False
+    ts = np.array([0.0, 1.0])
+    for level in range(64):
+        if done:
+            break
+        P = eval_level(ts, level)
+        for _pass in range(80):
+            seg = np.diff(P, axis=0)
+            d = np.hypot(seg[:, 0], seg[:, 1])
+            finite = np.isfinite(P).all(axis=1)
+            need = d > h_max
+            with np.errstate(invalid="ignore", divide="ignore"):
+                cosang = np.sum(seg[:-1] * seg[1:], axis=1) / (d[:-1] * d[1:])
+            bad = (cosang < math.cos(angle_max)) & (d[:-1] > h_min) & (d[1:] > h_min)
+            need[:-1] |= bad
+            need[1:] |= bad
+            inside = (np.abs(P) <= clip).all(axis=1)
+            need &= inside[:-1] | inside[1:]
+            need &= (np.diff(ts) > 1e-14) & (d > h_min) & finite[:-1] & finite[1:]
+            if not need.any():
+                break
+            if len(ts) + int(need.sum()) + len(pts) > max_points:
+                complete = False
+                break
+            tm = 0.5 * (ts[:-1] + ts[1:])[need]
+            ts = np.concatenate([ts, tm])
+            P = np.vstack([P, eval_level(tm, level)])
+            order = np.argsort(ts)
+            ts, P = ts[order], P[order]
+        for q in P[1:]:
+            if not np.isfinite(q).all() or np.max(np.abs(q)) > clip:
+                complete, done = False, True
+                break
+            arc.append(arc[-1] + float(np.hypot(q[0] - pts[-1][0], q[1] - pts[-1][1])))
+            pts.append(q.copy())
+            if arc[-1] >= target_arclength:
+                done = True
+                break
+            if len(pts) >= max_points:
+                complete, done = False, True
+                break
+    return np.array(pts), np.array(arc), complete
+
+
+class TestManifoldStops:
+    def henon_curve(self, **kw):
+        fam, p = cubic_henon(), (2.8, 0.1)
+        s = find_saddle(fam, p, seed=(0.0, 0.0))
+        return grow_manifold(fam, p, s, "unstable", direction=(1, 1), **kw)
+
+    def test_target_reached(self):
+        w = self.henon_curve(target_arclength=5.0, h_max=5e-3)
+        assert w.complete
+        assert_sequential_arclength(w, 5.0)
+        assert w.arclength[-1] >= 5.0
+
+    def test_clip_box_left(self):
+        w = self.henon_curve(target_arclength=50.0, clip=1.0)
+        assert not w.complete
+        assert_sequential_arclength(w, 50.0)
+        assert np.max(np.abs(w.points)) <= 1.0
+        # the unclipped curve carries on past the last kept point
+        longer = self.henon_curve(target_arclength=50.0, clip=50.0)
+        assert longer.total_arclength > w.total_arclength
+
+    def test_budget_spent(self):
+        w = self.henon_curve(target_arclength=50.0, max_points=500)
+        assert not w.complete
+        assert_sequential_arclength(w, 50.0)
+        assert len(w.points) == 500
+
+    def test_levels_spent(self):
+        w = self.henon_curve(target_arclength=50.0, max_levels=3)
+        assert not w.complete
+        assert_sequential_arclength(w, 50.0)
+
+    @pytest.mark.parametrize("kw", [
+        dict(target_arclength=5.0, h_max=5e-3),
+        dict(target_arclength=50.0, clip=1.0),
+        dict(target_arclength=50.0, max_points=500),
+    ], ids=["target", "clip", "budget"])
+    def test_matches_reference_loop_on_henon(self, kw):
+        fam, p = cubic_henon(), (2.8, 0.1)
+        s = find_saddle(fam, p, seed=(0.0, 0.0))
+        w = grow_manifold(fam, p, s, "unstable", direction=(1, 1), **kw)
+        pts, arc, complete = reference_grow_manifold(fam, p, s, "unstable", direction=(1, 1), **kw)
+        assert np.array_equal(w.points, pts)
+        assert np.array_equal(w.arclength, arc)
+        assert w.complete == complete
+
+    @pytest.mark.parametrize("kind", ["unstable", "stable"])
+    def test_matches_reference_loop_on_renormalized_two_cycle(self, kind):
+        # period 2, as the fiber-gap probes grow them: each level is two map steps
+        fam = renormalized_family(ModelParams(), 6)
+        s = find_saddle(fam, (3.0, 0.0), period=2, seed=(-2.0, 2.0))
+        kw = dict(target_arclength=4.5, h_max=5e-3, direction=(1.0, -1.0), clip=12.0)
+        w = grow_manifold(fam, (3.0, 0.0), s, kind, **kw)
+        pts, arc, complete = reference_grow_manifold(fam, (3.0, 0.0), s, kind, **kw)
+        assert np.array_equal(w.points, pts)
+        assert np.array_equal(w.arclength, arc)
+        assert w.complete == complete
+
+    def test_stable_target_reached(self):
+        fam, p = cubic_henon(), (2.8, 0.1)
+        s = find_saddle(fam, p, seed=(0.0, 0.0))
+        w = grow_manifold(fam, p, s, "stable", target_arclength=3.0, direction=(1, 0), clip=3.0)
+        assert w.complete
+        assert_sequential_arclength(w, 3.0)
+        assert w.arclength[-1] >= 3.0
+        # points of the stable branch contract onto the saddle under the map
+        img = np.array(fam.forward(p, w.points[-1, 0], w.points[-1, 1]))
+        assert np.hypot(*img) < np.hypot(*w.points[-1])
 
 
 def parabola_curve(offset=0.0, n=401):
@@ -207,11 +367,35 @@ def flat_curve(n=401):
     return polyline_curve(np.column_stack([xs, np.zeros_like(xs)]))
 
 
+def scalar_fiber_ordinate(curve, x, ylo, yhi):
+    """Reference: one fiber at a time, every segment scanned in curve order."""
+    pts = curve.points
+    hits = []
+    sgn = np.sign(pts[:, 0] - x)
+    for i in np.nonzero(sgn[:-1] * sgn[1:] <= 0)[0]:
+        (x0, y0), (x1, y1) = pts[i], pts[i + 1]
+        y = 0.5 * (y0 + y1) if x0 == x1 else y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+        if ylo <= y <= yhi and not any(abs(y - h) < 1e-12 for h in hits):
+            hits.append(float(y))
+    if len(hits) != 1:
+        raise WindowRejected(
+            f"fiber x={x}: expected one crossing in y-range [{ylo},{yhi}], got {len(hits)}"
+        )
+    return hits[0]
+
+
+@st.composite
+def polylines(draw):
+    """Short polylines on a coarse grid, so that vertical segments, repeated
+    vertices, vertices on a fiber and near-duplicate crossings all occur."""
+    n = draw(st.integers(2, 8))
+    coord = st.sampled_from([-1.5, -0.75, 0.0, 1e-13, 1e-12, 0.375, 0.75, 1.5])
+    return np.array([(draw(coord), draw(coord)) for _ in range(n)])
+
+
 class TestDetect:
     def test_touching_parabola(self):
-        cands = detect_tangencies(parabola_curve(), flat_curve(), ((-0.9, 0.9), (-1, 2)))
-        assert len(cands) == 1
-        c = cands[0]
+        c = window_extremal_gap(parabola_curve(), flat_curve(), ((-0.9, 0.9), (-1, 2)), "valley")
         assert abs(c.location[0]) < 1e-9
         assert abs(c.gap) < 1e-9
         assert c.kind == "valley"
@@ -236,8 +420,29 @@ class TestDetect:
     def test_multi_crossing_window_rejected(self):
         xs = np.linspace(0, 4 * math.pi, 1200)
         wiggly = polyline_curve(np.column_stack([np.sin(xs), xs]))
-        with pytest.raises(WindowRejected):
-            detect_tangencies(wiggly, flat_curve(), ((-0.9, 0.9), (0, 13)))
+        # sin(t) = -0.9 four times for t in [0, 4 pi], all inside the y-range
+        with pytest.raises(WindowRejected, match=r"fiber x=-0\.9: .* got 4$"):
+            window_extremal_gap(wiggly, flat_curve(), ((-0.9, 0.9), (0, 13)), "peak")
+
+    def test_fiber_missing_curve_rejected(self):
+        with pytest.raises(WindowRejected, match="got 0$"):
+            window_extremal_gap(parabola_curve(), flat_curve(), ((-0.9, 0.9), (0.5, 2)), "valley")
+
+    @settings(max_examples=300, deadline=None)
+    @given(polylines(), st.integers(1, 9), st.sampled_from([(-2.0, 2.0), (-0.5, 1.0), (0.0, 0.0)]))
+    # two horizontal passes exactly 1e-12 apart are two crossings, not one
+    @example(np.array([(-1.5, 0.0), (1.5, 0.0), (1.5, 1e-12), (-1.5, 1e-12)]), 3, (-2.0, 2.0))
+    def test_batched_ordinates_match_scalar_reference(self, pts, n_fibers, yrange):
+        curve = polyline_curve(pts)
+        xs = np.linspace(-1.5, 1.5, n_fibers)
+        try:
+            want = [scalar_fiber_ordinate(curve, float(x), *yrange) for x in xs]
+        except WindowRejected as exc:
+            with pytest.raises(WindowRejected) as got:
+                _fiber_ordinates(curve, xs, *yrange)
+            assert str(got.value) == str(exc)
+        else:
+            assert _fiber_ordinates(curve, xs, *yrange).tolist() == want
 
 
 class TestClassify:
