@@ -39,7 +39,6 @@ __all__ = [
     "ImageResult",
     "image_cantor",
     "stage_to_csv",
-    "stage_to_json",
 ]
 
 
@@ -64,14 +63,20 @@ class CantorStage:
     source: str = "generic"
 
     def __post_init__(self):
+        # an all-Fraction stage is compared on the integer grid of its common
+        # denominator; the messages name the stage's own endpoints
         lo, hi = self.ambient
+        ends = [lo, hi, *(v for iv in self.intervals for v in iv)]
+        if {type(v) for v in ends} == {Fraction}:
+            ends, _ = _on_grid(ends)
+        glo, ghi, *ends = ends
         prev_hi = None
-        for (a, b) in self.intervals:
-            if not (lo <= a <= b <= hi):
+        for (a, b), ga, gb in zip(self.intervals, ends[0::2], ends[1::2]):
+            if not (glo <= ga <= gb <= ghi):
                 raise ConstructionError(f"interval [{a},{b}] escapes ambient [{lo},{hi}]")
-            if prev_hi is not None and not (a > prev_hi):
+            if prev_hi is not None and not (ga > prev_hi):
                 raise ConstructionError(f"intervals out of order or overlapping near {a}")
-            prev_hi = b
+            prev_hi = gb
 
     @property
     def hull(self):
@@ -111,24 +116,6 @@ class ThicknessReport:
     witness_gap: tuple
     witness_bridge: tuple
     endpoint_ratios: tuple  # (gap, endpoint, bridge, ratio) per gap boundary point
-
-    def to_json(self) -> dict:
-        def enc(x):
-            if isinstance(x, Fraction):
-                return {"num": x.numerator, "den": x.denominator, "float": float(x)}
-            if isinstance(x, tuple):
-                return [enc(v) for v in x]
-            return float(x)
-
-        return {
-            "thickness": enc(self.thickness),
-            "witness_gap": enc(self.witness_gap),
-            "witness_bridge": enc(self.witness_bridge),
-            "endpoint_ratios": [
-                {"gap": enc(g), "endpoint": enc(p), "bridge": enc(b), "ratio": enc(r)}
-                for g, p, b, r in self.endpoint_ratios
-            ],
-        }
 
 
 def _on_grid(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -172,9 +159,17 @@ def thickness(stage: CantorStage) -> ThicknessReport:
         raise ThicknessUndefinedError("need at least two intervals")
     gaps = stage.gaps()
     ends = [v for iv in stage.intervals for v in iv]
+    shared: dict[tuple[int, int], Fraction] = {}
     if {type(v) for v in ends} == {Fraction}:
         ends, _ = _on_grid(ends)
-        ratio = Fraction
+
+        def ratio(bridge: int, gap: int) -> Fraction:
+            # N-map stages have few distinct ratios: one Fraction per reduced pair
+            g = math.gcd(bridge, gap)
+            key = (bridge // g, gap // g)
+            if key not in shared:
+                shared[key] = Fraction(*key)
+            return shared[key]
     else:
         ratio = truediv
     # lows/highs hold the interval ends in the arithmetic the ratios use; the
@@ -200,7 +195,12 @@ def thickness(stage: CantorStage) -> ThicknessReport:
         else:
             bound, reach = gaps[j][0], highs[j]
         records.append((gap, ghi, (ghi, bound), ratio(reach - lows[i + 1], lengths[i])))
-    best = min(records, key=itemgetter(3))
+    if shared:
+        # min's first-minimum rule over the few shared ratio objects
+        least = min(shared.values())
+        best = next(r for r in records if r[3] is least)
+    else:
+        best = min(records, key=itemgetter(3))
     return ThicknessReport(
         thickness=best[3],
         witness_gap=best[0],
@@ -623,17 +623,3 @@ def stage_to_csv(stage: CantorStage, path, config_hash: str | None = None):
         for a, b in stage.intervals:
             fa, fb = _as_fraction(a), _as_fraction(b)
             w.writerow([stage.generation, fa.numerator, fa.denominator, fb.numerator, fb.denominator])
-
-
-def stage_to_json(stage: CantorStage) -> dict:
-    def enc(x):
-        if isinstance(x, Fraction):
-            return {"num": x.numerator, "den": x.denominator, "float": float(x)}
-        return float(x)
-
-    return {
-        "source": stage.source,
-        "generation": stage.generation,
-        "ambient": [enc(stage.ambient[0]), enc(stage.ambient[1])],
-        "intervals": [[enc(a), enc(b)] for a, b in stage.intervals],
-    }

@@ -17,6 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -69,9 +70,37 @@ def _outdir(args) -> Path:
 
 
 def _write_manifest(cfg: ExperimentConfig, outdir: Path) -> None:
-    doc = cfg.resolved()
-    doc["config_hash"] = cfg.hash
-    (outdir / f"{cfg.name}_manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n")
+    _write_json(outdir / f"{cfg.name}_manifest.json", cfg.resolved(), cfg)
+
+
+_encode_scalar = json.JSONEncoder(default=str).encode  # as json.dumps(x, default=str)
+
+
+def _json_chunks(obj, pad: str = "\n"):
+    """The text of `json.dump(obj, indent=2, sort_keys=True, default=str)`,
+    piece by piece, except that a `Fraction` is written as the object
+    {"den", "float", "num"}.  Dict keys must be strings.  `pad` is the
+    newline plus the current indent."""
+    inner = pad + "  "
+    if isinstance(obj, Fraction):
+        # float() of a Fraction is finite, so its repr is its JSON text
+        yield f'{{{inner}"den": {obj.denominator},{inner}"float": {float(obj)!r},{inner}"num": {obj.numerator}{pad}}}'
+    elif isinstance(obj, dict) and obj:
+        sep = "{" + inner
+        for key in sorted(obj):
+            yield sep + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(obj[key], inner)
+            sep = "," + inner
+        yield pad + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        sep = "[" + inner
+        for value in obj:
+            yield sep
+            yield from _json_chunks(value, inner)
+            sep = "," + inner
+        yield pad + "]"
+    else:
+        yield _encode_scalar(obj)
 
 
 def _write_json(path: Path, payload: dict, cfg: ExperimentConfig) -> None:
@@ -79,7 +108,7 @@ def _write_json(path: Path, payload: dict, cfg: ExperimentConfig) -> None:
     payload["config_hash"] = cfg.hash
     payload["schema_version"] = SCHEMA_VERSION
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
+        fh.writelines(_json_chunks(payload))
         fh.write("\n")
 
 
@@ -107,26 +136,36 @@ def cmd_cantor(args, parser) -> int:
     stage = rep["stage"]
     cantor.stage_to_csv(stage, out / "intervals.csv", config_hash=cfg.hash)
 
-    def enc(x):
-        return {"num": x.numerator, "den": x.denominator, "float": float(x)} if isinstance(x, Fraction) else x
-
+    report = rep["thickness_report"]
     payload = {
         "m": args.m,
         "generation": args.gen,
         "n_intervals": rep["n_intervals"],
-        "q0": enc(rep["q0"]),
-        "x_m": enc(rep["x_m"]),
-        "thickness": enc(rep["thickness"]),
-        "nominal_bound": enc(rep["nominal_bound"]),
+        "q0": rep["q0"],
+        "x_m": rep["x_m"],
+        "thickness": rep["thickness"],
+        "nominal_bound": rep["nominal_bound"],
         "bound_holds": rep["bound_holds"],
-        "gap_at_half": enc(rep["gap_at_half"]),
-        "gap_at_half_closed_form": enc(rep["gap_at_half_closed_form"]),
-        "gap_at_minus_half": enc(rep["gap_at_minus_half"]),
-        "nominal_delta": enc(rep["nominal_delta"]),
+        "gap_at_half": rep["gap_at_half"],
+        "gap_at_half_closed_form": rep["gap_at_half_closed_form"],
+        "gap_at_minus_half": rep["gap_at_minus_half"],
+        "nominal_delta": rep["nominal_delta"],
         "delta_discrepancy": rep["nominal_delta"] != rep["gap_at_minus_half"],
-        "realized_closed_form_gen_stable": enc(rep["realized_closed_form"]),
-        "report": rep["thickness_report"].to_json(),
-        "stage": cantor.stage_to_json(stage),
+        "realized_closed_form_gen_stable": rep["realized_closed_form"],
+        "report": {
+            "thickness": report.thickness,
+            "witness_gap": report.witness_gap,
+            "witness_bridge": report.witness_bridge,
+            "endpoint_ratios": [
+                {"gap": g, "endpoint": p, "bridge": b, "ratio": r} for g, p, b, r in report.endpoint_ratios
+            ],
+        },
+        "stage": {
+            "source": stage.source,
+            "generation": stage.generation,
+            "ambient": stage.ambient,
+            "intervals": stage.intervals,
+        },
     }
     _write_json(out / "thickness.json", payload, cfg)
     _write_manifest(cfg, out)
@@ -151,6 +190,8 @@ def cmd_renorm(args, parser) -> int:
         parser.error("--n-min must be >= 1")
     if args.n_max < args.n_min:
         parser.error("--n-max must be >= --n-min")
+    if args.grid < 1:
+        parser.error("--grid must be >= 1")
     try:
         mp = renorm.ModelParams(args.lam, args.sigma, args.a, args.b, args.c, args.eps)
     except ValueError as exc:
@@ -217,6 +258,8 @@ def cmd_renorm(args, parser) -> int:
 def cmd_attractor(args, parser) -> int:
     if args.b == 0:
         parser.error("--b must be nonzero (the family must stay invertible)")
+    if args.steps < 10_000:
+        parser.error("--steps must be >= 10000 (the Lyapunov estimate needs 10^4 steps)")
     cfg = ExperimentConfig(
         "attractor", {"a": args.a, "b": args.b, "steps": args.steps, "sample": args.sample},
         str(_outdir(args)), seed=args.seed,

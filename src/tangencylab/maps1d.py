@@ -10,6 +10,7 @@ take the ordinary binary64 path.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -168,11 +169,28 @@ def conjugacy(x):
     return 2.0 * math.sin(math.pi * x / 3.0)
 
 
-def conjugacy_defect(x) -> float:
-    """|h(S(x)) - F(h(x))| with F the mu=3, nu=0 cubic; zero iff the diagrams commute."""
-    s = n_map()
-    f = Cubic1D(3.0, 0.0)
-    return abs(conjugacy(s(x)) - f(conjugacy(x)))
+def conjugacy_defect(x):
+    """|h(S(x)) - F(h(x))| with F the mu=3, nu=0 cubic; zero iff the diagrams commute.
+
+    Takes a scalar (returns a float) or an array (returns an array).  S is
+    evaluated branchwise with the N-map's half-open conventions; a point
+    outside [-3/2, 3/2] raises `DomainError`.
+    """
+    xs = np.asarray(x, dtype=float)
+    inside = (xs >= -1.5) & (xs <= 1.5)
+    if not inside.all():
+        bad = xs[~inside].flat[0]
+        raise DomainError(f"{bad} outside domain [-3/2, 3/2]")
+    sx = np.where(xs < -0.5, -3.0 * xs - 3.0, np.where(xs <= 0.5, 3.0 * xs + 0.0, -3.0 * xs + 3.0))
+
+    def h(v):  # `conjugacy` on arrays
+        return 2.0 * np.sin(np.pi * v / 3.0)
+
+    # F(y) = -y^3 + 3y as `Cubic1D(3.0, 0.0)` evaluates it on a float:
+    # float_power is the C library's pow, which `y**3` calls
+    hx = h(xs)
+    d = np.abs(h(sx) - (-np.float_power(hx, 3) + 3.0 * hx + 0.0))
+    return float(d) if d.ndim == 0 else d
 
 
 @dataclass(frozen=True)
@@ -254,17 +272,16 @@ def _float_roots(fmap, period, lo, hi, cells_per_unit, tol):
                 g[i] = _iter_map(fmap, float(x), period) - x
             except DomainError:
                 g[i] = np.nan
+    ga, gb = g[:-1], g[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells = np.flatnonzero(np.isfinite(ga) & np.isfinite(gb) & ((ga == 0.0) | (ga * gb < 0.0)))
     roots = []
-    for i in range(n_cells):
-        a, b, ga, gb = xs[i], xs[i + 1], g[i], g[i + 1]
-        if not (np.isfinite(ga) and np.isfinite(gb)):
-            continue
-        if ga == 0.0:
-            roots.append(float(a))
-            continue
-        if ga * gb < 0.0:
-            root = brentq(lambda x: _iter_map(fmap, x, period) - x, float(a), float(b), xtol=1e-14)
-            roots.append(float(root))
+    for i in cells:
+        a, b = float(xs[i]), float(xs[i + 1])
+        if g[i] == 0.0:
+            roots.append(a)
+        else:
+            roots.append(float(brentq(lambda x: _iter_map(fmap, x, period) - x, a, b, xtol=1e-14)))
     if np.isfinite(g[-1]) and g[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots
@@ -353,7 +370,7 @@ def _multiplier(fmap, orbit, exact):
 def _assemble_orbits(fmap, roots, period, tol, exact):
     eq_tol = 0 if exact else max(tol, 1e-11)
     orbits: list[PeriodicOrbit1D] = []
-    seen: list = []
+    seen: list = []  # representatives, sorted
     for x in roots:
         minimal = True
         for d in _divisors(period):
@@ -364,9 +381,11 @@ def _assemble_orbits(fmap, roots, period, tol, exact):
             continue
         orbit = _orbit_of(fmap, x, period)
         rep = min(orbit)
-        if any(abs(rep - s) <= (eq_tol if exact else 1e-9) for s in seen):
+        # the nearest representative on either side decides the duplicate test
+        i = bisect_left(seen, rep)
+        if any(abs(rep - s) <= (eq_tol if exact else 1e-9) for s in seen[max(i - 1, 0):i + 1]):
             continue
-        seen.append(rep)
+        seen.insert(i, rep)
         k = orbit.index(rep)
         orbit = orbit[k:] + orbit[:k]
         res = abs(float(_iter_map(fmap, rep, period) - rep))

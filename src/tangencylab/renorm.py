@@ -254,6 +254,8 @@ def residual_sup(
     `deviation_from_limit`, so one evaluation over the box is the sup over
     every parameter.
     """
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1 points per axis, got {grid}")
     (xlo, xhi), (ylo, yhi) = box
     X, Y = np.meshgrid(np.linspace(xlo, xhi, grid), np.linspace(ylo, yhi, grid))
     d1, d2 = deviation_from_limit(params, n)(X, Y)

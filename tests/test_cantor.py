@@ -22,7 +22,6 @@ from tangencylab.cantor import (
     nmap_restriction_system,
     nominal_thickness_bound,
     stage_to_csv,
-    stage_to_json,
     thickness,
 )
 from tangencylab.maps1d import AffineBranch, conjugacy, n_map
@@ -216,6 +215,40 @@ class TestConstruction:
 
         with pytest.raises(ConstructionError, match="qt4 < q4"):
             _require_order([F(0), F(2), F(1)], ["q2", "qt4", "q4"])
+
+
+@pytest.mark.parametrize("kind", [F, float])
+class TestStageValidation:
+    """Each rule rejects Fraction and float stages alike, and the message
+    names the stage's own endpoints."""
+
+    @staticmethod
+    def rejected(kind, ivals):
+        amb = (kind(F(0)), kind(F(1)))
+        ivals = tuple((kind(a), kind(b)) for a, b in ivals)
+        with pytest.raises(ConstructionError) as exc:
+            CantorStage(amb, ivals, 1)
+        return str(exc.value), amb, ivals
+
+    def test_escaping_interval(self, kind):
+        msg, (lo, hi), ((a, b),) = self.rejected(kind, [(F(1, 2), F(3, 2))])
+        assert msg == f"interval [{a},{b}] escapes ambient [{lo},{hi}]"
+
+    def test_reversed_interval(self, kind):
+        msg, (lo, hi), (_, (a, b)) = self.rejected(kind, [(F(0), F(1, 7)), (F(2, 3), F(1, 3))])
+        assert msg == f"interval [{a},{b}] escapes ambient [{lo},{hi}]"
+
+    def test_overlapping_intervals(self, kind):
+        msg, _, (_, (a, _)) = self.rejected(kind, [(F(0), F(1, 2)), (F(1, 3), F(2, 3))])
+        assert msg == f"intervals out of order or overlapping near {a}"
+
+    def test_touching_intervals(self, kind):
+        msg, _, (_, (a, _)) = self.rejected(kind, [(F(0), F(1, 3)), (F(1, 3), F(2, 3))])
+        assert msg == f"intervals out of order or overlapping near {a}"
+
+    def test_valid_stage_accepted(self, kind):
+        ivals = ((kind(F(0)), kind(F(1, 3))), (kind(F(2, 3)), kind(F(1))))
+        assert CantorStage((kind(F(0)), kind(F(1))), ivals, 1).intervals == ivals
 
 
 class TestThickness:
@@ -424,7 +457,3 @@ class TestSerialization:
         row = lines[2].split(",")
         assert F(int(row[1]), int(row[2])) == st1.intervals[0][0]
         assert len(lines) == 2 + len(st1.intervals)
-
-    def test_json_exact_fields(self):
-        doc = stage_to_json(build_nmap_cantor(6, 1))
-        assert doc["intervals"][0][0] == {"num": -132, "den": 91, "float": -132 / 91}

@@ -7,10 +7,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tangencylab
-from tangencylab import verify
-from tangencylab.cli import ExperimentConfig, main
+from tangencylab import cantor, verify
+from tangencylab.cli import ExperimentConfig, _json_chunks, main
 from tangencylab.renorm import ModelParams, residual_sup
 
 
@@ -27,6 +29,97 @@ def test_module_entry_point_imports_cleanly():
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.fractions(),
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(st.text(), children)
+    ),
+    max_leaves=40,
+)
+
+
+def fractions_as_objects(x):
+    if isinstance(x, F):
+        return {"num": x.numerator, "den": x.denominator, "float": float(x)}
+    if isinstance(x, (list, tuple)):
+        return [fractions_as_objects(v) for v in x]
+    if isinstance(x, dict):
+        return {k: fractions_as_objects(v) for k, v in x.items()}
+    return x
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_matches_json_dumps(self, obj):
+        want = json.dumps(fractions_as_objects(obj), indent=2, sort_keys=True, default=str)
+        assert "".join(_json_chunks(obj)) == want
+
+    def test_edge_values(self):
+        obj = {"é": [float("nan"), float("inf"), -float("inf"), -0.0], "": {}, "t": (), "n": None,
+               "b": [True, False], "big": 10**30, "ω": "κ\u2028", "f": F(-1, 3), "x": {1, 2}}
+        want = json.dumps(fractions_as_objects(obj), indent=2, sort_keys=True, default=str)
+        assert "".join(_json_chunks(obj)) == want
+
+
+def reference_thickness_json(m, gen, out):
+    """thickness.json and the manifest as the CLI wrote them with `json.dump`
+    over payloads of explicit {num, den, float} dicts."""
+    def enc(x):
+        return {"num": x.numerator, "den": x.denominator, "float": float(x)} if isinstance(x, F) else x
+
+    def enc_all(x):
+        if isinstance(x, F):
+            return enc(x)
+        if isinstance(x, tuple):
+            return [enc_all(v) for v in x]
+        return float(x)
+
+    cfg = ExperimentConfig("cantor", {"m": m, "gen": gen}, str(out))
+    rep = cantor.nmap_cantor_report(m, gen)
+    tr, stage = rep["thickness_report"], rep["stage"]
+    payload = {
+        "m": m,
+        "generation": gen,
+        "n_intervals": rep["n_intervals"],
+        "q0": enc(rep["q0"]),
+        "x_m": enc(rep["x_m"]),
+        "thickness": enc(rep["thickness"]),
+        "nominal_bound": enc(rep["nominal_bound"]),
+        "bound_holds": rep["bound_holds"],
+        "gap_at_half": enc(rep["gap_at_half"]),
+        "gap_at_half_closed_form": enc(rep["gap_at_half_closed_form"]),
+        "gap_at_minus_half": enc(rep["gap_at_minus_half"]),
+        "nominal_delta": enc(rep["nominal_delta"]),
+        "delta_discrepancy": rep["nominal_delta"] != rep["gap_at_minus_half"],
+        "realized_closed_form_gen_stable": enc(rep["realized_closed_form"]),
+        "report": {
+            "thickness": enc_all(tr.thickness),
+            "witness_gap": enc_all(tr.witness_gap),
+            "witness_bridge": enc_all(tr.witness_bridge),
+            "endpoint_ratios": [
+                {"gap": enc_all(g), "endpoint": enc_all(p), "bridge": enc_all(b), "ratio": enc_all(r)}
+                for g, p, b, r in tr.endpoint_ratios
+            ],
+        },
+        "stage": {
+            "source": stage.source,
+            "generation": stage.generation,
+            "ambient": [enc_all(stage.ambient[0]), enc_all(stage.ambient[1])],
+            "intervals": [[enc_all(a), enc_all(b)] for a, b in stage.intervals],
+        },
+        "config_hash": cfg.hash,
+        "schema_version": 1,
+    }
+    manifest = dict(cfg.resolved(), config_hash=cfg.hash)
+    return tuple(
+        (json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n").encode()
+        for doc in (payload, manifest)
+    )
 
 
 class TestConfig:
@@ -82,6 +175,17 @@ class TestCantorCommand:
         main(["cantor", "--m", "6", "--gen", "1"])
         assert (tmp_path / "thickness.json").exists()
 
+    def test_thickness_json_matches_reference_encoding(self, tmp_path):
+        for m, gen in ((8, 3), (6, 1)):
+            out = tmp_path / f"{m}-{gen}"
+            main(["cantor", "--m", str(m), "--gen", str(gen), "--out", str(out)])
+            want_doc, want_manifest = reference_thickness_json(m, gen, out)
+            assert (out / "thickness.json").read_bytes() == want_doc
+            assert (out / "cantor_manifest.json").read_bytes() == want_manifest
+        # exact fields: the m=6 stage starts at q2 = -132/91
+        doc = json.loads((tmp_path / "6-1" / "thickness.json").read_text())
+        assert doc["stage"]["intervals"][0][0] == {"num": -132, "den": 91, "float": -132 / 91}
+
     def test_replay_determinism(self, tmp_path):
         main(["cantor", "--m", "6", "--gen", "3", "--out", str(tmp_path)])
         first = read_artifacts(tmp_path)
@@ -125,6 +229,13 @@ class TestRenormCommand:
         with pytest.raises(SystemExit):
             main(["renorm", "--n-min", "0", "--out", str(tmp_path)])
 
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_rejects_empty_grid(self, tmp_path, grid, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["renorm", "--grid", grid, "--workers", "1", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--grid must be >= 1" in capsys.readouterr().err
+
 
 class TestAttractorCommand:
     def test_artifacts(self, tmp_path):
@@ -141,6 +252,12 @@ class TestAttractorCommand:
         with pytest.raises(SystemExit) as exc:
             main(["attractor", "--b", "0", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    def test_rejects_short_run(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["attractor", "--steps", "100", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--steps must be >= 10000" in capsys.readouterr().err
 
 
 class TestTangencyCommand:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from tangencylab import maps1d
 from tangencylab.maps1d import (
     Cubic1D,
     DomainError,
@@ -149,6 +151,87 @@ class TestConjugacy:
     def test_grid_sup(self):
         xs = np.linspace(-1.5, 1.5, 10_000)
         assert max(conjugacy_defect(float(x)) for x in xs) < 1e-12
+
+    def test_array_matches_scalar_composition(self):
+        # reference: S through n_map's branches, h and F on Python floats
+        f = Cubic1D(3.0, 0.0)
+        xs = np.concatenate([np.linspace(-1.5, 1.5, 2_001), [-0.5, 0.5, 0.25, -1.25]])
+        want = [abs(conjugacy(S(x)) - f(conjugacy(x))) for x in xs.tolist()]
+        got = conjugacy_defect(xs)
+        assert got.shape == xs.shape
+        assert got.tolist() == want
+        assert [conjugacy_defect(x) for x in xs.tolist()] == want
+        assert type(conjugacy_defect(0.25)) is float
+
+    @pytest.mark.parametrize("x", [1.6, -2.0, float("nan"), np.array([0.0, 1.5 + 1e-12])])
+    def test_outside_domain_rejected(self, x):
+        with pytest.raises(DomainError, match="outside domain"):
+            conjugacy_defect(x)
+
+
+def loop_float_roots(fmap, period, lo, hi, cells_per_unit):
+    """Reference scan: visit every cell of F^p(y) - y in turn."""
+    n_cells = max(8, math.ceil(cells_per_unit * (hi - lo)))
+    xs = np.linspace(lo, hi, n_cells + 1)
+    try:
+        ys = xs.copy()
+        for _ in range(period):
+            ys = np.asarray(fmap(ys), dtype=float)
+        g = ys - xs
+    except (DomainError, TypeError, ValueError):
+        g = np.empty_like(xs)
+        for i, x in enumerate(xs):
+            try:
+                g[i] = maps1d._iter_map(fmap, float(x), period) - x
+            except DomainError:
+                g[i] = np.nan
+    roots = []
+    for i in range(n_cells):
+        a, b, ga, gb = xs[i], xs[i + 1], g[i], g[i + 1]
+        if not (np.isfinite(ga) and np.isfinite(gb)):
+            continue
+        if ga == 0.0:
+            roots.append(float(a))
+        elif ga * gb < 0.0:
+            roots.append(float(brentq(lambda x: maps1d._iter_map(fmap, x, period) - x, float(a), float(b), xtol=1e-14)))
+    if np.isfinite(g[-1]) and g[-1] == 0.0:
+        roots.append(float(xs[-1]))
+    return roots
+
+
+class TestRootScan:
+    @pytest.mark.parametrize(
+        "fmap,domain,period",
+        [
+            (Cubic1D(3.0, 0.0), (-2.0, 2.0), 1),  # roots on grid points
+            (Cubic1D(3.0, 0.0), (-2.0, 2.0), 4),
+            (Cubic1D(2.9, 0.0), (-2.3, 2.3), 5),  # orbits escape: non-finite cells
+            (S, (-2.0, 2.0), 3),  # DomainError outside [-3/2, 3/2]: NaN cells
+            (lambda y: 1.0 / y, (-1.0, 1.0), 1),  # a pole on the grid point 0: infinite cells
+        ],
+    )
+    def test_matches_cell_by_cell_loop(self, fmap, domain, period):
+        cells = maps1d._cells_per_unit(period)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            want = loop_float_roots(fmap, period, *domain, cells)
+            got = maps1d._float_roots(fmap, period, *domain, cells, 1e-12)
+        assert got == want
+        assert want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from([-math.sqrt(2), 0.0, math.sqrt(2)]),
+        st.sampled_from([0.0, 4e-10, -4e-10, 8e-10, -8e-10, 3e-9, -3e-9]),
+    ), max_size=30))
+    def test_duplicates_dropped_as_by_full_scan(self, draws):
+        # a root within 1e-9 of any earlier kept representative is a duplicate
+        roots = [c + d for c, d in draws]
+        kept = []
+        for x in roots:
+            if not any(abs(x - s) <= 1e-9 for s in kept):
+                kept.append(x)
+        orbits = maps1d._assemble_orbits(Cubic1D(3.0, 0.0), roots, 1, 1e-12, False)
+        assert [o.points[0] for o in orbits] == sorted(kept)
 
 
 class TestFindPeriodic:

@@ -235,6 +235,11 @@ class TestResiduals:
         with pytest.raises(ValueError):
             fit_decay_rate(residual_table(mp, range(4, 8)))
 
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_empty_grid_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid"):
+            residual_sup(MP, 5, grid=grid)
+
 
 class TestConjugation:
     def test_limit_hand_value(self):
