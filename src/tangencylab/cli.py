@@ -432,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: $TANGENCYLAB_OUT or cwd)")
         p.add_argument("--config", type=str, default=None,
                        help="JSON file overriding this command's options")
+        p.set_defaults(parser=p)  # usage errors then name the subcommand
     return ap
 
 
@@ -456,8 +457,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.config:
-        _apply_config_file(args, ap, args.config, _CONFIG_KEYS[args.command])
-    return _COMMANDS[args.command](args, ap)
+        _apply_config_file(args, args.parser, args.config, _CONFIG_KEYS[args.command])
+    return _COMMANDS[args.command](args, args.parser)
 
 
 if __name__ == "__main__":

@@ -275,13 +275,25 @@ def _float_roots(fmap, period, lo, hi, cells_per_unit, tol):
     ga, gb = g[:-1], g[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         cells = np.flatnonzero(np.isfinite(ga) & np.isfinite(gb) & ((ga == 0.0) | (ga * gb < 0.0)))
+
+    def gap(x):
+        return _iter_map(fmap, x, period) - x
+
     roots = []
     for i in cells:
+        # numpy's y**3 and the C library's pow may differ in the last bit, so
+        # each flagged cell is re-checked in the scalar arithmetic brentq uses
         a, b = float(xs[i]), float(xs[i + 1])
-        if g[i] == 0.0:
+        ga, gb = gap(a), gap(b)
+        if ga == 0.0:
             roots.append(a)
-        else:
-            roots.append(float(brentq(lambda x: _iter_map(fmap, x, period) - x, a, b, xtol=1e-14)))
+        elif gb == 0.0:
+            roots.append(b)
+        elif (ga < 0.0) != (gb < 0.0):
+            known = {a: ga, b: gb}  # brentq starts by evaluating both ends again
+            roots.append(float(brentq(lambda x: known[x] if x in known else gap(x), a, b, xtol=1e-14)))
+        else:  # the sign change was rounding: the end nearer zero is a root to within it
+            roots.append(a if abs(ga) <= abs(gb) else b)
     if np.isfinite(g[-1]) and g[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots

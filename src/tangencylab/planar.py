@@ -20,7 +20,7 @@ lower (valley) event it is the negative of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -338,8 +338,13 @@ def grow_manifold(
     points are one application of M to level L-1's final points, and then
     bisects ts until consecutive image points meet the spacing and
     turning-angle controls; only the bisection midpoints are pushed through
-    all L levels from the seed domain.  A bisection pass that would overrun
-    `max_points` leaves the level coarse and marks the curve incomplete.
+    all L levels from the seed domain.  Each bisection pass tests every
+    interval of the level elementwise on its x, y and ts columns, and puts
+    the midpoints in place by index arithmetic (point i moves right by the
+    number of splits before it, the midpoint of a split goes right after
+    its left end), so the level stays ordered without a sort.  A pass that
+    would overrun `max_points` leaves the level coarse and marks the curve
+    incomplete.
 
     Each level's points are then appended in order, and growth stops at the
     first point that, in this order of precedence,
@@ -377,10 +382,10 @@ def grow_manifold(
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(levels * reps):
                 x, y = base_map(params, x, y)
-        return np.column_stack([np.asarray(x, float), np.asarray(y, float)])
+        return np.asarray(x, float), np.asarray(y, float)
 
     x0 = p + branch * seed_eps * vv
-    x1 = advance(x0[0], x0[1], 1)[0]
+    x1 = np.array(advance(x0[0], x0[1], 1))
     if np.linalg.norm(x1 - p) <= np.linalg.norm(x0 - p):
         raise ValueError("seed direction is not expanding under the chosen map")
 
@@ -394,37 +399,49 @@ def grow_manifold(
     ts = np.array([0.0, 1.0])
     cos_max = math.cos(angle_max)
     for level in range(max_levels):
-        P = eval_level(ts, 0) if level == 0 else advance(P[:, 0], P[:, 1], 1)
+        X, Y = eval_level(ts, 0) if level == 0 else advance(X, Y, 1)
         for _pass in range(80):
-            seg = np.diff(P, axis=0)
-            d = np.hypot(seg[:, 0], seg[:, 1])
-            finite = np.isfinite(P).all(axis=1)
+            dx, dy = np.diff(X), np.diff(Y)
+            d = np.hypot(dx, dy)
+            long = d > h_min
+            finite = np.isfinite(X) & np.isfinite(Y)
+            inside = (np.abs(X) <= clip) & (np.abs(Y) <= clip)
             need = d > h_max
             with np.errstate(invalid="ignore", divide="ignore"):
-                cosang = np.sum(seg[:-1] * seg[1:], axis=1) / (d[:-1] * d[1:])
-            bad = (cosang < cos_max) & (d[:-1] > h_min) & (d[1:] > h_min)
+                cosang = (dx[:-1] * dx[1:] + dy[:-1] * dy[1:]) / (d[:-1] * d[1:])
+            bad = (cosang < cos_max) & long[:-1] & long[1:]
             need[:-1] |= bad
             need[1:] |= bad
-            inside = (np.abs(P) <= clip).all(axis=1)
             need &= inside[:-1] | inside[1:]  # the escaping tail stays coarse
-            need &= (np.diff(ts) > 1e-14) & (d > h_min) & finite[:-1] & finite[1:]
-            if not need.any():
+            need &= (np.diff(ts) > 1e-14) & long & finite[:-1] & finite[1:]
+            split = np.flatnonzero(need)
+            if not len(split):
                 break
-            if len(ts) + int(need.sum()) + n_points > max_points:
+            if len(ts) + len(split) + n_points > max_points:
                 complete = False
                 break
-            tm = 0.5 * (ts[:-1] + ts[1:])[need]
-            ts = np.concatenate([ts, tm])
-            P = np.vstack([P, eval_level(tm, level)])
-            order = np.argsort(ts)
-            ts, P = ts[order], P[order]
+            # old point i moves right past the splits before it; the midpoint
+            # of interval i goes right after it
+            at_old = np.arange(len(ts))
+            at_old[1:] += np.cumsum(need)
+            at_mid = split + np.arange(1, len(split) + 1)
+            tm = 0.5 * (ts[split] + ts[split + 1])
+            Xm, Ym = eval_level(tm, level)
+            merged = []
+            for old, mid in ((ts, tm), (X, Xm), (Y, Ym)):
+                out = np.empty(len(old) + len(mid))
+                out[at_old] = old
+                out[at_mid] = mid
+                merged.append(out)
+            ts, X, Y = merged
 
         # append this level; index 0 duplicates the previous level's endpoint
-        new = P[1:]
-        escaped = ~np.isfinite(new).all(axis=1) | (np.abs(new) > clip).any(axis=1)
-        n_ok = int(np.argmax(escaped)) if escaped.any() else len(new)
-        seg = np.diff(np.vstack([kept[-1][-1], new[:n_ok]]), axis=0)
-        arc = np.cumsum(np.concatenate([arcs[-1][-1:], np.hypot(seg[:, 0], seg[:, 1])]))[1:]
+        nx, ny = X[1:], Y[1:]
+        escaped = ~(np.isfinite(nx) & np.isfinite(ny)) | (np.abs(nx) > clip) | (np.abs(ny) > clip)
+        n_ok = int(np.argmax(escaped)) if escaped.any() else len(nx)
+        last = kept[-1][-1]
+        d = np.hypot(np.diff(nx[:n_ok], prepend=last[0]), np.diff(ny[:n_ok], prepend=last[1]))
+        arc = np.cumsum(np.concatenate([arcs[-1][-1:], d]))[1:]
         reached = arc >= target_arclength
         at_target = int(np.argmax(reached)) if reached.any() else n_ok
         at_budget = max_points - n_points - 1
@@ -433,9 +450,9 @@ def grow_manifold(
             keep, done = stop + 1, True
             complete = complete and at_target <= at_budget
         else:  # everything before the first escaped point, if any
-            keep, done = n_ok, n_ok < len(new)
+            keep, done = n_ok, n_ok < len(nx)
             complete = complete and not done
-        kept.append(new[:keep])
+        kept.append(np.column_stack([nx[:keep], ny[:keep]]))
         arcs.append(arc[:keep])
         n_points += keep
         if done:
@@ -580,6 +597,7 @@ class TangencyEvent:
     kind: str
     richardson_consistent: bool
     curvature_gap: float
+    fit_noise: float  # the t0 candidate's quadratic-fit residual
     detail: str = ""
 
 
@@ -623,6 +641,7 @@ def classify_tangency(
         kind=c0.kind,
         richardson_consistent=consistent,
         curvature_gap=abs(c0.curvature_unstable - c0.curvature_stable),
+        fit_noise=c0.fit_noise,
         detail=f"slopes dt={s1:.6g} dt/2={s2:.6g}",
     )
 
@@ -631,12 +650,13 @@ def classify_tangency(
 class FiberGapProbe:
     """t -> TangencyCandidate for one tangency region of a parameter scan.
 
-    `curve` maps the scan parameter t to family parameters.  Every call
+    `curve` maps the scan parameter t to family parameters.  Measuring a t
     solves both saddles afresh from `unstable_seed` and `stable_seed`,
-    regrows both manifolds and measures the window's extremal gap, so the
-    result depends on t alone, not on earlier calls.  `mode` is "peak" for
-    regions where the unstable curve crests into the stable one from below
-    and "valley" for the mirrored geometry.
+    regrows both manifolds and takes the window's extremal gap, so the
+    result depends on t alone, not on earlier calls.  Each t is measured
+    once per instance: a repeated t returns the stored candidate.  `mode`
+    is "peak" for regions where the unstable curve crests into the stable
+    one from below and "valley" for the mirrored geometry.
     """
 
     family: PlanarFamily
@@ -653,8 +673,14 @@ class FiberGapProbe:
     h_max: float = 5e-3
     n_fibers: int = 81
     clip: float = 12.0
+    _measured: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, t: float) -> TangencyCandidate:
+        if t not in self._measured:
+            self._measured[t] = self._measure(t)
+        return self._measured[t]
+
+    def _measure(self, t: float) -> TangencyCandidate:
         params = self.curve(t)
         su = find_saddle(self.family, params, period=self.period, seed=self.unstable_seed)
         wu = grow_manifold(

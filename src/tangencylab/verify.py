@@ -180,7 +180,7 @@ def _criterion_tangency(c: _Check):
         f"upper event located at {ev_up.location} near (1, 2)",
     )
     c.expect(
-        ev_up.curvature_gap > 10 * max(up(t_up).fit_noise, 1e-12),
+        ev_up.curvature_gap > 10 * max(ev_up.fit_noise, 1e-12),
         f"curvature mismatch {ev_up.curvature_gap:.3f} exceeds 10x interpolation noise",
     )
     c.expect(ev_up.richardson_consistent, "upper slope Richardson-consistent under dt halving")
@@ -192,7 +192,8 @@ def _criterion_tangency(c: _Check):
     c.expect(ev_lo.gap_slope < 0, f"lower gap slope {ev_lo.gap_slope:.4f} negative")
 
     mus = [float(m) for m in np.linspace(2.85, 3.15, 7)]
-    probes = {mu: planar.region_probe(fam, mu, "upper") for mu in mus}
+    # mus[3] is exactly 3.0, where `up` already holds the measurements
+    probes = {mu: (up, nu_pred) if mu == 3.0 else planar.region_probe(fam, mu, "upper") for mu in mus}
     fit = planar.tangency_locus(
         lambda mu, nu: probes[mu][0].penetration(nu),
         {mu: (pred - 0.03, pred + 0.03) for mu, (_, pred) in probes.items()},

@@ -311,6 +311,29 @@ class TestVerifyCommand:
             main(["verify", "--skip", "nonsense", "--out", str(tmp_path)])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["renorm", "--grid", "0", "--workers", "1"], "--grid must be >= 1"),
+    (["attractor", "--steps", "100"], "--steps must be >= 10000"),
+    (["tangency", "--n", "0"], "--n must be >= 1"),
+    (["cantor", "--m", "5"], "--m must be an even integer >= 6"),
+], ids=["renorm", "attractor", "tangency", "cantor"])
+def test_usage_error_names_the_subcommand(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: tangencylab {argv[0]} ")
+    assert f"tangencylab {argv[0]}: error: {message}" in err
+
+
+def test_config_usage_error_names_the_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"wravens": 3}))
+    with pytest.raises(SystemExit):
+        main(["cantor", "--m", "6", "--config", str(cfg), "--out", str(tmp_path)])
+    assert capsys.readouterr().err.startswith("usage: tangencylab cantor ")
+
+
 class TestConfigFile:
     def test_overrides_apply(self, tmp_path):
         cfg = tmp_path / "c.json"

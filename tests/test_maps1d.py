@@ -218,6 +218,30 @@ class TestRootScan:
         assert got == want
         assert want
 
+    def test_cell_whose_sign_change_is_array_rounding(self):
+        # the array path rounds each step one ulp up, as numpy's y**3 may
+        # against the C library's pow; next to the fixed point sqrt(mu - 1)
+        # that flips the sign of F^2(y) - y at a grid point
+        mu = 2.4725
+
+        def fmap(y):
+            v = mu * y - y * y * y
+            return np.nextafter(v, np.inf) if isinstance(y, np.ndarray) else v
+
+        r = math.sqrt(mu - 1.0)
+        lo, hi = r - 0.25, r + 0.25
+        xs = np.linspace(lo, hi, 9)  # the grid of 16 cells per unit
+        g_array = fmap(fmap(xs)) - xs
+        g_scalar = np.array([fmap(fmap(x)) - x for x in xs.tolist()])
+        flipped = (g_array[:-1] * g_array[1:] < 0) & (g_scalar[:-1] * g_scalar[1:] > 0)
+        assert flipped.tolist() == [False] * 4 + [True] + [False] * 3
+
+        roots = maps1d._float_roots(fmap, 2, lo, hi, 16, 1e-12)
+        assert float(xs[4]) in roots  # the cell's end nearer zero
+        assert all(abs(fmap(fmap(x)) - x) <= 4 * np.spacing(x) for x in roots)
+        orbits = find_periodic(fmap, 2, (lo, hi), cells_per_unit=16)
+        assert [o.period for o in orbits] == [2]
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(
         st.sampled_from([-math.sqrt(2), 0.0, math.sqrt(2)]),

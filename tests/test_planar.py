@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from tangencylab import planar
 from tangencylab.maps1d import Cubic1D
 from tangencylab.planar import (
     _fiber_ordinates,
@@ -345,6 +346,48 @@ class TestManifoldStops:
         assert np.array_equal(w.arclength, arc)
         assert w.complete == complete
 
+    @pytest.mark.parametrize("kind, target, max_points", [
+        ("unstable", 4.5, 800),  # overrun in the third pass of level 3
+        ("stable", 11.0, 3000),  # overrun in the twelfth pass of level 1
+    ])
+    def test_matches_reference_loop_when_a_bisection_pass_overruns_the_budget(self, kind, target, max_points):
+        fam = renormalized_family(ModelParams(), 6)
+        s = find_saddle(fam, (3.0, 0.0), period=2, seed=(-2.0, 2.0))
+        kw = dict(target_arclength=target, h_max=5e-3, direction=(1.0, -1.0), clip=12.0)
+        assert grow_manifold(fam, (3.0, 0.0), s, kind, **kw).complete
+        w = grow_manifold(fam, (3.0, 0.0), s, kind, max_points=max_points, **kw)
+        # a budget spent while appending keeps exactly max_points points; fewer
+        # means a bisection pass stopped and left its level coarse
+        assert not w.complete and len(w.points) < max_points
+        pts, arc, complete = reference_grow_manifold(fam, (3.0, 0.0), s, kind, max_points=max_points, **kw)
+        assert np.array_equal(w.points, pts)
+        assert np.array_equal(w.arclength, arc)
+        assert w.complete == complete
+
+    @pytest.mark.parametrize("case", ["henon-inf", "renormalized-nan"])
+    def test_matches_reference_loop_on_a_non_finite_tail(self, case):
+        # with clip = inf only a non-finite point escapes; the cubic Henon
+        # branch overflows to inf and the two-cycle's stable branch to NaN
+        # within a level of thousands of points, far short of the budget; on
+        # the Henon branch a finite point next to an infinite one is not split
+        if case == "henon-inf":
+            fam, p = cubic_henon(), (4.0, 0.3)
+            s = find_saddle(fam, p, seed=(0.0, 0.0))
+            kind, direction, h_max = "unstable", (1, 1), 1e200
+        else:
+            fam, p = renormalized_family(ModelParams(), 6), (3.0, 0.0)
+            s = find_saddle(fam, p, period=2, seed=(-2.0, 2.0))
+            kind, direction, h_max = "stable", (1.0, -1.0), 1e100
+        kw = dict(target_arclength=np.inf, h_max=h_max, direction=direction, clip=np.inf, max_points=20_000)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = grow_manifold(fam, p, s, kind, **kw)
+            pts, arc, complete = reference_grow_manifold(fam, p, s, kind, **kw)
+        assert not w.complete and 1000 < len(w.points) < 20_000
+        assert np.isfinite(w.points).all()
+        assert np.array_equal(w.points, pts)
+        assert np.array_equal(w.arclength, arc)
+        assert w.complete == complete
+
     def test_stable_target_reached(self):
         fam, p = cubic_henon(), (2.8, 0.1)
         s = find_saddle(fam, p, seed=(0.0, 0.0))
@@ -558,6 +601,7 @@ class TestProbeOnRenormalizedFamily:
         assert ev.classification == "contact-making"
         assert abs(ev.gap_slope - 0.9) < 0.11
         assert math.hypot(ev.location[0] - 1, ev.location[1] - 2) < 0.3
+        assert ev.fit_noise == probe(t0).fit_noise
 
     def test_probe_is_independent_of_call_order(self):
         probe = upper_probe_at_mu3()
@@ -569,3 +613,25 @@ class TestProbeOnRenormalizedFamily:
         on_second_probe = other(0.0)
         assert fresh == after_other_call == on_second_probe
         assert repr(fresh) == repr(after_other_call) == repr(on_second_probe)
+
+    def test_each_parameter_is_measured_once(self, monkeypatch):
+        grown = []
+        grow = planar.grow_manifold
+
+        def counted(*args, **kwargs):
+            grown.append(args[3])
+            return grow(*args, **kwargs)
+
+        monkeypatch.setattr(planar, "grow_manifold", counted)
+        ts = [-0.02, 0.0, 0.01, 0.03]
+        probe = upper_probe_at_mu3()
+        first = [probe(t) for t in ts]
+        assert grown == ["unstable", "stable"] * len(ts)
+        order = [2, 0, 3, 1, 1, 2, 0]  # shuffled, with repeats
+        again = [probe(ts[i]) for i in order]
+        assert len(grown) == 2 * len(ts)  # a repeated t grows no manifold
+        assert again == [first[i] for i in order]
+        # a second instance measures afresh, in another order, to equal candidates
+        other = upper_probe_at_mu3()
+        assert [other(ts[i]) for i in order] == [first[i] for i in order]
+        assert len(grown) == 4 * len(ts)
