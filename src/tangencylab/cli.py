@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -160,11 +159,11 @@ def cmd_cantor(args, parser) -> int:
                 {"gap": g, "endpoint": p, "bridge": b, "ratio": r} for g, p, b, r in report.endpoint_ratios
             ],
         },
+        # intervals.csv holds the intervals, exactly
         "stage": {
             "source": stage.source,
             "generation": stage.generation,
             "ambient": stage.ambient,
-            "intervals": stage.intervals,
         },
     }
     _write_json(out / "thickness.json", payload, cfg)
@@ -178,12 +177,6 @@ def cmd_cantor(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # renorm
 # ---------------------------------------------------------------------------
-
-def _renorm_row(task):
-    lam, sigma, a, b, c, eps, n, grid = task
-    s1, s2 = renorm.residual_sup(renorm.ModelParams(lam, sigma, a, b, c, eps), n, grid=grid)
-    return {"n": n, "sup_H1": s1, "sup_H2": s2}
-
 
 def cmd_renorm(args, parser) -> int:
     if args.n_min < 1:
@@ -204,23 +197,9 @@ def cmd_renorm(args, parser) -> int:
         grids={"box_grid": args.grid},
     )
     out = _outdir(args)
-    tasks = [
-        (args.lam, args.sigma, args.a, args.b, args.c, args.eps, n, args.grid)
-        for n in range(args.n_min, args.n_max + 1)
-    ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_renorm_row, tasks))
-    else:
-        rows = [_renorm_row(t) for t in tasks]
-    prev = None
-    csv_rows = []
-    for r in rows:
-        total = max(r["sup_H1"], r["sup_H2"])
-        ratio = total / prev if prev else float("nan")
-        prev = total
-        csv_rows.append([r["n"], r["sup_H1"], r["sup_H2"], ratio])
-    _write_csv(out / "residuals.csv", ["n", "sup_H1", "sup_H2", "ratio"], csv_rows, cfg)
+    rows = renorm.residual_table(mp, range(args.n_min, args.n_max + 1), grid=args.grid)
+    _write_csv(out / "residuals.csv", ["n", "sup_H1", "sup_H2", "ratio"],
+               [[r["n"], r["sup_H1"], r["sup_H2"], r["ratio"]] for r in rows], cfg)
 
     target = renorm.decay_rate_bound(mp)
     if args.eps > 0:
@@ -230,13 +209,8 @@ def cmd_renorm(args, parser) -> int:
         mode = "rate-fit"
         msg = f"decay slope {slope:.4f} vs log(rate) {target:.4f}"
     else:
-        # bare model: the residual obeys the closed law 2|ac|(lam*sigma)^n
         slope = None
-        certified = True
-        for r in rows:
-            want = 2.0 * abs(args.a * args.c) * (args.lam * args.sigma) ** r["n"]
-            ok = r["sup_H2"] == 0.0 if want == 0.0 else abs(r["sup_H2"] - want) <= 1e-10 * want
-            certified = certified and ok and r["sup_H1"] == 0.0
+        certified = all(renorm.obeys_bare_law(mp, r) for r in rows)
         mode = "exact-law"
         msg = "bare-model residual law"
     _write_json(out / "rate.json", {
@@ -408,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=4)
     p.add_argument("--n-max", type=int, default=14)
     p.add_argument("--grid", type=int, default=101)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("attractor", help="attractor sample, fixed points, exponent")
     p.add_argument("--a", type=float, default=2.8)
@@ -446,7 +419,7 @@ _COMMANDS = {
 
 _CONFIG_KEYS = {
     "cantor": {"m", "gen", "out"},
-    "renorm": {"lam", "sigma", "a", "b", "c", "eps", "n_min", "n_max", "grid", "workers", "out"},
+    "renorm": {"lam", "sigma", "a", "b", "c", "eps", "n_min", "n_max", "grid", "out"},
     "attractor": {"a", "b", "steps", "sample", "seed", "out"},
     "tangency": {"mu_bar", "n", "t_min", "t_max", "points", "out"},
     "verify": {"skip", "out"},

@@ -308,6 +308,9 @@ def polyline_curve(points, kind: str = "unstable") -> ManifoldCurve:
     return ManifoldCurve(pts, kind, None, np.concatenate([[0.0], np.cumsum(seg)]))
 
 
+# an escaping tail overflows to inf and NaN; the bisection masks keep it
+# coarse and the append step drops it, so numpy need not warn about it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def grow_manifold(
     family: PlanarFamily,
     params,
@@ -379,9 +382,8 @@ def grow_manifold(
         vv = -vv
 
     def advance(x, y, levels):
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(levels * reps):
-                x, y = base_map(params, x, y)
+        for _ in range(levels * reps):
+            x, y = base_map(params, x, y)
         return np.asarray(x, float), np.asarray(y, float)
 
     x0 = p + branch * seed_eps * vv
@@ -407,8 +409,7 @@ def grow_manifold(
             finite = np.isfinite(X) & np.isfinite(Y)
             inside = (np.abs(X) <= clip) & (np.abs(Y) <= clip)
             need = d > h_max
-            with np.errstate(invalid="ignore", divide="ignore"):
-                cosang = (dx[:-1] * dx[1:] + dy[:-1] * dy[1:]) / (d[:-1] * d[1:])
+            cosang = (dx[:-1] * dx[1:] + dy[:-1] * dy[1:]) / (d[:-1] * d[1:])
             bad = (cosang < cos_max) & long[:-1] & long[1:]
             need[:-1] |= bad
             need[1:] |= bad
@@ -651,12 +652,13 @@ class FiberGapProbe:
     """t -> TangencyCandidate for one tangency region of a parameter scan.
 
     `curve` maps the scan parameter t to family parameters.  Measuring a t
-    solves both saddles afresh from `unstable_seed` and `stable_seed`,
-    regrows both manifolds and takes the window's extremal gap, so the
-    result depends on t alone, not on earlier calls.  Each t is measured
-    once per instance: a repeated t returns the stored candidate.  `mode`
-    is "peak" for regions where the unstable curve crests into the stable
-    one from below and "valley" for the mirrored geometry.
+    solves both saddles afresh from `unstable_seed` and `stable_seed` (once
+    when the seeds are equal), regrows both manifolds and takes the window's
+    extremal gap, so the result depends on t alone, not on earlier calls.
+    Each t is measured once per instance: a repeated t returns the stored
+    candidate.  `mode` is "peak" for regions where the unstable curve
+    crests into the stable one from below and "valley" for the mirrored
+    geometry.
     """
 
     family: PlanarFamily
@@ -688,7 +690,10 @@ class FiberGapProbe:
             target_arclength=self.unstable_arclength, h_max=self.h_max,
             direction=self.unstable_direction, clip=self.clip,
         )
-        ss = find_saddle(self.family, params, period=self.period, seed=self.stable_seed)
+        if self.stable_seed == self.unstable_seed:
+            ss = su  # the Newton solve is deterministic
+        else:
+            ss = find_saddle(self.family, params, period=self.period, seed=self.stable_seed)
         ws = grow_manifold(
             self.family, params, ss, "stable",
             target_arclength=self.stable_arclength, h_max=self.h_max,

@@ -35,12 +35,12 @@ __all__ = [
     "deviation_from_limit",
     "residual_sup",
     "residual_table",
+    "obeys_bare_law",
     "fit_decay_rate",
     "decay_rate_bound",
     "conjugate_to_standard",
     "conjugation",
     "conjugation_inverse",
-    "quartic_fold_coefficients",
 ]
 
 
@@ -78,29 +78,6 @@ class ModelParams:
     def rate(self) -> float:
         """Expected residual decay rate max(sigma^-1/2, lam*sigma)."""
         return max(self.sigma ** -0.5, self.lam * self.sigma)
-
-
-def quartic_fold_coefficients(params: ModelParams) -> dict:
-    """Derivative table of the quartic correction eps*(y-1)^4 at the fold point.
-
-    The correction is admissible only because its value and all derivatives
-    through third order vanish where the fold sits; the exact coefficients
-    below certify that once and for all (everything except the pure fourth
-    y-derivative is identically zero).
-    """
-    e = params.eps
-    return {
-        "value": 0.0 * e,
-        "d_mu": 0.0,
-        "d_nu": 0.0,
-        "d_x": 0.0,
-        "d_y": 0.0,
-        "d_mu_y": 0.0,
-        "d_nu_y": 0.0,
-        "d_yy": 0.0,
-        "d_yyy": 0.0,
-        "d_yyyy": 24.0 * e,
-    }
 
 
 def zoom_in(params: ModelParams, n: int, pt):
@@ -278,6 +255,18 @@ def residual_table(params: ModelParams, n_values, **kw) -> list[dict]:
         )
         prev = total
     return rows
+
+
+def obeys_bare_law(params: ModelParams, row: dict) -> bool:
+    """Whether a `residual_table` row of the bare model (eps = 0) obeys the
+    closed law sup|H1| = 0, sup|H2| = 2|ac|(lam*sigma)^n to relative 1e-10.
+
+    The deviation k*x peaks at the box edge |x| = 2, which every grid of the
+    default box samples.
+    """
+    want = 2.0 * abs(params.a * params.c) * (params.lam * params.sigma) ** row["n"]
+    ok = row["sup_H2"] == 0.0 if want == 0.0 else abs(row["sup_H2"] - want) <= 1e-10 * want
+    return ok and row["sup_H1"] == 0.0
 
 
 def fit_decay_rate(rows) -> float:

@@ -119,12 +119,12 @@ def _criterion_conjugacy(c: _Check):
 
 def _criterion_renorm(c: _Check):
     mp = renorm.ModelParams()
-    for n in range(4, 15):
-        s1, s2 = renorm.residual_sup(mp, n)
-        exact = 2.0 * (mp.lam * mp.sigma) ** n
-        ok = s1 == 0.0 and abs(s2 - exact) <= 1e-10 * exact
-        c.expect(ok, f"bare model n={n}: sup residual {s2:.6e} == 2*(lam*sigma)^n rel 1e-10")
-    target = math.log(max(mp.sigma ** -0.5, mp.lam * mp.sigma))
+    for r in renorm.residual_table(mp, range(4, 15)):
+        c.expect(
+            renorm.obeys_bare_law(mp, r),
+            f"bare model n={r['n']}: sup residual {r['sup_H2']:.6e} == 2*(lam*sigma)^n rel 1e-10",
+        )
+    target = renorm.decay_rate_bound(mp)
     for eps in (0.1, 1.0):
         mq = renorm.ModelParams(eps=eps)
         rows = renorm.residual_table(mq, range(4, 15))
@@ -235,8 +235,11 @@ def _criterion_wangyoung(c: _Check):
         abs(h_left - EXPECTED["h_left_bracket"]) < 1e-4,
         f"h at the left bracket end = {h_left:.6f} matches {EXPECTED['h_left_bracket']}",
     )
-    nd = wangyoung.nondegeneracy_check()
-    c.expect(nd["passed"] and nd["partial_x"] == 1.0, "non-degeneracy: d/dx is identically 1")
+    t_fam = wangyoung.make_T_family("renorm", model=renorm.ModelParams(), n=6)
+    grid = np.linspace(interval[0], interval[1], 21)
+    box = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+    nd = wangyoung.nondegeneracy_check(t_fam, (mu,), box)
+    c.expect(nd < 1e-6, f"non-degeneracy: max |dF2/dx - 1| = {nd:.2e} < 1e-6 on the n=6 T-family, trapping box")
 
 
 # ---------------------------------------------------------------------------

@@ -207,10 +207,18 @@ def transversality_check(mu_star: float, fd_step: float = 1e-6) -> Transversalit
     )
 
 
-def nondegeneracy_check() -> dict:
-    """d/dx of (x, y) -> -y^3 + mu*y + x is identically 1, so the folding
-    coordinate never degenerates at critical points."""
-    return {"partial_x": 1.0, "passed": True}
+def nondegeneracy_check(family: PlanarFamily, params, points) -> float:
+    """Worst |dF2/dx - 1| over `points` (an (N, 2) array), F2 the second
+    component of `family.forward`, by central differences with step 1e-6.
+
+    The thickened family (x, y) -> (beta*u, -y^3 + alpha*y + x + beta*v)
+    must keep the folding coordinate moving with x at unit rate; a family
+    whose F2 ignores x, such as the limit endomorphism, is off by 1.
+    """
+    x, y = np.asarray(points, dtype=float).T
+    h = 1e-6
+    d = (family.forward(params, x + h, y)[1] - family.forward(params, x - h, y)[1]) / (2 * h)
+    return float(np.max(np.abs(d - 1.0)))
 
 
 def make_T_family(kind: str, *, model: renorm.ModelParams | None = None, n: int | None = None, s: float = 1.0) -> PlanarFamily:

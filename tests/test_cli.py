@@ -110,7 +110,6 @@ def reference_thickness_json(m, gen, out):
             "source": stage.source,
             "generation": stage.generation,
             "ambient": [enc_all(stage.ambient[0]), enc_all(stage.ambient[1])],
-            "intervals": [[enc_all(a), enc_all(b)] for a, b in stage.intervals],
         },
         "config_hash": cfg.hash,
         "schema_version": 1,
@@ -182,9 +181,13 @@ class TestCantorCommand:
             want_doc, want_manifest = reference_thickness_json(m, gen, out)
             assert (out / "thickness.json").read_bytes() == want_doc
             assert (out / "cantor_manifest.json").read_bytes() == want_manifest
-        # exact fields: the m=6 stage starts at q2 = -132/91
+        # the stage's intervals are exact in intervals.csv only: the m=6
+        # stage starts at q2 = -132/91
         doc = json.loads((tmp_path / "6-1" / "thickness.json").read_text())
-        assert doc["stage"]["intervals"][0][0] == {"num": -132, "den": 91, "float": -132 / 91}
+        assert "intervals" not in doc["stage"]
+        lines = (tmp_path / "6-1" / "intervals.csv").read_text().splitlines()
+        first = next(csv.DictReader(lines[1:]))
+        assert (first["left_num"], first["left_den"]) == ("-132", "91")
 
     def test_replay_determinism(self, tmp_path):
         main(["cantor", "--m", "6", "--gen", "3", "--out", str(tmp_path)])
@@ -194,21 +197,18 @@ class TestCantorCommand:
 
 
 class TestRenormCommand:
-    def test_certifies_and_is_worker_invariant(self, tmp_path):
-        rc = main(["renorm", "--eps", "0.1", "--n-min", "4", "--n-max", "10",
-                   "--grid", "41", "--workers", "1", "--out", str(tmp_path)])
-        assert rc == 0
+    def test_certifies_and_replays(self, tmp_path):
+        argv = ["renorm", "--eps", "0.1", "--n-min", "4", "--n-max", "10", "--grid", "41",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
         first = read_artifacts(tmp_path)
-        rc = main(["renorm", "--eps", "0.1", "--n-min", "4", "--n-max", "10",
-                   "--grid", "41", "--workers", "2", "--out", str(tmp_path)])
-        assert rc == 0
+        assert main(argv) == 0
         assert read_artifacts(tmp_path) == first
         doc = json.loads((tmp_path / "rate.json").read_text())
         assert doc["certified"] is True
 
     def test_bare_model_certifies_exact_law(self, tmp_path):
-        rc = main(["renorm", "--n-min", "4", "--n-max", "14", "--grid", "41",
-                   "--workers", "1", "--out", str(tmp_path)])
+        rc = main(["renorm", "--n-min", "4", "--n-max", "14", "--grid", "41", "--out", str(tmp_path)])
         assert rc == 0
         doc = json.loads((tmp_path / "rate.json").read_text())
         assert doc["mode"] == "exact-law"
@@ -219,6 +219,30 @@ class TestRenormCommand:
         assert [int(r["n"]) for r in rows] == list(range(4, 15))
         for r in rows:
             assert float(r["sup_H2"]) == residual_sup(ModelParams(), int(r["n"]), grid=41)[1]
+
+    def test_rows_match_the_convergence_script(self, tmp_path):
+        # the CLI and scripts/renorm_convergence.py run one sweep, residual_table
+        script = Path(__file__).resolve().parents[1] / "scripts" / "renorm_convergence.py"
+        src = str(Path(tangencylab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, str(script), "--eps", "0.1", "--out", str(tmp_path / "script")],
+                       env=env, check=True, capture_output=True)
+        assert main(["renorm", "--eps", "0.1", "--out", str(tmp_path / "cli")]) == 0
+        got = (tmp_path / "cli" / "residuals.csv").read_text().splitlines()
+        assert got[0].startswith("# config_hash: ")
+        assert got[1:] == (tmp_path / "script" / "residuals_eps0.1.csv").read_text().splitlines()
+
+    @pytest.mark.parametrize("option", ["flag", "config"])
+    def test_has_no_workers_option(self, tmp_path, option):
+        argv = ["renorm", "--out", str(tmp_path)]
+        if option == "flag":
+            argv += ["--workers", "2"]
+        else:
+            (tmp_path / "c.json").write_text(json.dumps({"workers": 2}))
+            argv += ["--config", str(tmp_path / "c.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_rejects_bad_model(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -232,7 +256,7 @@ class TestRenormCommand:
     @pytest.mark.parametrize("grid", ["0", "-3"])
     def test_rejects_empty_grid(self, tmp_path, grid, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["renorm", "--grid", grid, "--workers", "1", "--out", str(tmp_path)])
+            main(["renorm", "--grid", grid, "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "--grid must be >= 1" in capsys.readouterr().err
 
@@ -312,7 +336,7 @@ class TestVerifyCommand:
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["renorm", "--grid", "0", "--workers", "1"], "--grid must be >= 1"),
+    (["renorm", "--grid", "0"], "--grid must be >= 1"),
     (["attractor", "--steps", "100"], "--steps must be >= 10000"),
     (["tangency", "--n", "0"], "--n must be >= 1"),
     (["cantor", "--m", "5"], "--m must be an even integer >= 6"),

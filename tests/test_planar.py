@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -379,14 +380,24 @@ class TestManifoldStops:
             s = find_saddle(fam, p, period=2, seed=(-2.0, 2.0))
             kind, direction, h_max = "stable", (1.0, -1.0), 1e100
         kw = dict(target_arclength=np.inf, h_max=h_max, direction=direction, clip=np.inf, max_points=20_000)
+        w = grow_manifold(fam, p, s, kind, **kw)
         with np.errstate(over="ignore", invalid="ignore"):
-            w = grow_manifold(fam, p, s, kind, **kw)
             pts, arc, complete = reference_grow_manifold(fam, p, s, kind, **kw)
         assert not w.complete and 1000 < len(w.points) < 20_000
         assert np.isfinite(w.points).all()
         assert np.array_equal(w.points, pts)
         assert np.array_equal(w.arclength, arc)
         assert w.complete == complete
+
+    @pytest.mark.parametrize("h_max", [1e100, 1e299])
+    def test_escaping_tail_raises_no_numpy_warning(self, h_max):
+        fam, p = cubic_henon(), (4.0, 0.3)
+        s = find_saddle(fam, p, seed=(0.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = grow_manifold(fam, p, s, "unstable", target_arclength=np.inf, h_max=h_max,
+                              direction=(1, 1), clip=np.inf, max_points=20_000)
+        assert not w.complete and np.isfinite(w.points).all()
 
     def test_stable_target_reached(self):
         fam, p = cubic_henon(), (2.8, 0.1)
@@ -635,3 +646,20 @@ class TestProbeOnRenormalizedFamily:
         other = upper_probe_at_mu3()
         assert [other(ts[i]) for i in order] == [first[i] for i in order]
         assert len(grown) == 4 * len(ts)
+
+    @pytest.mark.parametrize("region, solves", [("upper", 1), ("lower", 2)])
+    def test_equal_seeds_solve_one_saddle(self, monkeypatch, region, solves):
+        # the upper probe seeds both manifolds at the same saddle
+        solved = []
+        find = planar.find_saddle
+
+        def counted(*args, **kwargs):
+            solved.append(kwargs["seed"])
+            return find(*args, **kwargs)
+
+        monkeypatch.setattr(planar, "find_saddle", counted)
+        probe, nu_pred = planar.region_probe(renormalized_family(ModelParams(), 6), 3.0, region)
+        for t in (nu_pred - 0.01, nu_pred + 0.01):
+            probe(t)
+        assert (probe.stable_seed == probe.unstable_seed) == (region == "upper")
+        assert len(solved) == 2 * solves

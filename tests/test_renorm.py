@@ -15,7 +15,7 @@ from tangencylab.renorm import (
     deviation_from_limit,
     fit_decay_rate,
     limit_family,
-    quartic_fold_coefficients,
+    obeys_bare_law,
     renormalized_family,
     renormalized_unreduced,
     reparam,
@@ -43,15 +43,6 @@ class TestModelParams:
     def test_rate_picks_the_slower_channel(self):
         assert MP.rate == 2.0 ** -0.5  # 0.7071 > 0.4
         assert ModelParams(lam=0.45).rate == 0.9
-
-    def test_quartic_correction_vanishing_table(self):
-        # value and every derivative through third order vanish at the fold
-        table = quartic_fold_coefficients(ModelParams(eps=0.7))
-        for key, val in table.items():
-            if key == "d_yyyy":
-                assert val == 24.0 * 0.7
-            else:
-                assert val == 0.0
 
 
 class TestZoom:
@@ -213,6 +204,15 @@ class TestResiduals:
             want = 2.0 * (MP.lam * MP.sigma) ** n
             assert s1 == 0.0
             assert abs(s2 - want) <= 1e-10 * want
+
+    def test_bare_law_verdict(self):
+        for mp in (MP, ModelParams(a=-2.0, c=0.5), ModelParams(c=0.0)):
+            assert all(obeys_bare_law(mp, r) for r in residual_table(mp, range(4, 15), grid=41))
+        quartic = residual_table(ModelParams(eps=0.1), range(4, 15))
+        assert not any(obeys_bare_law(MP, r) for r in quartic)
+        row = residual_table(MP, [6])[0]
+        assert not obeys_bare_law(MP, dict(row, sup_H2=row["sup_H2"] * (1 + 1e-9)))
+        assert not obeys_bare_law(MP, dict(row, sup_H1=1e-300))
 
     def test_ratio_bound(self):
         mp = ModelParams(eps=0.1)

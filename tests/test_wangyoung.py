@@ -5,7 +5,7 @@ import pytest
 
 from tangencylab.maps1d import Cubic1D, find_periodic
 from tangencylab.planar import PlanarFamily, cubic_henon
-from tangencylab.renorm import ModelParams, conjugate_to_standard, renormalized_family
+from tangencylab.renorm import ModelParams, conjugate_to_standard, limit_family, renormalized_family
 from tangencylab.wangyoung import (
     MU_HI,
     MU_LO,
@@ -126,9 +126,15 @@ class TestTransversality:
         assert math.sqrt(MU_LO / 3.0) > 0.9
 
 
-def test_nondegeneracy_trivial():
-    nd = nondegeneracy_check()
-    assert nd["passed"] and nd["partial_x"] == 1.0
+def test_nondegeneracy_measured():
+    mu = find_mu_star()
+    lo, hi = build_interval(mu)
+    grid = np.linspace(lo, hi, 21)
+    box = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
+    t = make_T_family("renorm", model=ModelParams(), n=6)
+    assert nondegeneracy_check(t, (mu,), box) < 1e-6
+    # the limit endomorphism's second component does not depend on x
+    assert nondegeneracy_check(limit_family(), (mu, 0.0), box) == 1.0
 
 
 class TestTFamily:
