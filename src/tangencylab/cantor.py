@@ -1,9 +1,9 @@
 """Cantor-set stages and thickness, in exact rational arithmetic.
 
 A *stage* is a finite union of disjoint closed intervals: one generation of a
-Cantor-set construction.  The three producers here are the slope-3 N-map
-family (built around an m-periodic base orbit), general Markov branch
-systems, and endpoint-wise images of a stage under a monotone map.  The
+Cantor-set construction.  The producers here are Markov systems of rational
+affine branches (the slope-3 N-map family around an m-periodic base orbit is
+one), and endpoint-wise images of a stage under a monotone map.  The
 consumer side is gap/bridge thickness and the Gap-Lemma trichotomy.
 
 All endpoint arithmetic is `fractions.Fraction` whenever the inputs are
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -309,65 +310,13 @@ def _build_nmap_scaffold(m: int) -> NmapCantorData:
     )
 
 
-def _covered(current: Sequence[tuple], lo, hi) -> Sequence[tuple]:
-    """The run of sorted disjoint intervals in `current` that meet (lo, hi)
-    in more than a point, found by bisection."""
-    return current[bisect_right(current, lo, key=itemgetter(1)):bisect_left(current, hi, key=itemgetter(0))]
-
-
-def _refine_once(first_gen: Sequence[tuple], current: Sequence[tuple], scale: int) -> list[tuple]:
-    """One Markov refinement step under the N-map: preimages of `current`
-    inside the sorted first-generation cover, all exact.
-
-    `current` is a sorted stage on the integer grid 1/scale (each endpoint
-    times `scale`); the preimages come back sorted on the grid 1/(3*scale).
-    A branch x -> s*x + c with s = +-3 and integer c pulls Y back to
-    +-(Y - c*scale), so the work is one bisection per branch plus the output.
-    """
-    s = n_map()
-    out = []
-    for (lo, hi) in first_gen:
-        br = s.branches[s.branch_index(lo)]
-        if not (br.contains(lo) and br.contains(hi)):
-            raise ConstructionError(f"first-generation interval [{lo},{hi}] straddles a kink")
-        img_lo, img_hi = sorted((br(lo) * scale, br(hi) * scale))
-        covered = _covered(current, img_lo, img_hi)
-        for jlo, jhi in covered[:1] + covered[-1:]:
-            if jlo < img_lo or jhi > img_hi:
-                raise ConstructionError(
-                    f"branch image of [{lo},{hi}] covers "
-                    f"[{Fraction(jlo, scale)},{Fraction(jhi, scale)}] only partially"
-                )
-        shift = int(br.intercept) * scale
-        if br.slope > 0:
-            out += [(a - shift, b - shift) for a, b in covered]
-        else:
-            out += [(shift - b, shift - a) for a, b in reversed(covered)]
-    return out
-
-
 def build_nmap_cantor(m: int, generation: int) -> CantorStage:
     """Generation-`generation` stage of the affine Cantor set anchored to the
-    m-periodic base orbit of the N-map.  All endpoints exact rationals.
-
-    The refinement runs on an integer grid and converts to `Fraction` once,
-    in time linear in the number of intervals per generation.
+    m-periodic base orbit of the N-map: the Markov refinement of
+    `nmap_restriction_system(m)`.  All endpoints exact rationals.
     """
-    if generation < 1:
-        raise ValueError("generation must be >= 1")
-    data = _build_nmap_scaffold(m)
-    first = sorted(data.first_generation)
-    ends, scale = _on_grid([v for iv in first for v in iv])
-    current = list(zip(ends[0::2], ends[1::2]))
-    for _ in range(generation - 1):
-        current = _refine_once(first, current, scale)
-        scale *= 3
-    stage = CantorStage(
-        ambient=data.ambient,
-        intervals=tuple((Fraction(a, scale), Fraction(b, scale)) for a, b in current),
-        generation=generation,
-        source=f"nmap-cantor-m{m}",
-    )
+    system = nmap_restriction_system(m)
+    stage = CantorStage(system.ambient, _refine(system, generation), generation, f"nmap-cantor-m{m}")
     # the turning points +-1/2 must fall in gaps at every generation
     for t in (HALF, -HALF):
         i = bisect_right(stage.intervals, t, key=itemgetter(0))
@@ -502,25 +451,58 @@ class MarkovBranchSystem:
             prev_hi = dom[1]
 
 
-def markov_cantor(system: MarkovBranchSystem, generation: int) -> CantorStage:
-    """Generation-g surviving set of the branch system: points whose first
-    g-1 images stay inside the branch domains."""
+def _refine(system: MarkovBranchSystem, generation: int) -> tuple:
+    """Generation-g survivor set of a system of rational affine branches:
+    the sorted intervals of points whose first g-1 images stay in the cover.
+
+    The refinement runs on the integer grid 1/scale.  The scale starts at the
+    least common denominator of the cover endpoints and branch intercepts,
+    and each generation multiplies it by L, the lcm of the slope numerators.
+    A branch x -> (p/q)x + c pulls a grid value Y back to
+    (L/p)*q*(Y - c*scale), so a generation costs one bisection per branch
+    plus its output, which comes out sorted.  Endpoints become `Fraction`s
+    once, at the end.
+    """
     if generation < 1:
         raise ValueError("generation must be >= 1")
-    current = sorted(dom for dom, _ in system.branches)
+    branches = system.branches
+    if not all(isinstance(v, numbers.Rational) for dom, br in branches for v in (*dom, br.slope, br.intercept)):
+        raise ValueError("Markov refinement needs rational branch domains, slopes and intercepts")
+    ends = [v for dom, _ in branches for v in dom]
+    grid, scale = _on_grid(ends + [br.intercept for _, br in branches])
+    current = list(zip(grid[0:len(ends):2], grid[1:len(ends):2]))
+    mult = math.lcm(*(br.slope.numerator for _, br in branches))
     for _ in range(generation - 1):
         nxt = []
-        for dom, br in system.branches:
-            img = sorted((br(dom[0]), br(dom[1])))
-            for (jlo, jhi) in _covered(current, img[0], img[1]):
-                a, b = max(jlo, img[0]), min(jhi, img[1])
-                if a < b:
-                    pre = sorted((br.inverse(a), br.inverse(b)))
-                    nxt.append((pre[0], pre[1]))
+        for (lo, hi), br in branches:
+            img_lo, img_hi = sorted((br(lo) * scale, br(hi) * scale))
+            # the run of the sorted stage that meets (img_lo, img_hi) in more than a point
+            covered = current[bisect_right(current, img_lo, key=itemgetter(1)):bisect_left(current, img_hi, key=itemgetter(0))]
+            for jlo, jhi in covered[:1] + covered[-1:]:
+                if jlo < img_lo or jhi > img_hi:
+                    raise ConstructionError(
+                        f"branch image of [{lo},{hi}] covers "
+                        f"[{Fraction(jlo, scale)},{Fraction(jhi, scale)}] only partially"
+                    )
+            k = mult // br.slope.numerator * br.slope.denominator
+            shift = int(k * br.intercept * scale)
+            if k > 0:
+                nxt += [(k * a - shift, k * b - shift) for a, b in covered]
+            else:
+                nxt += [(k * b - shift, k * a - shift) for a, b in reversed(covered)]
         if not nxt:
             raise ValueError("branch preimages died out; system is not Markov over its cover")
-        current = sorted(nxt)
-    return CantorStage(system.ambient, tuple(current), generation, "markov")
+        current = nxt
+        scale *= mult
+    return tuple((Fraction(a, scale), Fraction(b, scale)) for a, b in current)
+
+
+def markov_cantor(system: MarkovBranchSystem, generation: int) -> CantorStage:
+    """Generation-g surviving set of the branch system: points whose first
+    g-1 images stay inside the branch domains.  Branch data must be rational
+    (`ValueError`), and each branch image must cover every domain it meets
+    whole (`ConstructionError`)."""
+    return CantorStage(system.ambient, _refine(system, generation), generation, "markov")
 
 
 def middle_thirds_system() -> MarkovBranchSystem:
@@ -536,12 +518,14 @@ def middle_thirds_system() -> MarkovBranchSystem:
 
 def nmap_restriction_system(m: int) -> MarkovBranchSystem:
     """The N-map's branches restricted to the first-generation cover of the
-    m-orbit family; refines to the same stages as `build_nmap_cantor`."""
+    m-orbit family, whose refinement `build_nmap_cantor` builds."""
     data = _build_nmap_scaffold(m)
     s = n_map()
     branches = []
     for lo, hi in sorted(data.first_generation):
         br = s.branches[s.branch_index(lo)]
+        if not br.contains(hi):
+            raise ConstructionError(f"first-generation interval [{lo},{hi}] straddles a kink")
         branches.append(((lo, hi), AffineBranch(br.slope, br.intercept, lo, hi)))
     return MarkovBranchSystem(tuple(branches), data.ambient)
 

@@ -52,13 +52,26 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _apply_config_file(args, parser, path: str, allowed: set):
+def _apply_config_file(args, parser, path: str):
+    """Override `args` from a JSON object keyed by option name.  Each value
+    must fit its option's type and choices (an int passes for a float, a bool
+    for nothing; an appended option takes a list) and converts like an argument."""
     with open(path) as fh:
         overrides = json.load(fh)
+    actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     for key, val in overrides.items():
-        if key not in allowed:
-            parser.error(f"unknown config key {key!r} (allowed: {sorted(allowed)})")
-        setattr(args, key, val)
+        if key not in actions:
+            parser.error(f"unknown config key {key!r} (allowed: {sorted(actions)})")
+        action = actions[key]
+        kind, appended = action.type or str, isinstance(action.default, list)
+        if appended and not isinstance(val, list):
+            parser.error(f"config key {key!r} must be a list, got {val!r}")
+        for v in val if appended else [val]:
+            if isinstance(v, bool) or not isinstance(v, (int, float) if kind is float else kind):
+                parser.error(f"config key {key!r} must be {kind.__name__}, got {v!r}")
+            if action.choices is not None and v not in action.choices:
+                parser.error(f"config key {key!r}: invalid choice {v!r} (choose from {', '.join(action.choices)})")
+        setattr(args, key, [kind(v) for v in val] if appended else kind(val))
 
 
 def _outdir(args) -> Path:
@@ -234,6 +247,8 @@ def cmd_attractor(args, parser) -> int:
         parser.error("--b must be nonzero (the family must stay invertible)")
     if args.steps < 10_000:
         parser.error("--steps must be >= 10000 (the Lyapunov estimate needs 10^4 steps)")
+    if args.sample < 0:
+        parser.error("--sample must be >= 0")
     cfg = ExperimentConfig(
         "attractor", {"a": args.a, "b": args.b, "steps": args.steps, "sample": args.sample},
         str(_outdir(args)), seed=args.seed,
@@ -300,7 +315,10 @@ def cmd_tangency(args, parser) -> int:
     if args.points > 0 and args.t_max >= args.t_min:
         fam = renorm.renormalized_family(mp, args.n)
         ts = np.linspace(args.t_min, args.t_max, args.points)
-        probes = {r: planar.region_probe(fam, args.mu_bar, r)[0] for r in ("upper", "lower")}
+        try:
+            probes = {r: planar.region_probe(fam, args.mu_bar, r)[0] for r in ("upper", "lower")}
+        except ValueError as exc:
+            parser.error(f"--mu-bar: {exc}")
         pens = {r: [probes[r].penetration(float(t)) for t in ts] for r in probes}
         for i, t in enumerate(ts):
             scan_rows.append([float(t), pens["upper"][i], pens["lower"][i]])
@@ -417,20 +435,14 @@ _COMMANDS = {
     "verify": cmd_verify,
 }
 
-_CONFIG_KEYS = {
-    "cantor": {"m", "gen", "out"},
-    "renorm": {"lam", "sigma", "a", "b", "c", "eps", "n_min", "n_max", "grid", "out"},
-    "attractor": {"a", "b", "steps", "sample", "seed", "out"},
-    "tangency": {"mu_bar", "n", "t_min", "t_max", "points", "out"},
-    "verify": {"skip", "out"},
-}
-
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args, extra = ap.parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.config:
-        _apply_config_file(args, args.parser, args.config, _CONFIG_KEYS[args.command])
+        _apply_config_file(args, args.parser, args.config)
     return _COMMANDS[args.command](args, args.parser)
 
 

@@ -826,9 +826,12 @@ def region_probe(fam: PlanarFamily, mu: float, region: str):
     centered on the limit family's analytic prediction.
 
     Returns (probe, nu_pred) with nu_pred the limit family's tangency
-    parameter at this mu.
+    parameter at this mu (ValueError if it has none in [-0.6, 0.6]).
     """
-    nu_pred = float(brentq(lambda v: limit_upper_gap(mu, v), -0.6, 0.6, xtol=1e-10))
+    try:
+        nu_pred = float(brentq(lambda v: limit_upper_gap(mu, v), -0.6, 0.6, xtol=1e-10))
+    except (ValueError, OverflowError, RuntimeError) as exc:
+        raise ValueError(f"the limit family has no upper tangency at mu={mu} for nu in [-0.6, 0.6]") from exc
     f1 = Cubic1D(mu, nu_pred)
     y1p = periodic_ordinate(mu, nu_pred, +1)
     y1m = periodic_ordinate(mu, nu_pred, -1)

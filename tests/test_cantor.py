@@ -196,13 +196,19 @@ class TestConstruction:
             build_nmap_cantor(6, 2)
 
     def test_partial_cover_rejected(self, monkeypatch):
-        # stretching [-44/91, 15/91] so the image of [-132/91, -865/819]
-        # (which ends at 15/91) only reaches part of it
-        self.doctored_m6(monkeypatch, (F(-44, 91), F(15, 91)), (F(-44, 91), F(16, 91)))
+        # stretching [-44/91, 15/91] into the gap before 46/273 so the image
+        # of [-96/91, -47/91] (which ends at 15/91) only reaches part of it
+        self.doctored_m6(monkeypatch, (F(-44, 91), F(15, 91)), (F(-44, 91), F(76, 455)))
         with pytest.raises(
             ConstructionError,
-            match=r"image of \[-132/91,-865/819\] covers \[-44/91,16/91\] only partially",
+            match=r"branch image of \[-96/91,-47/91\] covers \[-44/91,76/455\] only partially",
         ):
+            build_nmap_cantor(6, 2)
+
+    def test_overlapping_cover_rejected(self, monkeypatch):
+        # 16/91 runs past the next cover interval's start 46/273
+        self.doctored_m6(monkeypatch, (F(-44, 91), F(15, 91)), (F(-44, 91), F(16, 91)))
+        with pytest.raises(ValueError, match="branch domains must be disjoint and ordered"):
             build_nmap_cantor(6, 2)
 
     def test_rejects_bad_m(self):
@@ -405,6 +411,27 @@ class TestMarkov:
     def test_nmap_restriction_reproduces_build(self, gen):
         sys6 = nmap_restriction_system(6)
         assert markov_cantor(sys6, gen).intervals == build_nmap_cantor(6, gen).intervals
+
+    def test_partial_cover_rejected(self):
+        # 3x maps [0, 1/4] onto [0, 3/4], which cuts [2/3, 1] short
+        sys1 = MarkovBranchSystem(
+            (
+                ((F(0), F(1, 4)), AffineBranch(F(3), F(0), F(0), F(1, 4))),
+                ((F(2, 3), F(1)), AffineBranch(F(3), F(-2), F(2, 3), F(1))),
+            ),
+            (F(0), F(1)),
+        )
+        assert markov_cantor(sys1, 1).intervals == ((F(0), F(1, 4)), (F(2, 3), F(1)))
+        with pytest.raises(ConstructionError, match=r"branch image of \[0,1/4\] covers \[2/3,1\] only partially"):
+            markov_cantor(sys1, 2)
+
+    def test_non_rational_branch_data_rejected(self):
+        sys1 = MarkovBranchSystem(
+            (((0.0, 1 / 3), AffineBranch(3.0, 0.0, 0.0, 1 / 3)),),
+            (0.0, 1.0),
+        )
+        with pytest.raises(ValueError, match="needs rational branch"):
+            markov_cantor(sys1, 2)
 
     def test_non_expanding_branch_rejected(self):
         with pytest.raises(ValueError):

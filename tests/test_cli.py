@@ -340,7 +340,12 @@ class TestVerifyCommand:
     (["attractor", "--steps", "100"], "--steps must be >= 10000"),
     (["tangency", "--n", "0"], "--n must be >= 1"),
     (["cantor", "--m", "5"], "--m must be an even integer >= 6"),
-], ids=["renorm", "attractor", "tangency", "cantor"])
+    (["renorm", "--workers", "2"], "unrecognized arguments: --workers 2"),
+    (["attractor", "--sample", "-1"], "--sample must be >= 0"),
+    (["tangency", "--mu-bar", "-1"], "--mu-bar: the limit family has no upper tangency at mu=-1.0"),
+    (["tangency", "--mu-bar", "10"], "--mu-bar: the limit family has no upper tangency at mu=10.0"),
+], ids=["renorm", "attractor", "tangency", "cantor",
+        "unknown-option", "negative-sample", "mu-bar-low", "mu-bar-high"])
 def test_usage_error_names_the_subcommand(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path)])
@@ -372,6 +377,32 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["cantor", "--m", "6", "--config", str(cfg), "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv, overrides, message", [
+        (["cantor", "--m", "6"], {"m": "12"}, "config key 'm' must be int, got '12'"),
+        (["renorm"], {"grid": 2.5}, "config key 'grid' must be int, got 2.5"),
+        (["renorm"], {"lam": True}, "config key 'lam' must be float, got True"),
+        (["verify"], {"skip": ["bogus"]}, "config key 'skip': invalid choice 'bogus'"),
+        (["verify"], {"skip": "tangency"}, "config key 'skip' must be a list, got 'tangency'"),
+    ], ids=["str-for-int", "float-for-int", "bool-for-float", "bad-choice", "bare-append"])
+    def test_bad_value_rejected(self, tmp_path, capsys, argv, overrides, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(overrides))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: tangencylab {argv[0]} ")
+        assert f"tangencylab {argv[0]}: error: {message}" in err
+
+    def test_int_converts_like_the_flag(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"sigma": 2, "n_max": 5}))
+        out = tmp_path / "out"
+        assert main(["renorm", "--config", str(cfg), "--out", str(out)]) == 0
+        from_config = read_artifacts(out)
+        assert main(["renorm", "--sigma", "2", "--n-max", "5", "--out", str(out)]) == 0
+        assert read_artifacts(out) == from_config
 
 
 class TestFaultInjection:
