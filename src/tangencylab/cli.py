@@ -55,9 +55,17 @@ class ExperimentConfig:
 def _apply_config_file(args, parser, path: str):
     """Override `args` from a JSON object keyed by option name.  Each value
     must fit its option's type and choices (an int passes for a float, a bool
-    for nothing; an appended option takes a list) and converts like an argument."""
-    with open(path) as fh:
-        overrides = json.load(fh)
+    for nothing; an appended option takes a list) and converts like an argument.
+    A file that cannot be read, is not JSON or is not an object is a usage error."""
+    try:
+        with open(path) as fh:
+            overrides = json.load(fh)
+    except OSError as exc:
+        parser.error(f"--config: cannot read {path!r}: {exc.strerror}")
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not text
+        parser.error(f"--config: {path!r} is not valid JSON: {exc}")
+    if not isinstance(overrides, dict):
+        parser.error(f"--config: {path!r} must hold a JSON object, got {type(overrides).__name__}")
     actions = {a.dest: a for a in parser._actions if a.dest not in ("help", "config")}
     for key, val in overrides.items():
         if key not in actions:
@@ -142,8 +150,8 @@ def cmd_cantor(args, parser) -> int:
         parser.error("--m must be an even integer >= 6")
     if args.gen < 1:
         parser.error("--gen must be >= 1")
-    cfg = ExperimentConfig("cantor", {"m": args.m, "gen": args.gen}, str(_outdir(args)))
     out = _outdir(args)
+    cfg = ExperimentConfig("cantor", {"m": args.m, "gen": args.gen}, str(out))
     rep = cantor.nmap_cantor_report(args.m, args.gen)
     stage = rep["stage"]
     cantor.stage_to_csv(stage, out / "intervals.csv", config_hash=cfg.hash)
@@ -202,14 +210,14 @@ def cmd_renorm(args, parser) -> int:
         mp = renorm.ModelParams(args.lam, args.sigma, args.a, args.b, args.c, args.eps)
     except ValueError as exc:
         parser.error(str(exc))
+    out = _outdir(args)
     cfg = ExperimentConfig(
         "renorm",
         {"lam": args.lam, "sigma": args.sigma, "a": args.a, "b": args.b, "c": args.c,
          "eps": args.eps, "n_min": args.n_min, "n_max": args.n_max},
-        str(_outdir(args)),
+        str(out),
         grids={"box_grid": args.grid},
     )
-    out = _outdir(args)
     rows = renorm.residual_table(mp, range(args.n_min, args.n_max + 1), grid=args.grid)
     _write_csv(out / "residuals.csv", ["n", "sup_H1", "sup_H2", "ratio"],
                [[r["n"], r["sup_H1"], r["sup_H2"], r["ratio"]] for r in rows], cfg)
@@ -249,11 +257,11 @@ def cmd_attractor(args, parser) -> int:
         parser.error("--steps must be >= 10000 (the Lyapunov estimate needs 10^4 steps)")
     if args.sample < 0:
         parser.error("--sample must be >= 0")
+    out = _outdir(args)
     cfg = ExperimentConfig(
         "attractor", {"a": args.a, "b": args.b, "steps": args.steps, "sample": args.sample},
-        str(_outdir(args)), seed=args.seed,
+        str(out), seed=args.seed,
     )
-    out = _outdir(args)
     fam = planar.cubic_henon()
     p = (args.a, args.b)
 
@@ -297,14 +305,19 @@ def cmd_attractor(args, parser) -> int:
 def cmd_tangency(args, parser) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
+    mp = renorm.ModelParams()
+    fam = renorm.renormalized_family(mp, args.n)
+    try:
+        probes = {r: planar.region_probe(fam, args.mu_bar, r)[0] for r in ("upper", "lower")}
+    except ValueError as exc:
+        parser.error(f"--mu-bar: {exc}")
+    out = _outdir(args)
     cfg = ExperimentConfig(
         "tangency",
         {"mu_bar": args.mu_bar, "n": args.n, "t_min": args.t_min, "t_max": args.t_max,
          "points": args.points},
-        str(_outdir(args)),
+        str(out),
     )
-    out = _outdir(args)
-    mp = renorm.ModelParams()
     coupling = (mp.lam * mp.sigma) ** args.n
     warn = coupling > 0.05
     if warn:
@@ -313,29 +326,16 @@ def cmd_tangency(args, parser) -> int:
     scan_rows, event_rows = [], []
     summary = {"coupling": coupling, "coupling_warning": warn, "events": []}
     if args.points > 0 and args.t_max >= args.t_min:
-        fam = renorm.renormalized_family(mp, args.n)
-        ts = np.linspace(args.t_min, args.t_max, args.points)
-        try:
-            probes = {r: planar.region_probe(fam, args.mu_bar, r)[0] for r in ("upper", "lower")}
-        except ValueError as exc:
-            parser.error(f"--mu-bar: {exc}")
-        pens = {r: [probes[r].penetration(float(t)) for t in ts] for r in probes}
-        for i, t in enumerate(ts):
-            scan_rows.append([float(t), pens["upper"][i], pens["lower"][i]])
-        for region in ("upper", "lower"):
-            vals = pens[region]
-            for i in range(len(ts) - 1):
-                if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0:
-                    t0 = probes[region].locate_zero((float(ts[i]), float(ts[i + 1])))
-                    ev = planar.classify_tangency(probes[region], t0, 1e-3)
-                    event_rows.append([
-                        region, ev.parameter, ev.location[0], ev.location[1],
-                        ev.min_gap, ev.penetration, ev.gap_slope, ev.classification,
-                    ])
-                    summary["events"].append({"region": region, "t": ev.parameter,
-                                              "classification": ev.classification,
-                                              "gap_slope": ev.gap_slope})
-                    break
+        ts = [float(t) for t in np.linspace(args.t_min, args.t_max, args.points)]
+        scan_rows = [[t, probes["upper"].penetration(t), probes["lower"].penetration(t)] for t in ts]
+        for region, ev in planar.scan_events(probes, ts).items():
+            event_rows.append([
+                region, ev.parameter, ev.location[0], ev.location[1],
+                ev.min_gap, ev.penetration, ev.gap_slope, ev.classification,
+            ])
+            summary["events"].append({"region": region, "t": ev.parameter,
+                                      "classification": ev.classification,
+                                      "gap_slope": ev.gap_slope})
     _write_csv(out / "scan.csv", ["t", "upper_penetration", "lower_penetration"], scan_rows, cfg)
     _write_csv(
         out / "events.csv",
@@ -360,8 +360,8 @@ def cmd_tangency(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args, parser) -> int:
-    cfg = ExperimentConfig("verify", {"skip": sorted(args.skip)}, str(_outdir(args)))
     out = _outdir(args)
+    cfg = ExperimentConfig("verify", {"skip": sorted(args.skip)}, str(out))
     results = verify.run_all(skip=set(args.skip))
     for r in results:
         print(r.line)

@@ -152,7 +152,7 @@ class Cubic1D:
             raise ValueError(f"Schwarzian singular at critical point y={y}")
         d2, d3 = self(y, 2), self(y, 3)
         r = d2 / d1
-        return d3 / d1 - 1.5 * r * r
+        return d3 / d1 - 3 * r * r / 2
 
     def schwarzian_closed(self, y):
         """Closed form -6(6y^2 + mu) / (-3y^2 + mu)^2.

@@ -48,6 +48,7 @@ __all__ = [
     "FiberGapProbe",
     "TangencyEvent",
     "classify_tangency",
+    "scan_events",
     "periodic_ordinate",
     "velocity_table",
     "limit_upper_gap",
@@ -710,6 +711,25 @@ class FiberGapProbe:
         Raises `ValueError` when the penetration has the same sign at both ends.
         """
         return float(brentq(self.penetration, *bracket, xtol=1e-8))
+
+
+def scan_events(probes: Mapping[str, FiberGapProbe], ts) -> dict:
+    """The first tangency event of each probe over the scan values `ts`.
+
+    For each region, the first consecutive pair of `ts` whose penetrations
+    change sign (or whose left end is exactly zero) brackets the zero, which
+    `locate_zero` refines and `classify_tangency` classifies at dt = 1e-3.
+    Returns {region: TangencyEvent}; a region with no sign change has no entry.
+    """
+    events = {}
+    for region, probe in probes.items():
+        pens = [probe.penetration(t) for t in ts]
+        for i in range(len(ts) - 1):
+            if pens[i] == 0.0 or pens[i] * pens[i + 1] < 0:
+                t0 = probe.locate_zero((ts[i], ts[i + 1]))
+                events[region] = classify_tangency(probe, t0, 1e-3)
+                break
+    return events
 
 
 # ---------------------------------------------------------------------------

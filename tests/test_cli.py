@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tangencylab
-from tangencylab import cantor, verify
+from tangencylab import cantor, planar, verify
 from tangencylab.cli import ExperimentConfig, _json_chunks, main
 from tangencylab.renorm import ModelParams, residual_sup
 
@@ -220,18 +221,6 @@ class TestRenormCommand:
         for r in rows:
             assert float(r["sup_H2"]) == residual_sup(ModelParams(), int(r["n"]), grid=41)[1]
 
-    def test_rows_match_the_convergence_script(self, tmp_path):
-        # the CLI and scripts/renorm_convergence.py run one sweep, residual_table
-        script = Path(__file__).resolve().parents[1] / "scripts" / "renorm_convergence.py"
-        src = str(Path(tangencylab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, str(script), "--eps", "0.1", "--out", str(tmp_path / "script")],
-                       env=env, check=True, capture_output=True)
-        assert main(["renorm", "--eps", "0.1", "--out", str(tmp_path / "cli")]) == 0
-        got = (tmp_path / "cli" / "residuals.csv").read_text().splitlines()
-        assert got[0].startswith("# config_hash: ")
-        assert got[1:] == (tmp_path / "script" / "residuals_eps0.1.csv").read_text().splitlines()
-
     @pytest.mark.parametrize("option", ["flag", "config"])
     def test_has_no_workers_option(self, tmp_path, option):
         argv = ["renorm", "--out", str(tmp_path)]
@@ -347,12 +336,14 @@ class TestVerifyCommand:
 ], ids=["renorm", "attractor", "tangency", "cantor",
         "unknown-option", "negative-sample", "mu-bar-low", "mu-bar-high"])
 def test_usage_error_names_the_subcommand(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--out", str(tmp_path)])
+        main([*argv, "--out", str(out)])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage: tangencylab {argv[0]} ")
     assert f"tangencylab {argv[0]}: error: {message}" in err
+    assert not out.exists()  # inputs are checked before the output directory is made
 
 
 def test_config_usage_error_names_the_subcommand(tmp_path, capsys):
@@ -364,6 +355,23 @@ def test_config_usage_error_names_the_subcommand(tmp_path, capsys):
 
 
 class TestConfigFile:
+    @pytest.mark.parametrize("text, message", [
+        (None, "--config: cannot read '{path}': No such file or directory"),
+        ('{"m": 6,', "--config: '{path}' is not valid JSON: Expecting property name"),
+        ("[1, 2]", "--config: '{path}' must hold a JSON object, got list"),
+    ], ids=["missing", "invalid-json", "not-an-object"])
+    def test_unusable_file_rejected(self, tmp_path, capsys, text, message):
+        cfg, out = tmp_path / "c.json", tmp_path / "out"
+        if text is not None:
+            cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["cantor", "--m", "6", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tangencylab cantor ")
+        assert "tangencylab cantor: error: " + message.format(path=cfg) in err
+        assert not out.exists()
+
     def test_overrides_apply(self, tmp_path):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"m": 8, "gen": 1}))
@@ -418,3 +426,15 @@ class TestFaultInjection:
         res = verify.run_criterion("wang_young")
         assert not res.passed
         assert any("left bracket" in f for f in res.failures)
+
+    def test_missing_tangency_event_is_a_named_failure(self, monkeypatch):
+        scan = planar.scan_events
+        monkeypatch.setattr(
+            planar, "scan_events",
+            lambda probes, ts: {r: ev for r, ev in scan(probes, ts).items() if r != "upper"},
+        )
+        res = verify.run_criterion("tangency")
+        assert not res.passed
+        assert len(res.failures) == 1
+        assert re.fullmatch(r"FAILED: no upper event in \[-?\d+\.\d{6}, -?\d+\.\d{6}\]", res.failures[0])
+        assert any(d.startswith("ok: lower event at nu=") for d in res.details)

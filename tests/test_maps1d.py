@@ -119,6 +119,8 @@ class TestSchwarzian:
         f = Cubic1D(3.0, 0.0)
         assert abs(f.schwarzian(0.0) - (-2.0)) < 1e-15
         assert abs(f.schwarzian(2.0) - (-2.0)) < 1e-15
+        # exact at y=1/3: F'=8/3, F''=-2, F'''=-6, so -9/4 - (3/2)(9/16) = -99/32
+        assert Cubic1D(F(3), F(0)).schwarzian(F(1, 3)) == F(-99, 32)
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(1)
@@ -131,6 +133,18 @@ class TestSchwarzian:
                 closed = f.schwarzian_closed(y)
                 assert abs(f.schwarzian(y) - closed) < 1e-12 * max(1.0, abs(closed))
                 assert f.schwarzian(y) < 0
+
+    @pytest.mark.parametrize("mu, nu, y", [
+        (F(3), F(0), F(1, 3)),
+        (F(3), F(1, 10), F(-7, 5)),
+        (F(2), F(0), F(0)),
+        (F(59, 20), F(-1, 7), F(5, 4)),
+    ])
+    def test_exact_on_rationals(self, mu, nu, y):
+        f = Cubic1D(mu, nu)
+        got = f.schwarzian(y)
+        assert isinstance(got, F)
+        assert got == f.schwarzian_closed(y)
 
     def test_singular_at_critical_point(self):
         f = Cubic1D(F(3), F(0))

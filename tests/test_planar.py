@@ -14,6 +14,7 @@ from tangencylab.planar import (
     FiberGapProbe,
     NewtonDivergenceError,
     PlanarFamily,
+    TangencyCandidate,
     WindowRejected,
     classify_tangency,
     cubic_henon,
@@ -25,6 +26,7 @@ from tangencylab.planar import (
     lyapunov,
     periodic_ordinate,
     polyline_curve,
+    scan_events,
     tangency_locus,
     velocity_table,
     window_extremal_gap,
@@ -535,6 +537,50 @@ class TestClassify:
 
         ev = classify_tangency(probe, 0.0, 1e-3)
         assert ev.classification == "withheld"
+
+
+class LinearProbe:
+    """Penetration slope * (t - root); records every bracket it is asked to solve."""
+
+    def __init__(self, slope, root):
+        self.slope, self.root, self.brackets = slope, root, []
+
+    def __call__(self, t):
+        pen = self.slope * (t - self.root)
+        return TangencyCandidate((t, 0.0), pen, pen, "peak", -1.0, 0.0, 0.0)
+
+    def penetration(self, t):
+        return self(t).penetration
+
+    def locate_zero(self, bracket):
+        self.brackets.append(bracket)
+        return FiberGapProbe.locate_zero(self, bracket)
+
+
+class TestScanEvents:
+    ts = [-0.5, 0.0, 0.5, 1.0]
+
+    def test_zero_at_a_grid_point(self):
+        probe = LinearProbe(2.0, 0.0)
+        events = scan_events({"upper": probe}, self.ts)
+        assert probe.brackets == [(0.0, 0.5)]  # the left end is exactly zero
+        ev = events["upper"]
+        assert ev.parameter == 0.0
+        assert ev.classification == "contact-making"
+        assert abs(ev.gap_slope - 2.0) < 1e-12
+
+    def test_no_sign_change_gives_no_entry(self):
+        probe = LinearProbe(1.0, 2.0)
+        assert scan_events({"lower": probe}, self.ts) == {}
+        assert probe.brackets == []
+
+    def test_sign_change_in_the_last_interval(self):
+        falling, rising = LinearProbe(-1.0, 0.75), LinearProbe(1.0, -2.0)
+        events = scan_events({"lower": falling, "upper": rising}, self.ts)
+        assert list(events) == ["lower"]
+        assert falling.brackets == [(0.5, 1.0)]
+        assert abs(events["lower"].parameter - 0.75) < 1e-8
+        assert events["lower"].classification == "contact-breaking"
 
 
 class TestVelocities:
