@@ -6,9 +6,13 @@ affine branches (the slope-3 N-map family around an m-periodic base orbit is
 one), and endpoint-wise images of a stage under a monotone map.  The
 consumer side is gap/bridge thickness and the Gap-Lemma trichotomy.
 
-All endpoint arithmetic is `fractions.Fraction` whenever the inputs are
-rational, so every thickness identity can be checked with zero rounding
-error.  Float stages (e.g. smooth images) go through the same code paths.
+A stage of `fractions.Fraction` endpoints lives on an integer grid: it holds
+one integer `scale` and integer endpoints, and validation, `translate`,
+`rescale` and `thickness` work on those integers, so every thickness
+identity is checked with zero rounding error.  Its `intervals` are reduced
+`Fraction`s built the first time they are read.  Float, int and mixed
+stages (e.g. smooth images) keep their endpoints as given and use their own
+arithmetic.
 """
 from __future__ import annotations
 
@@ -18,7 +22,8 @@ import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, truediv
+from functools import partial
+from operator import le, lt, truediv
 from typing import Callable, Sequence
 
 from .maps1d import AffineBranch, n_map
@@ -54,43 +59,120 @@ class ThicknessUndefinedError(ValueError):
     """Thickness needs at least two intervals."""
 
 
-@dataclass(frozen=True)
-class CantorStage:
-    """One generation of a Cantor construction: ordered disjoint closed intervals."""
+class _Value:
+    """Value semantics over the attributes named in `_fields`, some of which
+    a subclass derives on first read: `==`, `hash` and a dataclass-style
+    `repr`.  Instances are treated as immutable."""
 
-    ambient: tuple
-    intervals: tuple
-    generation: int
-    source: str = "generic"
+    _fields: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        # an all-Fraction stage is compared on the integer grid of its common
-        # denominator; the messages name the stage's own endpoints
-        lo, hi = self.ambient
-        ends = [lo, hi, *(v for iv in self.intervals for v in iv)]
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class CantorStage(_Value):
+    """One generation of a Cantor construction: ordered disjoint closed intervals.
+
+    An all-`Fraction` stage holds integer endpoints over one integer `scale`
+    and derives `ambient` and `intervals` from them as reduced `Fraction`s
+    the first time they are read.  Any other stage has `scale` None and
+    keeps its endpoints as given.
+    """
+
+    _fields = ("ambient", "intervals", "generation", "source")
+
+    def __init__(self, ambient, intervals, generation, source="generic"):
+        ends = [*ambient, *(v for iv in intervals for v in iv)]
+        scale = None
         if {type(v) for v in ends} == {Fraction}:
-            ends, _ = _on_grid(ends)
-        glo, ghi, *ends = ends
+            ends, scale = _on_grid(ends)
+        self._init(scale, ends[:2], ends[2::2], ends[3::2], generation, source, ambient, intervals)
+
+    @classmethod
+    def _from_grid(cls, scale, ambient, lows, highs, generation, source, ambient_view=None):
+        """The stage whose ambient and interval ends are the integers given,
+        in units of 1/scale; `ambient_view` is the ambient as the caller
+        holds it, if it does."""
+        stage = cls.__new__(cls)
+        stage._init(scale, ambient, lows, highs, generation, source, ambient_view, None)
+        return stage
+
+    def _init(self, scale, ambient, lows, highs, generation, source, ambient_view, intervals_view):
+        # _amb, _lows and _highs hold the ends in the arithmetic the stage
+        # computes with: grid integers, or the given values when scale is None
+        self.scale, self._amb, self._lows, self._highs = scale, tuple(ambient), lows, highs
+        self.generation, self.source = generation, source
+        self._ambient, self._intervals = ambient_view, intervals_view
+        (glo, ghi) = self._amb
+        if lows and not (
+            glo <= lows[0] and highs[-1] <= ghi and all(map(le, lows, highs)) and all(map(lt, highs, lows[1:]))
+        ):
+            self._reject()
+
+    def _reject(self):
+        """Raise for the first interval that breaks the order chain; the
+        message names the stage's own endpoints."""
+        (lo, hi), (glo, ghi) = self.ambient, self._amb
         prev_hi = None
-        for (a, b), ga, gb in zip(self.intervals, ends[0::2], ends[1::2]):
+        for (a, b), ga, gb in zip(self.intervals, self._lows, self._highs):
             if not (glo <= ga <= gb <= ghi):
                 raise ConstructionError(f"interval [{a},{b}] escapes ambient [{lo},{hi}]")
             if prev_hi is not None and not (ga > prev_hi):
                 raise ConstructionError(f"intervals out of order or overlapping near {a}")
             prev_hi = gb
 
+    def _point(self, v):
+        return v if self.scale is None else Fraction(v, self.scale)
+
+    @property
+    def ambient(self) -> tuple:
+        if self._ambient is None:
+            self._ambient = tuple(map(self._point, self._amb))
+        return self._ambient
+
+    @property
+    def intervals(self) -> tuple:
+        if self._intervals is None:
+            s = self.scale
+            self._intervals = tuple((Fraction(a, s), Fraction(b, s)) for a, b in zip(self._lows, self._highs))
+        return self._intervals
+
+    def __len__(self) -> int:
+        return len(self._lows)
+
     @property
     def hull(self):
-        return (self.intervals[0][0], self.intervals[-1][1])
+        return (self._point(self._lows[0]), self._point(self._highs[-1]))
 
     def gaps(self) -> list[tuple]:
         """Bounded complementary components between consecutive intervals."""
-        out = []
-        for (a0, b0), (a1, b1) in zip(self.intervals, self.intervals[1:]):
-            out.append((b0, a1))
-        return out
+        ivals = self.intervals
+        return [(b0, a1) for (_, b0), (a1, _) in zip(ivals, ivals[1:])]
 
     def translate(self, offset, new_ambient=None) -> "CantorStage":
+        if self.scale is not None and isinstance(offset, (int, Fraction)) and all(
+            type(v) is Fraction for v in new_ambient or ()
+        ):
+            offset = Fraction(offset)
+            scale = math.lcm(self.scale, offset.denominator, *(v.denominator for v in new_ambient or ()))
+            k, shift = scale // self.scale, _to_grid(offset, scale)
+            amb = [_to_grid(v, scale) for v in new_ambient] if new_ambient else [k * v + shift for v in self._amb]
+            return CantorStage._from_grid(
+                scale, amb, [k * v + shift for v in self._lows], [k * v + shift for v in self._highs],
+                self.generation, self.source, new_ambient or None,
+            )
         amb = new_ambient or (self.ambient[0] + offset, self.ambient[1] + offset)
         return CantorStage(
             ambient=amb,
@@ -103,20 +185,44 @@ class CantorStage:
         """Affine image x -> a*x + b (a != 0), exact for rational a, b."""
         if a == 0:
             raise ValueError("degenerate affine map")
+        if self.scale is not None and isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
+            a, b = Fraction(a), Fraction(b)
+            # a*v/s + b = (ka*v + kb)/scale
+            scale = math.lcm(self.scale * a.denominator, b.denominator)
+            ka, kb = a.numerator * (scale // (self.scale * a.denominator)), _to_grid(b, scale)
+            lows = [ka * v + kb for v in self._lows]
+            highs = [ka * v + kb for v in self._highs]
+            if ka < 0:
+                lows, highs = highs[::-1], lows[::-1]
+            amb = sorted(ka * v + kb for v in self._amb)
+            return CantorStage._from_grid(scale, amb, lows, highs, self.generation, self.source)
         pts = [(a * lo + b, a * hi + b) for lo, hi in self.intervals]
         ivals = tuple(sorted((min(p), max(p)) for p in pts))
         amb = sorted((a * self.ambient[0] + b, a * self.ambient[1] + b))
         return CantorStage(tuple(amb), ivals, self.generation, self.source)
 
 
-@dataclass(frozen=True)
-class ThicknessReport:
-    """Minimum bridge/gap ratio over all gap endpoints, with its witnesses."""
+class ThicknessReport(_Value):
+    """Minimum bridge/gap ratio over all gap endpoints, with its witnesses.
 
-    thickness: object
-    witness_gap: tuple
-    witness_bridge: tuple
-    endpoint_ratios: tuple  # (gap, endpoint, bridge, ratio) per gap boundary point
+    `endpoint_ratios` holds one (gap, endpoint, bridge, ratio) record per
+    gap boundary point.  It may be passed as a function that builds it,
+    called the first time the records are read.
+    """
+
+    _fields = ("thickness", "witness_gap", "witness_bridge", "endpoint_ratios")
+
+    def __init__(self, thickness, witness_gap, witness_bridge, endpoint_ratios):
+        self.thickness = thickness
+        self.witness_gap = witness_gap
+        self.witness_bridge = witness_bridge
+        self._endpoint_ratios = endpoint_ratios
+
+    @property
+    def endpoint_ratios(self) -> tuple:
+        if callable(self._endpoint_ratios):
+            self._endpoint_ratios = self._endpoint_ratios()
+        return self._endpoint_ratios
 
 
 def _on_grid(values: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -128,10 +234,15 @@ def _on_grid(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * factor[v.denominator] for v in values], scale
 
 
-def _nearest_blockers(lengths: Sequence, order) -> list:
+def _to_grid(v, scale: int) -> int:
+    """The rational v in units of 1/scale; its denominator divides scale."""
+    return v.numerator * (scale // v.denominator)
+
+
+def _nearest_blockers(lengths: Sequence, order, default: int) -> list[int]:
     """For each gap, visited in `order`, the nearest gap visited before it that
-    is at least as long (ties block), or None: one monotone-stack pass."""
-    out = [None] * len(lengths)
+    is at least as long (ties block), or `default`: one monotone-stack pass."""
+    out = [default] * len(lengths)
     stack: list[int] = []
     for i in order:
         glen = lengths[i]
@@ -152,17 +263,63 @@ def thickness(stage: CantorStage) -> ThicknessReport:
     minimum ratio Length(bridge)/Length(gap); exact when endpoints are exact.
 
     Linear time: the blocking gaps come from one monotone-stack pass per
-    direction.  A stage of `Fraction` endpoints is measured on the integer
-    grid of their common denominator, so each ratio is one `Fraction` of two
-    integers; other stages use their own endpoint arithmetic.
+    direction.  A grid stage is measured on its integers: the least ratio is
+    found among correctly rounded float quotients, and ties at that float
+    are settled by integer cross-multiplication, keeping the first minimum.
+    Other stages use their own endpoint arithmetic.  Only the minimum and
+    its witnesses are formed here; `endpoint_ratios` is built when read.
     """
-    if len(stage.intervals) < 2:
+    if len(stage) < 2:
         raise ThicknessUndefinedError("need at least two intervals")
-    gaps = stage.gaps()
-    ends = [v for iv in stage.intervals for v in iv]
-    shared: dict[tuple[int, int], Fraction] = {}
-    if {type(v) for v in ends} == {Fraction}:
-        ends, _ = _on_grid(ends)
+    lows, highs = stage._lows, stage._highs
+    # gap i runs from highs[i] to lows[i + 1]
+    lengths = [lo - hi for hi, lo in zip(highs, lows[1:])]
+    n = len(lengths)
+    # gap i's left bridge runs from lows[left[i] + 1] to highs[i], its right
+    # bridge from lows[i + 1] to highs[right[i]]
+    left = _nearest_blockers(lengths, range(n), -1)
+    right = _nearest_blockers(lengths, range(n - 1, -1, -1), n)
+
+    # bridge/gap per gap, one list per side: correctly rounded floats on the
+    # grid (int / int is), the stage's own arithmetic otherwise
+    left_q = list(map(truediv, [hi - lows[j + 1] for hi, j in zip(highs, left)], lengths))
+    right_q = list(map(truediv, [highs[j] - lo for lo, j in zip(lows[1:], right)], lengths))
+
+    def bridge(k: int):
+        # record 2i is gap i's left endpoint, record 2i + 1 its right one
+        i, at_right = divmod(k, 2)
+        return highs[right[i]] - lows[i + 1] if at_right else highs[i] - lows[left[i] + 1]
+
+    least = min(min(left_q), min(right_q))
+    ties = sorted(
+        [2 * i for i, q in enumerate(left_q) if q == least]
+        + [2 * i + 1 for i, q in enumerate(right_q) if q == least]
+    )
+    k = ties[0]
+    if stage.scale is not None:
+        # float quotients are correctly rounded and rounding is monotone, so
+        # the exact first minimum is among the ties; settle them on integers
+        for c in ties[1:]:
+            if bridge(c) * lengths[k // 2] < bridge(k) * lengths[c // 2]:
+                k = c
+        tau = Fraction(bridge(k), lengths[k // 2])
+    else:
+        tau = truediv(bridge(k), lengths[k // 2])
+    i, at_right = divmod(k, 2)
+    point = stage._point
+    gap = (point(highs[i]), point(lows[i + 1]))
+    witness = (gap[1], point(highs[right[i]])) if at_right else (point(lows[left[i] + 1]), gap[0])
+    return ThicknessReport(tau, gap, witness, partial(_endpoint_records, stage, left, right))
+
+
+def _endpoint_records(stage: CantorStage, left: list[int], right: list[int]) -> tuple:
+    """`thickness`'s (gap, endpoint, bridge, ratio) records, in the stage's
+    own endpoint values, from the blocking-gap indices it found."""
+    ivals, lows, highs = stage.intervals, stage._lows, stage._highs
+    if stage.scale is None:
+        ratio = truediv
+    else:
+        shared: dict[tuple[int, int], Fraction] = {}
 
         def ratio(bridge: int, gap: int) -> Fraction:
             # N-map stages have few distinct ratios: one Fraction per reduced pair
@@ -171,43 +328,13 @@ def thickness(stage: CantorStage) -> ThicknessReport:
             if key not in shared:
                 shared[key] = Fraction(*key)
             return shared[key]
-    else:
-        ratio = truediv
-    # lows/highs hold the interval ends in the arithmetic the ratios use; the
-    # records carry the stage's own endpoints.  Gap i runs from highs[i] to lows[i + 1].
-    lows, highs = ends[0::2], ends[1::2]
-    lengths = [lo - hi for hi, lo in zip(highs, lows[1:])]
-    n = len(lengths)
-    left = _nearest_blockers(lengths, range(n))
-    right = _nearest_blockers(lengths, range(n - 1, -1, -1))
-    hull_lo, hull_hi = stage.hull
     records = []
-    for i, gap in enumerate(gaps):
-        glo, ghi = gap
-        j = left[i]
-        if j is None:
-            bound, reach = hull_lo, lows[0]
-        else:
-            bound, reach = gaps[j][1], lows[j + 1]
-        records.append((gap, glo, (bound, glo), ratio(highs[i] - reach, lengths[i])))
-        j = right[i]
-        if j is None:
-            bound, reach = hull_hi, highs[-1]
-        else:
-            bound, reach = gaps[j][0], highs[j]
-        records.append((gap, ghi, (ghi, bound), ratio(reach - lows[i + 1], lengths[i])))
-    if shared:
-        # min's first-minimum rule over the few shared ratio objects
-        least = min(shared.values())
-        best = next(r for r in records if r[3] is least)
-    else:
-        best = min(records, key=itemgetter(3))
-    return ThicknessReport(
-        thickness=best[3],
-        witness_gap=best[0],
-        witness_bridge=best[2],
-        endpoint_ratios=tuple(records),
-    )
+    for i, (jl, jr) in enumerate(zip(left, right)):
+        gap = (ivals[i][1], ivals[i + 1][0])
+        glen = lows[i + 1] - highs[i]
+        records.append((gap, gap[0], (ivals[jl + 1][0], gap[0]), ratio(highs[i] - lows[jl + 1], glen)))
+        records.append((gap, gap[1], (gap[1], ivals[jr][1]), ratio(highs[jr] - lows[i + 1], glen)))
+    return tuple(records)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +442,12 @@ def build_nmap_cantor(m: int, generation: int) -> CantorStage:
     m-periodic base orbit of the N-map: the Markov refinement of
     `nmap_restriction_system(m)`.  All endpoints exact rationals.
     """
-    system = nmap_restriction_system(m)
-    stage = CantorStage(system.ambient, _refine(system, generation), generation, f"nmap-cantor-m{m}")
+    stage = _refine(nmap_restriction_system(m), generation, f"nmap-cantor-m{m}")
     # the turning points +-1/2 must fall in gaps at every generation
     for t in (HALF, -HALF):
-        i = bisect_right(stage.intervals, t, key=itemgetter(0))
-        if i and t <= stage.intervals[i - 1][1]:
+        x = t * stage.scale
+        i = bisect_right(stage._lows, x)
+        if i and x <= stage._highs[i - 1]:
             raise ConstructionError(f"turning point {t} not in a gap")
     return stage
 
@@ -363,7 +490,7 @@ def nmap_cantor_report(m: int, generation: int) -> dict:
         "orbit": data.q,
         "x_m": (1 - Fraction(1, 3 ** (m - 2))) / 2,
         "ambient": stage.ambient,
-        "n_intervals": len(stage.intervals),
+        "n_intervals": len(stage),
         "thickness": rep.thickness,
         "witness_gap": rep.witness_gap,
         "witness_bridge": rep.witness_bridge,
@@ -451,58 +578,63 @@ class MarkovBranchSystem:
             prev_hi = dom[1]
 
 
-def _refine(system: MarkovBranchSystem, generation: int) -> tuple:
+def _refine(system: MarkovBranchSystem, generation: int, source: str) -> CantorStage:
     """Generation-g survivor set of a system of rational affine branches:
     the sorted intervals of points whose first g-1 images stay in the cover.
 
     The refinement runs on the integer grid 1/scale.  The scale starts at the
-    least common denominator of the cover endpoints and branch intercepts,
-    and each generation multiplies it by L, the lcm of the slope numerators.
-    A branch x -> (p/q)x + c pulls a grid value Y back to
-    (L/p)*q*(Y - c*scale), so a generation costs one bisection per branch
-    plus its output, which comes out sorted.  Endpoints become `Fraction`s
-    once, at the end.
+    least common denominator of the ambient, the cover endpoints and the
+    branch intercepts, and each generation multiplies it by L, the lcm of
+    the slope numerators.  A branch x -> (p/q)x + c pulls a grid value Y
+    back to (L/p)*q*(Y - c*scale), so a generation costs one bisection per
+    branch plus its output, which comes out sorted.  The stage keeps the
+    grid integers.
     """
     if generation < 1:
         raise ValueError("generation must be >= 1")
     branches = system.branches
-    if not all(isinstance(v, numbers.Rational) for dom, br in branches for v in (*dom, br.slope, br.intercept)):
-        raise ValueError("Markov refinement needs rational branch domains, slopes and intercepts")
-    ends = [v for dom, _ in branches for v in dom]
-    grid, scale = _on_grid(ends + [br.intercept for _, br in branches])
-    current = list(zip(grid[0:len(ends):2], grid[1:len(ends):2]))
-    mult = math.lcm(*(br.slope.numerator for _, br in branches))
+    cover = [v for dom, _ in branches for v in dom]
+    intercepts = [br.intercept for _, br in branches]
+    slopes = [br.slope for _, br in branches]
+    if not all(isinstance(v, numbers.Rational) for v in (*system.ambient, *cover, *intercepts, *slopes)):
+        raise ValueError("Markov refinement needs rational branch domains, slopes, intercepts and ambient")
+    grid, scale = _on_grid([*system.ambient, *cover, *intercepts])
+    amb, lows, highs = grid[:2], grid[2:2 + len(cover):2], grid[3:2 + len(cover):2]
+    mult = math.lcm(*(slope.numerator for slope in slopes))
     for _ in range(generation - 1):
-        nxt = []
+        nlows, nhighs = [], []
         for (lo, hi), br in branches:
             img_lo, img_hi = sorted((br(lo) * scale, br(hi) * scale))
             # the run of the sorted stage that meets (img_lo, img_hi) in more than a point
-            covered = current[bisect_right(current, img_lo, key=itemgetter(1)):bisect_left(current, img_hi, key=itemgetter(0))]
-            for jlo, jhi in covered[:1] + covered[-1:]:
-                if jlo < img_lo or jhi > img_hi:
+            first, stop = bisect_right(highs, img_lo), bisect_left(lows, img_hi)
+            for j in (first, stop - 1) if first < stop else ():
+                if lows[j] < img_lo or highs[j] > img_hi:
                     raise ConstructionError(
                         f"branch image of [{lo},{hi}] covers "
-                        f"[{Fraction(jlo, scale)},{Fraction(jhi, scale)}] only partially"
+                        f"[{Fraction(lows[j], scale)},{Fraction(highs[j], scale)}] only partially"
                     )
             k = mult // br.slope.numerator * br.slope.denominator
             shift = int(k * br.intercept * scale)
             if k > 0:
-                nxt += [(k * a - shift, k * b - shift) for a, b in covered]
+                nlows += [k * v - shift for v in lows[first:stop]]
+                nhighs += [k * v - shift for v in highs[first:stop]]
             else:
-                nxt += [(k * b - shift, k * a - shift) for a, b in reversed(covered)]
-        if not nxt:
+                nlows += [k * v - shift for v in reversed(highs[first:stop])]
+                nhighs += [k * v - shift for v in reversed(lows[first:stop])]
+        if not nlows:
             raise ValueError("branch preimages died out; system is not Markov over its cover")
-        current = nxt
+        lows, highs = nlows, nhighs
         scale *= mult
-    return tuple((Fraction(a, scale), Fraction(b, scale)) for a, b in current)
+        amb = [mult * v for v in amb]
+    return CantorStage._from_grid(scale, amb, lows, highs, generation, source, system.ambient)
 
 
 def markov_cantor(system: MarkovBranchSystem, generation: int) -> CantorStage:
     """Generation-g surviving set of the branch system: points whose first
-    g-1 images stay inside the branch domains.  Branch data must be rational
-    (`ValueError`), and each branch image must cover every domain it meets
-    whole (`ConstructionError`)."""
-    return CantorStage(system.ambient, _refine(system, generation), generation, "markov")
+    g-1 images stay inside the branch domains.  Branch data and the ambient
+    must be rational (`ValueError`), and each branch image must cover every
+    domain it meets whole (`ConstructionError`)."""
+    return _refine(system, generation, "markov")
 
 
 def middle_thirds_system() -> MarkovBranchSystem:

@@ -305,6 +305,10 @@ def cmd_attractor(args, parser) -> int:
 def cmd_tangency(args, parser) -> int:
     if args.n < 1:
         parser.error("--n must be >= 1")
+    if args.points < 0:
+        parser.error("--points must be >= 0")
+    if not args.t_min <= args.t_max:
+        parser.error("--t-max must be >= --t-min")
     mp = renorm.ModelParams()
     fam = renorm.renormalized_family(mp, args.n)
     try:
@@ -325,7 +329,7 @@ def cmd_tangency(args, parser) -> int:
 
     scan_rows, event_rows = [], []
     summary = {"coupling": coupling, "coupling_warning": warn, "events": []}
-    if args.points > 0 and args.t_max >= args.t_min:
+    if args.points > 0:
         ts = [float(t) for t in np.linspace(args.t_min, args.t_max, args.points)]
         scan_rows = [[t, probes["upper"].penetration(t), probes["lower"].penetration(t)] for t in ts]
         for region, ev in planar.scan_events(probes, ts).items():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -95,6 +96,132 @@ def quadratic_nmap_intervals(m, gen):
                     out.append(tuple(sorted((br.inverse(a), br.inverse(b)))))
         current = sorted(out)
     return tuple(current)
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceStage:
+    """The stage as it was before stages kept an integer grid: Fraction
+    endpoints held as given, validated on their common denominator."""
+
+    ambient: tuple
+    intervals: tuple
+    generation: int
+    source: str = "generic"
+
+    def __post_init__(self):
+        lo, hi = self.ambient
+        ends, _ = reference_on_grid([lo, hi, *(v for iv in self.intervals for v in iv)])
+        glo, ghi, *ends = ends
+        prev_hi = None
+        for (a, b), ga, gb in zip(self.intervals, ends[0::2], ends[1::2]):
+            if not (glo <= ga <= gb <= ghi):
+                raise ConstructionError(f"interval [{a},{b}] escapes ambient [{lo},{hi}]")
+            if prev_hi is not None and not (ga > prev_hi):
+                raise ConstructionError(f"intervals out of order or overlapping near {a}")
+            prev_hi = gb
+
+    @property
+    def hull(self):
+        return (self.intervals[0][0], self.intervals[-1][1])
+
+    def gaps(self):
+        return [(b0, a1) for (_, b0), (a1, _) in zip(self.intervals, self.intervals[1:])]
+
+    def translate(self, offset, new_ambient=None):
+        amb = new_ambient or (self.ambient[0] + offset, self.ambient[1] + offset)
+        ivals = tuple((a + offset, b + offset) for a, b in self.intervals)
+        return ReferenceStage(amb, ivals, self.generation, self.source)
+
+    def rescale(self, a, b):
+        pts = [(a * lo + b, a * hi + b) for lo, hi in self.intervals]
+        ivals = tuple(sorted((min(p), max(p)) for p in pts))
+        amb = sorted((a * self.ambient[0] + b, a * self.ambient[1] + b))
+        return ReferenceStage(tuple(amb), ivals, self.generation, self.source)
+
+
+def reference_on_grid(values):
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def reference_blockers(lengths, order):
+    out, stack = [None] * len(lengths), []
+    for i in order:
+        while stack and lengths[stack[-1]] < lengths[i]:
+            stack.pop()
+        if stack:
+            out[i] = stack[-1]
+        stack.append(i)
+    return out
+
+
+def reference_thickness(stage):
+    """The linear-time thickness of a Fraction stage as it was before the
+    integer grid became the stage's own form: every endpoint record built
+    eagerly, one shared Fraction per reduced ratio, the first minimum kept."""
+    gaps = stage.gaps()
+    ends, _ = reference_on_grid([v for iv in stage.intervals for v in iv])
+    shared = {}
+
+    def ratio(bridge, gap):
+        g = math.gcd(bridge, gap)
+        key = (bridge // g, gap // g)
+        if key not in shared:
+            shared[key] = F(*key)
+        return shared[key]
+
+    lows, highs = ends[0::2], ends[1::2]
+    lengths = [lo - hi for hi, lo in zip(highs, lows[1:])]
+    n = len(lengths)
+    left = reference_blockers(lengths, range(n))
+    right = reference_blockers(lengths, range(n - 1, -1, -1))
+    hull_lo, hull_hi = stage.hull
+    records = []
+    for i, gap in enumerate(gaps):
+        glo, ghi = gap
+        j = left[i]
+        bound, reach = (hull_lo, lows[0]) if j is None else (gaps[j][1], lows[j + 1])
+        records.append((gap, glo, (bound, glo), ratio(highs[i] - reach, lengths[i])))
+        j = right[i]
+        bound, reach = (hull_hi, highs[-1]) if j is None else (gaps[j][0], highs[j])
+        records.append((gap, ghi, (ghi, bound), ratio(reach - lows[i + 1], lengths[i])))
+    least = min(shared.values())
+    best = next(r for r in records if r[3] is least)
+    return ThicknessReport(best[3], best[0], best[2], tuple(records))
+
+
+def assert_same(got, want):
+    # equal values of another type (2.0 == Fraction(2)) would pass `==`
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def assert_same_stage(stage, ref):
+    """A stage and a reference stage agree on every derived view."""
+    for attr in ("ambient", "intervals", "generation", "source", "hull"):
+        assert_same(getattr(stage, attr), getattr(ref, attr))
+    assert_same(stage.gaps(), ref.gaps())
+    assert len(stage) == len(ref.intervals)
+
+
+@st.composite
+def rational_stages(draw):
+    """A stage and its reference twin from Fraction endpoints over mixed
+    denominators, with gap lengths from a small set so ties are common."""
+    n = draw(st.integers(min_value=2, max_value=14))
+    widths = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
+    den = draw(st.sampled_from([1, 2, 6, 12, 35]))
+    x = draw(st.integers(-6, 6))
+    pts = []
+    for k in range(n):
+        pts += [x, x + widths[k]]
+        x += widths[k] + (gaps[k] if k < n - 1 else 0)
+    pts = [F(p, den) for p in pts]
+    margin = F(draw(st.integers(0, 2)), 5)
+    amb = (pts[0] - margin, pts[-1] + margin)
+    ivals = tuple(zip(pts[0::2], pts[1::2]))
+    return CantorStage(amb, ivals, 3, "drawn"), ReferenceStage(amb, ivals, 3, "drawn")
 
 
 @st.composite
@@ -252,6 +379,14 @@ class TestStageValidation:
         msg, _, (_, (a, _)) = self.rejected(kind, [(F(0), F(1, 3)), (F(1, 3), F(2, 3))])
         assert msg == f"intervals out of order or overlapping near {a}"
 
+    def test_translate_out_of_ambient(self, kind):
+        stage = CantorStage((kind(F(0)), kind(F(1))), ((kind(F(0)), kind(F(1, 3))), (kind(F(2, 3)), kind(F(1)))), 1)
+        offset = kind(F(1, 2))
+        with pytest.raises(ConstructionError) as exc:
+            stage.translate(offset, new_ambient=stage.ambient)
+        a, b = (v + offset for v in stage.intervals[1])
+        assert str(exc.value) == f"interval [{a},{b}] escapes ambient [{kind(F(0))},{kind(F(1))}]"
+
     def test_valid_stage_accepted(self, kind):
         ivals = ((kind(F(0)), kind(F(1, 3))), (kind(F(2, 3)), kind(F(1))))
         assert CantorStage((kind(F(0)), kind(F(1))), ivals, 1).intervals == ivals
@@ -299,6 +434,13 @@ class TestThickness:
             rep = nmap_cantor_report(m, gen)
             assert rep["realized_closed_form"] == rep["thickness"], (m, gen)
         assert rep["thickness"] == F(5 * 3**m - 117, 216)
+
+    def test_m14_freezes_at_generation_11(self):
+        # 797 162 intervals: generation m-3, where the closed form stops moving
+        rep = nmap_cantor_report(14, 11)
+        assert rep["thickness"] == rep["realized_closed_form"] == F(332149, 3)
+        assert rep["thickness"] == F(5 * 3**14 - 117, 216)
+        assert rep["n_intervals"] == 797_162
 
     def test_stabilization_profile(self):
         # the hull-end cascade bites at generation m-3 and the value then
@@ -351,6 +493,65 @@ class TestThickness:
             covered = [iv for iv in g1.intervals if img[0] <= iv[0] and iv[1] <= img[1]]
             img_gaps = sorted(b[0] - a[1] for a, b in zip(covered, covered[1:]))
             assert inner_gaps == [g / 3 for g in img_gaps]
+
+
+REPORT_FIELDS = ("thickness", "witness_gap", "witness_bridge", "endpoint_ratios")
+
+
+class TestReferenceEquality:
+    """Grid stages and their thickness against the Fraction path they replaced."""
+
+    @given(
+        rational_stages(),
+        st.fractions(min_value=-5, max_value=5, max_denominator=40),
+        st.fractions(min_value=-5, max_value=5, max_denominator=40).filter(lambda a: a != 0),
+        st.fractions(min_value=-5, max_value=5, max_denominator=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_stage_and_report_match(self, pair, offset, a, b):
+        stage, ref = pair
+        wide = (ref.ambient[0] - abs(offset), ref.ambient[1] + abs(offset))
+        images = [
+            (stage, ref),
+            (stage.translate(0), ref.translate(0)),  # derives its views from the grid
+            (stage.translate(offset), ref.translate(offset)),
+            (stage.translate(offset, new_ambient=wide), ref.translate(offset, new_ambient=wide)),
+            (stage.rescale(a, b), ref.rescale(a, b)),
+            (stage.rescale(int(a.numerator), 1), ref.rescale(int(a.numerator), 1)),
+        ]
+        for got, want in images:
+            assert got.scale is not None
+            assert_same_stage(got, want)
+            rep, ref_rep = thickness(got), reference_thickness(want)
+            for field in REPORT_FIELDS:
+                assert_same(getattr(rep, field), getattr(ref_rep, field))
+            assert_same(rep, ref_rep)
+
+    @pytest.mark.parametrize("m", [6, 8, 10])
+    def test_nmap_reports_match(self, m):
+        for gen in range(1, 7):
+            stage = build_nmap_cantor(m, gen)
+            rep = thickness(stage)
+            assert_same(rep, reference_thickness(ReferenceStage(stage.ambient, stage.intervals, gen)))
+
+    def test_middle_thirds_reports_match(self):
+        for gen in range(1, 7):
+            stage = markov_cantor(middle_thirds_system(), gen)
+            assert_same(thickness(stage), reference_thickness(ReferenceStage(stage.ambient, stage.intervals, gen)))
+
+    def test_report_peak_memory(self):
+        # the grid keeps the m=12 generation-9 report (75 452 intervals) under
+        # 30 MB of traced allocation; eager Fraction endpoints and records
+        # peaked near 59 MB
+        nmap_cantor_report(6, 2)
+        tracemalloc.start()
+        try:
+            rep = nmap_cantor_report(12, 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep["thickness"] == F(36904, 3) and rep["n_intervals"] == 75_452
+        assert peak < 30 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 class TestGapLemma:

@@ -333,8 +333,11 @@ class TestVerifyCommand:
     (["attractor", "--sample", "-1"], "--sample must be >= 0"),
     (["tangency", "--mu-bar", "-1"], "--mu-bar: the limit family has no upper tangency at mu=-1.0"),
     (["tangency", "--mu-bar", "10"], "--mu-bar: the limit family has no upper tangency at mu=10.0"),
+    (["tangency", "--points", "-4"], "--points must be >= 0"),
+    (["tangency", "--t-min", "0.03", "--t-max", "-0.03"], "--t-max must be >= --t-min"),
 ], ids=["renorm", "attractor", "tangency", "cantor",
-        "unknown-option", "negative-sample", "mu-bar-low", "mu-bar-high"])
+        "unknown-option", "negative-sample", "mu-bar-low", "mu-bar-high",
+        "negative-points", "reversed-range"])
 def test_usage_error_names_the_subcommand(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
