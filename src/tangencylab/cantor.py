@@ -7,12 +7,13 @@ one), and endpoint-wise images of a stage under a monotone map.  The
 consumer side is gap/bridge thickness and the Gap-Lemma trichotomy.
 
 A stage of `fractions.Fraction` endpoints lives on an integer grid: it holds
-one integer `scale` and integer endpoints, and validation, `translate`,
-`rescale` and `thickness` work on those integers, so every thickness
-identity is checked with zero rounding error.  Its `intervals` are reduced
-`Fraction`s built the first time they are read.  Float, int and mixed
-stages (e.g. smooth images) keep their endpoints as given and use their own
-arithmetic.
+one integer `scale` and integer endpoints, and validation and `thickness`
+work on those integers, so every thickness identity is checked with zero
+rounding error.  Its `intervals` are reduced `Fraction`s built the first
+time they are read; `translate` and `rescale` map those and build a new
+stage from them.  Float, int and mixed stages (e.g. smooth images) keep
+their endpoints as given and use their own arithmetic.  Stages and
+thickness reports are frozen values.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import csv
 import math
 import numbers
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import partial
 from operator import le, lt, truediv
@@ -62,9 +63,19 @@ class ThicknessUndefinedError(ValueError):
 class _Value:
     """Value semantics over the attributes named in `_fields`, some of which
     a subclass derives on first read: `==`, `hash` and a dataclass-style
-    `repr`.  Instances are treated as immutable."""
+    `repr`.  Instances are frozen: assignment raises `FrozenInstanceError`,
+    and only construction and the first-read views write, through `_set`."""
 
     _fields: tuple[str, ...] = ()
+
+    def _set(self, **values):
+        self.__dict__.update(values)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -112,9 +123,10 @@ class CantorStage(_Value):
     def _init(self, scale, ambient, lows, highs, generation, source, ambient_view, intervals_view):
         # _amb, _lows and _highs hold the ends in the arithmetic the stage
         # computes with: grid integers, or the given values when scale is None
-        self.scale, self._amb, self._lows, self._highs = scale, tuple(ambient), lows, highs
-        self.generation, self.source = generation, source
-        self._ambient, self._intervals = ambient_view, intervals_view
+        self._set(
+            scale=scale, _amb=tuple(ambient), _lows=lows, _highs=highs, generation=generation, source=source,
+            _ambient=ambient_view, _intervals=intervals_view,
+        )
         (glo, ghi) = self._amb
         if lows and not (
             glo <= lows[0] and highs[-1] <= ghi and all(map(le, lows, highs)) and all(map(lt, highs, lows[1:]))
@@ -139,14 +151,14 @@ class CantorStage(_Value):
     @property
     def ambient(self) -> tuple:
         if self._ambient is None:
-            self._ambient = tuple(map(self._point, self._amb))
+            self._set(_ambient=tuple(map(self._point, self._amb)))
         return self._ambient
 
     @property
     def intervals(self) -> tuple:
         if self._intervals is None:
             s = self.scale
-            self._intervals = tuple((Fraction(a, s), Fraction(b, s)) for a, b in zip(self._lows, self._highs))
+            self._set(_intervals=tuple((Fraction(a, s), Fraction(b, s)) for a, b in zip(self._lows, self._highs)))
         return self._intervals
 
     def __len__(self) -> int:
@@ -162,17 +174,6 @@ class CantorStage(_Value):
         return [(b0, a1) for (_, b0), (a1, _) in zip(ivals, ivals[1:])]
 
     def translate(self, offset, new_ambient=None) -> "CantorStage":
-        if self.scale is not None and isinstance(offset, (int, Fraction)) and all(
-            type(v) is Fraction for v in new_ambient or ()
-        ):
-            offset = Fraction(offset)
-            scale = math.lcm(self.scale, offset.denominator, *(v.denominator for v in new_ambient or ()))
-            k, shift = scale // self.scale, _to_grid(offset, scale)
-            amb = [_to_grid(v, scale) for v in new_ambient] if new_ambient else [k * v + shift for v in self._amb]
-            return CantorStage._from_grid(
-                scale, amb, [k * v + shift for v in self._lows], [k * v + shift for v in self._highs],
-                self.generation, self.source, new_ambient or None,
-            )
         amb = new_ambient or (self.ambient[0] + offset, self.ambient[1] + offset)
         return CantorStage(
             ambient=amb,
@@ -185,17 +186,6 @@ class CantorStage(_Value):
         """Affine image x -> a*x + b (a != 0), exact for rational a, b."""
         if a == 0:
             raise ValueError("degenerate affine map")
-        if self.scale is not None and isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction)):
-            a, b = Fraction(a), Fraction(b)
-            # a*v/s + b = (ka*v + kb)/scale
-            scale = math.lcm(self.scale * a.denominator, b.denominator)
-            ka, kb = a.numerator * (scale // (self.scale * a.denominator)), _to_grid(b, scale)
-            lows = [ka * v + kb for v in self._lows]
-            highs = [ka * v + kb for v in self._highs]
-            if ka < 0:
-                lows, highs = highs[::-1], lows[::-1]
-            amb = sorted(ka * v + kb for v in self._amb)
-            return CantorStage._from_grid(scale, amb, lows, highs, self.generation, self.source)
         pts = [(a * lo + b, a * hi + b) for lo, hi in self.intervals]
         ivals = tuple(sorted((min(p), max(p)) for p in pts))
         amb = sorted((a * self.ambient[0] + b, a * self.ambient[1] + b))
@@ -213,15 +203,15 @@ class ThicknessReport(_Value):
     _fields = ("thickness", "witness_gap", "witness_bridge", "endpoint_ratios")
 
     def __init__(self, thickness, witness_gap, witness_bridge, endpoint_ratios):
-        self.thickness = thickness
-        self.witness_gap = witness_gap
-        self.witness_bridge = witness_bridge
-        self._endpoint_ratios = endpoint_ratios
+        self._set(
+            thickness=thickness, witness_gap=witness_gap, witness_bridge=witness_bridge,
+            _endpoint_ratios=endpoint_ratios,
+        )
 
     @property
     def endpoint_ratios(self) -> tuple:
         if callable(self._endpoint_ratios):
-            self._endpoint_ratios = self._endpoint_ratios()
+            self._set(_endpoint_ratios=self._endpoint_ratios())
         return self._endpoint_ratios
 
 
@@ -232,11 +222,6 @@ def _on_grid(values: Sequence[Fraction]) -> tuple[list[int], int]:
     scale = math.lcm(*dens)
     factor = {d: scale // d for d in dens}
     return [v.numerator * factor[v.denominator] for v in values], scale
-
-
-def _to_grid(v, scale: int) -> int:
-    """The rational v in units of 1/scale; its denominator divides scale."""
-    return v.numerator * (scale // v.denominator)
 
 
 def _nearest_blockers(lengths: Sequence, order, default: int) -> list[int]:

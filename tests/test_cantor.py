@@ -101,7 +101,7 @@ def quadratic_nmap_intervals(m, gen):
 @dataclasses.dataclass(frozen=True)
 class ReferenceStage:
     """The stage as it was before stages kept an integer grid: Fraction
-    endpoints held as given, validated on their common denominator."""
+    endpoints held as given and compared as Fractions."""
 
     ambient: tuple
     intervals: tuple
@@ -110,15 +110,13 @@ class ReferenceStage:
 
     def __post_init__(self):
         lo, hi = self.ambient
-        ends, _ = reference_on_grid([lo, hi, *(v for iv in self.intervals for v in iv)])
-        glo, ghi, *ends = ends
         prev_hi = None
-        for (a, b), ga, gb in zip(self.intervals, ends[0::2], ends[1::2]):
-            if not (glo <= ga <= gb <= ghi):
+        for a, b in self.intervals:
+            if not (lo <= a <= b <= hi):
                 raise ConstructionError(f"interval [{a},{b}] escapes ambient [{lo},{hi}]")
-            if prev_hi is not None and not (ga > prev_hi):
+            if prev_hi is not None and not (a > prev_hi):
                 raise ConstructionError(f"intervals out of order or overlapping near {a}")
-            prev_hi = gb
+            prev_hi = b
 
     @property
     def hull(self):
@@ -137,57 +135,6 @@ class ReferenceStage:
         ivals = tuple(sorted((min(p), max(p)) for p in pts))
         amb = sorted((a * self.ambient[0] + b, a * self.ambient[1] + b))
         return ReferenceStage(tuple(amb), ivals, self.generation, self.source)
-
-
-def reference_on_grid(values):
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
-def reference_blockers(lengths, order):
-    out, stack = [None] * len(lengths), []
-    for i in order:
-        while stack and lengths[stack[-1]] < lengths[i]:
-            stack.pop()
-        if stack:
-            out[i] = stack[-1]
-        stack.append(i)
-    return out
-
-
-def reference_thickness(stage):
-    """The linear-time thickness of a Fraction stage as it was before the
-    integer grid became the stage's own form: every endpoint record built
-    eagerly, one shared Fraction per reduced ratio, the first minimum kept."""
-    gaps = stage.gaps()
-    ends, _ = reference_on_grid([v for iv in stage.intervals for v in iv])
-    shared = {}
-
-    def ratio(bridge, gap):
-        g = math.gcd(bridge, gap)
-        key = (bridge // g, gap // g)
-        if key not in shared:
-            shared[key] = F(*key)
-        return shared[key]
-
-    lows, highs = ends[0::2], ends[1::2]
-    lengths = [lo - hi for hi, lo in zip(highs, lows[1:])]
-    n = len(lengths)
-    left = reference_blockers(lengths, range(n))
-    right = reference_blockers(lengths, range(n - 1, -1, -1))
-    hull_lo, hull_hi = stage.hull
-    records = []
-    for i, gap in enumerate(gaps):
-        glo, ghi = gap
-        j = left[i]
-        bound, reach = (hull_lo, lows[0]) if j is None else (gaps[j][1], lows[j + 1])
-        records.append((gap, glo, (bound, glo), ratio(highs[i] - reach, lengths[i])))
-        j = right[i]
-        bound, reach = (hull_hi, highs[-1]) if j is None else (gaps[j][0], highs[j])
-        records.append((gap, ghi, (ghi, bound), ratio(reach - lows[i + 1], lengths[i])))
-    least = min(shared.values())
-    best = next(r for r in records if r[3] is least)
-    return ThicknessReport(best[3], best[0], best[2], tuple(records))
 
 
 def assert_same(got, want):
@@ -513,7 +460,7 @@ class TestReferenceEquality:
         wide = (ref.ambient[0] - abs(offset), ref.ambient[1] + abs(offset))
         images = [
             (stage, ref),
-            (stage.translate(0), ref.translate(0)),  # derives its views from the grid
+            (stage.translate(0), ref.translate(0)),
             (stage.translate(offset), ref.translate(offset)),
             (stage.translate(offset, new_ambient=wide), ref.translate(offset, new_ambient=wide)),
             (stage.rescale(a, b), ref.rescale(a, b)),
@@ -522,7 +469,7 @@ class TestReferenceEquality:
         for got, want in images:
             assert got.scale is not None
             assert_same_stage(got, want)
-            rep, ref_rep = thickness(got), reference_thickness(want)
+            rep, ref_rep = thickness(got), quadratic_thickness(want)
             for field in REPORT_FIELDS:
                 assert_same(getattr(rep, field), getattr(ref_rep, field))
             assert_same(rep, ref_rep)
@@ -532,12 +479,25 @@ class TestReferenceEquality:
         for gen in range(1, 7):
             stage = build_nmap_cantor(m, gen)
             rep = thickness(stage)
-            assert_same(rep, reference_thickness(ReferenceStage(stage.ambient, stage.intervals, gen)))
+            assert_same(rep, quadratic_thickness(ReferenceStage(stage.ambient, stage.intervals, gen)))
 
     def test_middle_thirds_reports_match(self):
         for gen in range(1, 7):
             stage = markov_cantor(middle_thirds_system(), gen)
-            assert_same(thickness(stage), reference_thickness(ReferenceStage(stage.ambient, stage.intervals, gen)))
+            assert_same(thickness(stage), quadratic_thickness(ReferenceStage(stage.ambient, stage.intervals, gen)))
+
+    def test_stage_and_report_are_frozen(self):
+        stage = build_nmap_cantor(6, 2)
+        rep = thickness(stage)
+        ivals = stage.intervals
+        for obj, name in [(stage, "scale"), (stage, "generation"), (stage, "source"), (stage, "_lows"),
+                          (stage, "intervals"), (rep, "thickness"), (rep, "endpoint_ratios")]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+        assert stage.intervals is ivals and stage == build_nmap_cantor(6, 2)
+        assert rep == thickness(stage)
 
     def test_report_peak_memory(self):
         # the grid keeps the m=12 generation-9 report (75 452 intervals) under
