@@ -3,9 +3,9 @@
 Submodules
 ----------
 maps1d     one-dimensional maps: the slope-3 N-shaped map, cubic family,
-           their sine conjugacy, periodic-orbit solvers
+           their sine conjugacy, a binary64 periodic-orbit solver
 cantor     exact Cantor-set stages, gap/bridge thickness, Gap-Lemma
-           trichotomy, Markov branch systems, monotone images
+           trichotomy, Markov branch systems
 renorm     the renormalization cascade around a folding saddle model and
            its decay-rate measurements
 planar     planar engine: orbits, saddles, Lyapunov exponents, invariant

@@ -3,17 +3,15 @@
 A *stage* is a finite union of disjoint closed intervals: one generation of a
 Cantor-set construction.  The producers here are Markov systems of rational
 affine branches (the slope-3 N-map family around an m-periodic base orbit is
-one), and endpoint-wise images of a stage under a monotone map.  The
-consumer side is gap/bridge thickness and the Gap-Lemma trichotomy.
+one).  The consumer side is gap/bridge thickness and the Gap-Lemma
+trichotomy.
 
-A stage of `fractions.Fraction` endpoints lives on an integer grid: it holds
-one integer `scale` and integer endpoints, and validation and `thickness`
-work on those integers, so every thickness identity is checked with zero
-rounding error.  Its `intervals` are reduced `Fraction`s built the first
-time they are read; `translate` and `rescale` map those and build a new
-stage from them.  Float, int and mixed stages (e.g. smooth images) keep
-their endpoints as given and use their own arithmetic.  Stages and
-thickness reports are frozen values.
+Every stage has `fractions.Fraction` endpoints and lives on an integer grid:
+it holds one integer `scale` and integer endpoints, and validation and
+`thickness` work on those integers, so every thickness identity is checked
+with zero rounding error.  Its `intervals` are reduced `Fraction`s built the
+first time they are read; `translate` maps those and builds a new stage from
+them.  Stages and thickness reports are frozen values.
 """
 from __future__ import annotations
 
@@ -25,7 +23,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import partial
 from operator import le, lt, truediv
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .maps1d import AffineBranch, n_map
 
@@ -43,8 +41,6 @@ __all__ = [
     "MarkovBranchSystem",
     "markov_cantor",
     "middle_thirds_system",
-    "ImageResult",
-    "image_cantor",
     "stage_to_csv",
 ]
 
@@ -96,19 +92,19 @@ class _Value:
 class CantorStage(_Value):
     """One generation of a Cantor construction: ordered disjoint closed intervals.
 
-    An all-`Fraction` stage holds integer endpoints over one integer `scale`
-    and derives `ambient` and `intervals` from them as reduced `Fraction`s
-    the first time they are read.  Any other stage has `scale` None and
-    keeps its endpoints as given.
+    The endpoints must be `Fraction`s (`TypeError` otherwise).  The stage
+    holds them as integers over one integer `scale` and derives `ambient`
+    and `intervals` as reduced `Fraction`s the first time they are read.
     """
 
     _fields = ("ambient", "intervals", "generation", "source")
 
     def __init__(self, ambient, intervals, generation, source="generic"):
         ends = [*ambient, *(v for iv in intervals for v in iv)]
-        scale = None
-        if {type(v) for v in ends} == {Fraction}:
-            ends, scale = _on_grid(ends)
+        for v in ends:
+            if not isinstance(v, Fraction):
+                raise TypeError(f"endpoint {v!r} is not a Fraction")
+        ends, scale = _on_grid(ends)
         self._init(scale, ends[:2], ends[2::2], ends[3::2], generation, source, ambient, intervals)
 
     @classmethod
@@ -121,8 +117,7 @@ class CantorStage(_Value):
         return stage
 
     def _init(self, scale, ambient, lows, highs, generation, source, ambient_view, intervals_view):
-        # _amb, _lows and _highs hold the ends in the arithmetic the stage
-        # computes with: grid integers, or the given values when scale is None
+        # _amb, _lows and _highs hold the ends as grid integers
         self._set(
             scale=scale, _amb=tuple(ambient), _lows=lows, _highs=highs, generation=generation, source=source,
             _ambient=ambient_view, _intervals=intervals_view,
@@ -146,7 +141,7 @@ class CantorStage(_Value):
             prev_hi = gb
 
     def _point(self, v):
-        return v if self.scale is None else Fraction(v, self.scale)
+        return Fraction(v, self.scale)
 
     @property
     def ambient(self) -> tuple:
@@ -181,15 +176,6 @@ class CantorStage(_Value):
             generation=self.generation,
             source=self.source,
         )
-
-    def rescale(self, a, b) -> "CantorStage":
-        """Affine image x -> a*x + b (a != 0), exact for rational a, b."""
-        if a == 0:
-            raise ValueError("degenerate affine map")
-        pts = [(a * lo + b, a * hi + b) for lo, hi in self.intervals]
-        ivals = tuple(sorted((min(p), max(p)) for p in pts))
-        amb = sorted((a * self.ambient[0] + b, a * self.ambient[1] + b))
-        return CantorStage(tuple(amb), ivals, self.generation, self.source)
 
 
 class ThicknessReport(_Value):
@@ -245,14 +231,14 @@ def thickness(stage: CantorStage) -> ThicknessReport:
     For each gap endpoint the bridge is the maximal interval on the far side
     of the gap that avoids every gap of length >= the current one (ties
     block), bounded by the convex hull of the stage.  The thickness is the
-    minimum ratio Length(bridge)/Length(gap); exact when endpoints are exact.
+    minimum ratio Length(bridge)/Length(gap), an exact `Fraction`.
 
     Linear time: the blocking gaps come from one monotone-stack pass per
-    direction.  A grid stage is measured on its integers: the least ratio is
-    found among correctly rounded float quotients, and ties at that float
+    direction.  The stage is measured on its grid integers: the least ratio
+    is found among correctly rounded float quotients, and ties at that float
     are settled by integer cross-multiplication, keeping the first minimum.
-    Other stages use their own endpoint arithmetic.  Only the minimum and
-    its witnesses are formed here; `endpoint_ratios` is built when read.
+    Only the minimum and its witnesses are formed here; `endpoint_ratios` is
+    built when read.
     """
     if len(stage) < 2:
         raise ThicknessUndefinedError("need at least two intervals")
@@ -265,8 +251,8 @@ def thickness(stage: CantorStage) -> ThicknessReport:
     left = _nearest_blockers(lengths, range(n), -1)
     right = _nearest_blockers(lengths, range(n - 1, -1, -1), n)
 
-    # bridge/gap per gap, one list per side: correctly rounded floats on the
-    # grid (int / int is), the stage's own arithmetic otherwise
+    # bridge/gap per gap, one list per side: correctly rounded floats
+    # (int / int is)
     left_q = list(map(truediv, [hi - lows[j + 1] for hi, j in zip(highs, left)], lengths))
     right_q = list(map(truediv, [highs[j] - lo for lo, j in zip(lows[1:], right)], lengths))
 
@@ -281,15 +267,12 @@ def thickness(stage: CantorStage) -> ThicknessReport:
         + [2 * i + 1 for i, q in enumerate(right_q) if q == least]
     )
     k = ties[0]
-    if stage.scale is not None:
-        # float quotients are correctly rounded and rounding is monotone, so
-        # the exact first minimum is among the ties; settle them on integers
-        for c in ties[1:]:
-            if bridge(c) * lengths[k // 2] < bridge(k) * lengths[c // 2]:
-                k = c
-        tau = Fraction(bridge(k), lengths[k // 2])
-    else:
-        tau = truediv(bridge(k), lengths[k // 2])
+    # float quotients are correctly rounded and rounding is monotone, so the
+    # exact first minimum is among the ties; settle them on integers
+    for c in ties[1:]:
+        if bridge(c) * lengths[k // 2] < bridge(k) * lengths[c // 2]:
+            k = c
+    tau = Fraction(bridge(k), lengths[k // 2])
     i, at_right = divmod(k, 2)
     point = stage._point
     gap = (point(highs[i]), point(lows[i + 1]))
@@ -298,21 +281,19 @@ def thickness(stage: CantorStage) -> ThicknessReport:
 
 
 def _endpoint_records(stage: CantorStage, left: list[int], right: list[int]) -> tuple:
-    """`thickness`'s (gap, endpoint, bridge, ratio) records, in the stage's
-    own endpoint values, from the blocking-gap indices it found."""
+    """`thickness`'s (gap, endpoint, bridge, ratio) records, in `Fraction`s,
+    from the blocking-gap indices it found."""
     ivals, lows, highs = stage.intervals, stage._lows, stage._highs
-    if stage.scale is None:
-        ratio = truediv
-    else:
-        shared: dict[tuple[int, int], Fraction] = {}
+    shared: dict[tuple[int, int], Fraction] = {}
 
-        def ratio(bridge: int, gap: int) -> Fraction:
-            # N-map stages have few distinct ratios: one Fraction per reduced pair
-            g = math.gcd(bridge, gap)
-            key = (bridge // g, gap // g)
-            if key not in shared:
-                shared[key] = Fraction(*key)
-            return shared[key]
+    def ratio(bridge: int, gap: int) -> Fraction:
+        # N-map stages have few distinct ratios: one Fraction per reduced pair
+        g = math.gcd(bridge, gap)
+        key = (bridge // g, gap // g)
+        if key not in shared:
+            shared[key] = Fraction(*key)
+        return shared[key]
+
     records = []
     for i, (jl, jr) in enumerate(zip(left, right)):
         gap = (ivals[i][1], ivals[i + 1][0])
@@ -648,72 +629,8 @@ def nmap_restriction_system(m: int) -> MarkovBranchSystem:
 
 
 # ---------------------------------------------------------------------------
-# Images under monotone maps
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ImageResult:
-    stage: CantorStage
-    distortion: float  # max h' / min h' over the trimmed hull
-    thickness_in: object
-    thickness_out: object
-    bound: float
-    bound_holds: bool
-
-
-def image_cantor(
-    stage: CantorStage,
-    fn: Callable,
-    dfn: Callable | None = None,
-    delta=None,
-    check_grid: int = 512,
-) -> ImageResult:
-    """Endpoint-wise image of a stage under a strictly monotone map, with the
-    distortion-controlled thickness bound as a companion check.
-
-    The bound compares thickness(out) against thickness(in)/max(c, 4) where
-    c is the derivative ratio over the delta-trimmed hull (default trim:
-    1/100 of the ambient length).  Rational affine maps keep exact endpoints.
-    """
-    lo, hi = stage.ambient
-    if delta is None:
-        delta = (hi - lo) / 100
-    xs = [lo + (hi - lo) * Fraction(k, check_grid) for k in range(check_grid + 1)]
-    vals = [fn(float(x)) for x in xs]
-    inc = all(a < b for a, b in zip(vals, vals[1:]))
-    dec = all(a > b for a, b in zip(vals, vals[1:]))
-    if not (inc or dec):
-        raise ValueError("map is not strictly monotone on the sampled ambient grid")
-
-    pts = []
-    for a, b in stage.intervals:
-        ia, ib = fn(a), fn(b)
-        pts.append((ia, ib) if ia <= ib else (ib, ia))
-    ivals = tuple(sorted(pts))
-    amb = sorted((fn(lo), fn(hi)))
-    out = CantorStage(tuple(amb), ivals, stage.generation, "image")
-
-    h = 1e-7
-    if dfn is None:
-        dfn = lambda x: (fn(x + h) - fn(x - h)) / (2 * h)
-    tlo, thi = float(lo + delta), float(hi - delta)
-    grid = [tlo + (thi - tlo) * k / check_grid for k in range(check_grid + 1)]
-    ds = [abs(dfn(x)) for x in grid]
-    c = max(ds) / min(ds)
-
-    t_in = thickness(stage).thickness
-    t_out = thickness(out).thickness
-    bound = float(t_in) / max(c, 4.0)
-    return ImageResult(out, c, t_in, t_out, bound, float(t_out) >= bound)
-
-
-# ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-def _as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x).limit_denominator(10**15)
-
 
 def stage_to_csv(stage: CantorStage, path, config_hash: str | None = None):
     with open(path, "w", newline="") as fh:
@@ -722,5 +639,4 @@ def stage_to_csv(stage: CantorStage, path, config_hash: str | None = None):
         w = csv.writer(fh)
         w.writerow(["generation", "left_num", "left_den", "right_num", "right_den"])
         for a, b in stage.intervals:
-            fa, fb = _as_fraction(a), _as_fraction(b)
-            w.writerow([stage.generation, fa.numerator, fa.denominator, fb.numerator, fb.denominator])
+            w.writerow([stage.generation, a.numerator, a.denominator, b.numerator, b.denominator])

@@ -176,11 +176,9 @@ def cmd_cantor(args, parser) -> int:
             "thickness": report.thickness,
             "witness_gap": report.witness_gap,
             "witness_bridge": report.witness_bridge,
-            "endpoint_ratios": [
-                {"gap": g, "endpoint": p, "bridge": b, "ratio": r} for g, p, b, r in report.endpoint_ratios
-            ],
         },
-        # intervals.csv holds the intervals, exactly
+        # intervals.csv holds the intervals, exactly; `cantor.thickness` of
+        # that stage rebuilds the per-endpoint records
         "stage": {
             "source": stage.source,
             "generation": stage.generation,

@@ -1,11 +1,12 @@
 """One-dimensional dynamics: piecewise-affine N-shaped maps, odd cubic maps,
-the sine conjugacy between them, and periodic-orbit solvers.
+the sine conjugacy between them, and a periodic-orbit solver.
 
-Everything here is polymorphic over the scalar type.  Feeding
-`fractions.Fraction` inputs into a map whose coefficients are rational
-produces exact rational outputs, which is what keeps the Cantor-set
-constructions in `tangencylab.cantor` free of rounding error.  Float inputs
-take the ordinary binary64 path.
+The maps are polymorphic over the scalar type.  Feeding `fractions.Fraction`
+inputs into a map whose coefficients are rational produces exact rational
+outputs, which is what keeps the Cantor-set constructions in
+`tangencylab.cantor` free of rounding error.  The periodic-orbit solver is
+binary64 only: it scans maps that evaluate numpy arrays, such as `Cubic1D`
+with float coefficients.
 """
 from __future__ import annotations
 
@@ -83,9 +84,6 @@ class PiecewiseAffineMap:
 
     def __call__(self, x):
         return self.branches[self.branch_index(x)](x)
-
-    def deriv(self, x):
-        return self.branches[self.branch_index(x)].slope
 
     def iterate(self, x, steps: int):
         for _ in range(steps):
@@ -218,37 +216,21 @@ def _cells_per_unit(period: int) -> int:
     return 4 * 3**period
 
 
-def find_periodic(
-    fmap,
-    period: int,
-    domain: tuple,
-    tol: float = 1e-12,
-    cells_per_unit: int | None = None,
-) -> list[PeriodicOrbit1D]:
-    """All period-`period` orbits of `fmap` found inside `domain`.
+def find_periodic(fmap, period: int, domain: tuple) -> list[PeriodicOrbit1D]:
+    """All period-`period` orbits of `fmap` found inside `domain`, in binary64.
 
-    Bracketing by uniform subdivision of F^p(y) - y followed by Brent's
-    method to width 1e-14 inside each sign-change cell (robust against the
-    slope-3^p stiffness that defeats Newton here).  Orbits are deduplicated
-    by membership, represented by their smallest point, and carry the
-    multiplier along the cycle.
-
-    Piecewise-affine maps with rational branch data and rational domain
-    endpoints take an exact path: the itinerary of each bracket is pinned and
-    the fixed point of the resulting affine composition is solved in
-    `Fraction` arithmetic.
+    `fmap` must evaluate numpy arrays.  F^p(y) - y is evaluated on a uniform
+    grid of 4*3^p cells per unit length, and Brent's method narrows each
+    sign-change cell to width 1e-14 (robust against the slope-3^p stiffness
+    that defeats Newton here).  Orbits are deduplicated by membership,
+    represented by their smallest point, and carry the multiplier along the
+    cycle.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
-    if cells_per_unit is None:
-        cells_per_unit = _cells_per_unit(period)
     lo, hi = domain
-    exact = isinstance(fmap, PiecewiseAffineMap) and isinstance(lo, (Fraction, int)) and isinstance(hi, (Fraction, int))
-    if exact:
-        roots = _exact_roots(fmap, period, Fraction(lo), Fraction(hi), cells_per_unit)
-    else:
-        roots = _float_roots(fmap, period, float(lo), float(hi), cells_per_unit, tol)
-    return _assemble_orbits(fmap, roots, period, tol, exact)
+    roots = _float_roots(fmap, period, float(lo), float(hi), _cells_per_unit(period))
+    return _assemble_orbits(fmap, roots, period)
 
 
 def _iter_map(fmap, x, steps):
@@ -257,21 +239,13 @@ def _iter_map(fmap, x, steps):
     return x
 
 
-def _float_roots(fmap, period, lo, hi, cells_per_unit, tol):
+def _float_roots(fmap, period, lo, hi, cells_per_unit):
     n_cells = max(8, math.ceil(cells_per_unit * (hi - lo)))
     xs = np.linspace(lo, hi, n_cells + 1)
-    try:
-        ys = xs.copy()
-        for _ in range(period):
-            ys = np.asarray(fmap(ys), dtype=float)
-        g = ys - xs
-    except (DomainError, TypeError, ValueError):
-        g = np.empty_like(xs)
-        for i, x in enumerate(xs):
-            try:
-                g[i] = _iter_map(fmap, float(x), period) - x
-            except DomainError:
-                g[i] = np.nan
+    ys = xs
+    for _ in range(period):
+        ys = np.asarray(fmap(ys), dtype=float)
+    g = ys - xs
     ga, gb = g[:-1], g[1:]
     with np.errstate(over="ignore", invalid="ignore"):
         cells = np.flatnonzero(np.isfinite(ga) & np.isfinite(gb) & ((ga == 0.0) | (ga * gb < 0.0)))
@@ -299,66 +273,6 @@ def _float_roots(fmap, period, lo, hi, cells_per_unit, tol):
     return roots
 
 
-def _itinerary(fmap: PiecewiseAffineMap, x, period):
-    seq = []
-    for _ in range(period):
-        i = fmap.branch_index(x)
-        seq.append(i)
-        x = fmap.branches[i](x)
-    return tuple(seq)
-
-
-def _exact_roots(fmap: PiecewiseAffineMap, period, lo, hi, cells_per_unit):
-    n_cells = max(4, math.ceil(cells_per_unit * float(hi - lo)))
-    width = (hi - lo) / n_cells
-    roots = []
-    for i in range(n_cells):
-        a = lo + i * width
-        b = lo + (i + 1) * width
-        try:
-            ga = _iter_map(fmap, a, period) - a
-            gb = _iter_map(fmap, b, period) - b
-        except DomainError:
-            continue
-        if ga == 0:
-            roots.append(a)
-        if gb == 0 and i == n_cells - 1:
-            roots.append(b)
-        if ga * gb < 0:
-            r = _exact_cell_root(fmap, period, a, b)
-            if r is not None:
-                roots.append(r)
-    return roots
-
-
-def _exact_cell_root(fmap: PiecewiseAffineMap, period, a, b):
-    # shrink the bracket until both ends share one branch itinerary, then the
-    # composition is a single affine map whose fixed point is exact
-    for _ in range(256):
-        ia, ib = _itinerary(fmap, a, period), _itinerary(fmap, b, period)
-        if ia == ib:
-            slope, intercept = Fraction(1), Fraction(0)
-            for k in ia:
-                br = fmap.branches[k]
-                slope, intercept = br.slope * slope, br.slope * intercept + br.intercept
-            if slope == 1:
-                return None  # degenerate: identity composition, no isolated root
-            r = intercept / (1 - slope)
-            if a <= r <= b and _itinerary(fmap, r, period) == ia:
-                return r
-            return None
-        m = (a + b) / 2
-        gm = _iter_map(fmap, m, period) - m
-        ga = _iter_map(fmap, a, period) - a
-        if gm == 0:
-            return m
-        if ga * gm < 0:
-            b = m
-        else:
-            a = m
-    return None
-
-
 def _orbit_of(fmap, x, period):
     pts = [x]
     for _ in range(period - 1):
@@ -366,12 +280,10 @@ def _orbit_of(fmap, x, period):
     return pts
 
 
-def _multiplier(fmap, orbit, exact):
-    m = Fraction(1) if exact else 1.0
+def _multiplier(fmap, orbit):
+    m = 1.0
     for x in orbit:
-        if hasattr(fmap, "deriv"):
-            m *= fmap.deriv(x)
-        elif isinstance(fmap, Cubic1D):
+        if isinstance(fmap, Cubic1D):
             m *= fmap(x, 1)
         else:
             h = 1e-7
@@ -379,14 +291,13 @@ def _multiplier(fmap, orbit, exact):
     return m
 
 
-def _assemble_orbits(fmap, roots, period, tol, exact):
-    eq_tol = 0 if exact else max(tol, 1e-11)
+def _assemble_orbits(fmap, roots, period):
     orbits: list[PeriodicOrbit1D] = []
     seen: list = []  # representatives, sorted
     for x in roots:
         minimal = True
         for d in _divisors(period):
-            if abs(_iter_map(fmap, x, d) - x) <= eq_tol:
+            if abs(_iter_map(fmap, x, d) - x) <= 1e-11:
                 minimal = False
                 break
         if not minimal:
@@ -395,7 +306,7 @@ def _assemble_orbits(fmap, roots, period, tol, exact):
         rep = min(orbit)
         # the nearest representative on either side decides the duplicate test
         i = bisect_left(seen, rep)
-        if any(abs(rep - s) <= (eq_tol if exact else 1e-9) for s in seen[max(i - 1, 0):i + 1]):
+        if any(abs(rep - s) <= 1e-9 for s in seen[max(i - 1, 0):i + 1]):
             continue
         seen.insert(i, rep)
         k = orbit.index(rep)
@@ -405,9 +316,9 @@ def _assemble_orbits(fmap, roots, period, tol, exact):
             PeriodicOrbit1D(
                 points=tuple(orbit),
                 period=period,
-                multiplier=_multiplier(fmap, orbit, exact),
+                multiplier=_multiplier(fmap, orbit),
                 residual=res,
-                resolved=res <= max(tol, 1e-10) * max(1.0, abs(float(rep))),
+                resolved=res <= 1e-10 * max(1.0, abs(float(rep))),
             )
         )
     orbits.sort(key=lambda o: float(o.points[0]))

@@ -102,10 +102,6 @@ def reference_thickness_json(m, gen, out):
             "thickness": enc_all(tr.thickness),
             "witness_gap": enc_all(tr.witness_gap),
             "witness_bridge": enc_all(tr.witness_bridge),
-            "endpoint_ratios": [
-                {"gap": enc_all(g), "endpoint": enc_all(p), "bridge": enc_all(b), "ratio": enc_all(r)}
-                for g, p, b, r in tr.endpoint_ratios
-            ],
         },
         "stage": {
             "source": stage.source,
