@@ -372,11 +372,12 @@ def cmd_verify(args, parser) -> int:
     payload = {"results": [r.to_json() for r in results]}
     _write_json(out / "verify.json", payload, cfg)
     _write_manifest(cfg, out)
-    failed = [r.key for r in results if not r.passed]
+    failed = [r.key for r in results if r.failed]
     if failed:
         print(f"FAILED criteria: {', '.join(failed)}")
         return 1
-    print("all criteria passed")
+    skipped = sum(r.skipped for r in results)
+    print(f"all criteria that ran passed ({skipped} skipped)" if skipped else "all criteria passed")
     return 0
 
 

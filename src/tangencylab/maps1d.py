@@ -220,17 +220,23 @@ def find_periodic(fmap, period: int, domain: tuple) -> list[PeriodicOrbit1D]:
     """All period-`period` orbits of `fmap` found inside `domain`, in binary64.
 
     `fmap` must evaluate numpy arrays.  F^p(y) - y is evaluated on a uniform
-    grid of 4*3^p cells per unit length, and Brent's method narrows each
-    sign-change cell to width 1e-14 (robust against the slope-3^p stiffness
-    that defeats Newton here).  Orbits are deduplicated by membership,
-    represented by their smallest point, and carry the multiplier along the
-    cycle.
+    grid of 4*3^p cells per unit length, and the cells where it changes sign
+    are visited once, in ascending order.  Brent's method narrows each one
+    to width 1e-14 (robust against the slope-3^p stiffness that defeats
+    Newton here), and the root is accepted or rejected at once.  Orbits are
+    deduplicated by membership, represented by their smallest point, and
+    carry the multiplier along the cycle.
+
+    The grid assumes each cell holds at most one root of F^p(y) - y, which
+    is what 4*3^p cells per unit buys for slope-3 maps.  So once an orbit is
+    accepted, every cell that strictly holds one of its points holds no
+    other root, and it is skipped unsolved: solving it would give a later
+    point of that orbit, which the deduplication drops.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
     lo, hi = domain
-    roots = _float_roots(fmap, period, float(lo), float(hi), _cells_per_unit(period))
-    return _assemble_orbits(fmap, roots, period)
+    return _scan(fmap, period, float(lo), float(hi), _cells_per_unit(period))
 
 
 def _iter_map(fmap, x, steps):
@@ -239,7 +245,7 @@ def _iter_map(fmap, x, steps):
     return x
 
 
-def _float_roots(fmap, period, lo, hi, cells_per_unit):
+def _scan(fmap, period, lo, hi, cells_per_unit):
     n_cells = max(8, math.ceil(cells_per_unit * (hi - lo)))
     xs = np.linspace(lo, hi, n_cells + 1)
     ys = xs
@@ -253,24 +259,39 @@ def _float_roots(fmap, period, lo, hi, cells_per_unit):
     def gap(x):
         return _iter_map(fmap, x, period) - x
 
-    roots = []
-    for i in cells:
+    orbits: list[PeriodicOrbit1D] = []
+    seen: list = []  # representatives, sorted
+    covered: set = set()  # cells strictly holding a point of an accepted orbit
+
+    def accept(x):
+        orbit = _accept(fmap, x, period, seen)
+        if orbit is not None:
+            orbits.append(orbit)
+            # xs[k-1] < q <= xs[k]; the cell k-1 holds q strictly unless q == xs[k]
+            for q, k in zip(orbit.points, np.searchsorted(xs, orbit.points).tolist()):
+                if 0 < k <= n_cells and q < xs[k]:
+                    covered.add(k - 1)
+
+    for i in cells.tolist():
+        if i in covered:
+            continue
         # numpy's y**3 and the C library's pow may differ in the last bit, so
         # each flagged cell is re-checked in the scalar arithmetic brentq uses
         a, b = float(xs[i]), float(xs[i + 1])
         ga, gb = gap(a), gap(b)
         if ga == 0.0:
-            roots.append(a)
+            accept(a)
         elif gb == 0.0:
-            roots.append(b)
+            accept(b)
         elif (ga < 0.0) != (gb < 0.0):
             known = {a: ga, b: gb}  # brentq starts by evaluating both ends again
-            roots.append(float(brentq(lambda x: known[x] if x in known else gap(x), a, b, xtol=1e-14)))
+            accept(float(brentq(lambda x: known[x] if x in known else gap(x), a, b, xtol=1e-14)))
         else:  # the sign change was rounding: the end nearer zero is a root to within it
-            roots.append(a if abs(ga) <= abs(gb) else b)
+            accept(a if abs(ga) <= abs(gb) else b)
     if np.isfinite(g[-1]) and g[-1] == 0.0:
-        roots.append(float(xs[-1]))
-    return roots
+        accept(float(xs[-1]))
+    orbits.sort(key=lambda o: float(o.points[0]))
+    return orbits
 
 
 def _orbit_of(fmap, x, period):
@@ -291,35 +312,27 @@ def _multiplier(fmap, orbit):
     return m
 
 
-def _assemble_orbits(fmap, roots, period):
-    orbits: list[PeriodicOrbit1D] = []
-    seen: list = []  # representatives, sorted
-    for x in roots:
-        minimal = True
-        for d in _divisors(period):
-            if abs(_iter_map(fmap, x, d) - x) <= 1e-11:
-                minimal = False
-                break
-        if not minimal:
-            continue
-        orbit = _orbit_of(fmap, x, period)
-        rep = min(orbit)
-        # the nearest representative on either side decides the duplicate test
-        i = bisect_left(seen, rep)
-        if any(abs(rep - s) <= 1e-9 for s in seen[max(i - 1, 0):i + 1]):
-            continue
-        seen.insert(i, rep)
-        k = orbit.index(rep)
-        orbit = orbit[k:] + orbit[:k]
-        res = abs(float(_iter_map(fmap, rep, period) - rep))
-        orbits.append(
-            PeriodicOrbit1D(
-                points=tuple(orbit),
-                period=period,
-                multiplier=_multiplier(fmap, orbit),
-                residual=res,
-                resolved=res <= 1e-10 * max(1.0, abs(float(rep))),
-            )
-        )
-    orbits.sort(key=lambda o: float(o.points[0]))
-    return orbits
+def _accept(fmap, x, period, seen):
+    """The orbit of the root `x`, or None if its period is not minimal or
+    its representative lies within 1e-9 of one in `seen` (sorted, and
+    updated in place when the orbit is new)."""
+    for d in _divisors(period):
+        if abs(_iter_map(fmap, x, d) - x) <= 1e-11:
+            return None
+    orbit = _orbit_of(fmap, x, period)
+    rep = min(orbit)
+    # the nearest representative on either side decides the duplicate test
+    i = bisect_left(seen, rep)
+    if any(abs(rep - s) <= 1e-9 for s in seen[max(i - 1, 0):i + 1]):
+        return None
+    seen.insert(i, rep)
+    k = orbit.index(rep)
+    orbit = orbit[k:] + orbit[:k]
+    res = abs(float(_iter_map(fmap, rep, period) - rep))
+    return PeriodicOrbit1D(
+        points=tuple(orbit),
+        period=period,
+        multiplier=_multiplier(fmap, orbit),
+        residual=res,
+        resolved=res <= 1e-10 * max(1.0, abs(float(rep))),
+    )

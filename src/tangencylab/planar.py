@@ -41,7 +41,6 @@ __all__ = [
     "lyapunov",
     "ManifoldCurve",
     "grow_manifold",
-    "polyline_curve",
     "WindowRejected",
     "TangencyCandidate",
     "window_extremal_gap",
@@ -300,13 +299,6 @@ class ManifoldCurve:
     @property
     def total_arclength(self) -> float:
         return float(self.arclength[-1]) if len(self.arclength) else 0.0
-
-
-def polyline_curve(points, kind: str = "unstable") -> ManifoldCurve:
-    """Wrap a raw polyline (e.g. an analytic test curve) as a ManifoldCurve."""
-    pts = np.asarray(points, dtype=float)
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    return ManifoldCurve(pts, kind, None, np.concatenate([[0.0], np.cumsum(seg)]))
 
 
 # an escaping tail overflows to inf and NaN; the bisection masks keep it

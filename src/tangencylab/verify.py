@@ -43,16 +43,21 @@ class CriterionResult:
     limit: float
     details: list = field(default_factory=list)
     failures: list = field(default_factory=list)
+    skipped: bool = False  # not run; `passed` is then False, but nothing failed
+
+    @property
+    def failed(self) -> bool:
+        return not (self.passed or self.skipped)
 
     @property
     def line(self) -> str:
-        mark = "PASS" if self.passed else "FAIL"
+        mark = "SKIP" if self.skipped else "PASS" if self.passed else "FAIL"
         return f"[{mark}] {self.key}: {self.title} ({self.runtime:.1f}s)"
 
     def to_json(self) -> dict:
         # wall-clock is reported on stdout only, so replayed artifacts stay
         # byte-identical; budget violations land in `failures` regardless
-        return {
+        out = {
             "key": self.key,
             "title": self.title,
             "passed": self.passed,
@@ -60,6 +65,9 @@ class CriterionResult:
             "details": [str(d) for d in self.details],
             "failures": [str(f) for f in self.failures],
         }
+        if self.skipped:
+            out["skipped"] = True
+        return out
 
 
 class _Check:
@@ -385,7 +393,7 @@ def run_all(skip=()) -> list[CriterionResult]:
     out = []
     for key in CRITERIA:
         if key in skip:
-            out.append(CriterionResult(key, CRITERIA[key][0] + " (skipped)", True, 0.0, CRITERIA[key][2], ["skipped"], []))
+            out.append(CriterionResult(key, CRITERIA[key][0], False, 0.0, CRITERIA[key][2], ["skipped"], [], skipped=True))
             continue
         out.append(run_criterion(key))
     return out

@@ -303,6 +303,15 @@ class TestVerifyCommand:
         doc = json.loads((tmp_path / "verify.json").read_text())
         skipped = [r for r in doc["results"] if "skipped" in r["details"]]
         assert len(skipped) == len(heavy)
+        assert [r["key"] for r in doc["results"] if r.get("skipped")] == heavy
+        assert not any(r["passed"] for r in skipped)  # a skipped check claims no pass
+        assert all("skipped" not in r for r in doc["results"] if r["key"] not in heavy)
+
+    def test_skip_line_and_record(self):
+        (r,) = [r for r in verify.run_all(skip=set(verify.CRITERIA)) if r.key == "attractor"]
+        assert r.skipped and not r.passed and not r.failed
+        assert r.line.startswith("[SKIP] attractor: ")
+        assert r.to_json()["skipped"] is True and r.to_json()["passed"] is False
 
     def test_failing_criterion_named(self, tmp_path):
         heavy = [k for k in verify.CRITERIA if k != "cantor_exactness"]
@@ -312,8 +321,9 @@ class TestVerifyCommand:
         rc = main(argv)
         assert rc == 1
         doc = json.loads((tmp_path / "verify.json").read_text())
-        failed = [r["key"] for r in doc["results"] if not r["passed"]]
+        failed = [r["key"] for r in doc["results"] if not r["passed"] and not r.get("skipped")]
         assert failed == ["cantor_exactness"]
+        assert not any(r["passed"] for r in doc["results"] if r.get("skipped"))
 
     def test_unknown_skip_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

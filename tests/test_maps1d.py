@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from tangencylab import maps1d
+from tangencylab import maps1d, wangyoung
 from tangencylab.maps1d import (
     Cubic1D,
     DomainError,
@@ -204,6 +204,62 @@ def loop_float_roots(fmap, period, lo, hi, cells_per_unit):
     return roots
 
 
+def full_scan_orbits(fmap, period, lo, hi, cells_per_unit):
+    """Reference solver: every root of the cell-by-cell loop, each assembled
+    in turn, with a linear duplicate test against every kept representative."""
+    orbits, kept = [], []
+    for x in loop_float_roots(fmap, period, lo, hi, cells_per_unit):
+        if any(abs(maps1d._iter_map(fmap, x, d) - x) <= 1e-11 for d in range(1, period) if period % d == 0):
+            continue
+        orbit = [x]
+        for _ in range(period - 1):
+            orbit.append(fmap(orbit[-1]))
+        rep = min(orbit)
+        if any(abs(rep - s) <= 1e-9 for s in kept):
+            continue
+        kept.append(rep)
+        k = orbit.index(rep)
+        orbit = orbit[k:] + orbit[:k]
+        res = abs(float(maps1d._iter_map(fmap, rep, period) - rep))
+        orbits.append(maps1d.PeriodicOrbit1D(
+            points=tuple(orbit), period=period, multiplier=maps1d._multiplier(fmap, orbit),
+            residual=res, resolved=res <= 1e-10 * max(1.0, abs(float(rep))),
+        ))
+    return sorted(orbits, key=lambda o: o.points[0])
+
+
+@pytest.fixture(scope="module")
+def mu_star_map():
+    mu = wangyoung.find_mu_star()
+    return Cubic1D(mu, 0.0), wangyoung.build_interval(mu)
+
+
+def markov_orbit_counts(mu, max_period):
+    """Orbits of each minimal period, counted on the postcritical Markov partition.
+
+    At mu* the cuts -F(c) < -sqrt(mu) < -c < 0 < c < sqrt(mu) < F(c) cut six
+    intervals, each mapped monotonically onto a union of them.  tr(A^p)
+    counts the period-p itineraries; the fixed point 0 ends both I3 and I4,
+    so it has two, and tr(A^p) - 1 points have period dividing p.
+    """
+    f = Cubic1D(mu, 0.0)
+    c = f.critical_points()[1]
+    cuts = [-f(c), -math.sqrt(mu), -c, 0.0, c, math.sqrt(mu), f(c)]
+    n = len(cuts) - 1
+    a = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        lo, hi = sorted((f(cuts[i]), f(cuts[i + 1])))
+        for j in range(n):
+            # the image's ends are cuts up to rounding; test midpoints
+            a[i, j] = lo < (cuts[j] + cuts[j + 1]) / 2 < hi
+    fixed = {p: int(np.trace(np.linalg.matrix_power(a, p))) - 1 for p in range(1, max_period + 1)}
+    points = {}
+    for p in range(1, max_period + 1):
+        # Moebius inversion: fixed[p] is the sum of points[d] over d | p
+        points[p] = fixed[p] - sum(points[d] for d in range(1, p) if p % d == 0)
+    return [points[p] // p for p in range(1, max_period + 1)]
+
+
 class TestRootScan:
     @pytest.mark.parametrize(
         "fmap,domain,period",
@@ -217,12 +273,38 @@ class TestRootScan:
     def test_matches_cell_by_cell_loop(self, fmap, domain, period):
         cells = maps1d._cells_per_unit(period)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            want = loop_float_roots(fmap, period, *domain, cells)
-            got = maps1d._float_roots(fmap, period, *domain, cells)
-        assert got == want
+            want = full_scan_orbits(fmap, period, *domain, cells)
+            got = maps1d._scan(fmap, period, *domain, cells)
+        assert repr(got) == repr(want)
         assert want
 
-    def test_cell_whose_sign_change_is_array_rounding(self):
+    @pytest.mark.parametrize("period", range(1, 9))
+    def test_matches_full_scan_at_mu_star(self, mu_star_map, period):
+        f, interval = mu_star_map
+        want = full_scan_orbits(f, period, *interval, maps1d._cells_per_unit(period))
+        assert repr(find_periodic(f, period, interval)) == repr(want)
+
+    def test_orbit_counts_match_markov_partition(self, mu_star_map):
+        f, interval = mu_star_map
+        counts = markov_orbit_counts(f.mu, 8)
+        assert counts == [3, 2, 4, 10, 28, 66, 164, 386]
+        assert [len(find_periodic(f, p, interval)) for p in range(1, 9)] == counts
+
+    def test_cells_covered_by_an_accepted_orbit_are_not_solved(self, mu_star_map, monkeypatch):
+        calls = []
+
+        def counting_brentq(*args, **kwargs):
+            calls.append(args)
+            return brentq(*args, **kwargs)
+
+        monkeypatch.setattr(maps1d, "brentq", counting_brentq)
+        f, interval = mu_star_map
+        orbits = find_periodic(f, 8, interval)
+        # a full scan solves each of the 8 points of every orbit; here the
+        # first point solved of each orbit covers the other seven cells
+        assert len(calls) < 2 * len(orbits)
+
+    def test_cell_whose_sign_change_is_array_rounding(self, monkeypatch):
         # the array path rounds each step one ulp up, as numpy's y**3 may
         # against the C library's pow; next to the fixed point sqrt(mu - 1)
         # that flips the sign of F^2(y) - y at a grid point
@@ -240,10 +322,17 @@ class TestRootScan:
         flipped = (g_array[:-1] * g_array[1:] < 0) & (g_scalar[:-1] * g_scalar[1:] > 0)
         assert flipped.tolist() == [False] * 4 + [True] + [False] * 3
 
-        roots = maps1d._float_roots(fmap, 2, lo, hi, 16)
+        roots = []  # every root the scan solves, accepted or not
+        accept = maps1d._accept
+
+        def recording_accept(fmap, x, period, seen):
+            roots.append(x)
+            return accept(fmap, x, period, seen)
+
+        monkeypatch.setattr(maps1d, "_accept", recording_accept)
+        orbits = maps1d._scan(fmap, 2, lo, hi, 16)
         assert float(xs[4]) in roots  # the cell's end nearer zero
         assert all(abs(fmap(fmap(x)) - x) <= 4 * np.spacing(x) for x in roots)
-        orbits = maps1d._assemble_orbits(fmap, roots, 2)
         assert [o.period for o in orbits] == [2]
 
     @settings(max_examples=200, deadline=None)
@@ -258,8 +347,10 @@ class TestRootScan:
         for x in roots:
             if not any(abs(x - s) <= 1e-9 for s in kept):
                 kept.append(x)
-        orbits = maps1d._assemble_orbits(Cubic1D(3.0, 0.0), roots, 1)
-        assert [o.points[0] for o in orbits] == sorted(kept)
+        seen = []
+        orbits = [maps1d._accept(Cubic1D(3.0, 0.0), x, 1, seen) for x in roots]
+        assert [o.points[0] for o in orbits if o is not None] == kept
+        assert seen == sorted(kept)
 
 
 class TestFindPeriodic:

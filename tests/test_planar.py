@@ -12,6 +12,7 @@ from tangencylab.maps1d import Cubic1D
 from tangencylab.planar import (
     _fiber_ordinates,
     FiberGapProbe,
+    ManifoldCurve,
     NewtonDivergenceError,
     PlanarFamily,
     TangencyCandidate,
@@ -25,7 +26,6 @@ from tangencylab.planar import (
     limit_upper_gap,
     lyapunov,
     periodic_ordinate,
-    polyline_curve,
     scan_events,
     tangency_locus,
     velocity_table,
@@ -411,6 +411,13 @@ class TestManifoldStops:
         # points of the stable branch contract onto the saddle under the map
         img = np.array(fam.forward(p, w.points[-1, 0], w.points[-1, 1]))
         assert np.hypot(*img) < np.hypot(*w.points[-1])
+
+
+def polyline_curve(points):
+    """Wrap an analytic test polyline as an unstable ManifoldCurve."""
+    pts = np.asarray(points, dtype=float)
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    return ManifoldCurve(pts, "unstable", None, np.concatenate([[0.0], np.cumsum(seg)]))
 
 
 def parabola_curve(offset=0.0, n=401):
