@@ -362,6 +362,8 @@ def cmd_tangency(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args, parser) -> int:
+    if set(verify.CRITERIA) <= set(args.skip):
+        parser.error("--skip names every criterion; nothing would be checked")
     out = _outdir(args)
     cfg = ExperimentConfig("verify", {"skip": sorted(args.skip)}, str(out))
     results = verify.run_all(skip=set(args.skip))

@@ -41,6 +41,7 @@ __all__ = [
     "lyapunov",
     "ManifoldCurve",
     "grow_manifold",
+    "ManifoldCutError",
     "WindowRejected",
     "TangencyCandidate",
     "window_extremal_gap",
@@ -301,6 +302,13 @@ class ManifoldCurve:
         return float(self.arclength[-1]) if len(self.arclength) else 0.0
 
 
+class ManifoldCutError(RuntimeError):
+    """A level cut past its first point at the target fell short of it."""
+
+
+_CUT_GUARD = 4  # points a cut level keeps past its first point at the target
+
+
 # an escaping tail overflows to inf and NaN; the bisection masks keep it
 # coarse and the append step drops it, so numpy need not warn about it
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -338,9 +346,30 @@ def grow_manifold(
     interval of the level elementwise on its x, y and ts columns, and puts
     the midpoints in place by index arithmetic (point i moves right by the
     number of splits before it, the midpoint of a split goes right after
-    its left end), so the level stays ordered without a sort.  A pass that
-    would overrun `max_points` leaves the level coarse and marks the curve
-    incomplete.
+    its left end), so the level stays ordered without a sort.
+
+    Before each pass, a level whose running arclength (continued from the
+    curve's so far) reaches `target_arclength` is cut: it keeps its points
+    up to the first one at the target (or the first non-finite one, where
+    growth stops as well) and `_CUT_GUARD` more, and drops the rest.  No
+    kept point changes.  Inserting midpoints never shortens the polyline,
+    so the refined curve reaches the target at or before that point; and
+    each split decision reads only its interval and the two next to it (the
+    spacing test and the turning angles at both ends), so the guard leaves
+    every decision before the stop as it is on the whole level.  The cut
+    is redone every pass, and levels the target does not reach are never
+    cut.  A cut level that falls short of the target after refinement
+    raises `ManifoldCutError` rather than being appended truncated.  A pass
+    that would overrun `max_points` leaves the level coarse and marks the
+    curve incomplete; the budget counts the points kept so far and the
+    level as cut, so points past the target never spend it.
+
+    Level 0 is the seed domain itself, and its points (midpoints included)
+    lie on the chord [p + eps*v, M(p + eps*v)].  With a strong multiplier
+    that chord is long: the fiber-gap probes' stable multiplier is about
+    2e-7, so their whole stable curve (target 4.5 of a 4.8-long domain) is
+    that straight chord, and at mu_bar = 3 the penetration moves by about
+    7.5e-7 against a `seed_eps` = 1e-9 curve.
 
     Each level's points are then appended in order, and growth stops at the
     first point that, in this order of precedence,
@@ -395,9 +424,20 @@ def grow_manifold(
     cos_max = math.cos(angle_max)
     for level in range(max_levels):
         X, Y = eval_level(ts, 0) if level == 0 else advance(X, Y, 1)
+        cut, last = False, kept[-1][-1]
         for _pass in range(80):
             dx, dy = np.diff(X), np.diff(Y)
             d = np.hypot(dx, dy)
+            # cut the level _CUT_GUARD points past its first point at the
+            # target: run[i] is the arclength the append step would give X[i]
+            # (X[0] duplicates the previous level's endpoint); a non-finite
+            # point makes it inf or NaN, which sorts last, so it cuts there too
+            d_first = np.hypot(X[1:2] - last[0], Y[1:2] - last[1])
+            run = np.cumsum(np.concatenate([arcs[-1][-1:], d_first, d[1:]]))
+            end = int(np.searchsorted(run, target_arclength)) + 1 + _CUT_GUARD
+            if end < len(X):
+                ts, X, Y, cut = ts[:end], X[:end], Y[:end], True
+                dx, dy, d = dx[:end - 1], dy[:end - 1], d[:end - 1]
             long = d > h_min
             finite = np.isfinite(X) & np.isfinite(Y)
             inside = (np.abs(X) <= clip) & (np.abs(Y) <= clip)
@@ -433,7 +473,6 @@ def grow_manifold(
         nx, ny = X[1:], Y[1:]
         escaped = ~(np.isfinite(nx) & np.isfinite(ny)) | (np.abs(nx) > clip) | (np.abs(ny) > clip)
         n_ok = int(np.argmax(escaped)) if escaped.any() else len(nx)
-        last = kept[-1][-1]
         d = np.hypot(np.diff(nx[:n_ok], prepend=last[0]), np.diff(ny[:n_ok], prepend=last[1]))
         arc = np.cumsum(np.concatenate([arcs[-1][-1:], d]))[1:]
         reached = arc >= target_arclength
@@ -446,6 +485,8 @@ def grow_manifold(
         else:  # everything before the first escaped point, if any
             keep, done = n_ok, n_ok < len(nx)
             complete = complete and not done
+        if cut and not done:
+            raise ManifoldCutError(f"level {level} was cut at the target but stops short of it")
         kept.append(np.column_stack([nx[:keep], ny[:keep]]))
         arcs.append(arc[:keep])
         n_points += keep

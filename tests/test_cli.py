@@ -341,9 +341,11 @@ class TestVerifyCommand:
     (["tangency", "--mu-bar", "10"], "--mu-bar: the limit family has no upper tangency at mu=10.0"),
     (["tangency", "--points", "-4"], "--points must be >= 0"),
     (["tangency", "--t-min", "0.03", "--t-max", "-0.03"], "--t-max must be >= --t-min"),
+    (["verify", *(a for key in verify.CRITERIA for a in ("--skip", key))],
+     "--skip names every criterion; nothing would be checked"),
 ], ids=["renorm", "attractor", "tangency", "cantor",
         "unknown-option", "negative-sample", "mu-bar-low", "mu-bar-high",
-        "negative-points", "reversed-range"])
+        "negative-points", "reversed-range", "verify-skips-all"])
 def test_usage_error_names_the_subcommand(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import math
 import warnings
 
@@ -337,35 +339,60 @@ class TestManifoldStops:
         assert np.array_equal(w.arclength, arc)
         assert w.complete == complete
 
-    @pytest.mark.parametrize("kind", ["unstable", "stable"])
-    def test_matches_reference_loop_on_renormalized_two_cycle(self, kind):
-        # period 2, as the fiber-gap probes grow them: each level is two map steps
+    @pytest.mark.parametrize("kind, target", [
+        ("unstable", 4.5), ("stable", 4.5), ("unstable", 11.0), ("stable", 11.0),
+    ], ids=["unstable", "stable", "unstable-target-11", "stable-target-11"])
+    def test_matches_reference_loop_on_renormalized_two_cycle(self, kind, target):
+        # period 2, as the fiber-gap probes grow them: each level is two map
+        # steps; at target 11 the unstable curve's last level is cut by > 90 %
         fam = renormalized_family(ModelParams(), 6)
         s = find_saddle(fam, (3.0, 0.0), period=2, seed=(-2.0, 2.0))
-        kw = dict(target_arclength=4.5, h_max=5e-3, direction=(1.0, -1.0), clip=12.0)
+        kw = dict(target_arclength=target, h_max=5e-3, direction=(1.0, -1.0), clip=12.0)
         w = grow_manifold(fam, (3.0, 0.0), s, kind, **kw)
         pts, arc, complete = reference_grow_manifold(fam, (3.0, 0.0), s, kind, **kw)
         assert np.array_equal(w.points, pts)
         assert np.array_equal(w.arclength, arc)
         assert w.complete == complete
 
-    @pytest.mark.parametrize("kind, target, max_points", [
-        ("unstable", 4.5, 800),  # overrun in the third pass of level 3
-        ("stable", 11.0, 3000),  # overrun in the twelfth pass of level 1
+    @pytest.mark.parametrize("kind, clip, max_points", [
+        ("unstable", 2.0, 800),  # overrun in the third pass of level 3
+        ("stable", 12.0, 3000),  # overrun in the twelfth pass of level 1
     ])
-    def test_matches_reference_loop_when_a_bisection_pass_overruns_the_budget(self, kind, target, max_points):
+    def test_matches_reference_loop_when_a_bisection_pass_overruns_the_budget(self, kind, clip, max_points):
+        # no target, so no level is cut: the curve ends where it leaves the box
         fam = renormalized_family(ModelParams(), 6)
         s = find_saddle(fam, (3.0, 0.0), period=2, seed=(-2.0, 2.0))
-        kw = dict(target_arclength=target, h_max=5e-3, direction=(1.0, -1.0), clip=12.0)
-        assert grow_manifold(fam, (3.0, 0.0), s, kind, **kw).complete
+        kw = dict(target_arclength=np.inf, h_max=5e-3, direction=(1.0, -1.0), clip=clip)
         w = grow_manifold(fam, (3.0, 0.0), s, kind, max_points=max_points, **kw)
         # a budget spent while appending keeps exactly max_points points; fewer
         # means a bisection pass stopped and left its level coarse
         assert not w.complete and len(w.points) < max_points
+        assert len(grow_manifold(fam, (3.0, 0.0), s, kind, **kw).points) > max_points
         pts, arc, complete = reference_grow_manifold(fam, (3.0, 0.0), s, kind, max_points=max_points, **kw)
         assert np.array_equal(w.points, pts)
         assert np.array_equal(w.arclength, arc)
         assert w.complete == complete
+
+    @pytest.mark.parametrize("target, max_points", [(4.5, 1500), (11.0, 10_000)])
+    def test_budget_is_not_spent_past_the_target(self, target, max_points):
+        # the whole last level would overrun the budget, its part up to the
+        # target does not: the curve comes out as with the default budget
+        fam = renormalized_family(ModelParams(), 6)
+        s = find_saddle(fam, (3.0, 0.0), period=2, seed=(-2.0, 2.0))
+        kw = dict(target_arclength=target, h_max=5e-3, direction=(1.0, -1.0), clip=12.0)
+        w = grow_manifold(fam, (3.0, 0.0), s, "unstable", max_points=max_points, **kw)
+        full = grow_manifold(fam, (3.0, 0.0), s, "unstable", **kw)
+        assert w.complete and full.complete
+        assert np.array_equal(w.points, full.points)
+        assert np.array_equal(w.arclength, full.arclength)
+
+    def test_a_cut_level_short_of_the_target_raises(self, monkeypatch):
+        # a guard of -1 drops the level's first point at the target; on a
+        # straight branch refinement adds no length, so the level stops short
+        monkeypatch.setattr(planar, "_CUT_GUARD", -1)
+        s = find_saddle(linear_family(), (0.2, 2.0), seed=(0.0, 0.0))
+        with pytest.raises(planar.ManifoldCutError, match="stops short"):
+            grow_manifold(linear_family(), (0.2, 2.0), s, "unstable", target_arclength=3.0, direction=(0, 1))
 
     @pytest.mark.parametrize("case", ["henon-inf", "renormalized-nan"])
     def test_matches_reference_loop_on_a_non_finite_tail(self, case):
@@ -699,6 +726,49 @@ class TestProbeOnRenormalizedFamily:
         other = upper_probe_at_mu3()
         assert [other(ts[i]) for i in order] == [first[i] for i in order]
         assert len(grown) == 4 * len(ts)
+
+    @pytest.mark.parametrize("region", ["upper", "lower"])
+    @pytest.mark.parametrize("mu", [2.85, 3.0, 3.15])
+    def test_probe_curves_match_reference_loop(self, monkeypatch, region, mu):
+        grown = []
+        grow = planar.grow_manifold
+
+        def recorded(*args, **kwargs):
+            grown.append((args, kwargs, grow(*args, **kwargs)))
+            return grown[-1][2]
+
+        monkeypatch.setattr(planar, "grow_manifold", recorded)
+        probe, nu_pred = planar.region_probe(renormalized_family(ModelParams(), 6), mu, region)
+        for t in (nu_pred - 0.03, nu_pred, nu_pred + 0.03):
+            with contextlib.suppress(WindowRejected):  # both curves are grown by then
+                probe(t)
+        assert [args[3] for args, _, _ in grown] == ["unstable", "stable"] * 3
+        for args, kwargs, w in grown:
+            pts, arc, complete = reference_grow_manifold(*args, **kwargs)
+            assert np.array_equal(w.points, pts)
+            assert np.array_equal(w.arclength, arc)
+            assert w.complete == complete
+
+    def test_unstable_growth_refines_little_past_the_target(self):
+        # the upper probe's unstable curve ends early in its last level; only
+        # that part is refined, at fewer than 10 map evaluations a kept point
+        fam = renormalized_family(ModelParams(), 6)
+        probe, nu_pred = planar.region_probe(fam, 3.0, "upper")
+        params = probe.curve(nu_pred)
+        s = find_saddle(fam, params, period=probe.period, seed=probe.unstable_seed)
+        evaluated = []
+
+        def forward(params, x, y):
+            evaluated.append(np.size(x))
+            return fam.forward(params, x, y)
+
+        w = grow_manifold(
+            dataclasses.replace(fam, forward=forward), params, s, "unstable",
+            target_arclength=probe.unstable_arclength, h_max=probe.h_max,
+            direction=probe.unstable_direction, clip=probe.clip,
+        )
+        assert w.complete
+        assert sum(evaluated) < 10 * len(w.points)
 
     @pytest.mark.parametrize("region, solves", [("upper", 1), ("lower", 2)])
     def test_equal_seeds_solve_one_saddle(self, monkeypatch, region, solves):
