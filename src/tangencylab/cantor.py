@@ -15,7 +15,6 @@ them.  Stages and thickness reports are frozen values.
 """
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from bisect import bisect_left, bisect_right
@@ -41,7 +40,6 @@ __all__ = [
     "MarkovBranchSystem",
     "markov_cantor",
     "middle_thirds_system",
-    "stage_to_csv",
 ]
 
 
@@ -627,16 +625,3 @@ def nmap_restriction_system(m: int) -> MarkovBranchSystem:
         branches.append(((lo, hi), AffineBranch(br.slope, br.intercept, lo, hi)))
     return MarkovBranchSystem(tuple(branches), data.ambient)
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def stage_to_csv(stage: CantorStage, path, config_hash: str | None = None):
-    with open(path, "w", newline="") as fh:
-        if config_hash:
-            fh.write(f"# config_hash: {config_hash}\n")
-        w = csv.writer(fh)
-        w.writerow(["generation", "left_num", "left_den", "right_num", "right_den"])
-        for a, b in stage.intervals:
-            w.writerow([stage.generation, a.numerator, a.denominator, b.numerator, b.denominator])

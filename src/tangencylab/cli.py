@@ -16,7 +16,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -93,34 +92,11 @@ def _write_manifest(cfg: ExperimentConfig, outdir: Path) -> None:
     _write_json(outdir / f"{cfg.name}_manifest.json", cfg.resolved(), cfg)
 
 
-_encode_scalar = json.JSONEncoder(default=str).encode  # as json.dumps(x, default=str)
-
-
-def _json_chunks(obj, pad: str = "\n"):
-    """The text of `json.dump(obj, indent=2, sort_keys=True, default=str)`,
-    piece by piece, except that a `Fraction` is written as the object
-    {"den", "float", "num"}.  Dict keys must be strings.  `pad` is the
-    newline plus the current indent."""
-    inner = pad + "  "
+def _json_default(obj):
+    """A `Fraction` as the object {"den", "float", "num"}; anything else as its str."""
     if isinstance(obj, Fraction):
-        # float() of a Fraction is finite, so its repr is its JSON text
-        yield f'{{{inner}"den": {obj.denominator},{inner}"float": {float(obj)!r},{inner}"num": {obj.numerator}{pad}}}'
-    elif isinstance(obj, dict) and obj:
-        sep = "{" + inner
-        for key in sorted(obj):
-            yield sep + encode_basestring_ascii(key) + ": "
-            yield from _json_chunks(obj[key], inner)
-            sep = "," + inner
-        yield pad + "}"
-    elif isinstance(obj, (list, tuple)) and obj:
-        sep = "[" + inner
-        for value in obj:
-            yield sep
-            yield from _json_chunks(value, inner)
-            sep = "," + inner
-        yield pad + "]"
-    else:
-        yield _encode_scalar(obj)
+        return {"den": obj.denominator, "float": float(obj), "num": obj.numerator}
+    return str(obj)
 
 
 def _write_json(path: Path, payload: dict, cfg: ExperimentConfig) -> None:
@@ -128,7 +104,7 @@ def _write_json(path: Path, payload: dict, cfg: ExperimentConfig) -> None:
     payload["config_hash"] = cfg.hash
     payload["schema_version"] = SCHEMA_VERSION
     with open(path, "w") as fh:
-        fh.writelines(_json_chunks(payload))
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
 
@@ -154,7 +130,9 @@ def cmd_cantor(args, parser) -> int:
     cfg = ExperimentConfig("cantor", {"m": args.m, "gen": args.gen}, str(out))
     rep = cantor.nmap_cantor_report(args.m, args.gen)
     stage = rep["stage"]
-    cantor.stage_to_csv(stage, out / "intervals.csv", config_hash=cfg.hash)
+    _write_csv(out / "intervals.csv", ["generation", "left_num", "left_den", "right_num", "right_den"],
+               [[stage.generation, a.numerator, a.denominator, b.numerator, b.denominator]
+                for a, b in stage.intervals], cfg)
 
     report = rep["thickness_report"]
     payload = {
@@ -221,7 +199,7 @@ def cmd_renorm(args, parser) -> int:
                [[r["n"], r["sup_H1"], r["sup_H2"], r["ratio"]] for r in rows], cfg)
 
     target = renorm.decay_rate_bound(mp)
-    if args.eps > 0:
+    if args.eps != 0:
         # the quartic channel decays at the slow rate: two-sided fit check
         slope = renorm.fit_decay_rate(rows)
         certified = abs(slope - target) <= 0.05
@@ -313,6 +291,15 @@ def cmd_tangency(args, parser) -> int:
         probes = {r: planar.region_probe(fam, args.mu_bar, r)[0] for r in ("upper", "lower")}
     except ValueError as exc:
         parser.error(f"--mu-bar: {exc}")
+    # the scan runs before --out exists: a window that rejects a t is a usage error
+    ts = [float(t) for t in np.linspace(args.t_min, args.t_max, args.points)]
+    pens, events = {}, {}
+    for region, probe in probes.items():
+        try:
+            pens[region] = [probe.penetration(t) for t in ts]
+            events.update(planar.scan_events({region: probe}, ts))
+        except planar.WindowRejected as exc:
+            parser.error(f"--t-min/--t-max: the {region} region's window rejects {exc}")
     out = _outdir(args)
     cfg = ExperimentConfig(
         "tangency",
@@ -325,30 +312,26 @@ def cmd_tangency(args, parser) -> int:
     if warn:
         print(f"warning: coupling {coupling:.4f} > 0.05; limit-based tolerances widened", file=sys.stderr)
 
-    scan_rows, event_rows = [], []
-    summary = {"coupling": coupling, "coupling_warning": warn, "events": []}
-    if args.points > 0:
-        ts = [float(t) for t in np.linspace(args.t_min, args.t_max, args.points)]
-        scan_rows = [[t, probes["upper"].penetration(t), probes["lower"].penetration(t)] for t in ts]
-        for region, ev in planar.scan_events(probes, ts).items():
-            event_rows.append([
-                region, ev.parameter, ev.location[0], ev.location[1],
-                ev.min_gap, ev.penetration, ev.gap_slope, ev.classification,
-            ])
-            summary["events"].append({"region": region, "t": ev.parameter,
-                                      "classification": ev.classification,
-                                      "gap_slope": ev.gap_slope})
-    _write_csv(out / "scan.csv", ["t", "upper_penetration", "lower_penetration"], scan_rows, cfg)
+    event_rows = [
+        [region, ev.parameter, ev.location[0], ev.location[1],
+         ev.min_gap, ev.penetration, ev.gap_slope, ev.classification]
+        for region, ev in events.items()
+    ]
+    summary = {"coupling": coupling, "coupling_warning": warn, "events": [
+        {"region": region, "t": ev.parameter, "classification": ev.classification, "gap_slope": ev.gap_slope}
+        for region, ev in events.items()
+    ]}
+    _write_csv(out / "scan.csv", ["t", "upper_penetration", "lower_penetration"],
+               zip(ts, pens["upper"], pens["lower"]), cfg)
     _write_csv(
         out / "events.csv",
         ["region", "t", "x", "y", "min_gap", "penetration", "gap_slope", "classification"],
         event_rows, cfg,
     )
-    made = [e for e in summary["events"] if e["region"] == "upper"]
-    broke = [e for e in summary["events"] if e["region"] == "lower"]
     ok = True
-    if made and broke:
-        ok = made[0]["classification"] == "contact-making" and broke[0]["classification"] == "contact-breaking"
+    if "upper" in events and "lower" in events:
+        ok = (events["upper"].classification == "contact-making"
+              and events["lower"].classification == "contact-breaking")
         summary["antimonotone_pair"] = ok
     _write_json(out / "summary.json", summary, cfg)
     _write_manifest(cfg, out)

@@ -60,11 +60,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlanarFamily:
-    """A parameterized planar map: scalar-in/scalar-out callables, numpy safe.
+    """A parameterized planar map: scalar-in/scalar-out callables.
 
-    `forward(params, x, y) -> (x', y')`; `inverse` optional (None for
-    endomorphisms); `jacobian(params, x, y) -> ((a,b),(c,d))` optional with a
-    finite-difference fallback.
+    `forward(params, x, y) -> (x', y')` and `inverse` (None for
+    endomorphisms) are numpy safe; `jacobian(params, x, y) -> ((a,b),(c,d))`
+    takes a scalar point and is optional, with a central-difference fallback
+    at step 1e-6.
     """
 
     name: str
@@ -73,9 +74,10 @@ class PlanarFamily:
     inverse: Callable | None = None
     jacobian: Callable | None = None
 
-    def jac(self, params, x, y, h=1e-6):
+    def jac(self, params, x, y):
         if self.jacobian is not None:
             return self.jacobian(params, x, y)
+        h = 1e-6
         fxp = self.forward(params, x + h, y)
         fxm = self.forward(params, x - h, y)
         fyp = self.forward(params, x, y + h)
@@ -100,8 +102,7 @@ def cubic_henon(name: str = "cubic-henon") -> PlanarFamily:
 
     def jac(p, x, y):
         a, b = p
-        z = 0.0 * y
-        return ((z, b + z), (1.0 + z, -3.0 * y ** 2 + a))
+        return ((0.0, b), (1.0, -3.0 * y ** 2 + a))
 
     return PlanarFamily(name, ("a", "b"), fwd, inverse=inv, jacobian=jac)
 
@@ -265,14 +266,14 @@ def find_saddle(
     )
 
 
-def find_fixed_points(family: PlanarFamily, params, box=((-3, 3), (-3, 3)), grid: int = 50, tol: float = 1e-12):
+def find_fixed_points(family: PlanarFamily, params, box=((-3, 3), (-3, 3)), grid: int = 50):
     """Exhaustive Newton sweep over a seed grid, deduplicated by location."""
     (xlo, xhi), (ylo, yhi) = box
     found = []
     for xs in np.linspace(xlo, xhi, grid):
         for ys in np.linspace(ylo, yhi, grid):
             try:
-                s = find_saddle(family, params, period=1, seed=(xs, ys), tol=tol, max_iter=40)
+                s = find_saddle(family, params, period=1, seed=(xs, ys), max_iter=40)
             except NewtonDivergenceError:
                 continue
             lx, ly = s.location
@@ -307,6 +308,9 @@ class ManifoldCutError(RuntimeError):
 
 
 _CUT_GUARD = 4  # points a cut level keeps past its first point at the target
+SEED_EPS = 1e-6  # distance of the seed domain's first point from the saddle
+H_MIN = 1e-5  # spacing below which an interval is never split
+ANGLE_MAX = 0.2  # largest turning angle (radians) between segments longer than H_MIN
 
 
 # an escaping tail overflows to inf and NaN; the bisection masks keep it
@@ -318,12 +322,8 @@ def grow_manifold(
     saddle: SaddlePoint,
     kind: str = "unstable",
     target_arclength: float = 10.0,
-    h_min: float = 1e-5,
     h_max: float = 1e-2,
-    angle_max: float = 0.2,
     max_points: int = 2_000_000,
-    seed_eps: float = 1e-6,
-    branch: int = +1,
     direction=None,
     clip: float = 50.0,
     max_levels: int = 64,
@@ -331,22 +331,24 @@ def grow_manifold(
     """Adaptive polyline for one branch of a saddle's invariant manifold.
 
     Seeds a linear fundamental domain [p + eps*v, M(p + eps*v)] on the
-    relevant eigendirection (M is the period-composed map, squared when the
-    multiplier is negative so the branch is preserved; the inverse map for
-    stable manifolds) and pushes it forward level by level.  `direction`
-    orients the eigenvector (its sign is otherwise arbitrary); `branch` then
-    selects the side.
+    relevant eigendirection, eps = `SEED_EPS` (M is the period-composed map,
+    squared when the multiplier is negative so the branch is preserved; the
+    inverse map for stable manifolds) and pushes it forward level by level.
+    `direction` orients the eigenvector, whose sign is otherwise arbitrary,
+    and so selects the branch.
 
     Level L is the image of the domain under M^L, sampled at seed parameters
     ts in [0, 1].  It starts from the ts that level L-1 ended with, whose
     points are one application of M to level L-1's final points, and then
-    bisects ts until consecutive image points meet the spacing and
-    turning-angle controls; only the bisection midpoints are pushed through
-    all L levels from the seed domain.  Each bisection pass tests every
-    interval of the level elementwise on its x, y and ts columns, and puts
-    the midpoints in place by index arithmetic (point i moves right by the
-    number of splits before it, the midpoint of a split goes right after
-    its left end), so the level stays ordered without a sort.
+    bisects ts until consecutive image points meet the spacing control
+    (`h_max`) and the turning-angle control (`ANGLE_MAX` between segments
+    longer than `H_MIN`; shorter intervals are never split); only the
+    bisection midpoints are pushed through all L levels from the seed
+    domain.  Each bisection pass tests every interval of the level
+    elementwise on its x, y and ts columns, and puts the midpoints in place
+    by index arithmetic (point i moves right by the number of splits before
+    it, the midpoint of a split goes right after its left end), so the
+    level stays ordered without a sort.
 
     Before each pass, a level whose running arclength (continued from the
     curve's so far) reaches `target_arclength` is cut: it keeps its points
@@ -369,7 +371,7 @@ def grow_manifold(
     that chord is long: the fiber-gap probes' stable multiplier is about
     2e-7, so their whole stable curve (target 4.5 of a 4.8-long domain) is
     that straight chord, and at mu_bar = 3 the penetration moves by about
-    7.5e-7 against a `seed_eps` = 1e-9 curve.
+    7.5e-7 against a curve seeded at eps = 1e-9.
 
     Each level's points are then appended in order, and growth stops at the
     first point that, in this order of precedence,
@@ -408,7 +410,7 @@ def grow_manifold(
             x, y = base_map(params, x, y)
         return np.asarray(x, float), np.asarray(y, float)
 
-    x0 = p + branch * seed_eps * vv
+    x0 = p + SEED_EPS * vv
     x1 = np.array(advance(x0[0], x0[1], 1))
     if np.linalg.norm(x1 - p) <= np.linalg.norm(x0 - p):
         raise ValueError("seed direction is not expanding under the chosen map")
@@ -421,7 +423,7 @@ def grow_manifold(
     n_points = 1
     complete = True
     ts = np.array([0.0, 1.0])
-    cos_max = math.cos(angle_max)
+    cos_max = math.cos(ANGLE_MAX)
     for level in range(max_levels):
         X, Y = eval_level(ts, 0) if level == 0 else advance(X, Y, 1)
         cut, last = False, kept[-1][-1]
@@ -438,7 +440,7 @@ def grow_manifold(
             if end < len(X):
                 ts, X, Y, cut = ts[:end], X[:end], Y[:end], True
                 dx, dy, d = dx[:end - 1], dy[:end - 1], d[:end - 1]
-            long = d > h_min
+            long = d > H_MIN
             finite = np.isfinite(X) & np.isfinite(Y)
             inside = (np.abs(X) <= clip) & (np.abs(Y) <= clip)
             need = d > h_max
@@ -503,6 +505,10 @@ def grow_manifold(
 
 class WindowRejected(ValueError):
     """A fiber crossed a curve zero or multiple times inside the window."""
+
+
+N_FIBERS = 81  # vertical fibers across a tangency window
+NOISE_FLOOR = 1e-4  # penetration slope below which a classification is withheld
 
 
 def _fiber_ordinates(curve: ManifoldCurve, xs, ylo: float, yhi: float) -> np.ndarray:
@@ -574,21 +580,21 @@ def window_extremal_gap(
     ws: ManifoldCurve,
     window,
     mode: str,
-    n_fibers: int = 81,
 ) -> TangencyCandidate:
-    """Quadratically refined extremum of the fiber gap over a whole window.
+    """Quadratically refined extremum of the fiber gap over a whole window,
+    measured on `N_FIBERS` evenly spaced fibers.
 
     `mode` "peak" tracks the maximum of (unstable - stable), "valley" the
     minimum.  More robust than local-minimum detection when interpolation
     ripple sits near zero, so parameter scans locate their zeros on this.
     """
     (xlo, xhi), (ylo, yhi) = window
-    xs = np.linspace(xlo, xhi, n_fibers)
+    xs = np.linspace(xlo, xhi, N_FIBERS)
     gu = _fiber_ordinates(wu, xs, ylo, yhi)
     gs = _fiber_ordinates(ws, xs, ylo, yhi)
     gap = gu - gs
     i = int(np.argmax(gap) if mode == "peak" else np.argmin(gap))
-    i = min(max(i, 1), n_fibers - 2)
+    i = min(max(i, 1), N_FIBERS - 2)
     xv, gv, _curv = _quad_vertex(xs[i - 1 : i + 2], gap[i - 1 : i + 2])
     if not (xs[i - 1] <= xv <= xs[i + 1]):
         xv, gv = float(xs[i]), float(gap[i])
@@ -640,13 +646,12 @@ def classify_tangency(
     probe: Callable[[float], TangencyCandidate],
     t0: float,
     dt: float,
-    noise_floor: float = 1e-4,
 ) -> TangencyEvent:
     """Classify the event tracked by `probe` (t -> TangencyCandidate) at t0.
 
     The penetration slope is measured by central differences at dt and dt/2
     and Richardson-extrapolated; making = upward zero crossing of the
-    penetration, breaking = downward.  A slope below the noise floor
+    penetration, breaking = downward.  A slope below `NOISE_FLOOR`
     withholds classification; a penetration bounded away from zero across
     the probe interval reports transverse.
     """
@@ -656,11 +661,11 @@ def classify_tangency(
     s1 = (cp.penetration - cm.penetration) / (2 * dt)
     s2 = (cp2.penetration - cm2.penetration) / dt
     slope = (4 * s2 - s1) / 3
-    consistent = abs(s1 - s2) <= 0.1 * max(abs(slope), noise_floor)
+    consistent = abs(s1 - s2) <= 0.1 * max(abs(slope), NOISE_FLOOR)
     pens = [cm.penetration, cm2.penetration, c0.penetration, cp2.penetration, cp.penetration]
-    if min(abs(p) for p in pens) > 2 * abs(slope) * dt + 10 * noise_floor:
+    if min(abs(p) for p in pens) > 2 * abs(slope) * dt + 10 * NOISE_FLOOR:
         cls = "transverse"
-    elif abs(slope) < noise_floor:
+    elif abs(slope) < NOISE_FLOOR:
         cls = "withheld"
     elif slope > 0:
         cls = "contact-making"
@@ -681,18 +686,25 @@ def classify_tangency(
     )
 
 
+PROBE_PERIOD = 2  # period of the saddles whose manifolds a probe grows
+PROBE_H_MAX = 5e-3  # the probes' manifold spacing control
+PROBE_CLIP = 12.0  # the probes' manifold clip box
+
+
 @dataclass(frozen=True)
 class FiberGapProbe:
     """t -> TangencyCandidate for one tangency region of a parameter scan.
 
     `curve` maps the scan parameter t to family parameters.  Measuring a t
-    solves both saddles afresh from `unstable_seed` and `stable_seed` (once
-    when the seeds are equal), regrows both manifolds and takes the window's
-    extremal gap, so the result depends on t alone, not on earlier calls.
-    Each t is measured once per instance: a repeated t returns the stored
-    candidate.  `mode` is "peak" for regions where the unstable curve
-    crests into the stable one from below and "valley" for the mirrored
-    geometry.
+    solves both period-`PROBE_PERIOD` saddles afresh from `unstable_seed`
+    and `stable_seed` (once when the seeds are equal), regrows both
+    manifolds with spacing `PROBE_H_MAX` inside the |coordinate| <=
+    `PROBE_CLIP` box and takes the window's extremal gap, so the result
+    depends on t alone, not on earlier calls.  A `WindowRejected` names the
+    t it was measured at.  Each t is measured once per instance: a repeated
+    t returns the stored candidate.  `mode` is "peak" for regions where the
+    unstable curve crests into the stable one from below and "valley" for
+    the mirrored geometry.
     """
 
     family: PlanarFamily
@@ -701,39 +713,38 @@ class FiberGapProbe:
     stable_seed: tuple
     window: tuple
     mode: str
-    period: int = 2
     unstable_direction: tuple = (1.0, 0.0)
     stable_direction: tuple = (1.0, 0.0)
     unstable_arclength: float = 11.0
     stable_arclength: float = 5.5
-    h_max: float = 5e-3
-    n_fibers: int = 81
-    clip: float = 12.0
     _measured: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, t: float) -> TangencyCandidate:
         if t not in self._measured:
-            self._measured[t] = self._measure(t)
+            try:
+                self._measured[t] = self._measure(t)
+            except WindowRejected as exc:
+                raise WindowRejected(f"t={t}: {exc}") from exc
         return self._measured[t]
 
     def _measure(self, t: float) -> TangencyCandidate:
         params = self.curve(t)
-        su = find_saddle(self.family, params, period=self.period, seed=self.unstable_seed)
+        su = find_saddle(self.family, params, period=PROBE_PERIOD, seed=self.unstable_seed)
         wu = grow_manifold(
             self.family, params, su, "unstable",
-            target_arclength=self.unstable_arclength, h_max=self.h_max,
-            direction=self.unstable_direction, clip=self.clip,
+            target_arclength=self.unstable_arclength, h_max=PROBE_H_MAX,
+            direction=self.unstable_direction, clip=PROBE_CLIP,
         )
         if self.stable_seed == self.unstable_seed:
             ss = su  # the Newton solve is deterministic
         else:
-            ss = find_saddle(self.family, params, period=self.period, seed=self.stable_seed)
+            ss = find_saddle(self.family, params, period=PROBE_PERIOD, seed=self.stable_seed)
         ws = grow_manifold(
             self.family, params, ss, "stable",
-            target_arclength=self.stable_arclength, h_max=self.h_max,
-            direction=self.stable_direction, clip=self.clip,
+            target_arclength=self.stable_arclength, h_max=PROBE_H_MAX,
+            direction=self.stable_direction, clip=PROBE_CLIP,
         )
-        return window_extremal_gap(wu, ws, self.window, self.mode, self.n_fibers)
+        return window_extremal_gap(wu, ws, self.window, self.mode)
 
     def penetration(self, t: float) -> float:
         return self(t).penetration
@@ -769,9 +780,10 @@ def scan_events(probes: Mapping[str, FiberGapProbe], ts) -> dict:
 # Velocities of the limit family's reference objects
 # ---------------------------------------------------------------------------
 
-def periodic_ordinate(mu: float, nu: float, sign: int = +1, tol: float = 1e-13) -> float:
+def periodic_ordinate(mu: float, nu: float, sign: int = +1) -> float:
     """Ordinate of the period-2 reference point of the limit family near
-    sign*2: the solution of F(F(y)) = y continued from (mu, nu) = (3, 0)."""
+    sign*2: the solution of F(F(y)) = y continued from (mu, nu) = (3, 0),
+    by Newton's method until a step is below 1e-13."""
     f = Cubic1D(mu, nu)
     y = 2.0 * sign
     for _ in range(100):
@@ -780,18 +792,19 @@ def periodic_ordinate(mu: float, nu: float, sign: int = +1, tol: float = 1e-13) 
         dg = f(fy, 1) * f(y, 1) - 1.0
         step = g / dg
         y -= step
-        if abs(step) < tol:
+        if abs(step) < 1e-13:
             return y
     raise RuntimeError(f"period-2 ordinate solve failed at (mu={mu}, nu={nu})")
 
 
-def velocity_table(step: float = 1e-5) -> dict:
-    """Central-difference parameter velocities at (mu, nu) = (3, 0).
+def velocity_table() -> dict:
+    """Central-difference parameter velocities at (mu, nu) = (3, 0), step 1e-5.
 
     Keys: ('y1', sign, 'mu'|'nu') for the period-2 ordinates and
     ('critical_value', sign, 'mu'|'nu') for the critical values of the
     one-dimensional cubic.
     """
+    step = 1e-5
     out = {}
     for sign in (+1, -1):
         out[("y1", sign, "mu")] = (
@@ -811,16 +824,10 @@ def velocity_table(step: float = 1e-5) -> dict:
     return out
 
 
-def limit_upper_gap(mu: float, nu: float, freeze_unstable_at=None) -> float:
+def limit_upper_gap(mu: float, nu: float) -> float:
     """Peak-minus-line gap of the limit family at the upper near-touch:
-    critical value of the cubic against the period-2 ordinate near +2.
-
-    `freeze_unstable_at=(mu0, nu0)` evaluates the peak at frozen parameters,
-    which removes the unstable side's parameter velocity (a diagnostic for
-    which velocity terms drive the locus slope).
-    """
-    pmu, pnu = freeze_unstable_at if freeze_unstable_at else (mu, nu)
-    f = Cubic1D(pmu, pnu)
+    critical value of the cubic against the period-2 ordinate near +2."""
+    f = Cubic1D(mu, nu)
     peak = f(f.critical_points()[1])
     return peak - periodic_ordinate(mu, nu, +1)
 

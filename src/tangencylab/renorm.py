@@ -17,7 +17,7 @@ kept alongside as a cross-check (`renormalized_unreduced`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -48,9 +48,10 @@ __all__ = [
 class ModelParams:
     """Saddle eigenvalues and folding coefficients of the model.
 
-    Requires 0 < lam < 1 < sigma with lam*sigma < 1 (dissipative saddle),
-    b > 0 and a != 0.  `eps` switches on the quartic fold correction
-    H2 = eps*(y-1)^4; eps=0 is the bare polynomial model (H1 is always 0).
+    Requires finite fields, 0 < lam < 1 < sigma with lam*sigma < 1
+    (dissipative saddle), b > 0 and a != 0.  `eps` switches on the quartic
+    fold correction H2 = eps*(y-1)^4; eps=0 is the bare polynomial model
+    (H1 is always 0).
     """
 
     lam: float = 0.2
@@ -61,6 +62,10 @@ class ModelParams:
     eps: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"need a finite {f.name}, got {value!r}")
         if not (0 < self.lam < 1 < self.sigma):
             raise ValueError("need 0 < lam < 1 < sigma")
         if not self.lam * self.sigma < 1:
@@ -137,8 +142,7 @@ def limit_family() -> PlanarFamily:
 
     def jac(p, x, y):
         mu, nu = p
-        z = 0.0 * y
-        return ((z, 1.0 + z), (z, -3.0 * y ** 2 + mu))
+        return ((0.0, 1.0), (0.0, -3.0 * y ** 2 + mu))
 
     return PlanarFamily("cubic-limit", ("mu_bar", "nu_bar"), fwd, inverse=None, jacobian=jac)
 
@@ -179,9 +183,8 @@ def renormalized_family(params: ModelParams, n: int) -> PlanarFamily:
 
     def jac(p, x, y):
         mu_bar, nu_bar = p
-        z = 0.0 * y
         y2 = y * y
-        return ((z, 1.0 + z), (k + z, -3.0 * y2 + mu_bar + 4.0 * q * (y2 * y)))
+        return ((0.0, 1.0), (k, -3.0 * y2 + mu_bar + 4.0 * q * (y2 * y)))
 
     return PlanarFamily(f"renormalized-n{n}", ("mu_bar", "nu_bar"), fwd, inverse=inv, jacobian=jac)
 
@@ -219,13 +222,9 @@ def deviation_from_limit(params: ModelParams, n: int):
     return dev
 
 
-def residual_sup(
-    params: ModelParams,
-    n: int,
-    box=((-2.0, 2.0), (-2.0, 2.0)),
-    grid: int = 101,
-) -> tuple[float, float]:
-    """Sup over a box grid of the componentwise deviation from the limit map.
+def residual_sup(params: ModelParams, n: int, grid: int = 101) -> tuple[float, float]:
+    """Sup over a `grid` x `grid` grid of the box [-2, 2]^2 of the
+    componentwise deviation from the limit map.
 
     The deviation of this model does not depend on (mu_bar, nu_bar), see
     `deviation_from_limit`, so one evaluation over the box is the sup over
@@ -233,8 +232,8 @@ def residual_sup(
     """
     if grid < 1:
         raise ValueError(f"grid must be >= 1 points per axis, got {grid}")
-    (xlo, xhi), (ylo, yhi) = box
-    X, Y = np.meshgrid(np.linspace(xlo, xhi, grid), np.linspace(ylo, yhi, grid))
+    axis = np.linspace(-2.0, 2.0, grid)
+    X, Y = np.meshgrid(axis, axis)
     d1, d2 = deviation_from_limit(params, n)(X, Y)
     return float(np.max(np.abs(d1))), float(np.max(np.abs(d2)))
 
@@ -261,8 +260,8 @@ def obeys_bare_law(params: ModelParams, row: dict) -> bool:
     """Whether a `residual_table` row of the bare model (eps = 0) obeys the
     closed law sup|H1| = 0, sup|H2| = 2|ac|(lam*sigma)^n to relative 1e-10.
 
-    The deviation k*x peaks at the box edge |x| = 2, which every grid of the
-    default box samples.
+    The deviation k*x peaks at the box edge |x| = 2, which every grid of
+    `residual_sup`'s box [-2, 2]^2 samples.
     """
     want = 2.0 * abs(params.a * params.c) * (params.lam * params.sigma) ** row["n"]
     ok = row["sup_H2"] == 0.0 if want == 0.0 else abs(row["sup_H2"] - want) <= 1e-10 * want

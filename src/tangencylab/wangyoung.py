@@ -40,9 +40,10 @@ def critical_gap(mu: float) -> float:
     return f(f(c)) + math.sqrt(mu)
 
 
-def find_mu_star(tol: float = 1e-13) -> float:
+def find_mu_star() -> float:
     """The parameter in (3*sqrt(3)/2, 3) whose positive critical point lands
-    on -sqrt(mu) in two steps (hence on the fixed point 0 in three).
+    on -sqrt(mu) in two steps (hence on the fixed point 0 in three), by
+    Brent's method to 1e-13.
 
     The bracket signs are asserted first: g > 0 at the left end (value
     3^(3/4)/sqrt(2)) and g = sqrt(3) - 2 < 0 at mu = 3; a failed assertion
@@ -53,7 +54,7 @@ def find_mu_star(tol: float = 1e-13) -> float:
         raise AssertionError(f"left bracket value {g_lo} disagrees with 3^(3/4)/sqrt(2)")
     if not (abs(g_hi - (math.sqrt(3.0) - 2.0)) < 1e-12 and g_hi < 0):
         raise AssertionError(f"right bracket value {g_hi} disagrees with sqrt(3)-2")
-    return float(brentq(critical_gap, MU_LO, MU_HI, xtol=tol))
+    return float(brentq(critical_gap, MU_LO, MU_HI, xtol=1e-13))
 
 
 def build_interval(mu_star: float) -> tuple[float, float]:
@@ -173,17 +174,18 @@ def _continuation_point(mu: float) -> float:
     return float(brentq(lambda y: f(y) + math.sqrt(mu), p0 - 0.2, p0 + 0.2, xtol=1e-14))
 
 
-def transversality_check(mu_star: float, fd_step: float = 1e-6) -> TransversalityReport:
+def transversality_check(mu_star: float) -> TransversalityReport:
     """Separating bounds dp/dmu < 0.4 < 0.9 < d F_mu(c)/dmu at mu*.
 
     The derivative of the continuation point is computed three ways: the
-    implicit closed form, its h(t) rearrangement, and a finite difference of
-    the implicit solve; all three must agree.
+    implicit closed form, its h(t) rearrangement, and a central difference
+    (step 1e-6) of the implicit solve; all three must agree.
     """
     p = _continuation_point(mu_star)
     dp = (2.0 * p + 1.0 / math.sqrt(mu_star)) / (6.0 * p * p - 2.0 * mu_star)
     dp_h = transversality_h(mu_star)
-    dp_fd = (_continuation_point(mu_star + fd_step) - _continuation_point(mu_star - fd_step)) / (2 * fd_step)
+    h = 1e-6
+    dp_fd = (_continuation_point(mu_star + h) - _continuation_point(mu_star - h)) / (2 * h)
     dcrit = math.sqrt(mu_star / 3.0)
     ts = np.linspace(MU_LO, MU_HI, 200)
     hs = [transversality_h(float(t)) for t in ts]

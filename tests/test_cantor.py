@@ -20,7 +20,6 @@ from tangencylab.cantor import (
     nmap_cantor_report,
     nmap_restriction_system,
     nominal_thickness_bound,
-    stage_to_csv,
     thickness,
 )
 from tangencylab.maps1d import AffineBranch, n_map
@@ -591,16 +590,3 @@ class TestMarkov:
                 (((F(0), F(1)), AffineBranch(F(1, 2), F(0), F(0), F(1))),),
                 (F(0), F(1)),
             )
-
-
-class TestSerialization:
-    def test_csv_round_trip(self, tmp_path):
-        st1 = build_nmap_cantor(6, 2)
-        path = tmp_path / "ivals.csv"
-        stage_to_csv(st1, path, config_hash="deadbeef")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# config_hash: deadbeef"
-        assert lines[1] == "generation,left_num,left_den,right_num,right_den"
-        row = lines[2].split(",")
-        assert F(int(row[1]), int(row[2])) == st1.intervals[0][0]
-        assert len(lines) == 2 + len(st1.intervals)

@@ -8,12 +8,10 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import tangencylab
 from tangencylab import cantor, planar, verify
-from tangencylab.cli import ExperimentConfig, _json_chunks, main
+from tangencylab.cli import ExperimentConfig, _write_json, main
 from tangencylab.renorm import ModelParams, residual_sup
 
 
@@ -32,17 +30,6 @@ def test_module_entry_point_imports_cleanly():
     assert proc.returncode == 0, proc.stderr
 
 
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | st.fractions(),
-    lambda children: (
-        st.lists(children)
-        | st.lists(children).map(tuple)
-        | st.dictionaries(st.text(), children)
-    ),
-    max_leaves=40,
-)
-
-
 def fractions_as_objects(x):
     if isinstance(x, F):
         return {"num": x.numerator, "den": x.denominator, "float": float(x)}
@@ -54,17 +41,14 @@ def fractions_as_objects(x):
 
 
 class TestJsonWriter:
-    @settings(max_examples=300, deadline=None)
-    @given(json_values)
-    def test_matches_json_dumps(self, obj):
-        want = json.dumps(fractions_as_objects(obj), indent=2, sort_keys=True, default=str)
-        assert "".join(_json_chunks(obj)) == want
-
-    def test_edge_values(self):
+    def test_edge_values(self, tmp_path):
         obj = {"é": [float("nan"), float("inf"), -float("inf"), -0.0], "": {}, "t": (), "n": None,
                "b": [True, False], "big": 10**30, "ω": "κ\u2028", "f": F(-1, 3), "x": {1, 2}}
-        want = json.dumps(fractions_as_objects(obj), indent=2, sort_keys=True, default=str)
-        assert "".join(_json_chunks(obj)) == want
+        cfg = ExperimentConfig("x", {}, "out")
+        _write_json(tmp_path / "x.json", obj, cfg)
+        want = json.dumps(fractions_as_objects(dict(obj, config_hash=cfg.hash, schema_version=1)),
+                          indent=2, sort_keys=True, default=str) + "\n"
+        assert (tmp_path / "x.json").read_text() == want
 
 
 def reference_thickness_json(m, gen, out):
@@ -144,8 +128,12 @@ class TestCantorCommand:
         assert doc["config_hash"]
         man = json.loads((tmp_path / "cantor_manifest.json").read_text())
         assert man["config_hash"] == doc["config_hash"]
-        csv_head = (tmp_path / "intervals.csv").read_text().splitlines()[0]
-        assert doc["config_hash"] in csv_head
+        lines = (tmp_path / "intervals.csv").read_text().splitlines()
+        assert lines[0] == f"# config_hash: {doc['config_hash']}"
+        assert lines[1] == "generation,left_num,left_den,right_num,right_den"
+        row = lines[2].split(",")
+        assert F(int(row[1]), int(row[2])) == cantor.build_nmap_cantor(6, 2).intervals[0][0]
+        assert len(lines) == 2 + doc["n_intervals"]
 
     def test_thickness_grows_with_m(self, tmp_path):
         for m in (6, 8):
@@ -183,8 +171,10 @@ class TestCantorCommand:
         doc = json.loads((tmp_path / "6-1" / "thickness.json").read_text())
         assert "intervals" not in doc["stage"]
         lines = (tmp_path / "6-1" / "intervals.csv").read_text().splitlines()
-        first = next(csv.DictReader(lines[1:]))
-        assert (first["left_num"], first["left_den"]) == ("-132", "91")
+        rows = list(csv.DictReader(lines[1:]))
+        assert (rows[0]["left_num"], rows[0]["left_den"]) == ("-132", "91")
+        assert [(F(int(r["left_num"]), int(r["left_den"])), F(int(r["right_num"]), int(r["right_den"])))
+                for r in rows] == list(cantor.build_nmap_cantor(6, 1).intervals)
 
     def test_replay_determinism(self, tmp_path):
         main(["cantor", "--m", "6", "--gen", "3", "--out", str(tmp_path)])
@@ -203,6 +193,18 @@ class TestRenormCommand:
         assert read_artifacts(tmp_path) == first
         doc = json.loads((tmp_path / "rate.json").read_text())
         assert doc["certified"] is True
+
+    def test_negative_eps_is_judged_by_the_rate_fit(self, tmp_path):
+        # a quartic fold correction of either sign decays at the slow rate
+        assert main(["renorm", "--eps", "-0.1", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "rate.json").read_text())
+        assert doc["mode"] == "rate-fit"
+        assert doc["certified"] is True
+        assert abs(doc["fitted_slope"] - doc["target_log_rate"]) <= 0.05
+
+    def test_negative_zero_eps_is_the_bare_model(self, tmp_path):
+        assert main(["renorm", "--eps", "-0.0", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "rate.json").read_text())["mode"] == "exact-law"
 
     def test_bare_model_certifies_exact_law(self, tmp_path):
         rc = main(["renorm", "--n-min", "4", "--n-max", "14", "--grid", "41", "--out", str(tmp_path)])
@@ -343,9 +345,14 @@ class TestVerifyCommand:
     (["tangency", "--t-min", "0.03", "--t-max", "-0.03"], "--t-max must be >= --t-min"),
     (["verify", *(a for key in verify.CRITERIA for a in ("--skip", key))],
      "--skip names every criterion; nothing would be checked"),
+    (["renorm", "--eps", "nan"], "need a finite eps, got nan"),
+    (["renorm", "--eps", "inf"], "need a finite eps, got inf"),
+    (["tangency", "--t-min", "-0.1", "--t-max", "0.1", "--points", "9"],
+     "--t-min/--t-max: the lower region's window rejects t=0.1: fiber x="),
 ], ids=["renorm", "attractor", "tangency", "cantor",
         "unknown-option", "negative-sample", "mu-bar-low", "mu-bar-high",
-        "negative-points", "reversed-range", "verify-skips-all"])
+        "negative-points", "reversed-range", "verify-skips-all",
+        "nan-eps", "inf-eps", "wide-t-range"])
 def test_usage_error_names_the_subcommand(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:

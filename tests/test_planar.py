@@ -225,7 +225,7 @@ def assert_sequential_arclength(w, target):
 def reference_grow_manifold(family, params, saddle, kind, target_arclength, h_max=1e-2,
                             max_points=2_000_000, direction=None, clip=50.0):
     """Reference growth loop: each level pushed through every map step from the
-    seed domain, each point appended one at a time; default controls only."""
+    seed domain, each point appended one at a time, under the fixed controls."""
     h_min, angle_max, seed_eps = 1e-5, 0.2, 1e-6
     mult, v = (saddle.eig_unstable, saddle.vec_unstable) if kind == "unstable" else (
         saddle.eig_stable, saddle.vec_stable)
@@ -644,10 +644,13 @@ class TestLocus:
         assert not fit.skipped
 
     def test_frozen_unstable_changes_slope(self):
-        # with the crest frozen, only the stable ordinate moves:
-        # slope becomes -(1/4)/(1/10) = -2.5
+        # with the crest frozen at (mu, nu) = (3, 0), only the stable
+        # ordinate moves: slope becomes -(1/4)/(1/10) = -2.5
+        f = Cubic1D(3.0, 0.0)
+        crest = f(f.critical_points()[1])
+
         def gap(mu, nu):
-            return limit_upper_gap(mu, nu, freeze_unstable_at=(3.0, 0.0))
+            return crest - periodic_ordinate(mu, nu, +1)
 
         mus = np.linspace(2.98, 3.02, 5)
         fit = tangency_locus(gap, {float(m): (-0.3, 0.3) for m in mus})
@@ -755,7 +758,7 @@ class TestProbeOnRenormalizedFamily:
         fam = renormalized_family(ModelParams(), 6)
         probe, nu_pred = planar.region_probe(fam, 3.0, "upper")
         params = probe.curve(nu_pred)
-        s = find_saddle(fam, params, period=probe.period, seed=probe.unstable_seed)
+        s = find_saddle(fam, params, period=planar.PROBE_PERIOD, seed=probe.unstable_seed)
         evaluated = []
 
         def forward(params, x, y):
@@ -764,8 +767,8 @@ class TestProbeOnRenormalizedFamily:
 
         w = grow_manifold(
             dataclasses.replace(fam, forward=forward), params, s, "unstable",
-            target_arclength=probe.unstable_arclength, h_max=probe.h_max,
-            direction=probe.unstable_direction, clip=probe.clip,
+            target_arclength=probe.unstable_arclength, h_max=planar.PROBE_H_MAX,
+            direction=probe.unstable_direction, clip=planar.PROBE_CLIP,
         )
         assert w.complete
         assert sum(evaluated) < 10 * len(w.points)

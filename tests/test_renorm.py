@@ -40,6 +40,12 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(a=0.0)
 
+    @pytest.mark.parametrize("name", ["lam", "sigma", "a", "b", "c", "eps"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_field_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^need a finite {name}, got {value!r}$"):
+            ModelParams(**{name: value})
+
     def test_rate_picks_the_slower_channel(self):
         assert MP.rate == 2.0 ** -0.5  # 0.7071 > 0.4
         assert ModelParams(lam=0.45).rate == 0.9
