@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -186,6 +187,12 @@ def cmd_renorm(args, parser) -> int:
         mp = renorm.ModelParams(args.lam, args.sigma, args.a, args.b, args.c, args.eps)
     except ValueError as exc:
         parser.error(str(exc))
+    rows = renorm.residual_table(mp, range(args.n_min, args.n_max + 1), grid=args.grid)
+    if args.eps != 0:
+        for r in rows:
+            if max(r["sup_H1"], r["sup_H2"]) == 0:
+                parser.error(f"--n-min/--n-max: both residuals underflow to 0 at n={r['n']}; "
+                             "the decay-rate fit needs them positive")
     out = _outdir(args)
     cfg = ExperimentConfig(
         "renorm",
@@ -194,7 +201,6 @@ def cmd_renorm(args, parser) -> int:
         str(out),
         grids={"box_grid": args.grid},
     )
-    rows = renorm.residual_table(mp, range(args.n_min, args.n_max + 1), grid=args.grid)
     _write_csv(out / "residuals.csv", ["n", "sup_H1", "sup_H2", "ratio"],
                [[r["n"], r["sup_H1"], r["sup_H2"], r["ratio"]] for r in rows], cfg)
 
@@ -227,6 +233,9 @@ def cmd_renorm(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_attractor(args, parser) -> int:
+    for name in ("a", "b"):
+        if not math.isfinite(getattr(args, name)):
+            parser.error(f"need a finite {name}, got {getattr(args, name)}")
     if args.b == 0:
         parser.error("--b must be nonzero (the family must stay invertible)")
     if args.steps < 10_000:
@@ -283,6 +292,8 @@ def cmd_tangency(args, parser) -> int:
         parser.error("--n must be >= 1")
     if args.points < 0:
         parser.error("--points must be >= 0")
+    if not (math.isfinite(args.t_min) and math.isfinite(args.t_max)):
+        parser.error(f"--t-min/--t-max must be finite, got [{args.t_min}, {args.t_max}]")
     if not args.t_min <= args.t_max:
         parser.error("--t-max must be >= --t-min")
     mp = renorm.ModelParams()
@@ -291,15 +302,18 @@ def cmd_tangency(args, parser) -> int:
         probes = {r: planar.region_probe(fam, args.mu_bar, r)[0] for r in ("upper", "lower")}
     except ValueError as exc:
         parser.error(f"--mu-bar: {exc}")
-    # the scan runs before --out exists: a window that rejects a t is a usage error
+    # the scan runs before --out exists: a t that cannot be measured is a usage error
     ts = [float(t) for t in np.linspace(args.t_min, args.t_max, args.points)]
     pens, events = {}, {}
     for region, probe in probes.items():
         try:
-            pens[region] = [probe.penetration(t) for t in ts]
-            events.update(planar.scan_events({region: probe}, ts))
+            pens[region], event = planar.scan_events(probe, ts)
         except planar.WindowRejected as exc:
             parser.error(f"--t-min/--t-max: the {region} region's window rejects {exc}")
+        except planar.NewtonDivergenceError as exc:
+            parser.error(f"--t-min/--t-max: the {region} region's saddle solve fails at {exc}")
+        if event is not None:
+            events[region] = event
     out = _outdir(args)
     cfg = ExperimentConfig(
         "tangency",
@@ -310,7 +324,8 @@ def cmd_tangency(args, parser) -> int:
     coupling = (mp.lam * mp.sigma) ** args.n
     warn = coupling > 0.05
     if warn:
-        print(f"warning: coupling {coupling:.4f} > 0.05; limit-based tolerances widened", file=sys.stderr)
+        print(f"warning: coupling {coupling:.4f} > 0.05; the probe windows and growth targets are centred "
+              "on the limit family's tangency, a less reliable prediction at this n", file=sys.stderr)
 
     event_rows = [
         [region, ev.parameter, ev.location[0], ev.location[1],

@@ -509,6 +509,7 @@ class WindowRejected(ValueError):
 
 N_FIBERS = 81  # vertical fibers across a tangency window
 NOISE_FLOOR = 1e-4  # penetration slope below which a classification is withheld
+CLASSIFY_DT = 1e-3  # the larger of the two central-difference steps of a penetration slope
 
 
 def _fiber_ordinates(curve: ManifoldCurve, xs, ylo: float, yhi: float) -> np.ndarray:
@@ -554,14 +555,13 @@ def _fiber_ordinates(curve: ManifoldCurve, xs, ylo: float, yhi: float) -> np.nda
 
 
 def _quad_vertex(xs, gs):
-    """Vertex of the parabola through three points; returns (x*, g*, curvature)."""
+    """Vertex (x*, g*) of the parabola through three points."""
     c = np.polyfit(xs, gs, 2)
     a, b = c[0], c[1]
     if a == 0:
-        return float(xs[1]), float(gs[1]), 0.0
+        return float(xs[1]), float(gs[1])
     xv = -b / (2 * a)
-    gv = np.polyval(c, xv)
-    return float(xv), float(gv), float(2 * a)
+    return float(xv), float(np.polyval(c, xv))
 
 
 @dataclass(frozen=True)
@@ -570,9 +570,8 @@ class TangencyCandidate:
     gap: float  # extremal (unstable - stable) ordinate difference
     penetration: float  # sign-normalized: > 0 iff transverse crossings exist
     kind: str  # "peak" | "valley"
-    curvature_unstable: float
-    curvature_stable: float
-    fit_noise: float
+    curvature_gap: float  # second derivative of the gap's 7-fiber quadratic fit
+    fit_noise: float  # largest residual of that fit
 
 
 def window_extremal_gap(
@@ -587,40 +586,36 @@ def window_extremal_gap(
     `mode` "peak" tracks the maximum of (unstable - stable), "valley" the
     minimum.  More robust than local-minimum detection when interpolation
     ripple sits near zero, so parameter scans locate their zeros on this.
+    The extremum is the vertex of the parabola through the extremal fiber
+    and its two neighbours (that fiber itself if the vertex falls outside
+    them); the curvature and fit noise come from one least-squares parabola
+    through the gap at the seven fibers around it.
     """
     (xlo, xhi), (ylo, yhi) = window
     xs = np.linspace(xlo, xhi, N_FIBERS)
-    gu = _fiber_ordinates(wu, xs, ylo, yhi)
-    gs = _fiber_ordinates(ws, xs, ylo, yhi)
-    gap = gu - gs
+    gap = _fiber_ordinates(wu, xs, ylo, yhi) - _fiber_ordinates(ws, xs, ylo, yhi)
     i = int(np.argmax(gap) if mode == "peak" else np.argmin(gap))
     i = min(max(i, 1), N_FIBERS - 2)
-    xv, gv, _curv = _quad_vertex(xs[i - 1 : i + 2], gap[i - 1 : i + 2])
+    xv, gv = _quad_vertex(xs[i - 1 : i + 2], gap[i - 1 : i + 2])
     if not (xs[i - 1] <= xv <= xs[i + 1]):
         xv, gv = float(xs[i]), float(gap[i])
-    pen = gv if mode == "peak" else -gv
-    yv = _fiber_ordinates(wu, [xv], ylo, yhi)[0] if xlo <= xv <= xhi else gu[i]
+    curvature, noise = _gap_fit(xs, gap, i)
     return TangencyCandidate(
-        location=(xv, float(yv)),
+        location=(xv, float(_fiber_ordinates(wu, [xv], ylo, yhi)[0])),
         gap=gv,
-        penetration=pen,
+        penetration=gv if mode == "peak" else -gv,
         kind=mode,
-        curvature_unstable=_local_curvature(xs, gu, i),
-        curvature_stable=_local_curvature(xs, gs, i),
-        fit_noise=_fit_noise(xs, gap, i),
+        curvature_gap=curvature,
+        fit_noise=noise,
     )
 
 
-def _local_curvature(xs, ys, i, half: int = 3):
-    lo, hi = max(0, i - half), min(len(xs), i + half + 1)
-    c = np.polyfit(xs[lo:hi], ys[lo:hi], 2)
-    return float(2 * c[0])
-
-
-def _fit_noise(xs, gap, i, half: int = 3):
-    lo, hi = max(0, i - half), min(len(xs), i + half + 1)
+def _gap_fit(xs, gap, i):
+    """(curvature, largest residual) of the least-squares parabola through
+    the gap at fibers i-3 .. i+3, clipped to the window."""
+    lo, hi = max(0, i - 3), min(len(xs), i + 4)
     c = np.polyfit(xs[lo:hi], gap[lo:hi], 2)
-    return float(np.max(np.abs(np.polyval(c, xs[lo:hi]) - gap[lo:hi])))
+    return float(2 * c[0]), float(np.max(np.abs(np.polyval(c, xs[lo:hi]) - gap[lo:hi])))
 
 
 # ---------------------------------------------------------------------------
@@ -635,26 +630,21 @@ class TangencyEvent:
     penetration: float
     gap_slope: float  # d(penetration)/dt, Richardson refined
     classification: str  # contact-making | contact-breaking | transverse | withheld
-    kind: str
     richardson_consistent: bool
-    curvature_gap: float
+    curvature_gap: float  # |curvature| of the t0 candidate's gap fit
     fit_noise: float  # the t0 candidate's quadratic-fit residual
-    detail: str = ""
 
 
-def classify_tangency(
-    probe: Callable[[float], TangencyCandidate],
-    t0: float,
-    dt: float,
-) -> TangencyEvent:
+def classify_tangency(probe: Callable[[float], TangencyCandidate], t0: float) -> TangencyEvent:
     """Classify the event tracked by `probe` (t -> TangencyCandidate) at t0.
 
-    The penetration slope is measured by central differences at dt and dt/2
-    and Richardson-extrapolated; making = upward zero crossing of the
-    penetration, breaking = downward.  A slope below `NOISE_FLOOR`
-    withholds classification; a penetration bounded away from zero across
-    the probe interval reports transverse.
+    The penetration slope is measured by central differences at
+    dt = `CLASSIFY_DT` and dt/2 and Richardson-extrapolated; making = upward
+    zero crossing of the penetration, breaking = downward.  A slope below
+    `NOISE_FLOOR` withholds classification; a penetration bounded away from
+    zero across the probe interval reports transverse.
     """
+    dt = CLASSIFY_DT
     c0 = probe(t0)
     cp, cm = probe(t0 + dt), probe(t0 - dt)
     cp2, cm2 = probe(t0 + dt / 2), probe(t0 - dt / 2)
@@ -678,11 +668,9 @@ def classify_tangency(
         penetration=c0.penetration,
         gap_slope=slope,
         classification=cls,
-        kind=c0.kind,
         richardson_consistent=consistent,
-        curvature_gap=abs(c0.curvature_unstable - c0.curvature_stable),
+        curvature_gap=abs(c0.curvature_gap),
         fit_noise=c0.fit_noise,
-        detail=f"slopes dt={s1:.6g} dt/2={s2:.6g}",
     )
 
 
@@ -700,11 +688,12 @@ class FiberGapProbe:
     and `stable_seed` (once when the seeds are equal), regrows both
     manifolds with spacing `PROBE_H_MAX` inside the |coordinate| <=
     `PROBE_CLIP` box and takes the window's extremal gap, so the result
-    depends on t alone, not on earlier calls.  A `WindowRejected` names the
-    t it was measured at.  Each t is measured once per instance: a repeated
-    t returns the stored candidate.  `mode` is "peak" for regions where the
-    unstable curve crests into the stable one from below and "valley" for
-    the mirrored geometry.
+    depends on t alone, not on earlier calls.  A `WindowRejected` or a
+    saddle solve's `NewtonDivergenceError` names the t it was measured at.
+    Each t is measured once per instance: a repeated t returns the stored
+    candidate.  `mode` is "peak" for regions where the unstable curve
+    crests into the stable one from below and "valley" for the mirrored
+    geometry.
     """
 
     family: PlanarFamily
@@ -725,6 +714,8 @@ class FiberGapProbe:
                 self._measured[t] = self._measure(t)
             except WindowRejected as exc:
                 raise WindowRejected(f"t={t}: {exc}") from exc
+            except NewtonDivergenceError as exc:
+                raise NewtonDivergenceError(f"t={t}: {exc}", exc.last) from exc
         return self._measured[t]
 
     def _measure(self, t: float) -> TangencyCandidate:
@@ -757,23 +748,20 @@ class FiberGapProbe:
         return float(brentq(self.penetration, *bracket, xtol=1e-8))
 
 
-def scan_events(probes: Mapping[str, FiberGapProbe], ts) -> dict:
-    """The first tangency event of each probe over the scan values `ts`.
+def scan_events(probe: FiberGapProbe, ts) -> tuple[list, TangencyEvent | None]:
+    """The penetrations of `probe` at the scan values `ts`, and its first
+    tangency event over them.
 
-    For each region, the first consecutive pair of `ts` whose penetrations
-    change sign (or whose left end is exactly zero) brackets the zero, which
-    `locate_zero` refines and `classify_tangency` classifies at dt = 1e-3.
-    Returns {region: TangencyEvent}; a region with no sign change has no entry.
+    The first consecutive pair of `ts` whose penetrations change sign (or
+    whose left end is exactly zero) brackets the zero, which `locate_zero`
+    refines and `classify_tangency` classifies.  Returns (penetrations,
+    event); the event is None when no pair changes sign.
     """
-    events = {}
-    for region, probe in probes.items():
-        pens = [probe.penetration(t) for t in ts]
-        for i in range(len(ts) - 1):
-            if pens[i] == 0.0 or pens[i] * pens[i + 1] < 0:
-                t0 = probe.locate_zero((ts[i], ts[i + 1]))
-                events[region] = classify_tangency(probe, t0, 1e-3)
-                break
-    return events
+    pens = [probe.penetration(t) for t in ts]
+    for i in range(len(ts) - 1):
+        if pens[i] == 0.0 or pens[i] * pens[i + 1] < 0:
+            return pens, classify_tangency(probe, probe.locate_zero((ts[i], ts[i + 1])))
+    return pens, None
 
 
 # ---------------------------------------------------------------------------

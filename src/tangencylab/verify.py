@@ -178,8 +178,8 @@ def _criterion_tangency(c: _Check):
     up, nu_pred = planar.region_probe(fam, 3.0, "upper")
     lo, _ = planar.region_probe(fam, 3.0, "lower")
     bracket = (nu_pred - 0.03, nu_pred + 0.03)
-    events = planar.scan_events({"upper": up, "lower": lo}, bracket)
-    ev_up, ev_lo = events.get("upper"), events.get("lower")
+    _, ev_up = planar.scan_events(up, bracket)
+    _, ev_lo = planar.scan_events(lo, bracket)
     if ev_up is None:
         c.expect(False, f"no upper event in [{bracket[0]:.6f}, {bracket[1]:.6f}]")
     else:
@@ -242,6 +242,8 @@ def _criterion_wangyoung(c: _Check):
     c.expect(tr.dp_dmu < 0.4, f"dp/dmu = {tr.dp_dmu:.6f} < 0.4")
     c.expect(tr.dcrit_dmu > 0.9, f"d F(c)/dmu = {tr.dcrit_dmu:.6f} > 0.9")
     c.expect(abs(tr.dp_dmu - tr.dp_dmu_fd) < 1e-5, "closed form and implicit finite difference agree to 1e-5")
+    c.expect(abs(tr.dp_dmu - tr.dp_dmu_h_form) < 1e-12, "closed form and its h(mu) rearrangement agree to 1e-12")
+    c.expect(tr.h_monotone, "h strictly decreasing across the mu* bracket")
     h_left = wangyoung.transversality_h(wangyoung.MU_LO)
     c.expect(
         abs(h_left - EXPECTED["h_left_bracket"]) < 1e-4,

@@ -155,10 +155,7 @@ class TransversalityReport:
     dp_dmu_h_form: float
     dp_dmu_fd: float
     dcrit_dmu: float
-    margin_p: float  # 0.4 - dp_dmu
-    margin_c: float  # dcrit_dmu - 0.9
     h_monotone: bool
-    passed: bool
 
 
 def transversality_h(t: float) -> float:
@@ -179,7 +176,9 @@ def transversality_check(mu_star: float) -> TransversalityReport:
 
     The derivative of the continuation point is computed three ways: the
     implicit closed form, its h(t) rearrangement, and a central difference
-    (step 1e-6) of the implicit solve; all three must agree.
+    (step 1e-6) of the implicit solve.  The report also says whether h
+    decreases strictly across [MU_LO, MU_HI]; it judges nothing itself:
+    criterion `wang_young` of `verify` checks all five clauses.
     """
     p = _continuation_point(mu_star)
     dp = (2.0 * p + 1.0 / math.sqrt(mu_star)) / (6.0 * p * p - 2.0 * mu_star)
@@ -190,23 +189,7 @@ def transversality_check(mu_star: float) -> TransversalityReport:
     ts = np.linspace(MU_LO, MU_HI, 200)
     hs = [transversality_h(float(t)) for t in ts]
     mono = all(b < a for a, b in zip(hs, hs[1:]))
-    passed = (
-        abs(dp - dp_h) < 1e-12
-        and abs(dp - dp_fd) < 1e-5
-        and dp < 0.4
-        and dcrit > 0.9
-        and mono
-    )
-    return TransversalityReport(
-        dp_dmu=dp,
-        dp_dmu_h_form=dp_h,
-        dp_dmu_fd=dp_fd,
-        dcrit_dmu=dcrit,
-        margin_p=0.4 - dp,
-        margin_c=dcrit - 0.9,
-        h_monotone=mono,
-        passed=passed,
-    )
+    return TransversalityReport(dp_dmu=dp, dp_dmu_h_form=dp_h, dp_dmu_fd=dp_fd, dcrit_dmu=dcrit, h_monotone=mono)
 
 
 def nondegeneracy_check(family: PlanarFamily, params, points) -> float:

@@ -289,9 +289,16 @@ class TestTangencyCommand:
 
     def test_coupling_warning(self, tmp_path, capsys):
         main(["tangency", "--n", "2", "--points", "0", "--out", str(tmp_path)])
-        assert "widened" in capsys.readouterr().err
+        assert "warning: coupling 0.1600 > 0.05; " in capsys.readouterr().err
         doc = json.loads((tmp_path / "summary.json").read_text())
         assert doc["coupling_warning"] is True
+
+    def test_coupling_warning_says_what_the_scan_does(self, tmp_path, capsys):
+        # the scan changes no tolerance: it only centres on the limit prediction
+        assert main(["tangency", "--n", "3", "--points", "0", "--out", str(tmp_path)]) == 0
+        err = capsys.readouterr().err
+        assert err == ("warning: coupling 0.0640 > 0.05; the probe windows and growth targets are centred "
+                       "on the limit family's tangency, a less reliable prediction at this n\n")
 
 
 class TestVerifyCommand:
@@ -349,10 +356,20 @@ class TestVerifyCommand:
     (["renorm", "--eps", "inf"], "need a finite eps, got inf"),
     (["tangency", "--t-min", "-0.1", "--t-max", "0.1", "--points", "9"],
      "--t-min/--t-max: the lower region's window rejects t=0.1: fiber x="),
+    (["renorm", "--eps", "0.1", "--n-min", "2200", "--n-max", "2201"],
+     "--n-min/--n-max: both residuals underflow to 0 at n=2200; the decay-rate fit needs them positive"),
+    (["tangency", "--t-min", "1e6", "--t-max", "1e6", "--points", "1"],
+     "--t-min/--t-max: the upper region's saddle solve fails at t=1000000.0: no convergence after"),
+    (["tangency", "--t-min", "0", "--t-max", "inf", "--points", "3"],
+     "--t-min/--t-max must be finite, got [0.0, inf]"),
+    (["attractor", "--a", "nan"], "need a finite a, got nan"),
+    (["attractor", "--b", "nan"], "need a finite b, got nan"),
+    (["attractor", "--b", "inf"], "need a finite b, got inf"),
 ], ids=["renorm", "attractor", "tangency", "cantor",
         "unknown-option", "negative-sample", "mu-bar-low", "mu-bar-high",
         "negative-points", "reversed-range", "verify-skips-all",
-        "nan-eps", "inf-eps", "wide-t-range"])
+        "nan-eps", "inf-eps", "wide-t-range", "underflowed-residuals",
+        "diverging-saddle", "infinite-t", "nan-a", "nan-b", "inf-b"])
 def test_usage_error_names_the_subcommand(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
@@ -362,6 +379,23 @@ def test_usage_error_names_the_subcommand(tmp_path, capsys, argv, message):
     assert err.startswith(f"usage: tangencylab {argv[0]} ")
     assert f"tangencylab {argv[0]}: error: {message}" in err
     assert not out.exists()  # inputs are checked before the output directory is made
+
+
+@pytest.mark.parametrize("argv", [
+    ["renorm", "--eps", "0.1", "--n-min", "2200", "--n-max", "2201"],
+    ["tangency", "--t-min", "1e6", "--t-max", "1e6", "--points", "1"],
+    ["attractor", "--a", "nan", "--steps", "10000", "--sample", "10"],
+], ids=["renorm-underflow", "tangency-diverging-saddle", "attractor-nan"])
+def test_rejected_input_exits_2_without_traceback(tmp_path, argv):
+    src = str(Path(tangencylab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "tangencylab.cli", *argv, "--out", str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert proc.stderr.startswith(f"usage: tangencylab {argv[0]} ")
+    assert not out.exists()
 
 
 def test_config_usage_error_names_the_subcommand(tmp_path, capsys):
@@ -449,7 +483,7 @@ class TestFaultInjection:
         scan = planar.scan_events
         monkeypatch.setattr(
             planar, "scan_events",
-            lambda probes, ts: {r: ev for r, ev in scan(probes, ts).items() if r != "upper"},
+            lambda probe, ts: (scan(probe, ts)[0], None) if probe.mode == "peak" else scan(probe, ts),
         )
         res = verify.run_criterion("tangency")
         assert not res.passed

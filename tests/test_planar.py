@@ -503,9 +503,8 @@ class TestDetect:
     def test_curvatures_reported(self):
         # discrete curvature is a diagnostic, good to interpolation accuracy
         c = window_extremal_gap(parabola_curve(0.1), flat_curve(), ((-0.9, 0.9), (-1, 2)), "valley")
-        assert abs(c.curvature_unstable - 2.0) < 1e-2
-        assert abs(c.curvature_stable) < 1e-6
-        assert c.curvature_unstable - c.curvature_stable > 10 * c.fit_noise
+        assert abs(c.curvature_gap - 2.0) < 1e-2
+        assert c.curvature_gap > 10 * c.fit_noise
 
     def test_multi_crossing_window_rejected(self):
         xs = np.linspace(0, 4 * math.pi, 1200)
@@ -542,7 +541,7 @@ class TestClassify:
         def probe(t):
             return window_extremal_gap(parabola_curve(-t), flat_curve(), ((-0.9, 0.9), (-2, 2)), "valley")
 
-        ev = classify_tangency(probe, 0.0, 1e-3)
+        ev = classify_tangency(probe, 0.0)
         assert ev.classification == "contact-making"
         assert abs(ev.gap_slope - 1.0) < 1e-6
         assert ev.richardson_consistent
@@ -552,7 +551,7 @@ class TestClassify:
             pts = parabola_curve(t).points * np.array([1.0, -1.0])  # open-down peak
             return window_extremal_gap(polyline_curve(pts), flat_curve(), ((-0.9, 0.9), (-2, 2)), "peak")
 
-        ev = classify_tangency(probe, 0.0, 1e-3)
+        ev = classify_tangency(probe, 0.0)
         assert ev.classification == "contact-breaking"  # peak sinking as t rises
         assert ev.gap_slope < 0
 
@@ -561,7 +560,7 @@ class TestClassify:
             return window_extremal_gap(parabola_curve(-0.5 + 0.01 * t), flat_curve(),
                                        ((-0.9, 0.9), (-2, 2)), "valley")
 
-        ev = classify_tangency(probe, 0.0, 1e-3)
+        ev = classify_tangency(probe, 0.0)
         assert ev.classification == "transverse"
 
     def test_withheld_below_noise_floor(self):
@@ -569,7 +568,7 @@ class TestClassify:
             return window_extremal_gap(parabola_curve(1e-9 * t), flat_curve(),
                                        ((-0.9, 0.9), (-2, 2)), "valley")
 
-        ev = classify_tangency(probe, 0.0, 1e-3)
+        ev = classify_tangency(probe, 0.0)
         assert ev.classification == "withheld"
 
 
@@ -581,7 +580,7 @@ class LinearProbe:
 
     def __call__(self, t):
         pen = self.slope * (t - self.root)
-        return TangencyCandidate((t, 0.0), pen, pen, "peak", -1.0, 0.0, 0.0)
+        return TangencyCandidate((t, 0.0), pen, pen, "peak", -1.0, 0.0)
 
     def penetration(self, t):
         return self(t).penetration
@@ -596,25 +595,27 @@ class TestScanEvents:
 
     def test_zero_at_a_grid_point(self):
         probe = LinearProbe(2.0, 0.0)
-        events = scan_events({"upper": probe}, self.ts)
+        pens, ev = scan_events(probe, self.ts)
+        assert pens == [-1.0, 0.0, 1.0, 2.0]
         assert probe.brackets == [(0.0, 0.5)]  # the left end is exactly zero
-        ev = events["upper"]
         assert ev.parameter == 0.0
         assert ev.classification == "contact-making"
         assert abs(ev.gap_slope - 2.0) < 1e-12
 
     def test_no_sign_change_gives_no_entry(self):
         probe = LinearProbe(1.0, 2.0)
-        assert scan_events({"lower": probe}, self.ts) == {}
+        assert scan_events(probe, self.ts) == ([-2.5, -2.0, -1.5, -1.0], None)
         assert probe.brackets == []
 
     def test_sign_change_in_the_last_interval(self):
         falling, rising = LinearProbe(-1.0, 0.75), LinearProbe(1.0, -2.0)
-        events = scan_events({"lower": falling, "upper": rising}, self.ts)
-        assert list(events) == ["lower"]
+        pens, ev = scan_events(falling, self.ts)
+        assert pens == [1.25, 0.75, 0.25, -0.25]
         assert falling.brackets == [(0.5, 1.0)]
-        assert abs(events["lower"].parameter - 0.75) < 1e-8
-        assert events["lower"].classification == "contact-breaking"
+        assert abs(ev.parameter - 0.75) < 1e-8
+        assert ev.classification == "contact-breaking"
+        assert scan_events(rising, self.ts) == ([1.5, 2.0, 2.5, 3.0], None)
+        assert rising.brackets == []
 
 
 class TestVelocities:
@@ -691,7 +692,7 @@ class TestProbeOnRenormalizedFamily:
     def test_upper_probe_classifies_making(self):
         probe = upper_probe_at_mu3()
         t0 = probe.locate_zero((-0.03, 0.03))
-        ev = classify_tangency(probe, t0, 1e-3)
+        ev = classify_tangency(probe, t0)
         assert ev.classification == "contact-making"
         assert abs(ev.gap_slope - 0.9) < 0.11
         assert math.hypot(ev.location[0] - 1, ev.location[1] - 2) < 0.3
@@ -707,6 +708,11 @@ class TestProbeOnRenormalizedFamily:
         on_second_probe = other(0.0)
         assert fresh == after_other_call == on_second_probe
         assert repr(fresh) == repr(after_other_call) == repr(on_second_probe)
+
+    def test_diverging_saddle_solve_names_its_parameter(self):
+        with pytest.raises(NewtonDivergenceError, match=r"^t=1000000\.0: no convergence after 100 iterations$") as exc:
+            upper_probe_at_mu3()(1e6)
+        assert exc.value.last is not None
 
     def test_each_parameter_is_measured_once(self, monkeypatch):
         grown = []

@@ -112,7 +112,6 @@ class TestMisiurewicz:
 class TestTransversality:
     def test_report(self, mu_star):
         tr = transversality_check(mu_star)
-        assert tr.passed
         assert tr.dp_dmu < 0.4 < 0.9 < tr.dcrit_dmu
         assert abs(tr.dp_dmu - tr.dp_dmu_h_form) < 1e-12
         assert abs(tr.dp_dmu - tr.dp_dmu_fd) < 1e-5
