@@ -352,6 +352,12 @@ def cmd_tangency(args, parser) -> int:
     _write_manifest(cfg, out)
     print(f"{len(summary['events'])} event(s); " + "; ".join(
         f"{e['region']}: {e['classification']} slope {e['gap_slope']:.3f}" for e in summary["events"]))
+    # two or more points can bracket a crossing: a region without one is a verdict
+    missing = [region for region in probes if region not in events]
+    if len(ts) >= 2 and missing:
+        print(f"no tangency event over t in [{args.t_min}, {args.t_max}] in region(s): {', '.join(missing)}",
+              file=sys.stderr)
+        ok = False
     return 0 if ok else 1
 
 

@@ -1,5 +1,6 @@
 """One-dimensional dynamics: piecewise-affine N-shaped maps, odd cubic maps,
-the sine conjugacy between them, and a periodic-orbit solver.
+the sine conjugacy between them, a periodic-orbit solver, and the package's
+bracketed root finder (`brentq`).
 
 The maps are polymorphic over the scalar type.  Feeding `fractions.Fraction`
 inputs into a map whose coefficients are rational produces exact rational
@@ -16,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
+    "brentq",
     "DomainError",
     "AffineBranch",
     "PiecewiseAffineMap",
@@ -31,6 +32,68 @@ __all__ = [
 ]
 
 HALF = Fraction(1, 2)
+BRENT_RTOL = 4 * 2.220446049250313e-16  # relative part of brentq's tolerance
+BRENT_MAXITER = 100
+
+
+def brentq(f, a, b, xtol: float) -> float:
+    """A root of `f` in [a, b] to within xtol + BRENT_RTOL*|root| (xtol > 0),
+    by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's `brentq.c`, so it takes the same iterates
+    as `scipy.optimize.brentq(f, a, b, xtol=xtol)`.  f(a) and f(b) must
+    differ in sign (else ValueError); a NaN value raises ValueError and no
+    convergence within BRENT_MAXITER iterations raises RuntimeError.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        stry = math.nan  # fails the short-step test: bisect
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass  # C divides to inf or NaN here, which bisects as well
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")
 
 
 class DomainError(ValueError):
@@ -285,7 +348,7 @@ def _scan(fmap, period, lo, hi, cells_per_unit):
             accept(b)
         elif (ga < 0.0) != (gb < 0.0):
             known = {a: ga, b: gb}  # brentq starts by evaluating both ends again
-            accept(float(brentq(lambda x: known[x] if x in known else gap(x), a, b, xtol=1e-14)))
+            accept(brentq(lambda x: known[x] if x in known else gap(x), a, b, xtol=1e-14))
         else:  # the sign change was rounding: the end nearer zero is a root to within it
             accept(a if abs(ga) <= abs(gb) else b)
     if np.isfinite(g[-1]) and g[-1] == 0.0:

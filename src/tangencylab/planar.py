@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .maps1d import Cubic1D
+from .maps1d import Cubic1D, brentq
 
 __all__ = [
     "PlanarFamily",
@@ -235,22 +234,27 @@ def find_saddle(
 ) -> SaddlePoint:
     """Newton solve of map^period - id from `seed`, with eigendata attached.
 
-    A non-saddle spectrum is reported in the result, not raised; divergence
-    raises `NewtonDivergenceError` carrying the last iterate.
+    A non-saddle spectrum is reported in the result, not raised; divergence,
+    including an iterate that overflows or turns non-finite, raises
+    `NewtonDivergenceError` carrying the last iterate.
     """
     z = np.array([float(seed[0]), float(seed[1])])
-    for _ in range(max_iter):
-        J, img = _orbit_jacobian(family, params, z[0], z[1], period)
-        r = np.array(img) - z
-        try:
-            step = np.linalg.solve(J - np.eye(2), -r)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergenceError(f"singular Newton system at {tuple(z)}", tuple(z)) from exc
-        z = z + step
-        if np.linalg.norm(r) < tol and np.linalg.norm(step) < 100 * tol * max(1.0, np.linalg.norm(z)):
-            break
-    else:
-        raise NewtonDivergenceError(f"no convergence after {max_iter} iterations", tuple(z))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(max_iter):
+                J, img = _orbit_jacobian(family, params, z[0], z[1], period)
+                r = np.array(img) - z
+                try:
+                    step = np.linalg.solve(J - np.eye(2), -r)
+                except np.linalg.LinAlgError as exc:
+                    raise NewtonDivergenceError(f"singular Newton system at {tuple(z)}", tuple(z)) from exc
+                z = z + step
+                if np.linalg.norm(r) < tol and np.linalg.norm(step) < 100 * tol * max(1.0, np.linalg.norm(z)):
+                    break
+            else:
+                raise NewtonDivergenceError(f"no convergence after {max_iter} iterations", tuple(z))
+    except FloatingPointError as exc:
+        raise NewtonDivergenceError(f"Newton iterate overflowed from {tuple(z)}", tuple(z)) from exc
     J, _ = _orbit_jacobian(family, params, z[0], z[1], period)
     w, v = np.linalg.eig(J)
     w, v = np.real_if_close(w), np.real_if_close(v)
@@ -745,7 +749,7 @@ class FiberGapProbe:
 
         Raises `ValueError` when the penetration has the same sign at both ends.
         """
-        return float(brentq(self.penetration, *bracket, xtol=1e-8))
+        return brentq(self.penetration, *bracket, xtol=1e-8)
 
 
 def scan_events(probe: FiberGapProbe, ts) -> tuple[list, TangencyEvent | None]:
@@ -854,7 +858,7 @@ def tangency_locus(
             skipped.append(mu)
             continue
         mus.append(mu)
-        nus.append(float(nu))
+        nus.append(nu)
     if len(mus) < 2:
         raise ValueError("locus lost on too many grid points to fit a slope")
     slope, intercept = np.polyfit(mus, nus, 1)
@@ -877,7 +881,7 @@ def region_probe(fam: PlanarFamily, mu: float, region: str):
     parameter at this mu (ValueError if it has none in [-0.6, 0.6]).
     """
     try:
-        nu_pred = float(brentq(lambda v: limit_upper_gap(mu, v), -0.6, 0.6, xtol=1e-10))
+        nu_pred = brentq(lambda v: limit_upper_gap(mu, v), -0.6, 0.6, xtol=1e-10)
     except (ValueError, OverflowError, RuntimeError) as exc:
         raise ValueError(f"the limit family has no upper tangency at mu={mu} for nu in [-0.6, 0.6]") from exc
     f1 = Cubic1D(mu, nu_pred)

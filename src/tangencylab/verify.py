@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import cantor, maps1d, planar, renorm, wangyoung
 
@@ -230,7 +231,7 @@ def _criterion_wangyoung(c: _Check):
     c.expect(abs(f.iterate(cpos, 3)) < 1e-9, f"|F^3(c)| = {abs(f.iterate(cpos, 3)):.2e} < 1e-9")
     interval = wangyoung.build_interval(mu)
     c.expect(interval[0] < 0 < interval[1], f"trapping interval {interval} built with full ordering chain")
-    rng = np.random.default_rng(3)
+    rng = default_rng(3)
     ys = rng.uniform(interval[0], interval[1], 1000)
     ys = ys[np.abs(np.abs(ys) - cpos) > 1e-3]
     c.expect(bool(np.all(f.schwarzian_closed(ys) < 0)), "Schwarzian closed form negative off the critical set")
@@ -292,7 +293,7 @@ def _criterion_attractor(c: _Check):
         f"seed stability: max deviation {max(abs(v - mean) for v in vals):.4f} <= 0.02",
     )
 
-    rng = np.random.default_rng(11)
+    rng = default_rng(11)
     pts = rng.uniform(-2, 2, size=(200, 2))
     det_err = 0.0
     fd_err = 0.0
@@ -310,7 +311,7 @@ def _criterion_attractor(c: _Check):
 # ---------------------------------------------------------------------------
 
 def _criterion_structural(c: _Check):
-    rng = np.random.default_rng(5)
+    rng = default_rng(5)
     fam = planar.cubic_henon()
     p = (2.8, 0.1)
     worst = 0.0

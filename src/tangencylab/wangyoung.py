@@ -10,9 +10,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from numpy.random import default_rng
 
-from .maps1d import Cubic1D, find_periodic
+from .maps1d import Cubic1D, brentq, find_periodic
 from .planar import PlanarFamily, cubic_henon
 from . import renorm
 
@@ -54,7 +54,7 @@ def find_mu_star() -> float:
         raise AssertionError(f"left bracket value {g_lo} disagrees with 3^(3/4)/sqrt(2)")
     if not (abs(g_hi - (math.sqrt(3.0) - 2.0)) < 1e-12 and g_hi < 0):
         raise AssertionError(f"right bracket value {g_hi} disagrees with sqrt(3)-2")
-    return float(brentq(critical_gap, MU_LO, MU_HI, xtol=1e-13))
+    return brentq(critical_gap, MU_LO, MU_HI, xtol=1e-13)
 
 
 def build_interval(mu_star: float) -> tuple[float, float]:
@@ -72,9 +72,9 @@ def build_interval(mu_star: float) -> tuple[float, float]:
     f_mc = f(-c)
     f2_c = f(f_c)
     # decreasing branch of F on (-inf, -c]: bracket r' between F(-c) and F^2(c)
-    r_prime = float(brentq(lambda y: f(y) - e, f_mc, f2_c, xtol=1e-14))
+    r_prime = brentq(lambda y: f(y) - e, f_mc, f2_c, xtol=1e-14)
     # F decreasing on [c, inf); F(r) = r' with r beyond the critical value
-    r = float(brentq(lambda y: f(y) - r_prime, f_c, 2.0 * f_c + 2.0, xtol=1e-14))
+    r = brentq(lambda y: f(y) - r_prime, f_c, 2.0 * f_c + 2.0, xtol=1e-14)
     chain = [
         ("-r", -r), ("F(-c)", f_mc), ("F(r)", f(r)), ("-c", -c),
         ("c", c), ("F(-r)", f(-r)), ("F(c)", f_c), ("r", r),
@@ -120,7 +120,7 @@ def misiurewicz_check(mu_star: float, interval: tuple, max_period: int = 8) -> M
         {"F''(-c)": d2[0], "F''(c)": d2[1]},
     )
 
-    rng = np.random.default_rng(7)
+    rng = default_rng(7)
     ys = rng.uniform(interval[0], interval[1], 1000)
     ys = ys[np.abs(np.abs(ys) - c) > 1e-3]
     sample_neg = bool(np.all(f.schwarzian_closed(ys) < 0))
@@ -168,7 +168,7 @@ def _continuation_point(mu: float) -> float:
     value; p(mu*) equals F_mu*(c)."""
     f = Cubic1D(mu, 0.0)
     p0 = (2.0 * mu / 3.0) * math.sqrt(mu / 3.0)
-    return float(brentq(lambda y: f(y) + math.sqrt(mu), p0 - 0.2, p0 + 0.2, xtol=1e-14))
+    return brentq(lambda y: f(y) + math.sqrt(mu), p0 - 0.2, p0 + 0.2, xtol=1e-14)
 
 
 def transversality_check(mu_star: float) -> TransversalityReport:

@@ -19,15 +19,28 @@ def read_artifacts(d):
     return {p.name: p.read_bytes() for p in sorted(d.iterdir())}
 
 
+def src_env() -> dict:
+    """The environment for a fresh interpreter that imports this package."""
+    src = str(Path(tangencylab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_module_entry_point_imports_cleanly():
     # `python -m tangencylab.cli` warns if the package imported `cli` first
-    src = str(Path(tangencylab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "tangencylab.cli", "--help"],
-        env=env, capture_output=True, text=True,
+        env=src_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test dependency only; numpy.random is loaded at import, so a
+    # run's first default_rng does not import it inside the timed work
+    code = "import sys, tangencylab.cli; print('scipy' in sys.modules, 'numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def fractions_as_objects(x):
@@ -287,6 +300,21 @@ class TestTangencyCommand:
         assert kinds == {"upper": "contact-making", "lower": "contact-breaking"}
         assert doc["antimonotone_pair"] is True
 
+    def test_region_without_event_exits_1(self, tmp_path, capsys):
+        # away from mu_bar = 3 both events lie outside the default t-range
+        rc = main(["tangency", "--mu-bar", "2.95", "--points", "2", "--out", str(tmp_path)])
+        assert rc == 1
+        out, err = capsys.readouterr()
+        assert out == "0 event(s); \n"
+        assert err == "no tangency event over t in [-0.03, 0.03] in region(s): upper, lower\n"
+        # a verdict, not a usage error: the artifacts are written
+        assert json.loads((tmp_path / "summary.json").read_text())["events"] == []
+        assert len((tmp_path / "scan.csv").read_text().splitlines()) == 2 + 2
+
+    def test_single_point_cannot_bracket_an_event(self, tmp_path, capsys):
+        assert main(["tangency", "--mu-bar", "2.95", "--points", "1", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_coupling_warning(self, tmp_path, capsys):
         main(["tangency", "--n", "2", "--points", "0", "--out", str(tmp_path)])
         assert "warning: coupling 0.1600 > 0.05; " in capsys.readouterr().err
@@ -387,11 +415,9 @@ def test_usage_error_names_the_subcommand(tmp_path, capsys, argv, message):
     ["attractor", "--a", "nan", "--steps", "10000", "--sample", "10"],
 ], ids=["renorm-underflow", "tangency-diverging-saddle", "attractor-nan"])
 def test_rejected_input_exits_2_without_traceback(tmp_path, argv):
-    src = str(Path(tangencylab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = tmp_path / "out"
     proc = subprocess.run([sys.executable, "-m", "tangencylab.cli", *argv, "--out", str(out)],
-                          env=env, capture_output=True, text=True)
+                          env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert proc.stderr.startswith(f"usage: tangencylab {argv[0]} ")

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq as scipy_brentq
 
 from tangencylab import maps1d, wangyoung
 from tangencylab.maps1d import (
     Cubic1D,
+    brentq,
     DomainError,
     conjugacy,
     conjugacy_defect,
@@ -198,7 +199,7 @@ def loop_float_roots(fmap, period, lo, hi, cells_per_unit):
         if ga == 0.0:
             roots.append(float(a))
         elif ga * gb < 0.0:
-            roots.append(float(brentq(lambda x: maps1d._iter_map(fmap, x, period) - x, float(a), float(b), xtol=1e-14)))
+            roots.append(float(scipy_brentq(lambda x: maps1d._iter_map(fmap, x, period) - x, float(a), float(b), xtol=1e-14)))
     if np.isfinite(g[-1]) and g[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots
@@ -292,10 +293,11 @@ class TestRootScan:
 
     def test_cells_covered_by_an_accepted_orbit_are_not_solved(self, mu_star_map, monkeypatch):
         calls = []
+        own = maps1d.brentq
 
         def counting_brentq(*args, **kwargs):
             calls.append(args)
-            return brentq(*args, **kwargs)
+            return own(*args, **kwargs)
 
         monkeypatch.setattr(maps1d, "brentq", counting_brentq)
         f, interval = mu_star_map
@@ -382,3 +384,85 @@ class TestFindPeriodic:
             for p in o.points:
                 m *= f(p, 1)
             assert abs(m - o.multiplier) < 1e-6 * max(1, abs(m))
+
+
+def outcome(solve):
+    """The root's bits, or the type of the exception the solve raised."""
+    try:
+        return solve().hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__
+
+
+BRENT_FUNCTIONS = {
+    "cubic": lambda p, q: lambda x: x**3 + p * x + q,
+    "sine": lambda p, q: lambda x: math.sin(p * x + q),
+    "exp": lambda p, q: lambda x: math.exp(x) - math.exp(q),
+    "step": lambda p, q: lambda x: 1.0 if x > q else -1.0,
+}
+
+
+class TestBrentq:
+    """`maps1d.brentq` against `scipy.optimize.brentq`: the same root, bit
+    for bit, or the same exception type."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(BRENT_FUNCTIONS)),
+        p=st.floats(-5, 5),
+        q=st.floats(-3, 3),
+        scale=st.integers(-300, 300),
+        a=st.floats(-4, 4),
+        width=st.floats(1e-6, 8),
+        xtol=st.sampled_from([1e-8, 1e-10, 1e-13, 1e-14]),
+    )
+    def test_same_root_as_scipy(self, kind, p, q, scale, a, width, xtol):
+        g, s = BRENT_FUNCTIONS[kind](p, q), 10.0**scale
+
+        def f(x):
+            return s * g(x)
+
+        b = a + width
+        assert outcome(lambda: brentq(f, a, b, xtol)) == outcome(lambda: scipy_brentq(f, a, b, xtol=xtol))
+
+    def test_returns_a_float(self):
+        root = brentq(lambda x: np.float64(x) - 0.5, 0.0, 1.0, 1e-14)
+        assert type(root) is float and root == 0.5
+
+    def test_same_sign_ends(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-14)
+
+    def test_nan_value(self):
+        def f(x):
+            return math.nan if 0.2 < x < 0.8 else x - 0.5
+
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(f, 0.0, 1.0, 1e-14)
+        with pytest.raises(ValueError, match="NaN"):
+            scipy_brentq(f, 0.0, 1.0, xtol=1e-14)
+
+    def test_no_convergence_in_100_iterations(self):
+        # a jump at 0 narrowed to 1e-300 needs about a thousand bisections
+        def f(x):
+            return 1.0 if x > 0 else -1.0
+
+        with pytest.raises(RuntimeError):
+            brentq(f, -1.0, 2.0, 1e-300)
+        with pytest.raises(RuntimeError):
+            scipy_brentq(f, -1.0, 2.0, xtol=1e-300)
+
+    def test_zero_at_an_end_returns_that_end(self):
+        assert brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-14) == 1.0
+        assert brentq(lambda x: x - 3.0, 1.0, 3.0, 1e-14) == 3.0
+        assert brentq(lambda x: 0.0, 1.0, 3.0, 1e-14) == 1.0  # a is tested first
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160])
+    def test_zero_denominator_bisects(self, scale):
+        # the extrapolation's denominator underflows to 0: C divides to inf or
+        # NaN and bisects, where an unguarded port raises ZeroDivisionError
+        def f(x):
+            return scale * (x**3 - 2 * x - 5)
+
+        root = brentq(f, 2.0, 3.0, 1e-14)
+        assert root == scipy_brentq(f, 2.0, 3.0, xtol=1e-14) == 2.0945514815423256

@@ -105,6 +105,17 @@ class TestSaddles:
             find_saddle(fam, (2.8, 0.1), seed=(1e8, 1e8), max_iter=5)
         assert exc.value.last is not None
 
+    def test_overflowing_iterate_is_a_divergence(self):
+        # at a=1e308 the first Newton step overflows; pyproject turns any
+        # RuntimeWarning into an error, so this also checks that none is printed
+        with pytest.raises(NewtonDivergenceError, match="overflowed") as exc:
+            find_saddle(cubic_henon(), (1e308, 0.1), seed=(0.5, 0.5), max_iter=40)
+        assert all(math.isfinite(v) for v in exc.value.last)
+
+    def test_sweep_skips_overflowing_seeds(self):
+        fps = find_fixed_points(cubic_henon(), (1e308, 0.1), box=((-2.5, 2.5), (-2.5, 2.5)), grid=30)
+        assert fps == []
+
     def test_non_saddle_spectrum_reported_not_raised(self):
         # at a=0.5 the origin is a sink; the solve succeeds and says so
         s = find_saddle(cubic_henon(), (0.5, 0.1), seed=(0.0, 0.0))
