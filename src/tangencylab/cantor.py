@@ -166,10 +166,9 @@ class CantorStage(_Value):
         ivals = self.intervals
         return [(b0, a1) for (_, b0), (a1, _) in zip(ivals, ivals[1:])]
 
-    def translate(self, offset, new_ambient=None) -> "CantorStage":
-        amb = new_ambient or (self.ambient[0] + offset, self.ambient[1] + offset)
+    def translate(self, offset) -> "CantorStage":
         return CantorStage(
-            ambient=amb,
+            ambient=(self.ambient[0] + offset, self.ambient[1] + offset),
             intervals=tuple((a + offset, b + offset) for a, b in self.intervals),
             generation=self.generation,
             source=self.source,
@@ -480,7 +479,6 @@ def nmap_cantor_report(m: int, generation: int) -> dict:
 class GapLemmaVerdict:
     verdict: str  # K1-in-gap-of-K2 | K2-in-gap-of-K1 | intervals-intersect | inconclusive-at-this-generation
     tau_product: float
-    detail: str = ""
 
 
 def _hull_in_gap(hull: tuple, other: CantorStage) -> bool:
@@ -506,10 +504,8 @@ def gap_lemma_check(k1: CantorStage, k2: CantorStage) -> GapLemmaVerdict:
     i, j = 0, 0
     a, b = k1.intervals, k2.intervals
     while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if lo <= hi:
-            return GapLemmaVerdict("intervals-intersect", tau, f"overlap at [{lo},{hi}]")
+        if max(a[i][0], b[j][0]) <= min(a[i][1], b[j][1]):
+            return GapLemmaVerdict("intervals-intersect", tau)
         if a[i][1] < b[j][1]:
             i += 1
         else:
@@ -527,19 +523,20 @@ def gap_lemma_check(k1: CantorStage, k2: CantorStage) -> GapLemmaVerdict:
 
 @dataclass(frozen=True)
 class MarkovBranchSystem:
-    """Expanding branches (domain interval, affine branch) over an ambient interval."""
+    """Expanding affine branches over an ambient interval; each branch's own
+    [lo, hi] is its domain."""
 
     branches: tuple
     ambient: tuple
 
     def __post_init__(self):
         prev_hi = None
-        for dom, br in self.branches:
+        for br in self.branches:
             if abs(br.slope) <= 1:
-                raise ValueError(f"branch on {dom} is not expanding (|slope|={br.slope})")
-            if prev_hi is not None and not dom[0] >= prev_hi:
+                raise ValueError(f"branch on {(br.lo, br.hi)} is not expanding (|slope|={br.slope})")
+            if prev_hi is not None and not br.lo >= prev_hi:
                 raise ValueError("branch domains must be disjoint and ordered")
-            prev_hi = dom[1]
+            prev_hi = br.hi
 
 
 def _refine(system: MarkovBranchSystem, generation: int, source: str) -> CantorStage:
@@ -557,9 +554,9 @@ def _refine(system: MarkovBranchSystem, generation: int, source: str) -> CantorS
     if generation < 1:
         raise ValueError("generation must be >= 1")
     branches = system.branches
-    cover = [v for dom, _ in branches for v in dom]
-    intercepts = [br.intercept for _, br in branches]
-    slopes = [br.slope for _, br in branches]
+    cover = [v for br in branches for v in (br.lo, br.hi)]
+    intercepts = [br.intercept for br in branches]
+    slopes = [br.slope for br in branches]
     if not all(isinstance(v, numbers.Rational) for v in (*system.ambient, *cover, *intercepts, *slopes)):
         raise ValueError("Markov refinement needs rational branch domains, slopes, intercepts and ambient")
     grid, scale = _on_grid([*system.ambient, *cover, *intercepts])
@@ -567,7 +564,8 @@ def _refine(system: MarkovBranchSystem, generation: int, source: str) -> CantorS
     mult = math.lcm(*(slope.numerator for slope in slopes))
     for _ in range(generation - 1):
         nlows, nhighs = [], []
-        for (lo, hi), br in branches:
+        for br in branches:
+            lo, hi = br.lo, br.hi
             img_lo, img_hi = sorted((br(lo) * scale, br(hi) * scale))
             # the run of the sorted stage that meets (img_lo, img_hi) in more than a point
             first, stop = bisect_right(highs, img_lo), bisect_left(lows, img_hi)
@@ -605,8 +603,8 @@ def middle_thirds_system() -> MarkovBranchSystem:
     one3, two3 = Fraction(1, 3), Fraction(2, 3)
     return MarkovBranchSystem(
         branches=(
-            ((Fraction(0), one3), AffineBranch(Fraction(3), Fraction(0), Fraction(0), one3)),
-            ((two3, Fraction(1)), AffineBranch(Fraction(3), Fraction(-2), two3, Fraction(1))),
+            AffineBranch(Fraction(3), Fraction(0), Fraction(0), one3),
+            AffineBranch(Fraction(3), Fraction(-2), two3, Fraction(1)),
         ),
         ambient=(Fraction(0), Fraction(1)),
     )
@@ -622,6 +620,6 @@ def nmap_restriction_system(m: int) -> MarkovBranchSystem:
         br = s.branches[s.branch_index(lo)]
         if not br.contains(hi):
             raise ConstructionError(f"first-generation interval [{lo},{hi}] straddles a kink")
-        branches.append(((lo, hi), AffineBranch(br.slope, br.intercept, lo, hi)))
+        branches.append(AffineBranch(br.slope, br.intercept, lo, hi))
     return MarkovBranchSystem(tuple(branches), data.ambient)
 

@@ -122,11 +122,6 @@ class AffineBranch:
         below = x <= self.hi if self.closed_hi else x < self.hi
         return above and below
 
-    @property
-    def range(self):
-        a, b = self(self.lo), self(self.hi)
-        return (a, b) if a <= b else (b, a)
-
 
 @dataclass(frozen=True)
 class PiecewiseAffineMap:
@@ -147,11 +142,6 @@ class PiecewiseAffineMap:
 
     def __call__(self, x):
         return self.branches[self.branch_index(x)](x)
-
-    def iterate(self, x, steps: int):
-        for _ in range(steps):
-            x = self(x)
-        return x
 
 
 def n_map() -> PiecewiseAffineMap:

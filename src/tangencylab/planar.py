@@ -87,7 +87,7 @@ class PlanarFamily:
         )
 
 
-def cubic_henon(name: str = "cubic-henon") -> PlanarFamily:
+def cubic_henon() -> PlanarFamily:
     """The constant-Jacobian family (x, y) -> (b*y, -y^3 + a*y + x)."""
 
     def fwd(p, x, y):
@@ -103,7 +103,7 @@ def cubic_henon(name: str = "cubic-henon") -> PlanarFamily:
         a, b = p
         return ((0.0, b), (1.0, -3.0 * y ** 2 + a))
 
-    return PlanarFamily(name, ("a", "b"), fwd, inverse=inv, jacobian=jac)
+    return PlanarFamily("cubic-henon", ("a", "b"), fwd, inverse=inv, jacobian=jac)
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +114,6 @@ def cubic_henon(name: str = "cubic-henon") -> PlanarFamily:
 class Orbit:
     points: np.ndarray
     escaped: bool = False
-    steps_requested: int = 0
 
 
 def iterate(family: PlanarFamily, params, start, steps: int, bailout: float = 1e6) -> Orbit:
@@ -127,9 +126,9 @@ def iterate(family: PlanarFamily, params, start, steps: int, bailout: float = 1e
     for k in range(1, steps + 1):
         x, y = family.forward(params, x, y)
         if not (math.isfinite(x) and math.isfinite(y)) or x * x + y * y > bailout * bailout:
-            return Orbit(pts[:k].copy(), escaped=True, steps_requested=steps)
+            return Orbit(pts[:k].copy(), escaped=True)
         pts[k] = (x, y)
-    return Orbit(pts, escaped=False, steps_requested=steps)
+    return Orbit(pts, escaped=False)
 
 
 @dataclass(frozen=True)
@@ -229,7 +228,6 @@ def find_saddle(
     params,
     period: int = 1,
     seed=(0.0, 0.0),
-    tol: float = 1e-12,
     max_iter: int = 100,
 ) -> SaddlePoint:
     """Newton solve of map^period - id from `seed`, with eigendata attached.
@@ -249,7 +247,7 @@ def find_saddle(
                 except np.linalg.LinAlgError as exc:
                     raise NewtonDivergenceError(f"singular Newton system at {tuple(z)}", tuple(z)) from exc
                 z = z + step
-                if np.linalg.norm(r) < tol and np.linalg.norm(step) < 100 * tol * max(1.0, np.linalg.norm(z)):
+                if np.linalg.norm(r) < 1e-12 and np.linalg.norm(step) < 1e-10 * max(1.0, np.linalg.norm(z)):
                     break
             else:
                 raise NewtonDivergenceError(f"no convergence after {max_iter} iterations", tuple(z))
@@ -298,13 +296,8 @@ def find_fixed_points(family: PlanarFamily, params, box=((-3, 3), (-3, 3)), grid
 class ManifoldCurve:
     points: np.ndarray  # (N, 2) polyline
     kind: str  # "unstable" | "stable"
-    base: SaddlePoint | None
     arclength: np.ndarray
     complete: bool = True  # False when truncated by budget or clip
-
-    @property
-    def total_arclength(self) -> float:
-        return float(self.arclength[-1]) if len(self.arclength) else 0.0
 
 
 class ManifoldCutError(RuntimeError):
@@ -366,9 +359,10 @@ def grow_manifold(
     is redone every pass, and levels the target does not reach are never
     cut.  A cut level that falls short of the target after refinement
     raises `ManifoldCutError` rather than being appended truncated.  A pass
-    that would overrun `max_points` leaves the level coarse and marks the
-    curve incomplete; the budget counts the points kept so far and the
-    level as cut, so points past the target never spend it.
+    that would overrun `max_points` ends growth without appending its level,
+    so the curve keeps only levels that met the controls and is incomplete;
+    the budget counts the points kept so far and the level as cut, so points
+    past the target never spend it.
 
     Level 0 is the seed domain itself, and its points (midpoints included)
     lie on the chord [p + eps*v, M(p + eps*v)].  With a strong multiplier
@@ -474,6 +468,8 @@ def grow_manifold(
                 out[at_mid] = mid
                 merged.append(out)
             ts, X, Y = merged
+        if not complete:  # a pass overran the budget: the level is not kept
+            break
 
         # append this level; index 0 duplicates the previous level's endpoint
         nx, ny = X[1:], Y[1:]
@@ -500,7 +496,7 @@ def grow_manifold(
             break
     else:  # max_levels levels grown, short of the target
         complete = False
-    return ManifoldCurve(np.concatenate(kept), kind, saddle, np.concatenate(arcs), complete=complete)
+    return ManifoldCurve(np.concatenate(kept), kind, np.concatenate(arcs), complete=complete)
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +708,10 @@ class FiberGapProbe:
     stable_arclength: float = 5.5
     _measured: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        if self.mode not in ("peak", "valley"):
+            raise ValueError(f"mode must be 'peak' or 'valley', got {self.mode!r}")
+
     def __call__(self, t: float) -> TangencyCandidate:
         if t not in self._measured:
             try:
@@ -866,8 +866,8 @@ def tangency_locus(
     return LocusFit(float(slope), float(intercept), tuple(mus), tuple(nus), tuple(skipped), decreasing)
 
 
-def _cubic_arclength(mu, nu, x_from, x_to, samples=2000):
-    xs = np.linspace(x_from, x_to, samples)
+def _cubic_arclength(mu, nu, x_from, x_to):
+    xs = np.linspace(x_from, x_to, 2000)
     ys = -(xs ** 3) + mu * xs + nu
     return float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
 
@@ -878,8 +878,11 @@ def region_probe(fam: PlanarFamily, mu: float, region: str):
     centered on the limit family's analytic prediction.
 
     Returns (probe, nu_pred) with nu_pred the limit family's tangency
-    parameter at this mu (ValueError if it has none in [-0.6, 0.6]).
+    parameter at this mu (ValueError if it has none in [-0.6, 0.6], or if
+    `region` is neither "upper" nor "lower").
     """
+    if region not in ("upper", "lower"):
+        raise ValueError(f"region must be 'upper' or 'lower', got {region!r}")
     try:
         nu_pred = brentq(lambda v: limit_upper_gap(mu, v), -0.6, 0.6, xtol=1e-10)
     except (ValueError, OverflowError, RuntimeError) as exc:

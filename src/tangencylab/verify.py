@@ -231,13 +231,15 @@ def _criterion_wangyoung(c: _Check):
     c.expect(abs(f.iterate(cpos, 3)) < 1e-9, f"|F^3(c)| = {abs(f.iterate(cpos, 3)):.2e} < 1e-9")
     interval = wangyoung.build_interval(mu)
     c.expect(interval[0] < 0 < interval[1], f"trapping interval {interval} built with full ordering chain")
-    rng = default_rng(3)
-    ys = rng.uniform(interval[0], interval[1], 1000)
-    ys = ys[np.abs(np.abs(ys) - cpos) > 1e-3]
-    c.expect(bool(np.all(f.schwarzian_closed(ys) < 0)), "Schwarzian closed form negative off the critical set")
-    cert = wangyoung.misiurewicz_check(mu, interval, max_period=8)
+    cert = wangyoung.misiurewicz_check(mu, interval)
+    ok, w = cert.checks["negative_schwarzian"]
+    c.expect(
+        ok,
+        "Schwarzian closed form negative off the critical set: mu* > 0, and it equals "
+        f"the Schwarzian exactly at {w['points']} rational points",
+    )
     ok, w = cert.checks["all_orbits_repelling"]
-    c.expect(ok, f"all period<=8 orbits repelling (weakest multiplier {w['weakest_multiplier']:.4f})")
+    c.expect(ok, f"all period<={wangyoung.MAX_PERIOD} orbits repelling (weakest multiplier {w['weakest_multiplier']:.4f})")
     c.expect(cert.passed, "Misiurewicz certificate passed")
     tr = wangyoung.transversality_check(mu)
     c.expect(tr.dp_dmu < 0.4, f"dp/dmu = {tr.dp_dmu:.6f} < 0.4")
@@ -250,7 +252,7 @@ def _criterion_wangyoung(c: _Check):
         abs(h_left - EXPECTED["h_left_bracket"]) < 1e-4,
         f"h at the left bracket end = {h_left:.6f} matches {EXPECTED['h_left_bracket']}",
     )
-    t_fam = wangyoung.make_T_family("renorm", model=renorm.ModelParams(), n=6)
+    t_fam = wangyoung.make_T_family(renorm.ModelParams(), 6)
     grid = np.linspace(interval[0], interval[1], 21)
     box = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
     nd = wangyoung.nondegeneracy_check(t_fam, (mu,), box)
@@ -342,19 +344,13 @@ def _criterion_structural(c: _Check):
     k6 = cantor.build_nmap_cantor(6, 3)
     v = cantor.gap_lemma_check(k6, k6)
     c.expect(v.verdict == "intervals-intersect", f"identical copies: {v.verdict}")
-    far = k6.translate(Fraction(10), new_ambient=(k6.ambient[0], k6.ambient[1] + 10))
-    both = cantor.CantorStage(
-        (k6.ambient[0], k6.ambient[1] + 10), k6.intervals, k6.generation, k6.source
-    )
-    v = cantor.gap_lemma_check(both, far)
+    v = cantor.gap_lemma_check(k6, k6.translate(Fraction(10)))
     c.expect(v.verdict in ("K1-in-gap-of-K2", "K2-in-gap-of-K1"), f"translated by 10: {v.verdict}")
     tau6 = cantor.thickness(k6).thickness
     c.expect(float(tau6) ** 2 > 1, f"thickness product {float(tau6)**2:.1f} > 1 for the linked scenario")
     for g in range(1, 7):
         kg = cantor.build_nmap_cantor(6, g)
-        shifted = kg.translate(Fraction(1, 1000), new_ambient=(kg.ambient[0], kg.ambient[1] + Fraction(1, 1000)))
-        wide = cantor.CantorStage(shifted.ambient, kg.intervals, kg.generation, kg.source)
-        v = cantor.gap_lemma_check(wide, shifted)
+        v = cantor.gap_lemma_check(kg, kg.translate(Fraction(1, 1000)))
         c.expect(v.verdict == "intervals-intersect", f"1/1000 shift gen {g}: {v.verdict}")
 
 

@@ -1,19 +1,19 @@
 """Certificates for the odd cubic family y -> -y^3 + mu*y on a trapping
 interval: the postcritically-finite parameter, Misiurewicz conditions,
 transversality of the critical value against its continuation point, and
-non-degeneracy; plus the thickened two-parameter planar wrapper used by the
-strange-attractor checks.
+non-degeneracy; plus the thickened renormalized family, on which
+non-degeneracy is measured.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
-from numpy.random import default_rng
 
 from .maps1d import Cubic1D, brentq, find_periodic
-from .planar import PlanarFamily, cubic_henon
+from .planar import PlanarFamily
 from . import renorm
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "critical_gap",
     "build_interval",
     "MisiurewiczCertificate",
+    "MAX_PERIOD",
     "misiurewicz_check",
     "TransversalityReport",
     "transversality_check",
@@ -31,6 +32,7 @@ __all__ = [
 
 MU_LO = 3.0 * math.sqrt(3.0) / 2.0  # left end of the bracket; F^2(c) = 0 exactly here
 MU_HI = 3.0
+MAX_PERIOD = 8  # the Misiurewicz certificate checks every periodic orbit up to this period
 
 
 def critical_gap(mu: float) -> float:
@@ -93,19 +95,19 @@ def build_interval(mu_star: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class MisiurewiczCertificate:
-    mu_star: float
-    interval: tuple
-    critical_orbit: tuple
     checks: dict
     passed: bool
 
 
-def misiurewicz_check(mu_star: float, interval: tuple, max_period: int = 8) -> MisiurewiczCertificate:
+def misiurewicz_check(mu_star: float, interval: tuple) -> MisiurewiczCertificate:
     """The four Misiurewicz conditions for F_mu* on the interval.
 
     (i) second derivative nonzero at both critical points; (ii) negative
-    Schwarzian off the critical set (sampled, plus the global closed form);
-    (iii) every periodic orbit through period `max_period` has multiplier
+    Schwarzian off the critical set: the closed form -6(6y^2 + mu)/(mu - 3y^2)^2
+    is negative there for every mu > 0, which is algebra, so the clause
+    checks mu* > 0 and that `Cubic1D.schwarzian` equals the closed form
+    exactly, in rationals, at the points k/8 inside the interval;
+    (iii) every periodic orbit through period `MAX_PERIOD` has multiplier
     magnitude > 1; (iv) the forward critical orbit is finite (it ends on the
     fixed point 0), so its distance to the critical set is an exact minimum
     over four points.
@@ -120,17 +122,15 @@ def misiurewicz_check(mu_star: float, interval: tuple, max_period: int = 8) -> M
         {"F''(-c)": d2[0], "F''(c)": d2[1]},
     )
 
-    rng = default_rng(7)
-    ys = rng.uniform(interval[0], interval[1], 1000)
-    ys = ys[np.abs(np.abs(ys) - c) > 1e-3]
-    sample_neg = bool(np.all(f.schwarzian_closed(ys) < 0))
-    worst = float(np.max(f.schwarzian_closed(ys)))
-    checks["negative_schwarzian"] = (sample_neg, {"max_sampled": worst})
+    exact = Cubic1D(Fraction(mu_star))
+    ys = [Fraction(k, 8) for k in range(math.floor(8 * interval[0]) + 1, math.ceil(8 * interval[1]))]
+    agree = all(exact.schwarzian(y) == exact.schwarzian_closed(y) for y in ys)
+    checks["negative_schwarzian"] = (mu_star > 0 and agree, {"points": len(ys)})
 
     weakest = math.inf
     weakest_orbit = None
     ok = True
-    for p in range(1, max_period + 1):
+    for p in range(1, MAX_PERIOD + 1):
         for orb in find_periodic(f, p, interval):
             m = abs(float(orb.multiplier))
             if m < weakest:
@@ -146,7 +146,7 @@ def misiurewicz_check(mu_star: float, interval: tuple, max_period: int = 8) -> M
     checks["critical_orbit_avoids_critical_set"] = (dist > 0, {"min_distance": dist, "orbit": orbit})
 
     passed = all(v[0] for v in checks.values())
-    return MisiurewiczCertificate(mu_star, interval, orbit, checks, passed)
+    return MisiurewiczCertificate(checks, passed)
 
 
 @dataclass(frozen=True)
@@ -206,37 +206,26 @@ def nondegeneracy_check(family: PlanarFamily, params, points) -> float:
     return float(np.max(np.abs(d - 1.0)))
 
 
-def make_T_family(kind: str, *, model: renorm.ModelParams | None = None, n: int | None = None, s: float = 1.0) -> PlanarFamily:
-    """Thickened cubic families (x, y) -> (beta*u, -y^3 + alpha*y + x + beta*v).
-
-    kind "henon": u = y, v = 0, parameterized by (alpha, beta); the strange
-    attractor family.  kind "renorm": the standardized n-step return map of
-    `model` at secondary parameter s*xi^n, parameterized by (alpha,) with
-    beta = xi^n implied; equals the conjugated renormalized family by
-    construction, which is what the sliding construction needs.
+def make_T_family(model: renorm.ModelParams, n: int, s: float = 1.0) -> PlanarFamily:
+    """The thickened renormalized family: the standardized n-step return map
+    of `model` at secondary parameter s*xi^n (xi = `model.rate`, s in
+    [1, 2]), parameterized by (alpha,), with its inverse.  It equals the
+    conjugated renormalized family by construction, which is what the
+    sliding construction needs.  As beta = xi^n -> 0 its shape is the
+    thickened cubic (x, y) -> (beta*u, -y^3 + alpha*y + x + beta*v), whose
+    u = y, v = 0 case is `planar.cubic_henon` at (alpha, beta).
     """
-    if kind == "henon":
-        fam = cubic_henon("thickened-cubic")
-        return PlanarFamily("thickened-cubic", ("alpha", "beta"), fam.forward, fam.inverse, fam.jacobian)
-    if kind == "renorm":
-        if model is None or n is None:
-            raise ValueError("kind='renorm' needs model and n")
-        if not 1.0 <= s <= 2.0:
-            raise ValueError("s must lie in [1, 2]")
-        xi_n = model.rate ** n
-        base = renorm.conjugate_to_standard(renorm.renormalized_family(model, n))
+    if not 1.0 <= s <= 2.0:
+        raise ValueError("s must lie in [1, 2]")
+    nu = s * model.rate ** n
+    base = renorm.conjugate_to_standard(renorm.renormalized_family(model, n))
 
-        def fwd(p, x, y):
-            (alpha,) = p
-            return base.forward((alpha, s * xi_n), x, y)
+    def fwd(p, x, y):
+        (alpha,) = p
+        return base.forward((alpha, nu), x, y)
 
-        inv = None
-        if base.inverse is not None:
-            def inv(p, x, y):
-                (alpha,) = p
-                return base.inverse((alpha, s * xi_n), x, y)
+    def inv(p, x, y):
+        (alpha,) = p
+        return base.inverse((alpha, nu), x, y)
 
-        out = PlanarFamily(f"thickened-renorm-n{n}", ("alpha",), fwd, inverse=inv)
-        object.__setattr__(out, "beta", xi_n)
-        return out
-    raise ValueError(f"unknown kind {kind!r}")
+    return PlanarFamily(f"thickened-renorm-n{n}", ("alpha",), fwd, inverse=inv)

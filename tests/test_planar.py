@@ -289,6 +289,8 @@ def reference_grow_manifold(family, params, saddle, kind, target_arclength, h_ma
             P = np.vstack([P, eval_level(tm, level)])
             order = np.argsort(ts)
             ts, P = ts[order], P[order]
+        if not complete:  # the pass would overrun the budget: growth ends before this level
+            break
         for q in P[1:]:
             if not np.isfinite(q).all() or np.max(np.abs(q)) > clip:
                 complete, done = False, True
@@ -323,13 +325,14 @@ class TestManifoldStops:
         assert np.max(np.abs(w.points)) <= 1.0
         # the unclipped curve carries on past the last kept point
         longer = self.henon_curve(target_arclength=50.0, clip=50.0)
-        assert longer.total_arclength > w.total_arclength
+        assert longer.arclength[-1] > w.arclength[-1]
 
     def test_budget_spent(self):
-        w = self.henon_curve(target_arclength=50.0, max_points=500)
+        w = self.henon_curve(target_arclength=50.0, max_points=500, h_max=1e-2)
         assert not w.complete
         assert_sequential_arclength(w, 50.0)
-        assert len(w.points) == 500
+        assert len(w.points) <= 500
+        assert np.max(np.hypot(*np.diff(w.points, axis=0).T)) <= 1e-2
 
     def test_levels_spent(self):
         w = self.henon_curve(target_arclength=50.0, max_levels=3)
@@ -384,6 +387,18 @@ class TestManifoldStops:
         assert np.array_equal(w.arclength, arc)
         assert w.complete == complete
 
+    def test_budget_overrun_ends_growth_at_the_last_refined_level(self):
+        # the pass that would overrun the budget is in a level far short of
+        # the target; growing on from that level coarse once kept 842 points
+        # reaching arclength 50.13, 641 segments longer than h_max
+        fam = renormalized_family(ModelParams(), 6)
+        s = find_saddle(fam, (3.0, 0.0), period=2, seed=(-2.0, 2.0))
+        w = grow_manifold(fam, (3.0, 0.0), s, "unstable", target_arclength=50.0, h_max=5e-3,
+                          clip=12.0, max_points=1000)
+        assert not w.complete
+        assert len(w.points) == 132 and w.arclength[-1] < 1.0
+        assert np.max(np.hypot(*np.diff(w.points, axis=0).T)) <= 5e-3
+
     @pytest.mark.parametrize("target, max_points", [(4.5, 1500), (11.0, 10_000)])
     def test_budget_is_not_spent_past_the_target(self, target, max_points):
         # the whole last level would overrun the budget, its part up to the
@@ -405,16 +420,22 @@ class TestManifoldStops:
         with pytest.raises(planar.ManifoldCutError, match="stops short"):
             grow_manifold(linear_family(), (0.2, 2.0), s, "unstable", target_arclength=3.0, direction=(0, 1))
 
-    @pytest.mark.parametrize("case", ["henon-inf", "renormalized-nan"])
+    @pytest.mark.parametrize("case", ["henon-inf", "renormalized-nan", "linear-inf"])
     def test_matches_reference_loop_on_a_non_finite_tail(self, case):
-        # with clip = inf only a non-finite point escapes; the cubic Henon
-        # branch overflows to inf and the two-cycle's stable branch to NaN
-        # within a level of thousands of points, far short of the budget; on
-        # the Henon branch a finite point next to an infinite one is not split
+        # with clip = inf only a non-finite point escapes.  The cubic Henon
+        # branch overflows to inf and the two-cycle's stable branch to NaN, but
+        # the level that escapes never meets the angle control, so a bisection
+        # pass overruns the budget and growth ends before that level.  The
+        # straight linear branch refines its levels to h_max up to the first
+        # infinite point, which is not split and not kept
         if case == "henon-inf":
             fam, p = cubic_henon(), (4.0, 0.3)
             s = find_saddle(fam, p, seed=(0.0, 0.0))
             kind, direction, h_max = "unstable", (1, 1), 1e200
+        elif case == "linear-inf":
+            fam, p = linear_family(), (0.2, 1e10)
+            s = find_saddle(fam, p, seed=(0.0, 0.0))
+            kind, direction, h_max = "unstable", (0, 1), 1e300
         else:
             fam, p = renormalized_family(ModelParams(), 6), (3.0, 0.0)
             s = find_saddle(fam, p, period=2, seed=(-2.0, 2.0))
@@ -423,8 +444,11 @@ class TestManifoldStops:
         w = grow_manifold(fam, p, s, kind, **kw)
         with np.errstate(over="ignore", invalid="ignore"):
             pts, arc, complete = reference_grow_manifold(fam, p, s, kind, **kw)
-        assert not w.complete and 1000 < len(w.points) < 20_000
-        assert np.isfinite(w.points).all()
+        assert not w.complete and np.isfinite(w.points).all()
+        if case == "linear-inf":
+            assert len(w.points) > 10_000
+            with np.errstate(over="ignore"):
+                assert np.isinf(fam.forward(p, *w.points[-1])[1])
         assert np.array_equal(w.points, pts)
         assert np.array_equal(w.arclength, arc)
         assert w.complete == complete
@@ -455,7 +479,7 @@ def polyline_curve(points):
     """Wrap an analytic test polyline as an unstable ManifoldCurve."""
     pts = np.asarray(points, dtype=float)
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    return ManifoldCurve(pts, "unstable", None, np.concatenate([[0.0], np.cumsum(seg)]))
+    return ManifoldCurve(pts, "unstable", np.concatenate([[0.0], np.cumsum(seg)]))
 
 
 def parabola_curve(offset=0.0, n=401):
@@ -719,6 +743,14 @@ class TestProbeOnRenormalizedFamily:
         on_second_probe = other(0.0)
         assert fresh == after_other_call == on_second_probe
         assert repr(fresh) == repr(after_other_call) == repr(on_second_probe)
+
+    def test_unknown_region_rejected(self):
+        with pytest.raises(ValueError, match=r"^region must be 'upper' or 'lower', got 'Upper'$"):
+            planar.region_probe(renormalized_family(ModelParams(), 6), 3.0, "Upper")
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match=r"^mode must be 'peak' or 'valley', got 'peek'$"):
+            dataclasses.replace(upper_probe_at_mu3(), mode="peek")
 
     def test_diverging_saddle_solve_names_its_parameter(self):
         with pytest.raises(NewtonDivergenceError, match=r"^t=1000000\.0: no convergence after 100 iterations$") as exc:

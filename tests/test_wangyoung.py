@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -80,9 +81,20 @@ class TestInterval:
 
 class TestMisiurewicz:
     def test_certificate_passes(self, mu_star, interval):
-        cert = misiurewicz_check(mu_star, interval, max_period=8)
+        cert = misiurewicz_check(mu_star, interval)
         assert cert.passed
         assert all(ok for ok, _ in cert.checks.values())
+
+    def test_schwarzian_clause_is_exact_agreement(self, mu_star, interval, monkeypatch):
+        # the 31 points k/8 strictly inside the trapping interval (r ~ 1.9)
+        ok, w = misiurewicz_check(mu_star, interval).checks["negative_schwarzian"]
+        assert ok and w == {"points": 31}
+        # a closed form off by 2^-60 at one rational point breaks the clause
+        closed = Cubic1D.schwarzian_closed
+        monkeypatch.setattr(Cubic1D, "schwarzian_closed",
+                            lambda self, y: closed(self, y) + (y == F(1, 8)) * F(1, 2**60))
+        cert = misiurewicz_check(mu_star, interval)
+        assert not cert.checks["negative_schwarzian"][0] and not cert.passed
 
     def test_fixed_point_multipliers_closed_form(self, mu_star, interval):
         # F'(0) = mu*; F'(+-e) = 3 - 2 mu*
@@ -130,22 +142,15 @@ def test_nondegeneracy_measured():
     lo, hi = build_interval(mu)
     grid = np.linspace(lo, hi, 21)
     box = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2)
-    t = make_T_family("renorm", model=ModelParams(), n=6)
+    t = make_T_family(ModelParams(), 6)
     assert nondegeneracy_check(t, (mu,), box) < 1e-6
     # the limit endomorphism's second component does not depend on x
     assert nondegeneracy_check(limit_family(), (mu, 0.0), box) == 1.0
 
 
 class TestTFamily:
-    def test_henon_instance_matches_attractor_family(self):
-        t = make_T_family("henon")
-        h = cubic_henon()
-        rng = np.random.default_rng(0)
-        for x, y in rng.uniform(-2, 2, (50, 2)):
-            assert t.forward((2.8, 0.1), x, y) == h.forward((2.8, 0.1), x, y)
-
     def test_small_beta_limit_is_folding_form(self):
-        t = make_T_family("henon")
+        t = cubic_henon()
         rng = np.random.default_rng(1)
         for x, y in rng.uniform(-2, 2, (50, 2)):
             fx, fy = t.forward((2.8, 1e-12), x, y)
@@ -155,7 +160,7 @@ class TestTFamily:
     def test_renorm_instance_equals_standardized_map(self):
         mp = ModelParams()
         n, s = 8, 1.5
-        t = make_T_family("renorm", model=mp, n=n, s=s)
+        t = make_T_family(mp, n, s)
         std = conjugate_to_standard(renormalized_family(mp, n))
         nu = s * mp.rate**n
         rng = np.random.default_rng(2)
@@ -163,10 +168,9 @@ class TestTFamily:
             a = t.forward((3.0,), x, y)
             b = std.forward((3.0, nu), x, y)
             assert a == b
-        assert t.beta == mp.rate**n
 
     def test_renorm_instance_invertible(self):
-        t = make_T_family("renorm", model=ModelParams(), n=6, s=1.0)
+        t = make_T_family(ModelParams(), 6)
         rng = np.random.default_rng(3)
         for x, y in rng.uniform(-1.5, 1.5, (100, 2)):
             fx, fy = t.forward((3.0,), x, y)
@@ -174,7 +178,7 @@ class TestTFamily:
             assert math.hypot(bx - x, by - y) < 1e-10
 
     def test_henon_jacobian_matches_fd(self):
-        t = make_T_family("henon")
+        t = cubic_henon()
         bare = PlanarFamily(t.name, t.param_names, t.forward)
         p = (2.8, 0.1)
         rng = np.random.default_rng(4)
@@ -185,8 +189,4 @@ class TestTFamily:
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            make_T_family("renorm")
-        with pytest.raises(ValueError):
-            make_T_family("renorm", model=ModelParams(), n=6, s=3.0)
-        with pytest.raises(ValueError):
-            make_T_family("unknown")
+            make_T_family(ModelParams(), 6, s=3.0)
