@@ -2,7 +2,8 @@
 
 Orbits, saddle solving, Lyapunov exponents, invariant-manifold polylines,
 and tangency detection/classification between an unstable and a stable
-curve measured along vertical fibers.
+curve measured along vertical fibers; the same tangencies as folds of the
+unstable curve against the stable eigenline, without polylines.
 
 Sign conventions for tangency events
 ------------------------------------
@@ -20,7 +21,9 @@ lower (valley) event it is the negative of it.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
@@ -48,8 +51,13 @@ __all__ = [
     "TangencyEvent",
     "classify_tangency",
     "scan_events",
+    "FoldPoint",
+    "fold_extremum",
+    "fold_zero",
+    "fold_bound",
     "periodic_ordinate",
     "velocity_table",
+    "limit_velocities",
     "limit_upper_gap",
     "LocusFit",
     "tangency_locus",
@@ -310,6 +318,39 @@ H_MIN = 1e-5  # spacing below which an interval is never split
 ANGLE_MAX = 0.2  # largest turning angle (radians) between segments longer than H_MIN
 
 
+def _seed_domain(family: PlanarFamily, params, saddle: SaddlePoint, kind: str, direction):
+    """(advance, x0, x1): `advance(x, y, levels)` applies `grow_manifold`'s
+    map M `levels` times, and [x0, x1 = M(x0)] is its seed domain."""
+    if kind == "unstable":
+        mult, v = saddle.eig_unstable, saddle.vec_unstable
+        base_map = family.forward
+    elif kind == "stable":
+        if family.inverse is None:
+            raise ValueError("stable manifold needs an inverse map")
+        mult, v = saddle.eig_stable, saddle.vec_stable
+        base_map = family.inverse
+    else:
+        raise ValueError("kind must be 'unstable' or 'stable'")
+
+    reps = saddle.period * (2 if mult < 0 else 1)
+    p = np.array(saddle.location)
+    vv = np.array(v, dtype=float)
+    vv /= np.linalg.norm(vv)
+    if direction is not None and float(np.dot(vv, np.asarray(direction, float))) < 0:
+        vv = -vv
+
+    def advance(x, y, levels):
+        for _ in range(levels * reps):
+            x, y = base_map(params, x, y)
+        return np.asarray(x, float), np.asarray(y, float)
+
+    x0 = p + SEED_EPS * vv
+    x1 = np.array(advance(x0[0], x0[1], 1))
+    if np.linalg.norm(x1 - p) <= np.linalg.norm(x0 - p):
+        raise ValueError("seed direction is not expanding under the chosen map")
+    return advance, x0, x1
+
+
 # an escaping tail overflows to inf and NaN; the bisection masks keep it
 # coarse and the append step drops it, so numpy need not warn about it
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -383,35 +424,9 @@ def grow_manifold(
     A curve still short of the target after `max_levels` levels is
     incomplete too.
     """
-    if kind == "unstable":
-        mult, v = saddle.eig_unstable, saddle.vec_unstable
-        base_map = family.forward
-    elif kind == "stable":
-        if family.inverse is None:
-            raise ValueError("stable manifold needs an inverse map")
-        mult, v = saddle.eig_stable, saddle.vec_stable
-        base_map = family.inverse
-    else:
-        raise ValueError("kind must be 'unstable' or 'stable'")
     if max_points < 2:
         raise ValueError("max_points must be >= 2")
-
-    reps = saddle.period * (2 if mult < 0 else 1)
-    p = np.array(saddle.location)
-    vv = np.array(v, dtype=float)
-    vv /= np.linalg.norm(vv)
-    if direction is not None and float(np.dot(vv, np.asarray(direction, float))) < 0:
-        vv = -vv
-
-    def advance(x, y, levels):
-        for _ in range(levels * reps):
-            x, y = base_map(params, x, y)
-        return np.asarray(x, float), np.asarray(y, float)
-
-    x0 = p + SEED_EPS * vv
-    x1 = np.array(advance(x0[0], x0[1], 1))
-    if np.linalg.norm(x1 - p) <= np.linalg.norm(x0 - p):
-        raise ValueError("seed direction is not expanding under the chosen map")
+    advance, x0, x1 = _seed_domain(family, params, saddle, kind, direction)
 
     def eval_level(ts, level):
         return advance(x0[0] + ts * (x1[0] - x0[0]), x0[1] + ts * (x1[1] - x0[1]), level)
@@ -679,6 +694,17 @@ PROBE_H_MAX = 5e-3  # the probes' manifold spacing control
 PROBE_CLIP = 12.0  # the probes' manifold clip box
 
 
+@contextmanager
+def _naming(t: float):
+    """Re-raise a `WindowRejected` or `NewtonDivergenceError` with the t it was measured at."""
+    try:
+        yield
+    except WindowRejected as exc:
+        raise WindowRejected(f"t={t}: {exc}") from exc
+    except NewtonDivergenceError as exc:
+        raise NewtonDivergenceError(f"t={t}: {exc}", exc.last) from exc
+
+
 @dataclass(frozen=True)
 class FiberGapProbe:
     """t -> TangencyCandidate for one tangency region of a parameter scan.
@@ -714,26 +740,25 @@ class FiberGapProbe:
 
     def __call__(self, t: float) -> TangencyCandidate:
         if t not in self._measured:
-            try:
+            with _naming(t):
                 self._measured[t] = self._measure(t)
-            except WindowRejected as exc:
-                raise WindowRejected(f"t={t}: {exc}") from exc
-            except NewtonDivergenceError as exc:
-                raise NewtonDivergenceError(f"t={t}: {exc}", exc.last) from exc
         return self._measured[t]
+
+    def _saddles(self, params) -> tuple:
+        """The unstable and the stable saddle at `params`."""
+        su = find_saddle(self.family, params, period=PROBE_PERIOD, seed=self.unstable_seed)
+        if self.stable_seed == self.unstable_seed:
+            return su, su  # the Newton solve is deterministic
+        return su, find_saddle(self.family, params, period=PROBE_PERIOD, seed=self.stable_seed)
 
     def _measure(self, t: float) -> TangencyCandidate:
         params = self.curve(t)
-        su = find_saddle(self.family, params, period=PROBE_PERIOD, seed=self.unstable_seed)
+        su, ss = self._saddles(params)
         wu = grow_manifold(
             self.family, params, su, "unstable",
             target_arclength=self.unstable_arclength, h_max=PROBE_H_MAX,
             direction=self.unstable_direction, clip=PROBE_CLIP,
         )
-        if self.stable_seed == self.unstable_seed:
-            ss = su  # the Newton solve is deterministic
-        else:
-            ss = find_saddle(self.family, params, period=PROBE_PERIOD, seed=self.stable_seed)
         ws = grow_manifold(
             self.family, params, ss, "stable",
             target_arclength=self.stable_arclength, h_max=PROBE_H_MAX,
@@ -766,6 +791,133 @@ def scan_events(probe: FiberGapProbe, ts) -> tuple[list, TangencyEvent | None]:
         if pens[i] == 0.0 or pens[i] * pens[i + 1] < 0:
             return pens, classify_tangency(probe, probe.locate_zero((ts[i], ts[i + 1])))
     return pens, None
+
+
+# ---------------------------------------------------------------------------
+# Tangency as a fold of the unstable curve
+# ---------------------------------------------------------------------------
+
+FOLD_GRID = 128  # seed-coordinate points per level of the fold search's grid
+FOLD_ZOOM = 65  # points per refinement step of the fold search
+FOLD_TOL = 1e-13  # gap spread that ends the refinement; the extremum is then within a quarter of it
+
+
+@dataclass(frozen=True)
+class FoldPoint:
+    sigma: float  # seed coordinate of the extremum on the unstable curve
+    penetration: float  # max G at a peak, -min G at a valley
+
+
+def fold_extremum(probe: FiberGapProbe, t: float) -> FoldPoint:
+    """A probe's penetration at t from the fold of its unstable curve, with
+    no stable curve or polyline (Krauskopf & Osinga 1998): max G at a peak,
+    -min G at a valley, of G(sigma) = <q(sigma) - p_s, n_s>, the signed
+    distance from the stable saddle p_s's eigenline (upward normal n_s).
+
+    With `grow_manifold`'s domain [x0, x1] and map M, q(sigma) =
+    M^floor(sigma)(x0 + frac(sigma)(x1 - x0)) runs on across levels.  Only
+    the probe's own arc counts: arclength at most `unstable_arclength`,
+    inside the window; later levels fold back through it.  A grid of
+    `FOLD_GRID` points per level, even in log(1 + (lam - 1) frac(sigma)),
+    brackets the extremum, and `FOLD_ZOOM`-point grids refine it until the
+    gap spread is `FOLD_TOL`.  Each call starts afresh.  A missed window or
+    an extremum at an end of the arc there raises `WindowRejected`, and a
+    diverging saddle solve `NewtonDivergenceError`, each naming t.
+    """
+    with _naming(t):
+        return _fold_extremum(probe, t)
+
+
+# sigma points far along W^u escape to inf and NaN; they fall outside the
+# window and the arc, so numpy need not warn about them
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _fold_extremum(probe: FiberGapProbe, t: float) -> FoldPoint:
+    params = probe.curve(t)
+    su, ss = probe._saddles(params)
+    advance, x0, x1 = _seed_domain(probe.family, params, su, "unstable", probe.unstable_direction)
+
+    lam = math.hypot(x1[0] - su.location[0], x1[1] - su.location[1]) / SEED_EPS
+    ts = np.expm1(math.log(lam) * np.arange(FOLD_GRID) / FOLD_GRID) / (lam - 1)
+    X, Y = x0[0] + ts * (x1[0] - x0[0]), x0[1] + ts * (x1[1] - x0[1])
+    sig, xs, ys, runs = [], [], [], []
+    arc, last = 0.0, x0
+    for level in range(64):  # as many as `grow_manifold` grows at most
+        if level:
+            X, Y = advance(X, Y, 1)
+        sig.append(level + ts)
+        xs.append(X)
+        ys.append(Y)
+        runs.append(arc + np.cumsum(np.hypot(X - np.append(last[0], X[:-1]), Y - np.append(last[1], Y[:-1]))))
+        arc, last = runs[-1][-1], (X[-1], Y[-1])
+        if not arc < probe.unstable_arclength:  # reached, or non-finite
+            break
+    sig, xs, ys = np.concatenate(sig), np.concatenate(xs), np.concatenate(ys)
+    past = ~(np.concatenate(runs) <= probe.unstable_arclength)  # NaN past an escape counts as past
+    sigma_end = sig[int(np.argmax(past)) - 1] if past.any() else sig[-1]
+
+    (xlo, xhi), (ylo, yhi) = probe.window
+    (px, py), (vx, vy) = ss.location, ss.vec_stable
+    norm = math.hypot(vx, vy) * (1.0 if vx >= 0 else -1.0) * (1.0 if probe.mode == "peak" else -1.0)
+    nx, ny = -vy / norm, vx / norm  # the upward unit normal, turned down for a valley
+
+    def gap(x, y, sigma):
+        """The extremized G, and -inf off the arc in the window."""
+        inside = (xlo <= x) & (x <= xhi) & (ylo <= y) & (y <= yhi) & (sigma <= sigma_end)
+        return np.where(inside, (x - px) * nx + (y - py) * ny, -np.inf)
+
+    g = gap(xs, ys, sig)
+    i = int(np.argmax(g))
+    if g[i] == -np.inf:
+        raise WindowRejected("the unstable arc misses the window")
+    lo, hi = sig[max(i - 1, 0)], sig[min(i + 1, len(sig) - 1)]
+    best = (sig[i], g[i])
+    while True:
+        s = np.linspace(lo, hi, FOLD_ZOOM)
+        level = np.floor(s)
+        frac = s - level
+        qx, qy = advance(x0[0] + frac * (x1[0] - x0[0]), x0[1] + frac * (x1[1] - x0[1]), int(level[0]))
+        for extra in range(1, int(level[-1] - level[0]) + 1):  # a bracket across a level end
+            on = level >= level[0] + extra
+            qx[on], qy[on] = advance(qx[on], qy[on], 1)
+        gs = gap(qx, qy, s)
+        j = int(np.argmax(gs))
+        if gs[j] >= best[1]:
+            best = (s[j], gs[j])
+        j = min(max(j, 1), FOLD_ZOOM - 2)
+        spread = best[1] - min(gs[j - 1], gs[j + 1])
+        if spread == np.inf:
+            raise WindowRejected(f"the {probe.mode} lies at an end of the arc in the window, sigma={best[0]}")
+        if spread <= FOLD_TOL or s[j + 1] - s[j - 1] <= 4 * np.spacing(s[j]):
+            break
+        lo, hi = s[j - 1], s[j + 1]
+    return FoldPoint(float(best[0]), float(best[1]))
+
+
+def fold_zero(probe: FiberGapProbe, bracket: tuple) -> float:
+    """Zero of the fold penetration inside `bracket`, by Brent's method to 1e-8.
+
+    Raises `ValueError` when the penetration has the same sign at both ends.
+    """
+    return brentq(lambda t: fold_extremum(probe, t).penetration, *bracket, xtol=1e-8)
+
+
+def fold_bound(probe: FiberGapProbe, event: TangencyEvent) -> float:
+    """Largest expected |event - fold root| in t: over |gap_slope|, the
+    polyline's chord sag curvature_gap * h^2 / 8 (h = `PROBE_H_MAX`), the
+    three-fiber parabola's error |g'''| h_f^3 / (9 sqrt 3) with g''' = -6 the
+    limit cubic's, and the far end's distance from the stable eigenline of
+    the probe's stable curve, a chord starting on it; plus 1e-8 per root.
+    """
+    params = probe.curve(event.parameter)
+    _, ss = probe._saddles(params)
+    _, _, x1 = _seed_domain(probe.family, params, ss, "stable", probe.stable_direction)
+    (px, py), (vx, vy) = ss.location, ss.vec_stable
+    offset = abs((x1[0] - px) * vy - (x1[1] - py) * vx) / math.hypot(vx, vy)
+    (xlo, xhi), _ = probe.window
+    h = (xhi - xlo) / (N_FIBERS - 1)
+    sag = event.curvature_gap * PROBE_H_MAX ** 2 / 8
+    vertex = 6 * h ** 3 / (9 * math.sqrt(3))
+    return (sag + vertex + offset) / abs(event.gap_slope) + 2e-8
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +965,35 @@ def velocity_table() -> dict:
 
         out[("critical_value", sign, "mu")] = (crit_val(3 + step, 0) - crit_val(3 - step, 0)) / (2 * step)
         out[("critical_value", sign, "nu")] = (crit_val(3, step) - crit_val(3, -step)) / (2 * step)
+    return out
+
+
+def limit_velocities() -> dict:
+    """`velocity_table`'s velocities, exact, plus ('gap_slope', sign) and
+    ('locus_slope', sign) of the gap F(c) - y1 (sign +1 upper, -1 lower).
+
+    Implicit differentiation of F(F(y)) = y at y1 = +-2, with F'(+-2) = -9:
+    dy1/dp = -(d/dp F(F(y1))) / (F'(F(y1)) F'(y1) - 1).  At c = +-1,
+    F'(c) = 0, so dF(c)/dmu = c and dF(c)/dnu = 1.
+    """
+    mu = Fraction(3)
+
+    def df(y):
+        return -3 * y * y + mu
+
+    out = {}
+    for sign in (+1, -1):
+        y1, c = Fraction(2 * sign), Fraction(sign)
+        fy = -(y1 ** 3) + mu * y1
+        dg = df(fy) * df(y1) - 1
+        out[("y1", sign, "mu")] = -(fy + df(fy) * y1) / dg
+        out[("y1", sign, "nu")] = -(1 + df(fy)) / dg
+        out[("critical_value", sign, "mu")] = c
+        out[("critical_value", sign, "nu")] = Fraction(1)
+        gap_mu = c - out[("y1", sign, "mu")]
+        gap_nu = 1 - out[("y1", sign, "nu")]
+        out[("gap_slope", sign)] = gap_nu
+        out[("locus_slope", sign)] = -gap_mu / gap_nu
     return out
 
 

@@ -150,17 +150,18 @@ def _criterion_renorm(c: _Check):
 
 def _criterion_velocity(c: _Check):
     table = planar.velocity_table()
-    for sign, want in ((+1, 0.25), (-1, -0.25)):
-        got = table[("y1", sign, "mu")]
+    exact = planar.limit_velocities()
+    for sign in (+1, -1):
+        got, want = table[("y1", sign, "mu")], exact[("y1", sign, "mu")]
         c.expect(abs(got - want) < 1e-3, f"d y1({sign:+d})/d mu = {got:.6f} within 1e-3 of {want}")
     for sign in (+1, -1):
-        got = table[("y1", sign, "nu")]
-        c.expect(abs(got - 0.1) < 1e-3, f"d y1({sign:+d})/d nu = {got:.6f} within 1e-3 of 0.1")
+        got, want = table[("y1", sign, "nu")], exact[("y1", sign, "nu")]
+        c.expect(abs(got - want) < 1e-3, f"d y1({sign:+d})/d nu = {got:.6f} within 1e-3 of {want}")
     for sign in (+1, -1):
-        got = table[("critical_value", sign, "mu")]
-        c.expect(abs(got - sign) < 1e-6, f"d F(c{sign:+d})/d mu = {got:.9f} within 1e-6 of {sign}")
-        gotn = table[("critical_value", sign, "nu")]
-        c.expect(abs(gotn - 1.0) < 1e-9, f"d F(c{sign:+d})/d nu = {gotn:.12f} within 1e-9 of 1")
+        got, want = table[("critical_value", sign, "mu")], exact[("critical_value", sign, "mu")]
+        c.expect(abs(got - want) < 1e-6, f"d F(c{sign:+d})/d mu = {got:.9f} within 1e-6 of {want}")
+        got, want = table[("critical_value", sign, "nu")], exact[("critical_value", sign, "nu")]
+        c.expect(abs(got - want) < 1e-9, f"d F(c{sign:+d})/d nu = {got:.12f} within 1e-9 of {want}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +176,14 @@ def _criterion_tangency(c: _Check):
     residual = renorm.residual_sup(mp, n)[1]
     tol = 0.1 + residual
     fam = renorm.renormalized_family(mp, n)
+
+    exact = planar.limit_velocities()
+    c.expect(
+        EXPECTED["upper_slope"] == float(exact[("gap_slope", +1)])
+        and EXPECTED["locus_slope"] == float(exact[("locus_slope", +1)]),
+        f"reference slopes {EXPECTED['upper_slope']} and {EXPECTED['locus_slope']:.4f} equal the limit "
+        f"family's {exact[('gap_slope', +1)]} and {exact[('locus_slope', +1)]}",
+    )
 
     up, nu_pred = planar.region_probe(fam, 3.0, "upper")
     lo, _ = planar.region_probe(fam, 3.0, "lower")
@@ -203,20 +212,30 @@ def _criterion_tangency(c: _Check):
     else:
         c.expect(ev_lo.classification == "contact-breaking", f"lower event at nu={ev_lo.parameter:.6f} is contact-breaking")
         c.expect(ev_lo.gap_slope < 0, f"lower gap slope {ev_lo.gap_slope:.4f} negative")
+    if ev_up is not None and ev_lo is not None:
+        # the fold route reads no polyline, so each event sits within its probe's
+        # interpolation error of the fold root
+        offs = [(abs(ev.parameter - planar.fold_zero(probe, bracket)), planar.fold_bound(probe, ev))
+                for probe, ev in ((up, ev_up), (lo, ev_lo))]
+        c.expect(
+            all(d <= b for d, b in offs),
+            "probe events within the derived bound of their fold roots: "
+            + ", ".join(f"{name} |dnu| {d:.2e} <= {b:.2e} (margin {b - d:.2e})"
+                        for name, (d, b) in zip(("upper", "lower"), offs)),
+        )
 
     mus = [float(m) for m in np.linspace(2.85, 3.15, 7)]
-    # mus[3] is exactly 3.0, where `up` already holds the measurements
     probes = {mu: (up, nu_pred) if mu == 3.0 else planar.region_probe(fam, mu, "upper") for mu in mus}
     fit = planar.tangency_locus(
-        lambda mu, nu: probes[mu][0].penetration(nu),
+        lambda mu, nu: planar.fold_extremum(probes[mu][0], nu).penetration,
         {mu: (pred - 0.03, pred + 0.03) for mu, (_, pred) in probes.items()},
     )
-    c.expect(not fit.skipped, f"locus found at every mu grid point {list(fit.mu_values)}")
+    c.expect(not fit.skipped, f"fold locus found at every mu grid point {list(fit.mu_values)}")
     c.expect(
         abs(fit.slope - EXPECTED["locus_slope"]) <= 0.1,
-        f"locus slope {fit.slope:.4f} within 0.1 of {EXPECTED['locus_slope']:.4f}",
+        f"fold locus slope {fit.slope:.4f} within 0.1 of {EXPECTED['locus_slope']:.4f}",
     )
-    c.expect(fit.strictly_decreasing, f"locus nu(mu) strictly decreasing: {[f'{v:.4f}' for v in fit.nu_values]}")
+    c.expect(fit.strictly_decreasing, f"fold locus nu(mu) strictly decreasing: {[f'{v:.4f}' for v in fit.nu_values]}")
 
 
 # ---------------------------------------------------------------------------

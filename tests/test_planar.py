@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -664,6 +665,24 @@ class TestVelocities:
         assert abs(t[("critical_value", -1, "mu")] + 1.0) < 1e-6
         assert abs(t[("critical_value", +1, "nu")] - 1.0) < 1e-9
 
+    def test_limit_velocities_are_exact(self):
+        v = planar.limit_velocities()
+        assert all(type(x) is Fraction for x in v.values())
+        for sign in (+1, -1):
+            assert v[("y1", sign, "mu")] == Fraction(sign, 4)
+            assert v[("y1", sign, "nu")] == Fraction(1, 10)
+            assert v[("critical_value", sign, "mu")] == sign
+            assert v[("critical_value", sign, "nu")] == 1
+            assert v[("gap_slope", sign)] == Fraction(9, 10)
+            assert v[("locus_slope", sign)] == Fraction(-5 * sign, 6)
+        table = velocity_table()
+        assert all(abs(table[k] - v[k]) < 1e-3 for k in table)
+
+    def test_limit_locus_slope_matches_the_velocities(self):
+        mus = np.linspace(2.99, 3.01, 5)
+        fit = tangency_locus(limit_upper_gap, {float(m): (-0.1, 0.1) for m in mus})
+        assert abs(fit.slope - planar.limit_velocities()[("locus_slope", +1)]) < 1e-3
+
     def test_periodic_ordinate_solves_period_two(self):
         f = Cubic1D(3.02, 0.01)
         y = periodic_ordinate(3.02, 0.01, +1)
@@ -838,3 +857,97 @@ class TestProbeOnRenormalizedFamily:
             probe(t)
         assert (probe.stable_seed == probe.unstable_seed) == (region == "upper")
         assert len(solved) == 2 * solves
+
+
+class TestFold:
+    """The fold route: the unstable curve's extremal distance from the stable
+    eigenline, against the probes' polylines."""
+
+    mus = [float(m) for m in np.linspace(2.85, 3.15, 7)]  # criterion 5's grid
+
+    @staticmethod
+    def probe(mu, region):
+        return planar.region_probe(renormalized_family(ModelParams(), 6), mu, region)
+
+    def test_probe_and_fold_loci_agree_within_the_bound(self):
+        probes = {mu: self.probe(mu, "upper") for mu in self.mus}
+        brackets = {mu: (pred - 0.03, pred + 0.03) for mu, (_, pred) in probes.items()}
+        by_probe = tangency_locus(lambda mu, nu: probes[mu][0].penetration(nu), brackets)
+        by_fold = tangency_locus(lambda mu, nu: planar.fold_extremum(probes[mu][0], nu).penetration, brackets)
+        assert by_probe.mu_values == by_fold.mu_values == tuple(self.mus)
+        for mu, nu_probe, nu_fold in zip(self.mus, by_probe.nu_values, by_fold.nu_values):
+            probe = probes[mu][0]
+            event = classify_tangency(probe, nu_probe)
+            assert abs(nu_fold - nu_probe) <= planar.fold_bound(probe, event), mu
+        assert by_fold.strictly_decreasing
+        assert abs(by_fold.slope - by_probe.slope) < 1e-4
+
+    def test_lower_window_reads_only_the_probes_arc(self):
+        # levels 3, 4 and 5 of W^u pass through the lower window, but the
+        # probe's arc ends in level 3; over every level the fold is a later sheet's
+        probe, pred = self.probe(3.0, "lower")
+        bracket = (pred - 0.03, pred + 0.03)
+        root = planar.fold_zero(probe, bracket)
+        assert 3.11 < planar.fold_extremum(probe, root).sigma < 3.35
+        _, event = scan_events(probe, bracket)
+        assert abs(root - event.parameter) <= planar.fold_bound(probe, event)
+        every_level = dataclasses.replace(probe, unstable_arclength=1e9)
+        other = planar.fold_zero(every_level, bracket)
+        assert other > 0.006 and planar.fold_extremum(every_level, other).sigma > 4
+
+    @pytest.mark.parametrize("mu, lo, hi", [(2.85, 4.0, 4.01), (3.0, 3.72, 4.0)])
+    def test_upper_crest_across_a_level_end(self, mu, lo, hi):
+        # the crest sits just past sigma = 4 at 2.85 and before it at 3
+        probe, pred = self.probe(mu, "upper")
+        root = planar.fold_zero(probe, (pred - 0.03, pred + 0.03))
+        assert lo < planar.fold_extremum(probe, root).sigma < hi
+
+    def test_value_does_not_depend_on_earlier_calls(self):
+        probe, pred = self.probe(3.0, "upper")
+        fresh = planar.fold_extremum(probe, pred)
+        for t in (pred + 0.03, pred - 0.03):
+            planar.fold_extremum(probe, t)
+        other, _ = self.probe(3.0, "upper")
+        other_first = planar.fold_extremum(other, pred - 0.01)
+        assert planar.fold_extremum(probe, pred) == fresh == planar.fold_extremum(other, pred)
+        assert other_first != fresh
+
+    def test_bracket_without_sign_change_rejected(self):
+        probe, pred = self.probe(3.0, "upper")
+        with pytest.raises(ValueError, match="different signs"):
+            planar.fold_zero(probe, (pred + 0.01, pred + 0.03))
+
+    def test_missed_window_names_t(self):
+        probe, pred = self.probe(3.0, "upper")
+        missed = dataclasses.replace(probe, window=((5.0, 6.0), (5.0, 6.0)))
+        with pytest.raises(WindowRejected, match=rf"^t={pred}: the unstable arc misses the window$"):
+            planar.fold_extremum(missed, pred)
+
+    @pytest.mark.parametrize("region, window", [
+        ("upper", ((0.55, 0.9), (1.2, 2.6))),  # the crest at x = 1 is outside
+        ("lower", ((-1.45, -1.1), (-2.4, -1.2))),  # the valley at x = -1 is outside
+    ])
+    def test_extremum_at_an_end_of_the_arc_names_t(self, region, window):
+        probe, pred = self.probe(3.0, region)
+        cut = dataclasses.replace(probe, window=window)
+        with pytest.raises(WindowRejected, match=rf"^t={pred}: the (peak|valley) lies at an end of the arc"):
+            planar.fold_extremum(cut, pred)
+
+    def test_escaping_sigma_points_raise_no_warning(self):
+        # with no arclength limit the grid runs on until its points overflow;
+        # the first levels still hold the crest
+        probe, pred = self.probe(3.0, "upper")
+        seen = []
+
+        def forward(params, x, y):
+            out = probe.family.forward(params, x, y)
+            seen.append(not np.all(np.isfinite(out)))
+            return out
+
+        fam = dataclasses.replace(probe.family, forward=forward)
+        every_level = dataclasses.replace(probe, family=fam, unstable_arclength=math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fold = planar.fold_extremum(every_level, pred)
+        assert any(seen)
+        assert np.isfinite(fold.penetration)
