@@ -67,32 +67,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlanarFamily:
-    """A parameterized planar map: scalar-in/scalar-out callables.
+    """A parameterized planar map.
 
     `forward(params, x, y) -> (x', y')` and `inverse` (None for
     endomorphisms) are numpy safe; `jacobian(params, x, y) -> ((a,b),(c,d))`
-    takes a scalar point and is optional, with a central-difference fallback
-    at step 1e-6.
+    takes a scalar point.
     """
 
     name: str
     param_names: tuple
     forward: Callable
-    inverse: Callable | None = None
-    jacobian: Callable | None = None
-
-    def jac(self, params, x, y):
-        if self.jacobian is not None:
-            return self.jacobian(params, x, y)
-        h = 1e-6
-        fxp = self.forward(params, x + h, y)
-        fxm = self.forward(params, x - h, y)
-        fyp = self.forward(params, x, y + h)
-        fym = self.forward(params, x, y - h)
-        return (
-            ((fxp[0] - fxm[0]) / (2 * h), (fyp[0] - fym[0]) / (2 * h)),
-            ((fxp[1] - fxm[1]) / (2 * h), (fyp[1] - fym[1]) / (2 * h)),
-        )
+    inverse: Callable | None
+    jacobian: Callable
 
 
 def cubic_henon() -> PlanarFamily:
@@ -166,7 +152,7 @@ def lyapunov(
     vx, vy = 0.673, 0.7397  # arbitrary unit-ish direction, no special alignment
     logs = np.empty(steps)
     for k in range(discard):
-        (j11, j12), (j21, j22) = family.jac(params, x, y)
+        (j11, j12), (j21, j22) = family.jacobian(params, x, y)
         vx, vy = j11 * vx + j12 * vy, j21 * vx + j22 * vy
         nv = math.hypot(vx, vy)
         if nv == 0.0:
@@ -177,7 +163,7 @@ def lyapunov(
             return LyapunovEstimate(float("nan"), float("nan"), k, escaped=True)
     used = 0
     for k in range(steps):
-        (j11, j12), (j21, j22) = family.jac(params, x, y)
+        (j11, j12), (j21, j22) = family.jacobian(params, x, y)
         vx, vy = j11 * vx + j12 * vy, j21 * vx + j22 * vy
         nv = math.hypot(vx, vy)
         if nv == 0.0:
@@ -225,7 +211,7 @@ class SaddlePoint:
 def _orbit_jacobian(family, params, x, y, period):
     J = np.eye(2)
     for _ in range(period):
-        (a, b), (c, d) = family.jac(params, x, y)
+        (a, b), (c, d) = family.jacobian(params, x, y)
         J = np.array([[a, b], [c, d]], dtype=float) @ J
         x, y = family.forward(params, x, y)
     return J, (x, y)
@@ -692,6 +678,8 @@ def classify_tangency(probe: Callable[[float], TangencyCandidate], t0: float) ->
 PROBE_PERIOD = 2  # period of the saddles whose manifolds a probe grows
 PROBE_H_MAX = 5e-3  # the probes' manifold spacing control
 PROBE_CLIP = 12.0  # the probes' manifold clip box
+PROBE_UNSTABLE_DIRECTION = (1.0, -1.0)  # the probes' unstable seed direction
+PROBE_STABLE_ARCLENGTH = 4.5  # the length of the probes' stable curves
 
 
 @contextmanager
@@ -712,10 +700,11 @@ class FiberGapProbe:
     `curve` maps the scan parameter t to family parameters.  Measuring a t
     solves both period-`PROBE_PERIOD` saddles afresh from `unstable_seed`
     and `stable_seed` (once when the seeds are equal), regrows both
-    manifolds with spacing `PROBE_H_MAX` inside the |coordinate| <=
-    `PROBE_CLIP` box and takes the window's extremal gap, so the result
-    depends on t alone, not on earlier calls.  A `WindowRejected` or a
-    saddle solve's `NewtonDivergenceError` names the t it was measured at.
+    manifolds (the stable one `PROBE_STABLE_ARCLENGTH` long) with spacing
+    `PROBE_H_MAX` inside the |coordinate| <= `PROBE_CLIP` box and takes the
+    window's extremal gap, so the result depends on t alone, not on earlier
+    calls.  A `WindowRejected` or a saddle solve's `NewtonDivergenceError`
+    names the t it was measured at.
     Each t is measured once per instance: a repeated t returns the stored
     candidate.  `mode` is "peak" for regions where the unstable curve
     crests into the stable one from below and "valley" for the mirrored
@@ -728,10 +717,8 @@ class FiberGapProbe:
     stable_seed: tuple
     window: tuple
     mode: str
-    unstable_direction: tuple = (1.0, 0.0)
-    stable_direction: tuple = (1.0, 0.0)
-    unstable_arclength: float = 11.0
-    stable_arclength: float = 5.5
+    stable_direction: tuple
+    unstable_arclength: float
     _measured: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -757,11 +744,11 @@ class FiberGapProbe:
         wu = grow_manifold(
             self.family, params, su, "unstable",
             target_arclength=self.unstable_arclength, h_max=PROBE_H_MAX,
-            direction=self.unstable_direction, clip=PROBE_CLIP,
+            direction=PROBE_UNSTABLE_DIRECTION, clip=PROBE_CLIP,
         )
         ws = grow_manifold(
             self.family, params, ss, "stable",
-            target_arclength=self.stable_arclength, h_max=PROBE_H_MAX,
+            target_arclength=PROBE_STABLE_ARCLENGTH, h_max=PROBE_H_MAX,
             direction=self.stable_direction, clip=PROBE_CLIP,
         )
         return window_extremal_gap(wu, ws, self.window, self.mode)
@@ -834,7 +821,7 @@ def fold_extremum(probe: FiberGapProbe, t: float) -> FoldPoint:
 def _fold_extremum(probe: FiberGapProbe, t: float) -> FoldPoint:
     params = probe.curve(t)
     su, ss = probe._saddles(params)
-    advance, x0, x1 = _seed_domain(probe.family, params, su, "unstable", probe.unstable_direction)
+    advance, x0, x1 = _seed_domain(probe.family, params, su, "unstable", PROBE_UNSTABLE_DIRECTION)
 
     lam = math.hypot(x1[0] - su.location[0], x1[1] - su.location[1]) / SEED_EPS
     ts = np.expm1(math.log(lam) * np.arange(FOLD_GRID) / FOLD_GRID) / (lam - 1)
@@ -1086,6 +1073,5 @@ def region_probe(fam: PlanarFamily, mu: float, region: str):
         mode = "valley"
     return FiberGapProbe(
         fam, lambda t: (mu, t), seed_u, seed_s, window, mode,
-        unstable_direction=(1.0, -1.0), stable_direction=sdir,
-        unstable_arclength=u_len, stable_arclength=4.5,
+        stable_direction=sdir, unstable_arclength=u_len,
     ), nu_pred

@@ -38,9 +38,6 @@ __all__ = [
     "obeys_bare_law",
     "fit_decay_rate",
     "decay_rate_bound",
-    "conjugate_to_standard",
-    "conjugation",
-    "conjugation_inverse",
 ]
 
 
@@ -282,42 +279,3 @@ def decay_rate_bound(params: ModelParams) -> float:
     """log of the expected decay rate max(sigma^-1/2, lam*sigma)."""
     return math.log(params.rate)
 
-
-# ---------------------------------------------------------------------------
-# Conjugation to the once-folding normal form
-# ---------------------------------------------------------------------------
-
-def conjugation(mu_bar, nu_bar, pt):
-    """f(X, Y) = (X^3 - MU*X - NU + Y, X); straightens the limit map so its
-    image collapses onto the axis x=0."""
-    x, y = pt
-    return (x ** 3 - mu_bar * x - nu_bar + y, x)
-
-
-def conjugation_inverse(mu_bar, nu_bar, pt):
-    x, y = pt
-    return (y, x - y ** 3 + mu_bar * y + nu_bar)
-
-
-def conjugate_to_standard(family: PlanarFamily) -> PlanarFamily:
-    """f o family o f^-1, parameterized by the same (mu_bar, nu_bar).
-
-    For the limit endomorphism the result is exactly
-    (X, Y) -> (0, -Y^3 + MU*Y + NU + X).
-    """
-
-    def fwd(p, x, y):
-        mu, nu = p
-        q = conjugation_inverse(mu, nu, (x, y))
-        q = family.forward(p, *q)
-        return conjugation(mu, nu, q)
-
-    inv = None
-    if family.inverse is not None:
-        def inv(p, x, y):
-            mu, nu = p
-            q = conjugation_inverse(mu, nu, (x, y))
-            q = family.inverse(p, *q)
-            return conjugation(mu, nu, q)
-
-    return PlanarFamily(f"{family.name}-standardized", family.param_names, fwd, inverse=inv, jacobian=None)

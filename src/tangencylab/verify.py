@@ -188,6 +188,14 @@ def _criterion_tangency(c: _Check):
     up, nu_pred = planar.region_probe(fam, 3.0, "upper")
     lo, _ = planar.region_probe(fam, 3.0, "lower")
     bracket = (nu_pred - 0.03, nu_pred + 0.03)
+    # the locus goes first: its mu = 3 root is the upper probe's fold root in
+    # `bracket`, which the event cross-check below reads
+    mus = [float(m) for m in np.linspace(2.85, 3.15, 7)]
+    probes = {mu: (up, nu_pred) if mu == 3.0 else planar.region_probe(fam, mu, "upper") for mu in mus}
+    fit = planar.tangency_locus(
+        lambda mu, nu: planar.fold_extremum(probes[mu][0], nu).penetration,
+        {mu: (pred - 0.03, pred + 0.03) for mu, (_, pred) in probes.items()},
+    )
     _, ev_up = planar.scan_events(up, bracket)
     _, ev_lo = planar.scan_events(lo, bracket)
     if ev_up is None:
@@ -215,8 +223,9 @@ def _criterion_tangency(c: _Check):
     if ev_up is not None and ev_lo is not None:
         # the fold route reads no polyline, so each event sits within its probe's
         # interpolation error of the fold root
-        offs = [(abs(ev.parameter - planar.fold_zero(probe, bracket)), planar.fold_bound(probe, ev))
-                for probe, ev in ((up, ev_up), (lo, ev_lo))]
+        up_root = dict(zip(fit.mu_values, fit.nu_values))[3.0]
+        offs = [(abs(ev.parameter - root), planar.fold_bound(probe, ev))
+                for probe, ev, root in ((up, ev_up, up_root), (lo, ev_lo, planar.fold_zero(lo, bracket)))]
         c.expect(
             all(d <= b for d, b in offs),
             "probe events within the derived bound of their fold roots: "
@@ -224,12 +233,6 @@ def _criterion_tangency(c: _Check):
                         for name, (d, b) in zip(("upper", "lower"), offs)),
         )
 
-    mus = [float(m) for m in np.linspace(2.85, 3.15, 7)]
-    probes = {mu: (up, nu_pred) if mu == 3.0 else planar.region_probe(fam, mu, "upper") for mu in mus}
-    fit = planar.tangency_locus(
-        lambda mu, nu: planar.fold_extremum(probes[mu][0], nu).penetration,
-        {mu: (pred - 0.03, pred + 0.03) for mu, (_, pred) in probes.items()},
-    )
     c.expect(not fit.skipped, f"fold locus found at every mu grid point {list(fit.mu_values)}")
     c.expect(
         abs(fit.slope - EXPECTED["locus_slope"]) <= 0.1,
@@ -318,10 +321,14 @@ def _criterion_attractor(c: _Check):
     pts = rng.uniform(-2, 2, size=(200, 2))
     det_err = 0.0
     fd_err = 0.0
+    h = 1e-6  # central differences of the forward map
     for x, y in pts:
         (a, b), (cc, d) = fam.jacobian(p, x, y)
         det_err = max(det_err, abs(a * d - b * cc - (-0.1)))
-        (a, b), (cc, d) = planar.PlanarFamily(fam.name, fam.param_names, fam.forward).jac(p, x, y)
+        fxp, fxm = fam.forward(p, x + h, y), fam.forward(p, x - h, y)
+        fyp, fym = fam.forward(p, x, y + h), fam.forward(p, x, y - h)
+        a, b = (fxp[0] - fxm[0]) / (2 * h), (fyp[0] - fym[0]) / (2 * h)
+        cc, d = (fxp[1] - fxm[1]) / (2 * h), (fyp[1] - fym[1]) / (2 * h)
         fd_err = max(fd_err, abs(a * d - b * cc - (-0.1)))
     c.expect(det_err < 1e-8, f"analytic Jacobian determinant == -0.1 to {det_err:.2e}")
     c.expect(fd_err < 1e-5, f"finite-difference Jacobian determinant == -0.1 to {fd_err:.2e}")

@@ -196,9 +196,9 @@ def nondegeneracy_check(family: PlanarFamily, params, points) -> float:
     """Worst |dF2/dx - 1| over `points` (an (N, 2) array), F2 the second
     component of `family.forward`, by central differences with step 1e-6.
 
-    The thickened family (x, y) -> (beta*u, -y^3 + alpha*y + x + beta*v)
-    must keep the folding coordinate moving with x at unit rate; a family
-    whose F2 ignores x, such as the limit endomorphism, is off by 1.
+    The thickened family's folding coordinate u = x - y^3 + alpha*y + nu_n
+    must move with x at unit rate; a family whose F2 ignores x, such as the
+    limit endomorphism, is off by 1.
     """
     x, y = np.asarray(points, dtype=float).T
     h = 1e-6
@@ -207,25 +207,42 @@ def nondegeneracy_check(family: PlanarFamily, params, points) -> float:
 
 
 def make_T_family(model: renorm.ModelParams, n: int, s: float = 1.0) -> PlanarFamily:
-    """The thickened renormalized family: the standardized n-step return map
-    of `model` at secondary parameter s*xi^n (xi = `model.rate`, s in
-    [1, 2]), parameterized by (alpha,), with its inverse.  It equals the
-    conjugated renormalized family by construction, which is what the
-    sliding construction needs.  As beta = xi^n -> 0 its shape is the
-    thickened cubic (x, y) -> (beta*u, -y^3 + alpha*y + x + beta*v), whose
-    u = y, v = 0 case is `planar.cubic_henon` at (alpha, beta).
+    """The thickened renormalized family in closed form, parameterized by
+    (alpha,): the n-step renormalized family at (alpha, nu_n), nu_n =
+    s*xi^n (xi = `model.rate`, s in [1, 2]), conjugated by
+    (X, Y) -> (X^3 - alpha*X - nu_n + Y, X).  With u = x - y^3 + alpha*y + nu_n,
+
+        T(x, y) = (k*y + q*u^4, u),   det DT = -k,
+
+    k and q the renormalized family's coupling and quartic coefficient
+    (det DT = -0.0041 at n = 6).  The dissipation is k; xi^n only shifts,
+    and at eps = 0, T is `planar.cubic_henon` at (alpha, k) shifted by nu_n.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if not 1.0 <= s <= 2.0:
         raise ValueError("s must lie in [1, 2]")
     nu = s * model.rate ** n
-    base = renorm.conjugate_to_standard(renorm.renormalized_family(model, n))
+    k = renorm._coupling(model, n)
+    q = renorm._quartic_coeff(model, n)
 
     def fwd(p, x, y):
         (alpha,) = p
-        return base.forward((alpha, nu), x, y)
+        u = x - y ** 3 + alpha * y + nu
+        u2 = u * u
+        return (k * y + q * (u2 * u2), u)
 
     def inv(p, x, y):
         (alpha,) = p
-        return base.inverse((alpha, nu), x, y)
+        u2 = y * y
+        yb = (x - q * (u2 * u2)) / k
+        return (y + yb ** 3 - alpha * yb - nu, yb)
 
-    return PlanarFamily(f"thickened-renorm-n{n}", ("alpha",), fwd, inverse=inv)
+    def jac(p, x, y):
+        (alpha,) = p
+        u = x - y ** 3 + alpha * y + nu
+        w = -3.0 * y * y + alpha
+        d = 4.0 * q * (u * u * u)
+        return ((d, k + d * w), (1.0, w))
+
+    return PlanarFamily(f"thickened-renorm-n{n}", ("alpha",), fwd, inverse=inv, jacobian=jac)

@@ -738,7 +738,7 @@ def upper_probe_at_mu3():
     return FiberGapProbe(
         fam, lambda t: (3.0, t), (f1(y1p), y1p), (f1(y1p), y1p),
         ((0.55, 1.45), (1.2, 2.6)), "peak",
-        unstable_direction=(1, -1), stable_direction=(1, 0),
+        stable_direction=(1, 0), unstable_arclength=11.0,
     )
 
 
@@ -836,7 +836,7 @@ class TestProbeOnRenormalizedFamily:
         w = grow_manifold(
             dataclasses.replace(fam, forward=forward), params, s, "unstable",
             target_arclength=probe.unstable_arclength, h_max=planar.PROBE_H_MAX,
-            direction=probe.unstable_direction, clip=planar.PROBE_CLIP,
+            direction=planar.PROBE_UNSTABLE_DIRECTION, clip=planar.PROBE_CLIP,
         )
         assert w.complete
         assert sum(evaluated) < 10 * len(w.points)

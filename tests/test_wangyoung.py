@@ -6,7 +6,7 @@ import pytest
 
 from tangencylab.maps1d import Cubic1D, find_periodic
 from tangencylab.planar import PlanarFamily, cubic_henon
-from tangencylab.renorm import ModelParams, conjugate_to_standard, limit_family, renormalized_family
+from tangencylab.renorm import ModelParams, limit_family, renormalized_family
 from tangencylab.wangyoung import (
     MU_HI,
     MU_LO,
@@ -19,6 +19,32 @@ from tangencylab.wangyoung import (
     transversality_check,
     transversality_h,
 )
+
+
+# The oracle of the closed-form T-family: the renormalized family conjugated,
+# step by step, by f(X, Y) = (X^3 - MU*X - NU + Y, X), which straightens the
+# limit map so that its image collapses onto the axis x = 0.
+
+def conjugation(mu_bar, nu_bar, pt):
+    x, y = pt
+    return (x ** 3 - mu_bar * x - nu_bar + y, x)
+
+
+def conjugation_inverse(mu_bar, nu_bar, pt):
+    x, y = pt
+    return (y, x - y ** 3 + mu_bar * y + nu_bar)
+
+
+def conjugate_to_standard(family: PlanarFamily) -> PlanarFamily:
+    """f o family o f^-1, forward only, parameterized by the same (mu_bar, nu_bar)."""
+
+    def fwd(p, x, y):
+        mu, nu = p
+        q = conjugation_inverse(mu, nu, (x, y))
+        q = family.forward(p, *q)
+        return conjugation(mu, nu, q)
+
+    return PlanarFamily(f"{family.name}-standardized", family.param_names, fwd, None, None)
 
 
 @pytest.fixture(scope="module")
@@ -158,35 +184,95 @@ class TestTFamily:
             assert abs(fy - (-(y**3) + 2.8 * y + x)) < 1e-11
 
     def test_renorm_instance_equals_standardized_map(self):
-        mp = ModelParams()
-        n, s = 8, 1.5
-        t = make_T_family(mp, n, s)
-        std = conjugate_to_standard(renormalized_family(mp, n))
-        nu = s * mp.rate**n
+        s = 1.5
         rng = np.random.default_rng(2)
-        for x, y in rng.uniform(-1.5, 1.5, (50, 2)):
-            a = t.forward((3.0,), x, y)
-            b = std.forward((3.0, nu), x, y)
-            assert a == b
+        for eps in (0.0, 0.1):
+            mp = ModelParams(eps=eps)
+            for n in (4, 6, 8, 10):
+                t = make_T_family(mp, n, s)
+                std = conjugate_to_standard(renormalized_family(mp, n))
+                nu = s * mp.rate**n
+                for x, y in rng.uniform(-1.5, 1.5, (50, 2)):
+                    a = t.forward((3.0,), x, y)
+                    b = std.forward((3.0, nu), x, y)
+                    for got, want in zip(a, b):
+                        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
     def test_renorm_instance_invertible(self):
-        t = make_T_family(ModelParams(), 6)
-        rng = np.random.default_rng(3)
-        for x, y in rng.uniform(-1.5, 1.5, (100, 2)):
-            fx, fy = t.forward((3.0,), x, y)
-            bx, by = t.inverse((3.0,), fx, fy)
-            assert math.hypot(bx - x, by - y) < 1e-10
+        for mp, n in ((ModelParams(), 6), (ModelParams(eps=0.1), 10)):
+            t = make_T_family(mp, n)
+            rng = np.random.default_rng(3)
+            for x, y in rng.uniform(-1.5, 1.5, (100, 2)):
+                fx, fy = t.forward((3.0,), x, y)
+                bx, by = t.inverse((3.0,), fx, fy)
+                assert math.hypot(bx - x, by - y) < 1e-10
 
-    def test_henon_jacobian_matches_fd(self):
-        t = cubic_henon()
-        bare = PlanarFamily(t.name, t.param_names, t.forward)
-        p = (2.8, 0.1)
+    def test_jacobian_determinant_is_minus_k(self):
+        mp = ModelParams()
+        t = make_T_family(mp, 6)
+        k = mp.a * mp.c * (mp.lam * mp.sigma) ** 6
         rng = np.random.default_rng(4)
-        for x, y in rng.uniform(-2, 2, (20, 2)):
-            ja = np.array(t.jacobian(p, x, y))
-            jf = np.array(bare.jac(p, x, y))
-            assert np.max(np.abs(ja - jf)) < 1e-5
+        for x, y in rng.uniform(-1.5, 1.5, (50, 2)):
+            (a, b), (c, d) = t.jacobian((3.0,), x, y)
+            assert a * d - b * c == -k
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             make_T_family(ModelParams(), 6, s=3.0)
+        with pytest.raises(ValueError):
+            make_T_family(ModelParams(), 0)
+
+
+class TestConjugation:
+    def test_limit_hand_value(self):
+        std = conjugate_to_standard(limit_family())
+        out = std.forward((3.0, 0.0), 0.3, 1.0)
+        assert abs(out[0]) < 1e-14
+        assert abs(out[1] - 2.3) < 1e-14
+
+    def test_conjugation_round_trip(self):
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            mu, nu = rng.uniform(0, 4), rng.uniform(-1, 1)
+            x, y = rng.uniform(-3, 3, 2)
+            fx, fy = conjugation(mu, nu, (x, y))
+            bx, by = conjugation_inverse(mu, nu, (fx, fy))
+            assert math.hypot(bx - x, by - y) < 1e-12 * max(1.0, abs(x), abs(y))
+
+    def test_standardized_form_of_renormalized_map(self):
+        # second coordinate is the folding normal form plus an O(rate^n)
+        # correction; first coordinate is O(rate^n)
+        mp = ModelParams()
+        n = 8
+        std = conjugate_to_standard(renormalized_family(mp, n))
+        bound = 10 * mp.rate ** n
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            mu = rng.uniform(2.5, 3.5)
+            x, y = rng.uniform(-1.5, 1.5, 2)
+            ox, oy = std.forward((mu, 0.0), x, y)
+            assert abs(ox) < bound
+            assert abs(oy - (-(y**3) + mu * y + x)) < bound
+
+
+FAMILIES = {
+    "cubic_henon": (cubic_henon, (2.8, 0.1)),
+    "limit_family": (limit_family, (3.0, 0.1)),
+    "renormalized_family": (lambda: renormalized_family(ModelParams(eps=0.2), 5), (3.0, 0.1)),
+    "T_family-n6": (lambda: make_T_family(ModelParams(eps=0.1), 6), (2.9,)),
+    "T_family-n10": (lambda: make_T_family(ModelParams(eps=0.1), 10), (2.9,)),
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_jacobian_matches_central_differences(name):
+    make, p = FAMILIES[name]
+    fam = make()
+    h = 1e-6
+    rng = np.random.default_rng(4)
+    for x, y in rng.uniform(-1.5, 1.5, (20, 2)):
+        fxp, fxm = fam.forward(p, x + h, y), fam.forward(p, x - h, y)
+        fyp, fym = fam.forward(p, x, y + h), fam.forward(p, x, y - h)
+        fd = np.array([[fxp[0] - fxm[0], fyp[0] - fym[0]], [fxp[1] - fxm[1], fyp[1] - fym[1]]]) / (2 * h)
+        ja = np.array(fam.jacobian(p, x, y))
+        assert np.max(np.abs(ja - fd)) < 1e-5 * max(1.0, np.max(np.abs(ja)))
