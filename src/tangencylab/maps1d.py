@@ -167,7 +167,9 @@ class Cubic1D:
 
     `mu`, `nu` may be ints, Fractions or floats; evaluation preserves the
     scalar type (rational in -> rational out).  numpy arrays also pass
-    through unharmed.
+    through unharmed.  An array's cube is `y*y*y`, as numpy's `power` costs
+    many products per element; a scalar's stays `y**3`, the C library's
+    pow, which the roots and certificates are computed with.
     """
 
     mu: object
@@ -175,6 +177,8 @@ class Cubic1D:
 
     def __call__(self, y, order: int = 0):
         if order == 0:
+            if isinstance(y, np.ndarray):
+                return -(y * y * y) + self.mu * y + self.nu
             return -(y**3) + self.mu * y + self.nu
         if order == 1:
             return -3 * y**2 + self.mu

@@ -69,9 +69,10 @@ __all__ = [
 class PlanarFamily:
     """A parameterized planar map.
 
-    `forward(params, x, y) -> (x', y')` and `inverse` (None for
-    endomorphisms) are numpy safe; `jacobian(params, x, y) -> ((a,b),(c,d))`
-    takes a scalar point.
+    `forward(params, x, y) -> (x', y')`, `inverse` (None for
+    endomorphisms) and `jacobian(params, x, y) -> ((a,b),(c,d))` are numpy
+    safe.  On arrays a Jacobian entry may be a Python scalar, a constant
+    that callers broadcast.
     """
 
     name: str
@@ -110,6 +111,25 @@ class Orbit:
     escaped: bool = False
 
 
+_BLOCK = 1 << 14  # orbit steps walked and multiplied at a time
+_CHUNK = 64  # Jacobians per tangent-vector renormalization
+_LN2 = math.log(2.0)
+
+
+def _walk(family: PlanarFamily, params, x, y, n: int, bailout: float):
+    """Up to `n` successive images of (x, y) as two lists, cut before the
+    first non-finite one or one beyond `bailout`; and whether one was."""
+    fwd, isfinite, b2 = family.forward, math.isfinite, bailout * bailout
+    xs, ys = [], []
+    for _ in range(n):
+        x, y = fwd(params, x, y)
+        if not (isfinite(x) and isfinite(y)) or x * x + y * y > b2:
+            return xs, ys, True
+        xs.append(x)
+        ys.append(y)
+    return xs, ys, False
+
+
 def iterate(family: PlanarFamily, params, start, steps: int, bailout: float = 1e6) -> Orbit:
     """Successive images of `start`; truncates with a flag on escape or non-finite values."""
     if steps < 0:
@@ -117,11 +137,15 @@ def iterate(family: PlanarFamily, params, start, steps: int, bailout: float = 1e
     x, y = float(start[0]), float(start[1])
     pts = np.empty((steps + 1, 2))
     pts[0] = (x, y)
-    for k in range(1, steps + 1):
-        x, y = family.forward(params, x, y)
-        if not (math.isfinite(x) and math.isfinite(y)) or x * x + y * y > bailout * bailout:
+    k = 1
+    while k <= steps:
+        xs, ys, escaped = _walk(family, params, x, y, min(_BLOCK, steps + 1 - k), bailout)
+        pts[k:k + len(xs), 0] = xs
+        pts[k:k + len(xs), 1] = ys
+        k += len(xs)
+        if escaped:
             return Orbit(pts[:k].copy(), escaped=True)
-        pts[k] = (x, y)
+        x, y = xs[-1], ys[-1]
     return Orbit(pts, escaped=False)
 
 
@@ -131,6 +155,72 @@ class LyapunovEstimate:
     drift: float  # |last-quarter mean - full mean|, convergence diagnostic
     steps_used: int
     escaped: bool = False
+
+
+def _chunk_products(j):
+    """Products J[L-1] @ ... @ J[0] of each row of `j`, entries (4, m, L),
+    by a pairwise tree; each level is scaled by a power of 2 of its largest
+    entry, so nothing overflows.  Returns entries (4, m) and exponents e:
+    product = 2**e * entries."""
+    e = np.zeros(j.shape[1:], dtype=np.int64)
+    while True:
+        _, k = np.frexp(np.abs(j).max(axis=0))
+        j = np.ldexp(j, -k)
+        e += k
+        if j.shape[2] == 1:
+            return j[:, :, 0], e[:, 0]
+        (a0, b0, c0, d0), (a1, b1, c1, d1) = j[:, :, 0::2], j[:, :, 1::2]
+        j = np.stack((a1 * a0 + b1 * c0, a1 * b0 + b1 * d0, c1 * a0 + d1 * c0, c1 * b0 + d1 * d0))
+        e = e[:, 0::2] + e[:, 1::2]
+
+
+def _estimate(family, params, start, discard, steps, bailout):
+    """`lyapunov`'s estimate, or the step of the average at which the vector
+    was sent to 0 (-1 in the discard phase)."""
+    x, y = float(start[0]), float(start[1])
+    vx, vy = 0.673, 0.7397  # arbitrary unit-ish direction, no special alignment
+    q0 = discard + steps - max(1, steps // 4)
+    # logs and powers of 2 of the discard phase, the average before its last
+    # quarter, and that quarter; blocks never straddle these parts
+    sums, pows = ([], [], []), [0, 0, 0]
+    cuts = sorted({0, discard, q0, discard + steps})
+    for lo, hi in zip(cuts, cuts[1:]):
+        part = (lo >= discard) + (lo >= q0)
+        for i0 in range(lo, hi, _BLOCK):
+            xs, ys, escaped = _walk(family, params, x, y, min(_BLOCK, hi - i0), bailout)
+            # Jacobians up to the step whose image escaped, if one did
+            px = np.array([x] + (xs if escaped else xs[:-1]))
+            py = np.array([y] + (ys if escaped else ys[:-1]))
+            n, m = len(px), -(-len(px) // _CHUNK)
+            j = np.empty((4, m * _CHUNK))
+            j[:, n:] = ((1.0,), (0.0,), (0.0,), (1.0,))
+            (j[0, :n], j[1, :n]), (j[2, :n], j[3, :n]) = family.jacobian(params, px, py)
+            prods, e = _chunk_products(j.reshape(4, m, _CHUNK))
+            logs = []
+            for c, (a, b, cc, d, ec) in enumerate(zip(*prods.tolist(), e.tolist())):
+                wx, wy = a * vx + b * vy, cc * vx + d * vy
+                nw = math.hypot(wx, wy)
+                if nw != 0.0:
+                    logs.append(math.log(nw))
+                    pows[part] += ec
+                    vx, vy = wx / nw, wy / nw
+                    continue
+                for k in range(c * _CHUNK, min((c + 1) * _CHUNK, n)):  # which step did that?
+                    a, b, cc, d = j[:, k].tolist()
+                    wx, wy = a * vx + b * vy, cc * vx + d * vy
+                    nw = math.hypot(wx, wy)
+                    if nw == 0.0:
+                        return max(-1, i0 + k - discard)
+                    logs.append(math.log(nw))
+                    vx, vy = wx / nw, wy / nw
+            sums[part].append(math.fsum(logs))
+            if escaped:
+                i = i0 + n - 1
+                return LyapunovEstimate(math.nan, math.nan, i if i < discard else i - discard + 1, escaped=True)
+            x, y = xs[-1], ys[-1]
+    last = math.fsum(sums[2]) + pows[2] * _LN2
+    full = (math.fsum(sums[1]) + pows[1] * _LN2 + last) / steps
+    return LyapunovEstimate(full, abs(last / max(1, steps // 4) - full), steps)
 
 
 def lyapunov(
@@ -145,39 +235,18 @@ def lyapunov(
 
     The first `discard` steps align the vector and are excluded from the
     average, which makes the estimate exact (to roundoff) on linear maps.
+    The vector is renormalized after products of `_CHUNK` Jacobians, and one
+    step at a time only where such a product sends it to 0.
     """
     if steps < 10_000:
         raise ValueError("need steps >= 10^4 for a meaningful estimate")
-    x, y = float(start[0]), float(start[1])
-    vx, vy = 0.673, 0.7397  # arbitrary unit-ish direction, no special alignment
-    logs = np.empty(steps)
-    for k in range(discard):
-        (j11, j12), (j21, j22) = family.jacobian(params, x, y)
-        vx, vy = j11 * vx + j12 * vy, j21 * vx + j22 * vy
-        nv = math.hypot(vx, vy)
-        if nv == 0.0:
-            return LyapunovEstimate(float("nan"), float("nan"), 0, escaped=True)
-        vx, vy = vx / nv, vy / nv
-        x, y = family.forward(params, x, y)
-        if not (math.isfinite(x) and math.isfinite(y)) or x * x + y * y > bailout * bailout:
-            return LyapunovEstimate(float("nan"), float("nan"), k, escaped=True)
-    used = 0
-    for k in range(steps):
-        (j11, j12), (j21, j22) = family.jacobian(params, x, y)
-        vx, vy = j11 * vx + j12 * vy, j21 * vx + j22 * vy
-        nv = math.hypot(vx, vy)
-        if nv == 0.0:
-            break
-        logs[k] = math.log(nv)
-        vx, vy = vx / nv, vy / nv
-        x, y = family.forward(params, x, y)
-        used = k + 1
-        if not (math.isfinite(x) and math.isfinite(y)) or x * x + y * y > bailout * bailout:
-            return LyapunovEstimate(float("nan"), float("nan"), used, escaped=True)
-    logs = logs[:used]
-    full = float(np.mean(logs))
-    quarter = float(np.mean(logs[-max(1, used // 4):]))
-    return LyapunovEstimate(full, abs(quarter - full), used)
+    while True:
+        est = _estimate(family, params, start, discard, steps, bailout)
+        if isinstance(est, LyapunovEstimate):
+            return est
+        if est <= 0:  # the vector died in the discard phase or the first step
+            return LyapunovEstimate(math.nan, math.nan, 0, escaped=est < 0)
+        steps = est  # the average stops where the vector died: redo it to there
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +332,46 @@ def find_saddle(
 
 
 def find_fixed_points(family: PlanarFamily, params, box=((-3, 3), (-3, 3)), grid: int = 50):
-    """Exhaustive Newton sweep over a seed grid, deduplicated by location."""
+    """Exhaustive Newton sweep over a seed grid, deduplicated by location.
+
+    All seeds iterate at once under `find_saddle`'s rules (40 iterations; an
+    overflow or a singular system diverges); `find_saddle` polishes each new
+    root, in grid order.
+    """
     (xlo, xhi), (ylo, yhi) = box
+    x, y = (g.ravel() for g in np.meshgrid(np.linspace(xlo, xhi, grid), np.linspace(ylo, yhi, grid), indexing="ij"))
+    live = np.ones(x.size, dtype=bool)
+    converged = np.zeros(x.size, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(40):
+            i = np.flatnonzero(live)
+            xi, yi = x[i], y[i]
+            (a, b), (c, d) = family.jacobian(params, xi, yi)
+            fx, fy = family.forward(params, xi, yi)
+            rx, ry = fx - xi, fy - yi
+            a, d = a - 1.0, d - 1.0
+            det = a * d - b * c
+            sx, sy = (b * ry - d * rx) / det, (c * rx - a * ry) / det
+            xi, yi = xi + sx, yi + sy
+            x[i], y[i] = xi, yi
+            # norms as `find_saddle` takes them: a square that overflows diverges
+            rn, sn, zn = np.sqrt(rx * rx + ry * ry), np.sqrt(sx * sx + sy * sy), np.sqrt(xi * xi + yi * yi)
+            ok = (det != 0.0) & np.isfinite(det) & np.isfinite(rn) & np.isfinite(sn) & np.isfinite(zn)
+            done = ok & (rn < 1e-12) & (sn < 1e-10 * np.maximum(1.0, zn))
+            converged[i] = done
+            live[i] = ok & ~done
+            if not live.any():
+                break
     found = []
-    for xs in np.linspace(xlo, xhi, grid):
-        for ys in np.linspace(ylo, yhi, grid):
-            try:
-                s = find_saddle(family, params, period=1, seed=(xs, ys), max_iter=40)
-            except NewtonDivergenceError:
-                continue
-            lx, ly = s.location
-            if not (xlo - 1 <= lx <= xhi + 1 and ylo - 1 <= ly <= yhi + 1):
-                continue
-            if any(math.hypot(lx - f.location[0], ly - f.location[1]) < 1e-7 for f in found):
-                continue
-            found.append(s)
+    for lx, ly in zip(x[converged].tolist(), y[converged].tolist()):
+        if not (xlo - 1 <= lx <= xhi + 1 and ylo - 1 <= ly <= yhi + 1):
+            continue
+        if any(math.hypot(lx - f.location[0], ly - f.location[1]) < 1e-7 for f in found):
+            continue
+        try:
+            found.append(find_saddle(family, params, period=1, seed=(lx, ly), max_iter=40))
+        except NewtonDivergenceError:
+            continue
     found.sort(key=lambda s: s.location)
     return found
 

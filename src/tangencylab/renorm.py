@@ -158,7 +158,8 @@ def renormalized_family(params: ModelParams, n: int) -> PlanarFamily:
     Exact polynomial reduction of Phi_n^-1 o (fold) o (linear)^n o Phi_n at
     parameters Theta_n(mu_bar, nu_bar); agrees with the literal composition
     to roundoff (see `renormalized_unreduced`) but evaluates without the
-    sigma^(3n/2)-amplified cancellations of the raw route.
+    sigma^(3n/2)-amplified cancellations of the raw route.  At coupling
+    k = 0 the map is not invertible and `inverse` is None.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -183,7 +184,8 @@ def renormalized_family(params: ModelParams, n: int) -> PlanarFamily:
         y2 = y * y
         return ((0.0, 1.0), (k, -3.0 * y2 + mu_bar + 4.0 * q * (y2 * y)))
 
-    return PlanarFamily(f"renormalized-n{n}", ("mu_bar", "nu_bar"), fwd, inverse=inv, jacobian=jac)
+    # k == 0 (c = 0, or (lam*sigma)^n underflowed): not invertible
+    return PlanarFamily(f"renormalized-n{n}", ("mu_bar", "nu_bar"), fwd, inverse=inv if k else None, jacobian=jac)
 
 
 def renormalized_unreduced(params: ModelParams, n: int, mu_bar, nu_bar, pt, box=None):
@@ -209,11 +211,16 @@ def deviation_from_limit(params: ModelParams, n: int):
 
     D1 is identically zero for this model; D2(x, y) = k*x + q*y^4 with
     k = a*c*(lam*sigma)^n and q = eps*b^{-3/2}*sigma^{-n/2}, exactly.
+    On arrays y^4 is (y*y)^2, as numpy's `power` costs many products per
+    element; a scalar keeps `y**4`.
     """
     k = _coupling(params, n)
     q = _quartic_coeff(params, n)
 
     def dev(x, y):
+        if isinstance(y, np.ndarray):
+            y2 = y * y
+            return (0.0 * x, k * x + q * (y2 * y2))
         return (0.0 * x, k * x + q * y ** 4)
 
     return dev

@@ -217,6 +217,7 @@ def make_T_family(model: renorm.ModelParams, n: int, s: float = 1.0) -> PlanarFa
     k and q the renormalized family's coupling and quartic coefficient
     (det DT = -0.0041 at n = 6).  The dissipation is k; xi^n only shifts,
     and at eps = 0, T is `planar.cubic_henon` at (alpha, k) shifted by nu_n.
+    At k = 0, T is not invertible and `inverse` is None.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -245,4 +246,4 @@ def make_T_family(model: renorm.ModelParams, n: int, s: float = 1.0) -> PlanarFa
         d = 4.0 * q * (u * u * u)
         return ((d, k + d * w), (1.0, w))
 
-    return PlanarFamily(f"thickened-renorm-n{n}", ("alpha",), fwd, inverse=inv, jacobian=jac)
+    return PlanarFamily(f"thickened-renorm-n{n}", ("alpha",), fwd, inverse=inv if k else None, jacobian=jac)

@@ -72,6 +72,27 @@ class TestCubic:
         assert isinstance(f(y), F)
         assert f(y, 1) == -3 * y**2 + 3
 
+    def test_array_cube_by_products_near_scalar_pow(self):
+        # arrays cube by y*y*y, scalars by the C library's pow: within 2 ulp
+        # of the terms' size, |y|^3 + |mu*y| + |nu|
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            mu, nu = rng.uniform(0, 4), rng.uniform(-1, 1)
+            f = Cubic1D(mu, nu)
+            y = rng.uniform(-3, 3, 2000)
+            scalar = np.array([f(v) for v in y.tolist()])
+            size = np.abs(y) ** 3 + np.abs(mu * y) + abs(nu)
+            assert np.all(np.abs(f(y) - scalar) <= 2 * np.spacing(size))
+
+    @given(
+        st.fractions(min_value=-3, max_value=3),
+        st.fractions(min_value=F(1, 10), max_value=4),
+        st.fractions(min_value=-1, max_value=1),
+    )
+    @settings(max_examples=50)
+    def test_fraction_input_exact(self, y, mu, nu):
+        assert Cubic1D(mu, nu)(y) == -(y * y * y) + mu * y + nu
+
     @given(
         st.fractions(min_value=-3, max_value=3),
         st.fractions(min_value=F(1, 10), max_value=4),

@@ -69,6 +69,22 @@ class TestIterate:
         assert orb.escaped
         assert len(orb.points) < 101
 
+    @pytest.mark.parametrize("steps, bailout", [(40_000, 1e6), (40_000, 20_000.5), (5, 1e6), (0, 1e6)])
+    def test_walks_blocks_like_one_loop(self, steps, bailout):
+        # the orbit is walked in blocks of planar._BLOCK steps; an escape
+        # after the first block cuts it where a single loop would
+        for fam, p, start in ((cubic_henon(), (2.8, 0.1), (0.1, 0.9)), (counter_family(), (), (0.0, 0.0))):
+            pts, escaped = [start], False
+            for _ in range(steps):
+                x, y = fam.forward(p, *pts[-1])
+                if not (math.isfinite(x) and math.isfinite(y)) or x * x + y * y > bailout * bailout:
+                    escaped = True
+                    break
+                pts.append((x, y))
+            orb = iterate(fam, p, start, steps, bailout=bailout)
+            assert orb.escaped == escaped
+            assert np.array_equal(orb.points, np.array(pts, dtype=float).reshape(-1, 2))
+
 
 class TestSaddles:
     def test_origin_eigenvalues(self):
@@ -90,6 +106,34 @@ class TestSaddles:
         fps = find_fixed_points(cubic_henon(), (2.8, 0.1), grid=25)
         assert len(fps) == 3
         assert all(f.is_saddle for f in fps)
+
+    @pytest.mark.parametrize("fam, p, grid", [
+        (cubic_henon(), (2.8, 0.1), 30),
+        (cubic_henon(), (1.2, -0.3), 20),
+        (cubic_henon(), (1e308, 0.1), 30),
+        (renormalized_family(ModelParams(eps=0.2), 4), (2.5, 0.1), 20),
+        (linear_family(), (0.2, 2.0), 7),
+    ])
+    def test_batched_sweep_matches_per_seed_solves(self, fam, p, grid):
+        # the sweep as one find_saddle call per seed, in grid order
+        box = ((-2.5, 2.5), (-2.5, 2.5))
+        want = []
+        for xs in np.linspace(-2.5, 2.5, grid):
+            for ys in np.linspace(-2.5, 2.5, grid):
+                try:
+                    s = find_saddle(fam, p, period=1, seed=(xs, ys), max_iter=40)
+                except NewtonDivergenceError:
+                    continue
+                lx, ly = s.location
+                if abs(lx) <= 3.5 and abs(ly) <= 3.5 and all(
+                        math.hypot(lx - f.location[0], ly - f.location[1]) >= 1e-7 for f in want):
+                    want.append(s)
+        want.sort(key=lambda s: s.location)
+        got = find_fixed_points(fam, p, box=box, grid=grid)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert math.hypot(g.location[0] - w.location[0], g.location[1] - w.location[1]) <= 1e-12
+            assert g.eigenvalues == pytest.approx(w.eigenvalues, rel=1e-12, abs=1e-12)
 
     def test_renormalized_two_cycle_approaches_limit(self):
         dists = []
@@ -124,7 +168,95 @@ class TestSaddles:
         assert abs(s.eig_unstable) < 1.0
 
 
+def lyapunov_per_step(family, params, start, steps, discard=1000, bailout=1e6):
+    """`lyapunov` with the vector renormalized after every step: the oracle."""
+    x, y = float(start[0]), float(start[1])
+    vx, vy = 0.673, 0.7397
+    logs = np.empty(steps)
+    for k in range(discard):
+        (j11, j12), (j21, j22) = family.jacobian(params, x, y)
+        vx, vy = j11 * vx + j12 * vy, j21 * vx + j22 * vy
+        nv = math.hypot(vx, vy)
+        if nv == 0.0:
+            return planar.LyapunovEstimate(float("nan"), float("nan"), 0, escaped=True)
+        vx, vy = vx / nv, vy / nv
+        x, y = family.forward(params, x, y)
+        if not (math.isfinite(x) and math.isfinite(y)) or x * x + y * y > bailout * bailout:
+            return planar.LyapunovEstimate(float("nan"), float("nan"), k, escaped=True)
+    used = 0
+    for k in range(steps):
+        (j11, j12), (j21, j22) = family.jacobian(params, x, y)
+        vx, vy = j11 * vx + j12 * vy, j21 * vx + j22 * vy
+        nv = math.hypot(vx, vy)
+        if nv == 0.0:
+            break
+        logs[k] = math.log(nv)
+        vx, vy = vx / nv, vy / nv
+        x, y = family.forward(params, x, y)
+        used = k + 1
+        if not (math.isfinite(x) and math.isfinite(y)) or x * x + y * y > bailout * bailout:
+            return planar.LyapunovEstimate(float("nan"), float("nan"), used, escaped=True)
+    logs = logs[:used]
+    full = float(np.mean(logs))
+    quarter = float(np.mean(logs[-max(1, used // 4):]))
+    return planar.LyapunovEstimate(full, abs(quarter - full), used)
+
+
+def counter_family(kill_at=None):
+    """x counts the steps; the tangent map is a fixed contraction-expansion,
+    except that the steps at x == kill_at and kill_at + 1 send every vector to 0."""
+    m = np.array([[1.1, 0.3], [-0.2, 0.9]])
+
+    def jac(p, x, y):
+        x = np.asarray(x)
+        first, second = x == kill_at, x == (kill_at or 0) + 1
+        keep = ~(first | second)
+        return ((np.where(first, 1.0, m[0, 0] * keep), m[0, 1] * keep),
+                (m[1, 0] * keep, np.where(second, 1.0, m[1, 1] * keep)))
+
+    return PlanarFamily("counter", (), lambda p, x, y: (x + 1.0, y), None, jac)
+
+
+def nilpotent_family():
+    return PlanarFamily("nilpotent", (), lambda p, x, y: (y, 0.0 * x), None,
+                        lambda p, x, y: ((0.0, 1.0), (0.0, 0.0)))
+
+
+LYAPUNOV_CASES = {
+    "linear": (linear_family(), (0.2, 2.0), (1.0, 0.0), 100_000, 1000, 1e6),
+    "cubic-henon": (cubic_henon(), (2.8, 0.1), (0.1, 0.9), 200_000, 2000, 1e6),
+    "escape-in-discard": (counter_family(), (), (0.0, 0.0), 10_000, 6000, 5000.5),
+    "escape-after-discard": (counter_family(), (), (0.0, 0.0), 10_000, 1000, 5000.5),
+    "discard-0": (linear_family(), (0.2, 2.0), (1.0, 0.0), 10_000, 0, 1e6),
+    "steps-not-chunk-multiple": (cubic_henon(), (2.8, 0.1), (0.1, 0.9), 10_007, 13, 1e6),
+    "singular-linear": (nilpotent_family(), (), (1.0, 0.0), 10_000, 0, 1e6),
+    "singular-linear-in-discard": (nilpotent_family(), (), (1.0, 0.0), 10_000, 5, 1e6),
+    "vector-dies-late": (counter_family(kill_at=40_000), (), (0.0, 0.0), 100_000, 1000, math.inf),
+    "no-rescaling-overflows": (linear_family(), (1e-10, 1e10), (1.0, 0.0), 10_000, 100, math.inf),
+}
+
+
 class TestLyapunov:
+    @pytest.mark.parametrize("case", LYAPUNOV_CASES)
+    def test_matches_per_step_oracle(self, case):
+        got, want = lyapunov(*LYAPUNOV_CASES[case]), lyapunov_per_step(*LYAPUNOV_CASES[case])
+        assert (got.steps_used, got.escaped) == (want.steps_used, want.escaped)
+        for a, b in ((got.value, want.value), (got.drift, want.drift)):
+            assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-12
+
+    def test_cases_reach_their_branches(self):
+        steps = {case: lyapunov(*args).steps_used for case, args in LYAPUNOV_CASES.items()}
+        assert steps["escape-in-discard"] == 5000
+        assert steps["escape-after-discard"] == 4001
+        assert steps["singular-linear"] == 1
+        assert steps["vector-dies-late"] == 40_001 - 1000
+
+    def test_rescaled_products(self):
+        # a 64-step product of diag(1e-10, 1e10) overflows unless rescaled
+        est = lyapunov(*LYAPUNOV_CASES["no-rescaling-overflows"])
+        assert abs(est.value - math.log(1e10)) <= 1e-12
+        assert est.drift <= 1e-12
+
     def test_linear_exact(self):
         est = lyapunov(linear_family(), (0.2, 2.0), (1.0, 0.0), 100_000, discard=1000)
         assert abs(est.value - math.log(2.0)) < 1e-9

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tangencylab import renorm
+from tangencylab.planar import find_saddle, grow_manifold
 from tangencylab.renorm import (
     ModelParams,
     decay_rate_bound,
@@ -118,6 +120,15 @@ class TestReparam:
 
 
 class TestRenormalizedMap:
+    @pytest.mark.parametrize("mp, n", [(ModelParams(c=0.0), 6), (MP, 1000)])
+    def test_zero_coupling_has_no_inverse(self, mp, n):
+        # k = a*c*(lam*sigma)^n is 0 at c = 0, and underflows to 0 at n = 1000
+        fam = renormalized_family(mp, n)
+        assert fam.inverse is None
+        saddle = find_saddle(fam, (3.0, 0.0), seed=(0.0, 0.0))
+        with pytest.raises(ValueError, match="needs an inverse"):
+            grow_manifold(fam, (3.0, 0.0), saddle, "stable", target_arclength=1.0)
+
     def test_hand_value_n5(self):
         fam = renormalized_family(MP, 5)
         xb, yb = fam.forward((3.0, 0.0), 2.0, 0.5)
@@ -206,6 +217,21 @@ class TestResiduals:
         row = residual_table(MP, [6])[0]
         assert not obeys_bare_law(MP, dict(row, sup_H2=row["sup_H2"] * (1 + 1e-9)))
         assert not obeys_bare_law(MP, dict(row, sup_H1=1e-300))
+
+    @pytest.mark.parametrize("eps", [0.1, 1.0])
+    def test_rows_equal_power_oracle(self, eps):
+        # arrays take y^4 as (y*y)^2; numpy's power is the oracle, and the
+        # sups agree exactly: they sit at the box corners, |y| = 2
+        mp = ModelParams(eps=eps)
+        axis = np.linspace(-2.0, 2.0, 101)
+        X, Y = np.meshgrid(axis, axis)
+        prev = None
+        for row in residual_table(mp, range(4, 15)):
+            d2 = renorm._coupling(mp, row["n"]) * X + renorm._quartic_coeff(mp, row["n"]) * Y ** 4
+            total = float(np.max(np.abs(d2)))
+            assert (row["sup_H1"], row["sup_H2"]) == (0.0, total)
+            assert row["ratio"] == total / prev if prev else math.isnan(row["ratio"])
+            prev = total
 
     def test_ratio_bound(self):
         mp = ModelParams(eps=0.1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tangencylab.maps1d import Cubic1D, find_periodic
-from tangencylab.planar import PlanarFamily, cubic_henon
+from tangencylab.planar import PlanarFamily, SaddlePoint, cubic_henon, grow_manifold
 from tangencylab.renorm import ModelParams, limit_family, renormalized_family
 from tangencylab.wangyoung import (
     MU_HI,
@@ -215,6 +215,15 @@ class TestTFamily:
         for x, y in rng.uniform(-1.5, 1.5, (50, 2)):
             (a, b), (c, d) = t.jacobian((3.0,), x, y)
             assert a * d - b * c == -k
+
+    @pytest.mark.parametrize("mp, n", [(ModelParams(c=0.0), 6), (ModelParams(), 1000)])
+    def test_zero_coupling_has_no_inverse(self, mp, n):
+        # k = a*c*(lam*sigma)^n is 0 at c = 0, and underflows to 0 at n = 1000
+        t = make_T_family(mp, n)
+        assert t.inverse is None
+        saddle = SaddlePoint((0.0, 0.0), 1, 2.0, 0.5, (1.0, 0.0), (0.0, 1.0))
+        with pytest.raises(ValueError, match="needs an inverse"):
+            grow_manifold(t, (3.0,), saddle, "stable", target_arclength=1.0)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
