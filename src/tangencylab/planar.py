@@ -240,18 +240,30 @@ def lyapunov(
     """
     if steps < 10_000:
         raise ValueError("need steps >= 10^4 for a meaningful estimate")
-    while True:
-        est = _estimate(family, params, start, discard, steps, bailout)
-        if isinstance(est, LyapunovEstimate):
-            return est
-        if est <= 0:  # the vector died in the discard phase or the first step
-            return LyapunovEstimate(math.nan, math.nan, 0, escaped=est < 0)
-        steps = est  # the average stops where the vector died: redo it to there
+    est = _estimate(family, params, start, discard, steps, bailout)
+    if not isinstance(est, LyapunovEstimate) and est > 0:
+        # the average stops where the vector died: redo it to there
+        est = _estimate(family, params, start, discard, est, bailout)
+    if isinstance(est, LyapunovEstimate):
+        return est
+    # the vector died in the discard phase or the first step
+    return LyapunovEstimate(math.nan, math.nan, 0, escaped=est < 0)
 
 
 # ---------------------------------------------------------------------------
 # Saddles
 # ---------------------------------------------------------------------------
+
+NEWTON_RESIDUAL_TOL = 1e-12  # residual norm a converged Newton iterate is under
+NEWTON_STEP_TOL = 1e-10  # last step a converged iterate z took, relative to max(1, |z|)
+SWEEP_MAX_ITER = 40  # Newton iterations per seed of `find_fixed_points`
+
+
+def _newton_converged(r, step, z):
+    """Newton's stopping rule on the norms of the residual, the last step and
+    the iterate (floats or arrays)."""
+    return (r < NEWTON_RESIDUAL_TOL) & (step < NEWTON_STEP_TOL * np.maximum(1.0, z))
+
 
 class NewtonDivergenceError(RuntimeError):
     def __init__(self, message, last):
@@ -310,7 +322,7 @@ def find_saddle(
                 except np.linalg.LinAlgError as exc:
                     raise NewtonDivergenceError(f"singular Newton system at {tuple(z)}", tuple(z)) from exc
                 z = z + step
-                if np.linalg.norm(r) < 1e-12 and np.linalg.norm(step) < 1e-10 * max(1.0, np.linalg.norm(z)):
+                if _newton_converged(np.linalg.norm(r), np.linalg.norm(step), np.linalg.norm(z)):
                     break
             else:
                 raise NewtonDivergenceError(f"no convergence after {max_iter} iterations", tuple(z))
@@ -334,16 +346,16 @@ def find_saddle(
 def find_fixed_points(family: PlanarFamily, params, box=((-3, 3), (-3, 3)), grid: int = 50):
     """Exhaustive Newton sweep over a seed grid, deduplicated by location.
 
-    All seeds iterate at once under `find_saddle`'s rules (40 iterations; an
-    overflow or a singular system diverges); `find_saddle` polishes each new
-    root, in grid order.
+    All seeds iterate at once under `find_saddle`'s rules (`SWEEP_MAX_ITER`
+    iterations; an overflow or a singular system diverges); `find_saddle`
+    polishes each new root, in grid order.
     """
     (xlo, xhi), (ylo, yhi) = box
     x, y = (g.ravel() for g in np.meshgrid(np.linspace(xlo, xhi, grid), np.linspace(ylo, yhi, grid), indexing="ij"))
     live = np.ones(x.size, dtype=bool)
     converged = np.zeros(x.size, dtype=bool)
     with np.errstate(all="ignore"):
-        for _ in range(40):
+        for _ in range(SWEEP_MAX_ITER):
             i = np.flatnonzero(live)
             xi, yi = x[i], y[i]
             (a, b), (c, d) = family.jacobian(params, xi, yi)
@@ -357,7 +369,7 @@ def find_fixed_points(family: PlanarFamily, params, box=((-3, 3), (-3, 3)), grid
             # norms as `find_saddle` takes them: a square that overflows diverges
             rn, sn, zn = np.sqrt(rx * rx + ry * ry), np.sqrt(sx * sx + sy * sy), np.sqrt(xi * xi + yi * yi)
             ok = (det != 0.0) & np.isfinite(det) & np.isfinite(rn) & np.isfinite(sn) & np.isfinite(zn)
-            done = ok & (rn < 1e-12) & (sn < 1e-10 * np.maximum(1.0, zn))
+            done = ok & _newton_converged(rn, sn, zn)
             converged[i] = done
             live[i] = ok & ~done
             if not live.any():
@@ -369,7 +381,7 @@ def find_fixed_points(family: PlanarFamily, params, box=((-3, 3), (-3, 3)), grid
         if any(math.hypot(lx - f.location[0], ly - f.location[1]) < 1e-7 for f in found):
             continue
         try:
-            found.append(find_saddle(family, params, period=1, seed=(lx, ly), max_iter=40))
+            found.append(find_saddle(family, params, period=1, seed=(lx, ly), max_iter=SWEEP_MAX_ITER))
         except NewtonDivergenceError:
             continue
     found.sort(key=lambda s: s.location)

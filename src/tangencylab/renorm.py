@@ -211,17 +211,14 @@ def deviation_from_limit(params: ModelParams, n: int):
 
     D1 is identically zero for this model; D2(x, y) = k*x + q*y^4 with
     k = a*c*(lam*sigma)^n and q = eps*b^{-3/2}*sigma^{-n/2}, exactly.
-    On arrays y^4 is (y*y)^2, as numpy's `power` costs many products per
-    element; a scalar keeps `y**4`.
+    y^4 is taken as (y*y)^2: numpy's `power` costs many products per element.
     """
     k = _coupling(params, n)
     q = _quartic_coeff(params, n)
 
     def dev(x, y):
-        if isinstance(y, np.ndarray):
-            y2 = y * y
-            return (0.0 * x, k * x + q * (y2 * y2))
-        return (0.0 * x, k * x + q * y ** 4)
+        y2 = y * y
+        return (0.0 * x, k * x + q * (y2 * y2))
 
     return dev
 
