@@ -7,7 +7,11 @@ one).  The consumer side is gap/bridge thickness and the Gap-Lemma
 trichotomy.
 
 Every stage has `fractions.Fraction` endpoints and lives on an integer grid:
-it holds one integer `scale` and integer endpoints, and validation and
+it holds one integer `scale` and its interval ends as two read-only numpy
+arrays of grid integers.  The arrays are `int64` when a Python-int bound
+shows that every grid value and everything computed from them (differences,
+the scale) stays below 2^62, and hold Python ints (dtype `object`) otherwise;
+the same array code runs on either.  Validation, Markov refinement and
 `thickness` work on those integers, so every thickness identity is checked
 with zero rounding error.  Its `intervals` are reduced `Fraction`s built the
 first time they are read; `translate` maps those and builds a new stage from
@@ -17,12 +21,12 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from functools import partial
-from operator import le, lt, truediv
 from typing import Sequence
+
+import numpy as np
 
 from .maps1d import AffineBranch, n_map
 
@@ -44,6 +48,8 @@ __all__ = [
 
 
 HALF = Fraction(1, 2)
+# grid arrays are int64 while a bound on their values and intermediates is below this
+_INT64_BOUND = 2**62
 
 
 class ConstructionError(ValueError):
@@ -91,8 +97,9 @@ class CantorStage(_Value):
     """One generation of a Cantor construction: ordered disjoint closed intervals.
 
     The endpoints must be `Fraction`s (`TypeError` otherwise).  The stage
-    holds them as integers over one integer `scale` and derives `ambient`
-    and `intervals` as reduced `Fraction`s the first time they are read.
+    holds them as integers over one integer `scale`, the interval ends in
+    two read-only grid arrays (see `_grid_array`), and derives `ambient` and
+    `intervals` as reduced `Fraction`s the first time they are read.
     """
 
     _fields = ("ambient", "intervals", "generation", "source")
@@ -103,26 +110,30 @@ class CantorStage(_Value):
             if not isinstance(v, Fraction):
                 raise TypeError(f"endpoint {v!r} is not a Fraction")
         ends, scale = _on_grid(ends)
-        self._init(scale, ends[:2], ends[2::2], ends[3::2], generation, source, ambient, intervals)
+        bound = max(2 * max(map(abs, ends)), scale)
+        self._init(
+            scale, ends[:2], _grid_array(ends[2::2], bound), _grid_array(ends[3::2], bound),
+            generation, source, ambient, intervals,
+        )
 
     @classmethod
     def _from_grid(cls, scale, ambient, lows, highs, generation, source, ambient_view=None):
         """The stage whose ambient and interval ends are the integers given,
-        in units of 1/scale; `ambient_view` is the ambient as the caller
-        holds it, if it does."""
+        in units of 1/scale, the ends as grid arrays; `ambient_view` is the
+        ambient as the caller holds it, if it does."""
         stage = cls.__new__(cls)
         stage._init(scale, ambient, lows, highs, generation, source, ambient_view, None)
         return stage
 
     def _init(self, scale, ambient, lows, highs, generation, source, ambient_view, intervals_view):
-        # _amb, _lows and _highs hold the ends as grid integers
+        # _amb holds the ambient as grid integers, _lows and _highs the interval ends
         self._set(
             scale=scale, _amb=tuple(ambient), _lows=lows, _highs=highs, generation=generation, source=source,
             _ambient=ambient_view, _intervals=intervals_view,
         )
         (glo, ghi) = self._amb
-        if lows and not (
-            glo <= lows[0] and highs[-1] <= ghi and all(map(le, lows, highs)) and all(map(lt, highs, lows[1:]))
+        if len(lows) and not (
+            glo <= lows[0] and highs[-1] <= ghi and np.all(lows <= highs) and np.all(highs[:-1] < lows[1:])
         ):
             self._reject()
 
@@ -131,7 +142,7 @@ class CantorStage(_Value):
         message names the stage's own endpoints."""
         (lo, hi), (glo, ghi) = self.ambient, self._amb
         prev_hi = None
-        for (a, b), ga, gb in zip(self.intervals, self._lows, self._highs):
+        for (a, b), ga, gb in zip(self.intervals, self._lows.tolist(), self._highs.tolist()):
             if not (glo <= ga <= gb <= ghi):
                 raise ConstructionError(f"interval [{a},{b}] escapes ambient [{lo},{hi}]")
             if prev_hi is not None and not (ga > prev_hi):
@@ -139,7 +150,8 @@ class CantorStage(_Value):
             prev_hi = gb
 
     def _point(self, v):
-        return Fraction(v, self.scale)
+        # int(): a Fraction of a numpy integer keeps it as numerator and overflows
+        return Fraction(int(v), self.scale)
 
     @property
     def ambient(self) -> tuple:
@@ -151,8 +163,19 @@ class CantorStage(_Value):
     def intervals(self) -> tuple:
         if self._intervals is None:
             s = self.scale
-            self._set(_intervals=tuple((Fraction(a, s), Fraction(b, s)) for a, b in zip(self._lows, self._highs)))
+            ends = zip(self._lows.tolist(), self._highs.tolist())
+            self._set(_intervals=tuple((Fraction(a, s), Fraction(b, s)) for a, b in ends))
         return self._intervals
+
+    def fraction_columns(self) -> tuple[list, list, list, list]:
+        """The intervals as reduced fractions, in four columns of Python ints:
+        left numerators, left denominators, right numerators, right
+        denominators.  No `Fraction` is built."""
+        columns = []
+        for ends in (self._lows, self._highs):
+            common = np.gcd(ends, self.scale)
+            columns += [(ends // common).tolist(), (self.scale // common).tolist()]
+        return tuple(columns)
 
     def __len__(self) -> int:
         return len(self._lows)
@@ -207,19 +230,30 @@ def _on_grid(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * factor[v.denominator] for v in values], scale
 
 
-def _nearest_blockers(lengths: Sequence, order, default: int) -> list[int]:
-    """For each gap, visited in `order`, the nearest gap visited before it that
-    is at least as long (ties block), or `default`: one monotone-stack pass."""
-    out = [default] * len(lengths)
-    stack: list[int] = []
-    for i in order:
-        glen = lengths[i]
-        while stack and lengths[stack[-1]] < glen:
-            stack.pop()
-        if stack:
-            out[i] = stack[-1]
-        stack.append(i)
-    return out
+def _grid_array(values, bound: int) -> np.ndarray:
+    """Grid integers as a read-only array: `int64` when the Python int `bound`
+    exceeds every value and everything computed from them, Python ints
+    otherwise.  numpy's own inference would not do: it makes -1 and 2**63 a
+    float64 array."""
+    arr = np.array(values, dtype=np.int64 if bound < _INT64_BOUND else object)
+    arr.flags.writeable = False
+    return arr
+
+
+def _blockers(lengths: np.ndarray) -> np.ndarray:
+    """For each gap, the nearest earlier gap at least as long (ties block), or
+    -1.  Pointer jumping: every gap points at the previous gap, and while the
+    gap pointed at is shorter, the pointer jumps to that gap's own pointer
+    (every gap passed is shorter still); O(n) memory, one array step per
+    round."""
+    ptr = np.arange(-1, len(lengths) - 1)
+    # the gaps longer than their pointer's gap, which they jump past
+    live = np.flatnonzero(lengths[:-1] < lengths[1:]) + 1
+    while len(live):
+        ptr[live] = ptr[ptr[live]]
+        live = live[ptr[live] >= 0]
+        live = live[lengths[ptr[live]] < lengths[live]]
+    return ptr
 
 
 def thickness(stage: CantorStage) -> ThicknessReport:
@@ -230,57 +264,50 @@ def thickness(stage: CantorStage) -> ThicknessReport:
     block), bounded by the convex hull of the stage.  The thickness is the
     minimum ratio Length(bridge)/Length(gap), an exact `Fraction`.
 
-    Linear time: the blocking gaps come from one monotone-stack pass per
-    direction.  The stage is measured on its grid integers: the least ratio
-    is found among correctly rounded float quotients, and ties at that float
-    are settled by integer cross-multiplication, keeping the first minimum.
-    Only the minimum and its witnesses are formed here; `endpoint_ratios` is
-    built when read.
+    The stage is measured on its grid arrays.  The blocking gaps on each side
+    come from vectorized pointer jumping (`_blockers`), and every
+    bridge/gap quotient is formed as a float.  `int64` operands above 2^53
+    round before they divide, so a quotient may be off by a few units in the
+    last place: every record within a relative 2^-49 of the least float is
+    a candidate, and the candidates are settled by cross-multiplying Python
+    ints, keeping the first exact minimum.  Only the minimum and its
+    witnesses are formed here; `endpoint_ratios` is built when read.
     """
     if len(stage) < 2:
         raise ThicknessUndefinedError("need at least two intervals")
     lows, highs = stage._lows, stage._highs
-    # gap i runs from highs[i] to lows[i + 1]
-    lengths = [lo - hi for hi, lo in zip(highs, lows[1:])]
+    # gap i runs from highs[i] to lows[i + 1]; its left bridge runs from
+    # lows[left[i] + 1] to highs[i], its right bridge from lows[i + 1] to
+    # highs[right[i]]
+    lengths = lows[1:] - highs[:-1]
     n = len(lengths)
-    # gap i's left bridge runs from lows[left[i] + 1] to highs[i], its right
-    # bridge from lows[i + 1] to highs[right[i]]
-    left = _nearest_blockers(lengths, range(n), -1)
-    right = _nearest_blockers(lengths, range(n - 1, -1, -1), n)
+    left = _blockers(lengths)
+    right = n - 1 - _blockers(lengths[::-1])[::-1]
 
-    # bridge/gap per gap, one list per side: correctly rounded floats
-    # (int / int is)
-    left_q = list(map(truediv, [hi - lows[j + 1] for hi, j in zip(highs, left)], lengths))
-    right_q = list(map(truediv, [highs[j] - lo for lo, j in zip(lows[1:], right)], lengths))
-
-    def bridge(k: int):
-        # record 2i is gap i's left endpoint, record 2i + 1 its right one
-        i, at_right = divmod(k, 2)
-        return highs[right[i]] - lows[i + 1] if at_right else highs[i] - lows[left[i] + 1]
-
-    least = min(min(left_q), min(right_q))
-    ties = sorted(
-        [2 * i for i, q in enumerate(left_q) if q == least]
-        + [2 * i + 1 for i, q in enumerate(right_q) if q == least]
-    )
-    k = ties[0]
-    # float quotients are correctly rounded and rounding is monotone, so the
-    # exact first minimum is among the ties; settle them on integers
-    for c in ties[1:]:
-        if bridge(c) * lengths[k // 2] < bridge(k) * lengths[c // 2]:
-            k = c
-    tau = Fraction(bridge(k), lengths[k // 2])
-    i, at_right = divmod(k, 2)
+    # flattened, record 2i is gap i's left endpoint, record 2i + 1 its right one
+    bridges = np.stack((highs[:-1] - lows[left + 1], highs[right] - lows[1:]), axis=1)
+    quotients = np.asarray(bridges / lengths[:, None], dtype=float).ravel()
+    least = quotients.min()
+    ties = np.flatnonzero(quotients <= least + least * 2.0**-49)
+    bridge, glen = bridges.ravel()[ties].tolist(), lengths[ties // 2].tolist()
+    c = 0
+    for t in range(1, len(ties)):
+        if bridge[t] * glen[c] < bridge[c] * glen[t]:
+            c = t
+    i, at_right = divmod(int(ties[c]), 2)
     point = stage._point
     gap = (point(highs[i]), point(lows[i + 1]))
     witness = (gap[1], point(highs[right[i]])) if at_right else (point(lows[left[i] + 1]), gap[0])
-    return ThicknessReport(tau, gap, witness, partial(_endpoint_records, stage, left, right))
+    return ThicknessReport(
+        Fraction(bridge[c], glen[c]), gap, witness, partial(_endpoint_records, stage, left, right)
+    )
 
 
-def _endpoint_records(stage: CantorStage, left: list[int], right: list[int]) -> tuple:
+def _endpoint_records(stage: CantorStage, left: np.ndarray, right: np.ndarray) -> tuple:
     """`thickness`'s (gap, endpoint, bridge, ratio) records, in `Fraction`s,
     from the blocking-gap indices it found."""
-    ivals, lows, highs = stage.intervals, stage._lows, stage._highs
+    ivals, lows, highs = stage.intervals, stage._lows.tolist(), stage._highs.tolist()
+    left, right = left.tolist(), right.tolist()
     shared: dict[tuple[int, int], Fraction] = {}
 
     def ratio(bridge: int, gap: int) -> Fraction:
@@ -409,7 +436,7 @@ def build_nmap_cantor(m: int, generation: int) -> CantorStage:
     # the turning points +-1/2 must fall in gaps at every generation
     for t in (HALF, -HALF):
         x = t * stage.scale
-        i = bisect_right(stage._lows, x)
+        i = np.searchsorted(stage._lows, math.floor(x), "right")
         if i and x <= stage._highs[i - 1]:
             raise ConstructionError(f"turning point {t} not in a gap")
     return stage
@@ -547,9 +574,11 @@ def _refine(system: MarkovBranchSystem, generation: int, source: str) -> CantorS
     least common denominator of the ambient, the cover endpoints and the
     branch intercepts, and each generation multiplies it by L, the lcm of
     the slope numerators.  A branch x -> (p/q)x + c pulls a grid value Y
-    back to (L/p)*q*(Y - c*scale), so a generation costs one bisection per
-    branch plus its output, which comes out sorted.  The stage keeps the
-    grid integers.
+    back to k*Y - shift, k = (L/p)*q and shift = k*c*scale, so a generation
+    costs one bisection per branch plus one array expression per branch
+    over the run its image covers (reversed for a negative slope); the
+    output comes out sorted.  Each generation picks the arrays' dtype from
+    a Python-int bound on k*Y - shift (see `_grid_array`).
     """
     if generation < 1:
         raise ValueError("generation must be >= 1")
@@ -561,34 +590,41 @@ def _refine(system: MarkovBranchSystem, generation: int, source: str) -> CantorS
         raise ValueError("Markov refinement needs rational branch domains, slopes, intercepts and ambient")
     grid, scale = _on_grid([*system.ambient, *cover, *intercepts])
     amb, lows, highs = grid[:2], grid[2:2 + len(cover):2], grid[3:2 + len(cover):2]
+    magnitude = max(map(abs, grid[2:2 + len(cover)]), default=0)
     mult = math.lcm(*(slope.numerator for slope in slopes))
+    ks = [mult // slope.numerator * slope.denominator for slope in slopes]
     for _ in range(generation - 1):
+        shifts = [int(k * br.intercept * scale) for k, br in zip(ks, branches)]
+        bound = max((abs(k) * max(magnitude, 1) + abs(shift) for k, shift in zip(ks, shifts)), default=0)
+        lows, highs = _grid_array(lows, bound), _grid_array(highs, bound)
         nlows, nhighs = [], []
-        for br in branches:
+        for br, k, shift in zip(branches, ks, shifts):
             lo, hi = br.lo, br.hi
             img_lo, img_hi = sorted((br(lo) * scale, br(hi) * scale))
             # the run of the sorted stage that meets (img_lo, img_hi) in more than a point
-            first, stop = bisect_right(highs, img_lo), bisect_left(lows, img_hi)
+            first = np.searchsorted(highs, math.floor(img_lo), "right")
+            stop = np.searchsorted(lows, math.ceil(img_hi), "left")
             for j in (first, stop - 1) if first < stop else ():
                 if lows[j] < img_lo or highs[j] > img_hi:
                     raise ConstructionError(
                         f"branch image of [{lo},{hi}] covers "
-                        f"[{Fraction(lows[j], scale)},{Fraction(highs[j], scale)}] only partially"
+                        f"[{Fraction(int(lows[j]), scale)},{Fraction(int(highs[j]), scale)}] only partially"
                     )
-            k = mult // br.slope.numerator * br.slope.denominator
-            shift = int(k * br.intercept * scale)
-            if k > 0:
-                nlows += [k * v - shift for v in lows[first:stop]]
-                nhighs += [k * v - shift for v in highs[first:stop]]
-            else:
-                nlows += [k * v - shift for v in reversed(highs[first:stop])]
-                nhighs += [k * v - shift for v in reversed(lows[first:stop])]
-        if not nlows:
+            a, b = lows[first:stop], highs[first:stop]
+            if k < 0:
+                a, b = b[::-1], a[::-1]
+            nlows.append(k * a - shift)
+            nhighs.append(k * b - shift)
+        if not sum(map(len, nlows)):
             raise ValueError("branch preimages died out; system is not Markov over its cover")
-        lows, highs = nlows, nhighs
+        lows, highs = np.concatenate(nlows), np.concatenate(nhighs)
+        magnitude = max(max(-int(a.min()), int(a.max())) for a in (lows, highs))
         scale *= mult
         amb = [mult * v for v in amb]
-    return CantorStage._from_grid(scale, amb, lows, highs, generation, source, system.ambient)
+    bound = max(2 * magnitude, scale)
+    return CantorStage._from_grid(
+        scale, amb, _grid_array(lows, bound), _grid_array(highs, bound), generation, source, system.ambient
+    )
 
 
 def markov_cantor(system: MarkovBranchSystem, generation: int) -> CantorStage:

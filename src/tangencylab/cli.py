@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -114,8 +115,8 @@ def _write_csv(path: Path, header, rows, cfg: ExperimentConfig) -> None:
         fh.write(f"# config_hash: {cfg.hash}\n")
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        # csv writes a float as its repr and anything else as its str
+        w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +133,7 @@ def cmd_cantor(args, parser) -> int:
     rep = cantor.nmap_cantor_report(args.m, args.gen)
     stage = rep["stage"]
     _write_csv(out / "intervals.csv", ["generation", "left_num", "left_den", "right_num", "right_den"],
-               [[stage.generation, a.numerator, a.denominator, b.numerator, b.denominator]
-                for a, b in stage.intervals], cfg)
+               zip(repeat(stage.generation), *stage.fraction_columns()), cfg)
 
     report = rep["thickness_report"]
     payload = {

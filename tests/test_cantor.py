@@ -2,6 +2,7 @@ import dataclasses
 import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,6 +179,55 @@ def stages(draw):
     pts = [F(p, den) for p in pts]
     ivals = tuple(zip(pts[0::2], pts[1::2]))
     return CantorStage((pts[0], pts[-1]), ivals, 1)
+
+
+@st.composite
+def wide_stages(draw):
+    """A stage and its reference twin on integer endpoints in units of a
+    wide `unit`, each nudged up by a few units in the last place: interval
+    and gap lengths pass 2^53, and bridge/gap ratios tie or differ by less
+    than float resolution.  A unit of 2^54 + 1 keeps the grid in int64, one
+    of 3^45 makes it Python ints."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    widths = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
+    unit = draw(st.sampled_from([2**54 + 1, 3**45]))
+    nudges = sorted(draw(st.lists(st.integers(0, 8), min_size=2 * n, max_size=2 * n)))
+    x, pts = 0, []
+    for k in range(n):
+        pts += [x, x + widths[k]]
+        x += widths[k] + (gaps[k] if k < n - 1 else 0)
+    pts = [F(p * unit + nudge) for p, nudge in zip(pts, nudges)]
+    amb = (pts[0], pts[-1])
+    ivals = tuple(zip(pts[0::2], pts[1::2]))
+    return CantorStage(amb, ivals, 2, "wide"), ReferenceStage(amb, ivals, 2, "wide")
+
+
+def wide_slope_system():
+    """Two slope-10^7 branches on [0, 10^-7] and [1 - 10^-7, 1]: the grid
+    scale is 10^(7g) at generation g, past 2^62 from generation 3."""
+    s = 10**7
+    return MarkovBranchSystem(
+        (AffineBranch(F(s), F(0), F(0), F(1, s)), AffineBranch(F(s), F(1 - s), F(s - 1, s), F(1))),
+        (F(0), F(1)),
+    )
+
+
+def outer_pieces(gen, ratio):
+    """Direct construction: every interval keeps its two end pieces of
+    `ratio` times its length, `gen` - 1 times over."""
+    ivals = [(F(0), F(1))]
+    for _ in range(gen):
+        ivals = [iv for a, b in ivals for iv in ((a, a + (b - a) * ratio), (b - (b - a) * ratio, b))]
+    return tuple(ivals)
+
+
+def fraction_views(stage):
+    """Every Fraction a stage and its thickness report hand out."""
+    rep = thickness(stage)
+    views = [*stage.ambient, *stage.hull, *rep.witness_gap, *rep.witness_bridge, rep.thickness]
+    views += [v for iv in (*stage.intervals, *stage.gaps()) for v in iv]
+    return views
 
 
 class TestConstruction:
@@ -492,6 +542,105 @@ class TestReferenceEquality:
             tracemalloc.stop()
         assert rep["thickness"] == F(36904, 3) and rep["n_intervals"] == 75_452
         assert peak < 30 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+class TestGridArrays:
+    """The grid arrays: int64 up to the 2^62 bound, Python ints beyond it,
+    and the same results either way."""
+
+    def test_nmap_grids_are_int64(self):
+        stage = build_nmap_cantor(8, 5)
+        assert stage._lows.dtype == stage._highs.dtype == np.int64
+
+    @given(wide_stages(), st.fractions(min_value=-5, max_value=5, max_denominator=40))
+    @settings(max_examples=200, deadline=None)
+    def test_wide_stages_match_reference(self, pair, offset):
+        stage, ref = pair
+        # integer endpoints: the grid is the endpoints, and differences reach twice the largest
+        assert stage._lows.dtype == (np.int64 if 2 * ref.hull[1] < 2**62 else object)
+        for got, want in ((stage, ref), (stage.translate(offset), ref.translate(offset))):
+            assert_same_stage(got, want)
+            assert_same(thickness(got), quadratic_thickness(want))
+
+    def test_exact_minimum_under_float_misorder(self):
+        # int64 operands above 2^53 round before they divide: the float
+        # quotients put record 0 (a/g0) first, three units in the last place
+        # ahead, the exact ratios record 3 (d/g1)
+        a, g0 = 36491701134693851, 36491701134693887
+        d, g1 = 39925875977975852, 39925875977975892
+        assert F(d, g1) < F(a, g0) and float(d) / float(g1) == float(a) / float(g0) + 3 * 2.0**-53
+        ends = np.cumsum([0, a, g0, 2**58, g1, d]).tolist()
+        ivals = tuple((F(lo), F(hi)) for lo, hi in zip(ends[0::2], ends[1::2]))
+        stage = CantorStage((ivals[0][0], ivals[-1][1]), ivals, 1)
+        assert stage._lows.dtype == np.int64
+        rep = thickness(stage)
+        assert rep.thickness == F(d, g1)
+        assert rep.witness_gap == (F(ends[3]), F(ends[4])) and rep.witness_bridge == (F(ends[4]), F(ends[5]))
+        assert_same(rep, quadratic_thickness(ReferenceStage(stage.ambient, ivals, 1)))
+
+    @pytest.mark.parametrize("gen", [1, 2, 3, 4, 5])
+    def test_wide_markov_refinement(self, gen):
+        stage = markov_cantor(wide_slope_system(), gen)
+        assert stage._lows.dtype == (object if gen >= 3 else np.int64)
+        assert_same(stage.intervals, outer_pieces(gen, F(1, 10**7)))
+        ref = ReferenceStage(stage.ambient, stage.intervals, gen, "markov")
+        assert_same_stage(stage, ref)
+        assert_same(thickness(stage), quadratic_thickness(ref))
+        offset = F(1, 3**45)
+        assert_same_stage(stage.translate(offset), ref.translate(offset))
+
+    def test_wide_partial_cover_rejected(self):
+        # TestMarkov's partial cover moved by 3^-45: the grid starts past 2^62
+        e = F(1, 3**45)
+        sys1 = MarkovBranchSystem(
+            (
+                AffineBranch(F(3), -2 * e, e, e + F(1, 4)),
+                AffineBranch(F(3), F(-2) - 2 * e, e + F(2, 3), e + 1),
+            ),
+            (e, e + 1),
+        )
+        assert markov_cantor(sys1, 1)._lows.dtype == object
+        with pytest.raises(ConstructionError) as exc:
+            markov_cantor(sys1, 2)
+        assert str(exc.value) == f"branch image of [{e},{e + F(1, 4)}] covers [{e + F(2, 3)},{e + 1}] only partially"
+
+    @pytest.mark.parametrize("ivals", [
+        ((F(1, 3**45), F(2)),),
+        ((F(0), F(1, 3**45)), (F(2, 3**45), F(1, 3**45))),
+        ((F(0), F(2, 3**45)), (F(1, 3**45), F(1, 2))),
+        ((F(0), F(1, 3**45)), (F(1, 3**45), F(1, 2))),
+    ])
+    def test_wide_rejections_match_reference(self, ivals):
+        amb = (F(0), F(1))
+        with pytest.raises(ConstructionError) as want:
+            ReferenceStage(amb, ivals, 1)
+        with pytest.raises(ConstructionError) as got:
+            CantorStage(amb, ivals, 1)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_nmap_cantor(8, 3),
+        lambda: markov_cantor(wide_slope_system(), 4),
+        lambda: CantorStage((F(-2**62), F(2**62)), ((F(-2**62), F(1)), (F(2), F(2**62))), 1),
+    ], ids=["int64", "wide-scale", "wide-values"])
+    def test_views_hold_python_ints(self, make):
+        # Fraction(np.int64(2**62), 1) * 4 is 0, with only a RuntimeWarning
+        stage = make()
+        for v in fraction_views(stage):
+            assert type(v) is F and type(v.numerator) is int and type(v.denominator) is int
+        want = [[v.numerator for v, _ in stage.intervals], [v.denominator for v, _ in stage.intervals],
+                [v.numerator for _, v in stage.intervals], [v.denominator for _, v in stage.intervals]]
+        assert list(stage.fraction_columns()) == want
+        assert all(type(v) is int for column in stage.fraction_columns() for v in column)
+
+    @pytest.mark.parametrize("make", [lambda: build_nmap_cantor(6, 2), lambda: markov_cantor(wide_slope_system(), 3)],
+                             ids=["int64", "wide"])
+    def test_grid_arrays_are_read_only(self, make):
+        stage = make()
+        for ends in (stage._lows, stage._highs):
+            with pytest.raises(ValueError, match="read-only"):
+                ends[0] = 0
+        assert stage == make()
 
 
 class TestGapLemma:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import re
@@ -115,6 +116,19 @@ def reference_thickness_json(m, gen, out):
     )
 
 
+def reference_intervals_csv(m, gen, out):
+    """intervals.csv as a `csv.writer` rendering of the numerators and
+    denominators of the stage's `intervals`."""
+    cfg = ExperimentConfig("cantor", {"m": m, "gen": gen}, str(out))
+    buf = io.StringIO()
+    buf.write(f"# config_hash: {cfg.hash}\n")
+    w = csv.writer(buf)
+    w.writerow(["generation", "left_num", "left_den", "right_num", "right_den"])
+    for a, b in cantor.build_nmap_cantor(m, gen).intervals:
+        w.writerow([gen, a.numerator, a.denominator, b.numerator, b.denominator])
+    return buf.getvalue().encode()
+
+
 class TestConfig:
     def test_hash_is_stable_and_key_order_free(self):
         a = ExperimentConfig("x", {"b": 2, "a": 1}, "out")
@@ -188,6 +202,11 @@ class TestCantorCommand:
         assert (rows[0]["left_num"], rows[0]["left_den"]) == ("-132", "91")
         assert [(F(int(r["left_num"]), int(r["left_den"])), F(int(r["right_num"]), int(r["right_den"])))
                 for r in rows] == list(cantor.build_nmap_cantor(6, 1).intervals)
+
+    @pytest.mark.parametrize("m,gen", [(6, 1), (8, 5), (12, 7)])
+    def test_intervals_csv_matches_reference_rendering(self, tmp_path, m, gen):
+        main(["cantor", "--m", str(m), "--gen", str(gen), "--out", str(tmp_path)])
+        assert (tmp_path / "intervals.csv").read_bytes() == reference_intervals_csv(m, gen, tmp_path)
 
     def test_replay_determinism(self, tmp_path):
         main(["cantor", "--m", "6", "--gen", "3", "--out", str(tmp_path)])
