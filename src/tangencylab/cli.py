@@ -298,16 +298,29 @@ def cmd_tangency(args, parser) -> int:
         parser.error("--t-max must be >= --t-min")
     mp = renorm.ModelParams()
     fam = renorm.renormalized_family(mp, args.n)
+    branch = planar.SharedBranch()
     try:
-        probes = {r: planar.region_probe(fam, args.mu_bar, r)[0] for r in ("upper", "lower")}
+        probes = {r: planar.region_probe(fam, args.mu_bar, r, branch)[0] for r in ("upper", "lower")}
     except ValueError as exc:
         parser.error(f"--mu-bar: {exc}")
-    # the scan runs before --out exists: a t that cannot be measured is a usage error
+    # the scan runs before --out exists: a t that cannot be measured is a usage
+    # error.  Both regions measure each t in turn, so they grow one unstable
+    # branch there; errors are reported as scanning one region after the
+    # other would report them.
     ts = [float(t) for t in np.linspace(args.t_min, args.t_max, args.points)]
-    pens, events = {}, {}
+    pens, failed, events = {r: [] for r in probes}, {}, {}
+    for t in ts:
+        for region, probe in probes.items():
+            if region not in failed:
+                try:
+                    pens[region].append(probe.penetration(t))
+                except (planar.WindowRejected, planar.NewtonDivergenceError) as exc:
+                    failed[region] = exc
     for region, probe in probes.items():
         try:
-            pens[region], event = planar.scan_events(probe, ts)
+            if region in failed:  # the scan's error, reported in region order
+                raise failed[region]
+            _, event = planar.scan_events(probe, ts, pens[region])
         except planar.WindowRejected as exc:
             parser.error(f"--t-min/--t-max: the {region} region's window rejects {exc}")
         except planar.NewtonDivergenceError as exc:

@@ -47,6 +47,7 @@ __all__ = [
     "WindowRejected",
     "TangencyCandidate",
     "window_extremal_gap",
+    "SharedBranch",
     "FiberGapProbe",
     "TangencyEvent",
     "classify_tangency",
@@ -478,7 +479,9 @@ def grow_manifold(
     elementwise on its x, y and ts columns, and puts the midpoints in place
     by index arithmetic (point i moves right by the number of splits before
     it, the midpoint of a split goes right after its left end), so the
-    level stays ordered without a sort.
+    level stays ordered without a sort.  A level's passes end when one
+    splits nothing, after about 48 at most: no interval of ts narrower than
+    1e-14 is split.
 
     Before each pass, a level whose running arclength (continued from the
     curve's so far) reaches `target_arclength` is cut: it keeps its points
@@ -488,14 +491,16 @@ def grow_manifold(
     so the refined curve reaches the target at or before that point; and
     each split decision reads only its interval and the two next to it (the
     spacing test and the turning angles at both ends), so the guard leaves
-    every decision before the stop as it is on the whole level.  The cut
-    is redone every pass, and levels the target does not reach are never
-    cut.  A cut level that falls short of the target after refinement
-    raises `ManifoldCutError` rather than being appended truncated.  A pass
-    that would overrun `max_points` ends growth without appending its level,
-    so the curve keeps only levels that met the controls and is incomplete;
+    every decision before the stop as it is on the whole level.  The cut is
+    redone every pass, and levels the target does not reach are never cut.
+    A cut level that falls short of the target after refinement raises
+    `ManifoldCutError` rather than being appended truncated.  A pass that
+    would overrun `max_points` ends growth without appending its level, so
+    the curve keeps only levels that met the controls and is incomplete;
     the budget counts the points kept so far and the level as cut, so points
-    past the target never spend it.
+    past the target never spend it.  Hence the curve grown to a smaller
+    target is, bit for bit, the one grown to a larger target up to its first
+    point at the smaller one, unless that one stops short of it.
 
     Level 0 is the seed domain itself, and its points (midpoints included)
     lie on the chord [p + eps*v, M(p + eps*v)].  With a strong multiplier
@@ -504,8 +509,10 @@ def grow_manifold(
     that straight chord, and at mu_bar = 3 the penetration moves by about
     7.5e-7 against a curve seeded at eps = 1e-9.
 
-    Each level's points are then appended in order, and growth stops at the
-    first point that, in this order of precedence,
+    Each level's points are then appended in order, with the running
+    arclengths and the finite and clip-box masks of the level's last pass
+    (which split nothing, so they are the appended level's), and growth
+    stops at the first point that, in this order of precedence,
 
     1. is non-finite or leaves the |coordinate| <= clip box: the point is
        dropped and the curve marked incomplete;
@@ -518,6 +525,8 @@ def grow_manifold(
     """
     if max_points < 2:
         raise ValueError("max_points must be >= 2")
+    if math.isnan(clip):
+        raise ValueError("clip must not be NaN")
     advance, x0, x1 = _seed_domain(family, params, saddle, kind, direction)
 
     def eval_level(ts, level):
@@ -532,29 +541,37 @@ def grow_manifold(
     for level in range(max_levels):
         X, Y = eval_level(ts, 0) if level == 0 else advance(X, Y, 1)
         cut, last = False, kept[-1][-1]
-        for _pass in range(80):
-            dx, dy = np.diff(X), np.diff(Y)
+        while True:
+            dx, dy = X[1:] - X[:-1], Y[1:] - Y[:-1]
             d = np.hypot(dx, dy)
             # cut the level _CUT_GUARD points past its first point at the
-            # target: run[i] is the arclength the append step would give X[i]
+            # target: run[i] is the arclength the append step gives X[i]
             # (X[0] duplicates the previous level's endpoint); a non-finite
             # point makes it inf or NaN, which sorts last, so it cuts there too
-            d_first = np.hypot(X[1:2] - last[0], Y[1:2] - last[1])
-            run = np.cumsum(np.concatenate([arcs[-1][-1:], d_first, d[1:]]))
+            run = np.empty(len(X))
+            run[0], run[1], run[2:] = arcs[-1][-1], np.hypot(X[1] - last[0], Y[1] - last[1]), d[1:]
+            np.cumsum(run, out=run)
             end = int(np.searchsorted(run, target_arclength)) + 1 + _CUT_GUARD
             if end < len(X):
                 ts, X, Y, cut = ts[:end], X[:end], Y[:end], True
                 dx, dy, d = dx[:end - 1], dy[:end - 1], d[:end - 1]
+            size = np.maximum(np.abs(X), np.abs(Y))  # NaN where a coordinate is NaN
+            finite, inside = size < np.inf, size <= clip
             long = d > H_MIN
-            finite = np.isfinite(X) & np.isfinite(Y)
-            inside = (np.abs(X) <= clip) & (np.abs(Y) <= clip)
+            cosang = dx[:-1] * dx[1:]
+            cosang += dy[:-1] * dy[1:]
+            cosang /= d[:-1] * d[1:]
+            bad = cosang < cos_max
+            bad &= long[:-1]
+            bad &= long[1:]
             need = d > h_max
-            cosang = (dx[:-1] * dx[1:] + dy[:-1] * dy[1:]) / (d[:-1] * d[1:])
-            bad = (cosang < cos_max) & long[:-1] & long[1:]
             need[:-1] |= bad
             need[1:] |= bad
             need &= inside[:-1] | inside[1:]  # the escaping tail stays coarse
-            need &= (np.diff(ts) > 1e-14) & long & finite[:-1] & finite[1:]
+            need &= long
+            need &= finite[:-1]
+            need &= finite[1:]
+            need &= ts[1:] - ts[:-1] > 1e-14
             split = np.flatnonzero(need)
             if not len(split):
                 break
@@ -578,25 +595,22 @@ def grow_manifold(
         if not complete:  # a pass overran the budget: the level is not kept
             break
 
-        # append this level; index 0 duplicates the previous level's endpoint
-        nx, ny = X[1:], Y[1:]
-        escaped = ~(np.isfinite(nx) & np.isfinite(ny)) | (np.abs(nx) > clip) | (np.abs(ny) > clip)
-        n_ok = int(np.argmax(escaped)) if escaped.any() else len(nx)
-        d = np.hypot(np.diff(nx[:n_ok], prepend=last[0]), np.diff(ny[:n_ok], prepend=last[1]))
-        arc = np.cumsum(np.concatenate([arcs[-1][-1:], d]))[1:]
-        reached = arc >= target_arclength
-        at_target = int(np.argmax(reached)) if reached.any() else n_ok
+        # append this level but X[0], from the last pass's masks and run
+        ok = finite[1:] & inside[1:]
+        n_ok = int(np.argmin(ok)) if not ok.all() else len(ok)
+        arc = run[1:n_ok + 1]
+        at_target = int(np.searchsorted(arc, target_arclength))
         at_budget = max_points - n_points - 1
         stop = min(at_target, at_budget)
         if stop < n_ok:  # target or budget reached at a point that is kept
             keep, done = stop + 1, True
             complete = complete and at_target <= at_budget
         else:  # everything before the first escaped point, if any
-            keep, done = n_ok, n_ok < len(nx)
+            keep, done = n_ok, n_ok < len(ok)
             complete = complete and not done
         if cut and not done:
             raise ManifoldCutError(f"level {level} was cut at the target but stops short of it")
-        kept.append(np.column_stack([nx[:keep], ny[:keep]]))
+        kept.append(np.column_stack([X[1:keep + 1], Y[1:keep + 1]]))
         arcs.append(arc[:keep])
         n_points += keep
         if done:
@@ -799,14 +813,33 @@ def _naming(t: float):
         raise NewtonDivergenceError(f"t={t}: {exc}", exc.last) from exc
 
 
+def _prefix(curve: ManifoldCurve, target: float) -> ManifoldCurve | None:
+    """`curve` up to its first point past the seed at `target`: the curve
+    `grow_manifold` grows to that smaller target (see there); None if
+    `curve` stops short of it."""
+    i = int(np.searchsorted(curve.arclength[1:], target)) + 1
+    if i == len(curve.arclength):
+        return None
+    return ManifoldCurve(curve.points[:i + 1], curve.kind, curve.arclength[:i + 1])
+
+
+class SharedBranch:
+    """The unstable saddle and curve that one of the probes sharing this
+    instance grew last, with its (family, parameters, unstable seed) `key`
+    and `target` arclength: both regions of one mu_bar solve the same saddle
+    and grow the same branch, to different targets."""
+
+    key = target = saddle = curve = None
+
+
 @dataclass(frozen=True)
 class FiberGapProbe:
     """t -> TangencyCandidate for one tangency region of a parameter scan.
 
     `curve` maps the scan parameter t to family parameters.  Measuring a t
-    solves both period-`PROBE_PERIOD` saddles afresh from `unstable_seed`
-    and `stable_seed` (once when the seeds are equal), regrows both
-    manifolds (the stable one `PROBE_STABLE_ARCLENGTH` long) with spacing
+    solves both period-`PROBE_PERIOD` saddles from `unstable_seed` and
+    `stable_seed` (once when the seeds are equal), grows both manifolds
+    (the stable one `PROBE_STABLE_ARCLENGTH` long) with spacing
     `PROBE_H_MAX` inside the |coordinate| <= `PROBE_CLIP` box and takes the
     window's extremal gap, so the result depends on t alone, not on earlier
     calls.  A `WindowRejected` or a saddle solve's `NewtonDivergenceError`
@@ -814,7 +847,10 @@ class FiberGapProbe:
     Each t is measured once per instance: a repeated t returns the stored
     candidate.  `mode` is "peak" for regions where the unstable curve
     crests into the stable one from below and "valley" for the mirrored
-    geometry.
+    geometry.  Probes given one `branch` hold there the unstable saddle and
+    curve they grow last; one that measures the held parameters with no
+    longer a target takes the held curve up to its first point at its own
+    target (`_prefix`), which is the curve it would grow, bit for bit.
     """
 
     family: PlanarFamily
@@ -825,6 +861,7 @@ class FiberGapProbe:
     mode: str
     stable_direction: tuple
     unstable_arclength: float
+    branch: SharedBranch | None = field(default=None, repr=False, compare=False)
     _measured: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -837,21 +874,35 @@ class FiberGapProbe:
                 self._measured[t] = self._measure(t)
         return self._measured[t]
 
-    def _saddles(self, params) -> tuple:
-        """The unstable and the stable saddle at `params`."""
-        su = find_saddle(self.family, params, period=PROBE_PERIOD, seed=self.unstable_seed)
+    def _saddles(self, params, su=None) -> tuple:
+        """The unstable saddle at `params` (`su` if given) and the stable one."""
+        if su is None:
+            su = find_saddle(self.family, params, period=PROBE_PERIOD, seed=self.unstable_seed)
         if self.stable_seed == self.unstable_seed:
             return su, su  # the Newton solve is deterministic
         return su, find_saddle(self.family, params, period=PROBE_PERIOD, seed=self.stable_seed)
 
+    def _unstable(self, params) -> tuple:
+        """The unstable saddle and curve at `params`, from `branch` if it holds them."""
+        key, target, branch = (self.family, params, self.unstable_seed), self.unstable_arclength, self.branch
+        su = wu = None
+        if branch is not None and branch.key == key and branch.target >= target:
+            su, wu = branch.saddle, _prefix(branch.curve, target)
+        if wu is None:  # not held, or the held curve stops short of the target
+            if su is None:
+                su = find_saddle(self.family, params, period=PROBE_PERIOD, seed=self.unstable_seed)
+            wu = grow_manifold(
+                self.family, params, su, "unstable", target_arclength=target, h_max=PROBE_H_MAX,
+                direction=PROBE_UNSTABLE_DIRECTION, clip=PROBE_CLIP,
+            )
+            if branch is not None:
+                branch.key, branch.target, branch.saddle, branch.curve = key, target, su, wu
+        return su, wu
+
     def _measure(self, t: float) -> TangencyCandidate:
         params = self.curve(t)
-        su, ss = self._saddles(params)
-        wu = grow_manifold(
-            self.family, params, su, "unstable",
-            target_arclength=self.unstable_arclength, h_max=PROBE_H_MAX,
-            direction=PROBE_UNSTABLE_DIRECTION, clip=PROBE_CLIP,
-        )
+        su, wu = self._unstable(params)
+        _, ss = self._saddles(params, su)
         ws = grow_manifold(
             self.family, params, ss, "stable",
             target_arclength=PROBE_STABLE_ARCLENGTH, h_max=PROBE_H_MAX,
@@ -870,16 +921,17 @@ class FiberGapProbe:
         return brentq(self.penetration, *bracket, xtol=1e-8)
 
 
-def scan_events(probe: FiberGapProbe, ts) -> tuple[list, TangencyEvent | None]:
-    """The penetrations of `probe` at the scan values `ts`, and its first
-    tangency event over them.
+def scan_events(probe: FiberGapProbe, ts, pens=None) -> tuple[list, TangencyEvent | None]:
+    """The penetrations of `probe` at the scan values `ts` (`pens` when they
+    are measured already), and its first tangency event over them.
 
     The first consecutive pair of `ts` whose penetrations change sign (or
     whose left end is exactly zero) brackets the zero, which `locate_zero`
     refines and `classify_tangency` classifies.  Returns (penetrations,
     event); the event is None when no pair changes sign.
     """
-    pens = [probe.penetration(t) for t in ts]
+    if pens is None:
+        pens = [probe.penetration(t) for t in ts]
     for i in range(len(ts) - 1):
         if pens[i] == 0.0 or pens[i] * pens[i + 1] < 0:
             return pens, classify_tangency(probe, probe.locate_zero((ts[i], ts[i + 1])))
@@ -1146,10 +1198,11 @@ def _cubic_arclength(mu, nu, x_from, x_to):
     return float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
 
 
-def region_probe(fam: PlanarFamily, mu: float, region: str):
+def region_probe(fam: PlanarFamily, mu: float, region: str, branch: SharedBranch | None = None):
     """FiberGapProbe for the upper (peak) or lower (valley) near-touch of the
     n-step family at fixed mu, scanning t = nu; window and growth targets are
-    centered on the limit family's analytic prediction.
+    centered on the limit family's analytic prediction.  Both regions seed
+    the same unstable branch, so their probes can share a `branch`.
 
     Returns (probe, nu_pred) with nu_pred the limit family's tangency
     parameter at this mu (ValueError if it has none in [-0.6, 0.6], or if
@@ -1179,5 +1232,5 @@ def region_probe(fam: PlanarFamily, mu: float, region: str):
         mode = "valley"
     return FiberGapProbe(
         fam, lambda t: (mu, t), seed_u, seed_s, window, mode,
-        stable_direction=sdir, unstable_arclength=u_len,
+        stable_direction=sdir, unstable_arclength=u_len, branch=branch,
     ), nu_pred

@@ -330,6 +330,39 @@ class TestTangencyCommand:
         assert json.loads((tmp_path / "summary.json").read_text())["events"] == []
         assert len((tmp_path / "scan.csv").read_text().splitlines()) == 2 + 2
 
+    def test_scan_grows_one_unstable_branch_per_t(self, tmp_path, monkeypatch):
+        # the regions measure each scan t in turn, and the lower probe takes
+        # the upper's unstable curve there; no event, so nothing else is grown
+        grown = []
+        grow = planar.grow_manifold
+
+        def counted(*args, **kwargs):
+            grown.append((args[1], args[3]))
+            return grow(*args, **kwargs)
+
+        monkeypatch.setattr(planar, "grow_manifold", counted)
+        assert main(["tangency", "--mu-bar", "2.95", "--points", "3", "--out", str(tmp_path)]) == 1
+        unstable = [params for params, kind in grown if kind == "unstable"]
+        assert len(unstable) == len(set(unstable)) == 3
+        assert len(grown) == 3 + 2 * 3  # and each region's stable curve
+
+    def test_upper_error_is_reported_before_an_earlier_lower_one(self, tmp_path, capsys, monkeypatch):
+        class Rejecting:
+            def __init__(self, bad_t):
+                self.bad_t = bad_t
+
+            def penetration(self, t):
+                if t == self.bad_t:
+                    raise planar.WindowRejected(f"t={t}: no crossing")
+                return 1.0
+
+        probes = {"upper": Rejecting(0.03), "lower": Rejecting(-0.03)}
+        monkeypatch.setattr(planar, "region_probe", lambda fam, mu, region, branch: (probes[region], 0.0))
+        with pytest.raises(SystemExit):
+            main(["tangency", "--points", "3", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert "error: --t-min/--t-max: the upper region's window rejects t=0.03: no crossing\n" in err
+
     def test_single_point_cannot_bracket_an_event(self, tmp_path, capsys):
         assert main(["tangency", "--mu-bar", "2.95", "--points", "1", "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""

@@ -545,6 +545,32 @@ class TestManifoldStops:
         assert np.array_equal(w.points, full.points)
         assert np.array_equal(w.arclength, full.arclength)
 
+    @pytest.mark.parametrize("kw", [dict(clip=1.0), dict(max_points=500), dict(max_points=500, h_max=1e-3)],
+                             ids=["clip", "budget-in-a-pass", "budget"])
+    def test_a_smaller_target_grows_a_prefix(self, kw):
+        # the branch to a smaller target is the larger-target curve up to its
+        # first point at that target; past an incomplete curve's end there is
+        # no prefix, and growth to such a target may keep other points
+        fam, p = cubic_henon(), (2.8, 0.1)
+        s = find_saddle(fam, p, seed=(0.0, 0.0))
+        long = grow_manifold(fam, p, s, "unstable", target_arclength=50.0, direction=(1, 1), **kw)
+        end = long.arclength[-1]
+        assert not long.complete
+        for target in (0.3 * end, 0.9 * end, end, 1.001 * end, 1.5 * end):
+            short = grow_manifold(fam, p, s, "unstable", target_arclength=target, direction=(1, 1), **kw)
+            prefix = planar._prefix(long, target)
+            if target > end:
+                assert prefix is None
+                continue
+            assert short.complete and prefix.complete
+            assert np.array_equal(prefix.points, short.points)
+            assert np.array_equal(prefix.arclength, short.arclength)
+
+    def test_nan_clip_rejected(self):
+        s = find_saddle(linear_family(), (0.2, 2.0), seed=(0.0, 0.0))
+        with pytest.raises(ValueError, match="^clip must not be NaN$"):
+            grow_manifold(linear_family(), (0.2, 2.0), s, "unstable", clip=math.nan, direction=(0, 1))
+
     def test_a_cut_level_short_of_the_target_raises(self, monkeypatch):
         # a guard of -1 drops the level's first point at the target; on a
         # straight branch refinement adds no length, so the level stops short
@@ -895,6 +921,29 @@ class TestProbeOnRenormalizedFamily:
         assert fresh == after_other_call == on_second_probe
         assert repr(fresh) == repr(after_other_call) == repr(on_second_probe)
 
+    def test_lower_probe_is_independent_of_the_shared_branch(self):
+        # the lower probe alone; after the upper one, the first t it measures
+        # (the upper's last) from the shared branch; or alternating with it,
+        # every t from the shared branch
+        fam = renormalized_family(ModelParams(), 6)
+        lower, nu_pred = planar.region_probe(fam, 3.0, "lower")
+        ts = [nu_pred - 0.02, nu_pred, nu_pred + 0.01]
+        alone = [lower(t) for t in ts]
+        runs = []
+        for order in ("after", "alternating"):
+            branch = planar.SharedBranch()
+            up, lo = (planar.region_probe(fam, 3.0, r, branch)[0] for r in ("upper", "lower"))
+            got = {}
+            for t in ts:
+                up(t)
+                if order == "alternating":
+                    got[t] = lo(t)
+            for t in reversed(ts):
+                got[t] = lo(t)
+            runs.append([got[t] for t in ts])
+        assert alone == runs[0] == runs[1]
+        assert repr(alone) == repr(runs[0]) == repr(runs[1])
+
     def test_unknown_region_rejected(self):
         with pytest.raises(ValueError, match=r"^region must be 'upper' or 'lower', got 'Upper'$"):
             planar.region_probe(renormalized_family(ModelParams(), 6), 3.0, "Upper")
@@ -929,6 +978,84 @@ class TestProbeOnRenormalizedFamily:
         other = upper_probe_at_mu3()
         assert [other(ts[i]) for i in order] == [first[i] for i in order]
         assert len(grown) == 4 * len(ts)
+
+    @pytest.mark.parametrize("mu", [float(m) for m in np.linspace(2.85, 3.15, 7)])
+    def test_shared_branch_curves_match_growth_to_each_target(self, monkeypatch, mu):
+        # a region's curve taken from the shared branch, held by the upper
+        # probe or by a longer one, is the curve grown to its own target
+        grown = []
+        grow = planar.grow_manifold
+
+        def counted(*args, **kwargs):
+            grown.append(kwargs["target_arclength"])
+            return grow(*args, **kwargs)
+
+        monkeypatch.setattr(planar, "grow_manifold", counted)
+        fam = renormalized_family(ModelParams(), 6)
+        branch = planar.SharedBranch()
+        (up, nu_pred), (lo, _) = (planar.region_probe(fam, mu, r, branch) for r in ("upper", "lower"))
+        longer = dataclasses.replace(up, unstable_arclength=up.unstable_arclength + 0.5)
+        for nu in np.linspace(nu_pred - 0.03, nu_pred + 0.03, 5):
+            params = (mu, float(nu))
+            for holder, takers in ((up, [lo]), (longer, [up, lo])):
+                su, _ = holder._unstable(params)
+                for probe in takers:
+                    del grown[:]
+                    su_taken, wu = probe._unstable(params)
+                    assert grown == [] and su_taken is su
+                    want = grow(fam, params, su, "unstable", target_arclength=probe.unstable_arclength,
+                                h_max=planar.PROBE_H_MAX, direction=planar.PROBE_UNSTABLE_DIRECTION,
+                                clip=planar.PROBE_CLIP)
+                    assert want.complete and wu.complete
+                    assert np.array_equal(wu.points, want.points)
+                    assert np.array_equal(wu.arclength, want.arclength)
+
+    def test_shared_branch_grows_a_curve_the_held_one_stops_short_of(self, monkeypatch):
+        # with a budget of 1000 points the upper curve ends before the lower
+        # target: the lower probe grows its own curve from the held saddle
+        grown = []
+        grow = planar.grow_manifold
+
+        def budget(*args, **kwargs):
+            grown.append(kwargs["target_arclength"])
+            return grow(*args, max_points=1000, **kwargs)
+
+        monkeypatch.setattr(planar, "grow_manifold", budget)
+        fam = renormalized_family(ModelParams(), 6)
+        branch = planar.SharedBranch()
+        (up, nu_pred), (lo, _) = (planar.region_probe(fam, 3.0, r, branch) for r in ("upper", "lower"))
+        params = up.curve(nu_pred)
+        su, held = up._unstable(params)
+        su_taken, wu = lo._unstable(params)
+        assert not held.complete and held.arclength[-1] < lo.unstable_arclength
+        assert grown == [up.unstable_arclength, lo.unstable_arclength] and su_taken is su
+        want = grow(fam, params, su, "unstable", target_arclength=lo.unstable_arclength, h_max=planar.PROBE_H_MAX,
+                    direction=planar.PROBE_UNSTABLE_DIRECTION, clip=planar.PROBE_CLIP, max_points=1000)
+        assert wu.complete == want.complete
+        assert np.array_equal(wu.points, want.points)
+        assert np.array_equal(wu.arclength, want.arclength)
+
+    @pytest.mark.parametrize("mu", [2.85, 3.15])
+    def test_shared_branch_curves_match_reference_loop(self, mu):
+        # both regions' curves at their prediction, the lower unstable one
+        # taken from the upper's, against the reference growth loop
+        fam = renormalized_family(ModelParams(), 6)
+        branch = planar.SharedBranch()
+        (up, nu_pred), (lo, _) = (planar.region_probe(fam, mu, r, branch) for r in ("upper", "lower"))
+        params = up.curve(nu_pred)
+        for probe in (up, lo):
+            su, wu = probe._unstable(params)
+            _, ss = probe._saddles(params, su)
+            kw = dict(h_max=planar.PROBE_H_MAX, clip=planar.PROBE_CLIP)
+            ws = grow_manifold(fam, params, ss, "stable", target_arclength=planar.PROBE_STABLE_ARCLENGTH,
+                               direction=probe.stable_direction, **kw)
+            for w, args in ((wu, (su, "unstable", probe.unstable_arclength, planar.PROBE_UNSTABLE_DIRECTION)),
+                            (ws, (ss, "stable", planar.PROBE_STABLE_ARCLENGTH, probe.stable_direction))):
+                saddle, kind, target, direction = args
+                pts, arc, complete = reference_grow_manifold(fam, params, saddle, kind, target, direction=direction, **kw)
+                assert np.array_equal(w.points, pts)
+                assert np.array_equal(w.arclength, arc)
+                assert w.complete == complete
 
     @pytest.mark.parametrize("region", ["upper", "lower"])
     @pytest.mark.parametrize("mu", [2.85, 3.0, 3.15])
