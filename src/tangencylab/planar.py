@@ -266,6 +266,22 @@ def _newton_converged(r, step, z):
     return (r < NEWTON_RESIDUAL_TOL) & (step < NEWTON_STEP_TOL * np.maximum(1.0, z))
 
 
+def _newton_step(family, params, x, y, period):
+    """One Cramer-rule Newton step for map^period - id from (x, y), on floats or arrays.
+    Returns (x', y', singular, ok, done): det(J - I) == 0; ok where it is not and the determinant
+    and norms are finite (a square that overflows gives inf); done where ok and `_newton_converged`."""
+    (a, b, c, d), (fx, fy) = _orbit_jacobian(family, params, x, y, period)
+    rx, ry, a, d = fx - x, fy - y, a - 1.0, d - 1.0
+    det = a * d - b * c
+    singular = det == 0.0
+    div = det + singular  # 1 where singular: a finite step, which `ok` rejects
+    sx, sy = (b * ry - d * rx) / div, (c * rx - a * ry) / div
+    x, y = x + sx, y + sy
+    rn, sn, zn = np.sqrt(rx * rx + ry * ry), np.sqrt(sx * sx + sy * sy), np.sqrt(x * x + y * y)
+    ok = (det != 0.0) & np.isfinite(det) & np.isfinite(rn) & np.isfinite(sn) & np.isfinite(zn)
+    return x, y, singular, ok, ok & _newton_converged(rn, sn, zn)
+
+
 class NewtonDivergenceError(RuntimeError):
     def __init__(self, message, last):
         super().__init__(message)
@@ -291,65 +307,62 @@ class SaddlePoint:
 
 
 def _orbit_jacobian(family, params, x, y, period):
-    J = np.eye(2)
-    for _ in range(period):
-        (a, b), (c, d) = family.jacobian(params, x, y)
-        J = np.array([[a, b], [c, d]], dtype=float) @ J
+    """The entries (a, b, c, d) of D(map^period) at (x, y), and map^period(x, y)."""
+    (a, b), (c, d) = family.jacobian(params, x, y)
+    for _ in range(period - 1):
         x, y = family.forward(params, x, y)
-    return J, (x, y)
+        (p, q), (r, s) = family.jacobian(params, x, y)
+        a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+    return (a, b, c, d), family.forward(params, x, y)
 
 
-def find_saddle(
-    family: PlanarFamily,
-    params,
-    period: int = 1,
-    seed=(0.0, 0.0),
-    max_iter: int = 100,
-) -> SaddlePoint:
+def _unit_null(p, q, r, s):
+    """A unit vector that the longer row of ((p, q), (r, s)) annihilates."""
+    p, q = (p, q) if p * p + q * q >= r * r + s * s else (r, s)
+    n = math.hypot(p, q)
+    return (-q / n, p / n) if n else (1.0, 0.0)
+
+
+@np.errstate(all="ignore")  # numpy-scalar parameters overflow to inf, which `_newton_step` rejects
+def find_saddle(family: PlanarFamily, params, period: int = 1, seed=(0.0, 0.0), max_iter: int = 100) -> SaddlePoint:
     """Newton solve of map^period - id from `seed`, with eigendata attached.
 
-    A non-saddle spectrum is reported in the result, not raised; divergence,
-    including an iterate that overflows or turns non-finite, raises
-    `NewtonDivergenceError` carrying the last iterate.
+    Closed-form 2x2 arithmetic on floats: `_newton_step`, lambda_u = tr/2 +
+    sign(tr) sqrt(tr^2/4 - det), lambda_s = det/lambda_u, each unit vector
+    from the longer row of J - lambda I; a complex pair reports its real part
+    tr/2, and the real part of that vector, as both.  A non-saddle spectrum
+    is reported, not raised; divergence (a singular system, an overflow, no
+    convergence) raises `NewtonDivergenceError` carrying the last iterate.
     """
-    z = np.array([float(seed[0]), float(seed[1])])
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for _ in range(max_iter):
-                J, img = _orbit_jacobian(family, params, z[0], z[1], period)
-                r = np.array(img) - z
-                try:
-                    step = np.linalg.solve(J - np.eye(2), -r)
-                except np.linalg.LinAlgError as exc:
-                    raise NewtonDivergenceError(f"singular Newton system at {tuple(z)}", tuple(z)) from exc
-                z = z + step
-                if _newton_converged(np.linalg.norm(r), np.linalg.norm(step), np.linalg.norm(z)):
-                    break
-            else:
-                raise NewtonDivergenceError(f"no convergence after {max_iter} iterations", tuple(z))
-    except FloatingPointError as exc:
-        raise NewtonDivergenceError(f"Newton iterate overflowed from {tuple(z)}", tuple(z)) from exc
-    J, _ = _orbit_jacobian(family, params, z[0], z[1], period)
-    w, v = np.linalg.eig(J)
-    w, v = np.real_if_close(w), np.real_if_close(v)
-    order = np.argsort(-np.abs(w))
-    w, v = w[order], v[:, order]
-    return SaddlePoint(
-        location=(float(z[0]), float(z[1])),
-        period=period,
-        eig_unstable=float(np.real(w[0])),
-        eig_stable=float(np.real(w[1])),
-        vec_unstable=tuple(float(t) for t in np.real(v[:, 0])),
-        vec_stable=tuple(float(t) for t in np.real(v[:, 1])),
-    )
+    x, y = float(seed[0]), float(seed[1])
+    for _ in range(max_iter):
+        try:
+            nx, ny, singular, ok, done = _newton_step(family, params, x, y, period)
+        except OverflowError:  # a float's `**` raises where numpy's gives inf
+            singular = ok = False
+        if not ok:
+            what = "singular Newton system at" if singular else "Newton iterate overflowed from"
+            raise NewtonDivergenceError(f"{what} {(x, y)}", (x, y))
+        x, y = float(nx), float(ny)
+        if done:
+            break
+    else:
+        raise NewtonDivergenceError(f"no convergence after {max_iter} iterations", (x, y))
+    a, b, c, d = map(float, _orbit_jacobian(family, params, x, y, period)[0])
+    half, det = 0.5 * (a + d), a * d - b * c
+    real = half * half >= det
+    lu = half + math.copysign(math.sqrt(half * half - det), half) if real else half
+    ls = det / lu if real and lu else lu  # lu == 0 only for a zero spectrum
+    return SaddlePoint((x, y), period, eig_unstable=lu, eig_stable=ls,
+                       vec_unstable=_unit_null(a - lu, b, c, d - lu), vec_stable=_unit_null(a - ls, b, c, d - ls))
 
 
 def find_fixed_points(family: PlanarFamily, params, box=((-3, 3), (-3, 3)), grid: int = 50):
     """Exhaustive Newton sweep over a seed grid, deduplicated by location.
 
-    All seeds iterate at once under `find_saddle`'s rules (`SWEEP_MAX_ITER`
-    iterations; an overflow or a singular system diverges); `find_saddle`
-    polishes each new root, in grid order.
+    All seeds iterate at once on `find_saddle`'s Newton step
+    (`SWEEP_MAX_ITER` iterations; an overflow or a singular system
+    diverges); `find_saddle` polishes each new root, in grid order.
     """
     (xlo, xhi), (ylo, yhi) = box
     x, y = (g.ravel() for g in np.meshgrid(np.linspace(xlo, xhi, grid), np.linspace(ylo, yhi, grid), indexing="ij"))
@@ -358,28 +371,15 @@ def find_fixed_points(family: PlanarFamily, params, box=((-3, 3), (-3, 3)), grid
     with np.errstate(all="ignore"):
         for _ in range(SWEEP_MAX_ITER):
             i = np.flatnonzero(live)
-            xi, yi = x[i], y[i]
-            (a, b), (c, d) = family.jacobian(params, xi, yi)
-            fx, fy = family.forward(params, xi, yi)
-            rx, ry = fx - xi, fy - yi
-            a, d = a - 1.0, d - 1.0
-            det = a * d - b * c
-            sx, sy = (b * ry - d * rx) / det, (c * rx - a * ry) / det
-            xi, yi = xi + sx, yi + sy
-            x[i], y[i] = xi, yi
-            # norms as `find_saddle` takes them: a square that overflows diverges
-            rn, sn, zn = np.sqrt(rx * rx + ry * ry), np.sqrt(sx * sx + sy * sy), np.sqrt(xi * xi + yi * yi)
-            ok = (det != 0.0) & np.isfinite(det) & np.isfinite(rn) & np.isfinite(sn) & np.isfinite(zn)
-            done = ok & _newton_converged(rn, sn, zn)
+            x[i], y[i], _, ok, done = _newton_step(family, params, x[i], y[i], 1)
             converged[i] = done
             live[i] = ok & ~done
             if not live.any():
                 break
     found = []
     for lx, ly in zip(x[converged].tolist(), y[converged].tolist()):
-        if not (xlo - 1 <= lx <= xhi + 1 and ylo - 1 <= ly <= yhi + 1):
-            continue
-        if any(math.hypot(lx - f.location[0], ly - f.location[1]) < 1e-7 for f in found):
+        if not (xlo - 1 <= lx <= xhi + 1 and ylo - 1 <= ly <= yhi + 1) or any(
+                math.hypot(lx - f.location[0], ly - f.location[1]) < 1e-7 for f in found):
             continue
         try:
             found.append(find_saddle(family, params, period=1, seed=(lx, ly), max_iter=SWEEP_MAX_ITER))

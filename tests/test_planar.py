@@ -46,6 +46,16 @@ def linear_family():
     )
 
 
+def matrix_family():
+    """x -> Jx with J = ((a, b), (c, d)) given as the parameters (a, b, c, d)."""
+    return PlanarFamily(
+        "matrix", ("a", "b", "c", "d"),
+        lambda p, x, y: (p[0] * x + p[1] * y, p[2] * x + p[3] * y),
+        None,
+        lambda p, x, y: ((p[0], p[1]), (p[2], p[3])),
+    )
+
+
 class TestIterate:
     def test_linear_orbit(self):
         orb = iterate(linear_family(), (0.2, 2.0), (1.0, 0.0), 3)
@@ -157,6 +167,13 @@ class TestSaddles:
             find_saddle(cubic_henon(), (1e308, 0.1), seed=(0.5, 0.5), max_iter=40)
         assert all(math.isfinite(v) for v in exc.value.last)
 
+    def test_overflow_with_numpy_scalar_parameters_is_a_divergence(self):
+        # numpy scalars overflow to inf with a RuntimeWarning, not an exception
+        with pytest.raises(NewtonDivergenceError, match="overflowed"):
+            find_saddle(cubic_henon(), (np.float64(1e308), np.float64(0.1)), seed=(0.5, 0.5), max_iter=40)
+        s = find_saddle(cubic_henon(), (np.float64(2.8), np.float64(0.1)), seed=(0.0, 0.0))
+        assert all(type(v) is float for v in (*s.eigenvalues, *s.vec_unstable, *s.vec_stable))
+
     def test_sweep_skips_overflowing_seeds(self):
         fps = find_fixed_points(cubic_henon(), (1e308, 0.1), box=((-2.5, 2.5), (-2.5, 2.5)), grid=30)
         assert fps == []
@@ -166,6 +183,88 @@ class TestSaddles:
         s = find_saddle(cubic_henon(), (0.5, 0.1), seed=(0.0, 0.0))
         assert not s.is_saddle
         assert abs(s.eig_unstable) < 1.0
+
+    def test_singular_system_is_a_divergence(self):
+        # x -> x makes J - I singular everywhere: reported as such, in plain floats
+        with pytest.raises(NewtonDivergenceError, match=r"^singular Newton system at \(0\.5, 0\.0\)$") as exc:
+            find_saddle(linear_family(), (1.0, 2.0), seed=(0.5, 0.0))
+        assert exc.value.last == (0.5, 0.0)
+        assert all(type(v) is float for v in exc.value.last)
+        assert find_fixed_points(linear_family(), (1.0, 2.0)) == []
+
+    def test_float_power_overflow_is_a_divergence(self):
+        # on Python floats the map's y ** 3 raises OverflowError where numpy gives inf
+        with pytest.raises(NewtonDivergenceError, match=r"^Newton iterate overflowed from \(0\.0, 1e\+150\)$") as exc:
+            find_saddle(cubic_henon(), (2.8, 0.1), seed=(0.0, 1e150))
+        assert exc.value.last == (0.0, 1e150)
+
+    def test_closed_form_matches_lapack_on_random_saddles(self):
+        # x -> Jx has its fixed point at 0 and D = J, so find_saddle returns
+        # the eigendata of J.  Over 2000 saddles with entries in [-3, 3]: each
+        # eigenvalue within 32 eps |lambda_u| of numpy.linalg.eig's, each unit
+        # vector within 8 eps |J|_F / |lambda_u - lambda_s| of its, up to sign
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(7)
+        checked = 0
+        for J in rng.uniform(-3, 3, size=(7000, 2, 2)):
+            w, v = np.linalg.eig(J)
+            if np.iscomplexobj(w) or not np.max(np.abs(w)) > 1 > np.min(np.abs(w)):
+                continue
+            order = np.argsort(-np.abs(w))
+            w, v = w[order], v[:, order]
+            s = find_saddle(matrix_family(), tuple(J.ravel().tolist()), seed=(0.0, 0.0))
+            assert s.location == (0.0, 0.0) and s.is_saddle
+            assert np.all(np.abs(np.subtract(s.eigenvalues, w)) <= 32 * eps * abs(w[0]))
+            bound = 8 * eps * np.linalg.norm(J) / abs(w[0] - w[1])
+            for got, want in zip((s.vec_unstable, s.vec_stable), v.T):
+                assert abs(math.hypot(*got) - 1.0) <= 2 * eps
+                assert min(np.linalg.norm(got - want), np.linalg.norm(got + want)) <= bound
+            checked += 1
+        assert checked >= 2000
+
+    @pytest.mark.parametrize("case", ["upper", "lower", "henon"])
+    def test_closed_form_closer_to_mpmath_than_lapack(self, case):
+        # 40-digit eigenvalues of D(map^p), evaluated exactly at the solved
+        # location; at the probe saddles |lambda_s / lambda_u| ~ 2.6e-9 and
+        # LAPACK's lambda_s is off by 5.8e-9 relative, det / lambda_u by 4.4e-12
+        mpmath = pytest.importorskip("mpmath")
+        if case == "henon":
+            fam, period = cubic_henon(), 1
+            saddles = find_fixed_points(fam, (2.8, 0.1), grid=25)
+            params = (2.8, 0.1)
+            assert len(saddles) == 3
+        else:
+            fam, period = renormalized_family(ModelParams(), 6), planar.PROBE_PERIOD
+            probe, nu_pred = planar.region_probe(fam, 3.0, case)
+            params = probe.curve(nu_pred)
+            saddles = [find_saddle(fam, params, period=period, seed=seed)
+                       for seed in (probe.unstable_seed, probe.stable_seed)]
+        with mpmath.workdps(40):
+            for s in saddles:
+                (a, b, c, d), _ = planar._orbit_jacobian(fam, params, *s.location, period)
+                lapack = sorted(np.linalg.eigvals(np.array([[a, b], [c, d]])).real, key=abs, reverse=True)
+                x, y, J = mpmath.mpf(s.location[0]), mpmath.mpf(s.location[1]), mpmath.eye(2)
+                for _ in range(period):
+                    J = mpmath.matrix(fam.jacobian(params, x, y)) * J
+                    x, y = fam.forward(params, x, y)
+                exact = sorted(mpmath.eig(J, left=False, right=False), key=abs, reverse=True)
+                for got, lap, ref in zip(s.eigenvalues, lapack, exact):
+                    err, lap_err = abs((got - ref) / ref), abs((lap - ref) / ref)
+                    assert err <= lap_err and err < 1e-11
+
+    def test_complex_pair_reports_its_real_part(self):
+        # at (0.5, -0.3) the origin's Jacobian ((0, -0.3), (1, 0.5)) has
+        # eigenvalues 0.25 +- 0.4873i: tr/2 twice, and as both vectors the
+        # real part of the vector from the longer row of J - lambda I, the
+        # second, (lambda - 0.5, 1), scaled to unit length
+        s = find_saddle(cubic_henon(), (0.5, -0.3), seed=(0.0, 0.0))
+        assert s.location == (0.0, 0.0)
+        assert s.eigenvalues == (0.25, 0.25)
+        assert not s.is_saddle
+        lam = np.linalg.eigvals(np.array([[0.0, -0.3], [1.0, 0.5]]))[0]
+        want = np.array([(lam - 0.5).real, 1.0]) / math.hypot((lam - 0.5).real, 1.0)
+        assert s.vec_unstable == s.vec_stable
+        assert np.allclose(s.vec_unstable, want, rtol=0, atol=1e-16)
 
 
 def lyapunov_per_step(family, params, start, steps, discard=1000, bailout=1e6):
