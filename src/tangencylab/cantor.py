@@ -347,7 +347,7 @@ def _require_order(points: Sequence, names: Sequence[str]):
 class NmapCantorData:
     """Exact scaffolding of the m-interval first generation."""
 
-    m: int
+    x_m: Fraction  # (1 - 3^-(m-2))/2, the left end of the base point's interval
     q: tuple  # forward orbit q0..q_{m-1}
     q_tilde: dict  # backward points, keyed by index
     first_generation: tuple  # intervals I_0..I_{m-1} in construction order
@@ -419,7 +419,7 @@ def _build_nmap_scaffold(m: int) -> NmapCantorData:
     _require_order(pts, names)
 
     return NmapCantorData(
-        m=m,
+        x_m=x_m,
         q=tuple(q),
         q_tilde=qt,
         first_generation=tuple(ivals),
@@ -478,12 +478,9 @@ def nmap_cantor_report(m: int, generation: int) -> dict:
         "generation": generation,
         "q0": q0,
         "orbit": data.q,
-        "x_m": (1 - Fraction(1, 3 ** (m - 2))) / 2,
-        "ambient": stage.ambient,
+        "x_m": data.x_m,
         "n_intervals": len(stage),
         "thickness": rep.thickness,
-        "witness_gap": rep.witness_gap,
-        "witness_bridge": rep.witness_bridge,
         "gap_at_half": gap_upper,
         "gap_at_minus_half": gap_lower,
         "gap_at_half_closed_form": Fraction(8, 3**m - 1),

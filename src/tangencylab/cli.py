@@ -207,8 +207,7 @@ def cmd_renorm(args, parser) -> int:
     target = renorm.decay_rate_bound(mp)
     if args.eps != 0:
         # the quartic channel decays at the slow rate: two-sided fit check
-        slope = renorm.fit_decay_rate(rows)
-        certified = abs(slope - target) <= 0.05
+        slope, certified = renorm.rate_fit(mp, rows)
         mode = "rate-fit"
         msg = f"decay slope {slope:.4f} vs log(rate) {target:.4f}"
     else:
@@ -297,10 +296,12 @@ def cmd_tangency(args, parser) -> int:
     if not args.t_min <= args.t_max:
         parser.error("--t-max must be >= --t-min")
     mp = renorm.ModelParams()
+    coupling = renorm.coupling(mp, args.n)
+    if coupling == 0:
+        parser.error(f"--n: the coupling underflows to 0 at n={args.n}; the renormalized family has no inverse")
     fam = renorm.renormalized_family(mp, args.n)
-    branch = planar.SharedBranch()
     try:
-        probes = {r: planar.region_probe(fam, args.mu_bar, r, branch)[0] for r in ("upper", "lower")}
+        probes, _ = planar.region_probes(fam, args.mu_bar)
     except ValueError as exc:
         parser.error(f"--mu-bar: {exc}")
     # the scan runs before --out exists: a t that cannot be measured is a usage
@@ -334,11 +335,10 @@ def cmd_tangency(args, parser) -> int:
          "points": args.points},
         str(out),
     )
-    coupling = (mp.lam * mp.sigma) ** args.n
-    warn = coupling > 0.05
+    warn = coupling > renorm.MAX_COUPLING
     if warn:
-        print(f"warning: coupling {coupling:.4f} > 0.05; the probe windows and growth targets are centred "
-              "on the limit family's tangency, a less reliable prediction at this n", file=sys.stderr)
+        print(f"warning: coupling {coupling:.4f} > {renorm.MAX_COUPLING}; the probe windows and growth targets "
+              "are centred on the limit family's tangency, a less reliable prediction at this n", file=sys.stderr)
 
     event_rows = [
         [region, ev.parameter, ev.location[0], ev.location[1],

@@ -47,7 +47,6 @@ __all__ = [
     "WindowRejected",
     "TangencyCandidate",
     "window_extremal_gap",
-    "SharedBranch",
     "FiberGapProbe",
     "TangencyEvent",
     "classify_tangency",
@@ -62,7 +61,7 @@ __all__ = [
     "limit_upper_gap",
     "LocusFit",
     "tangency_locus",
-    "region_probe",
+    "region_probes",
 ]
 
 
@@ -409,6 +408,7 @@ _CUT_GUARD = 4  # points a cut level keeps past its first point at the target
 SEED_EPS = 1e-6  # distance of the seed domain's first point from the saddle
 H_MIN = 1e-5  # spacing below which an interval is never split
 ANGLE_MAX = 0.2  # largest turning angle (radians) between segments longer than H_MIN
+MAX_LEVELS = 64  # levels a manifold curve grows at most
 
 
 def _seed_domain(family: PlanarFamily, params, saddle: SaddlePoint, kind: str, direction):
@@ -457,7 +457,6 @@ def grow_manifold(
     max_points: int = 2_000_000,
     direction=None,
     clip: float = 50.0,
-    max_levels: int = 64,
 ) -> ManifoldCurve:
     """Adaptive polyline for one branch of a saddle's invariant manifold.
 
@@ -520,7 +519,7 @@ def grow_manifold(
     3. brings the curve to `max_points` points: the point is kept and the
        curve marked incomplete.
 
-    A curve still short of the target after `max_levels` levels is
+    A curve still short of the target after `MAX_LEVELS` levels is
     incomplete too.
     """
     if max_points < 2:
@@ -538,7 +537,7 @@ def grow_manifold(
     complete = True
     ts = np.array([0.0, 1.0])
     cos_max = math.cos(ANGLE_MAX)
-    for level in range(max_levels):
+    for level in range(MAX_LEVELS):
         X, Y = eval_level(ts, 0) if level == 0 else advance(X, Y, 1)
         cut, last = False, kept[-1][-1]
         while True:
@@ -615,7 +614,7 @@ def grow_manifold(
         n_points += keep
         if done:
             break
-    else:  # max_levels levels grown, short of the target
+    else:  # MAX_LEVELS levels grown, short of the target
         complete = False
     return ManifoldCurve(np.concatenate(kept), kind, np.concatenate(arcs), complete=complete)
 
@@ -631,6 +630,7 @@ class WindowRejected(ValueError):
 N_FIBERS = 81  # vertical fibers across a tangency window
 NOISE_FLOOR = 1e-4  # penetration slope below which a classification is withheld
 CLASSIFY_DT = 1e-3  # the larger of the two central-difference steps of a penetration slope
+ROOT_XTOL = 1e-8  # Brent tolerance in t of every tangency root: probe, fold and locus
 
 
 def _fiber_ordinates(curve: ManifoldCurve, xs, ylo: float, yhi: float) -> np.ndarray:
@@ -690,7 +690,6 @@ class TangencyCandidate:
     location: tuple  # (x, y) of the near-touch
     gap: float  # extremal (unstable - stable) ordinate difference
     penetration: float  # sign-normalized: > 0 iff transverse crossings exist
-    kind: str  # "peak" | "valley"
     curvature_gap: float  # second derivative of the gap's 7-fiber quadratic fit
     fit_noise: float  # largest residual of that fit
 
@@ -725,7 +724,6 @@ def window_extremal_gap(
         location=(xv, float(_fiber_ordinates(wu, [xv], ylo, yhi)[0])),
         gap=gv,
         penetration=gv if mode == "peak" else -gv,
-        kind=mode,
         curvature_gap=curvature,
         fit_noise=noise,
     )
@@ -874,13 +872,15 @@ class FiberGapProbe:
                 self._measured[t] = self._measure(t)
         return self._measured[t]
 
+    def _saddle(self, params, seed) -> SaddlePoint:
+        return find_saddle(self.family, params, period=PROBE_PERIOD, seed=seed)
+
     def _saddles(self, params, su=None) -> tuple:
         """The unstable saddle at `params` (`su` if given) and the stable one."""
-        if su is None:
-            su = find_saddle(self.family, params, period=PROBE_PERIOD, seed=self.unstable_seed)
+        su = su or self._saddle(params, self.unstable_seed)
         if self.stable_seed == self.unstable_seed:
             return su, su  # the Newton solve is deterministic
-        return su, find_saddle(self.family, params, period=PROBE_PERIOD, seed=self.stable_seed)
+        return su, self._saddle(params, self.stable_seed)
 
     def _unstable(self, params) -> tuple:
         """The unstable saddle and curve at `params`, from `branch` if it holds them."""
@@ -889,8 +889,7 @@ class FiberGapProbe:
         if branch is not None and branch.key == key and branch.target >= target:
             su, wu = branch.saddle, _prefix(branch.curve, target)
         if wu is None:  # not held, or the held curve stops short of the target
-            if su is None:
-                su = find_saddle(self.family, params, period=PROBE_PERIOD, seed=self.unstable_seed)
+            su = su or self._saddle(params, self.unstable_seed)
             wu = grow_manifold(
                 self.family, params, su, "unstable", target_arclength=target, h_max=PROBE_H_MAX,
                 direction=PROBE_UNSTABLE_DIRECTION, clip=PROBE_CLIP,
@@ -914,11 +913,11 @@ class FiberGapProbe:
         return self(t).penetration
 
     def locate_zero(self, bracket: tuple) -> float:
-        """Zero of the penetration inside `bracket`, by Brent's method to 1e-8.
+        """Zero of the penetration inside `bracket`, by Brent's method to `ROOT_XTOL`.
 
         Raises `ValueError` when the penetration has the same sign at both ends.
         """
-        return brentq(self.penetration, *bracket, xtol=1e-8)
+        return brentq(self.penetration, *bracket, xtol=ROOT_XTOL)
 
 
 def scan_events(probe: FiberGapProbe, ts, pens=None) -> tuple[list, TangencyEvent | None]:
@@ -986,7 +985,7 @@ def _fold_extremum(probe: FiberGapProbe, t: float) -> FoldPoint:
     X, Y = x0[0] + ts * (x1[0] - x0[0]), x0[1] + ts * (x1[1] - x0[1])
     sig, xs, ys, runs = [], [], [], []
     arc, last = 0.0, x0
-    for level in range(64):  # as many as `grow_manifold` grows at most
+    for level in range(MAX_LEVELS):
         if level:
             X, Y = advance(X, Y, 1)
         sig.append(level + ts)
@@ -1039,11 +1038,11 @@ def _fold_extremum(probe: FiberGapProbe, t: float) -> FoldPoint:
 
 
 def fold_zero(probe: FiberGapProbe, bracket: tuple) -> float:
-    """Zero of the fold penetration inside `bracket`, by Brent's method to 1e-8.
+    """Zero of the fold penetration inside `bracket`, by Brent's method to `ROOT_XTOL`.
 
     Raises `ValueError` when the penetration has the same sign at both ends.
     """
-    return brentq(lambda t: fold_extremum(probe, t).penetration, *bracket, xtol=1e-8)
+    return brentq(lambda t: fold_extremum(probe, t).penetration, *bracket, xtol=ROOT_XTOL)
 
 
 def fold_bound(probe: FiberGapProbe, event: TangencyEvent) -> float:
@@ -1051,7 +1050,7 @@ def fold_bound(probe: FiberGapProbe, event: TangencyEvent) -> float:
     polyline's chord sag curvature_gap * h^2 / 8 (h = `PROBE_H_MAX`), the
     three-fiber parabola's error |g'''| h_f^3 / (9 sqrt 3) with g''' = -6 the
     limit cubic's, and the far end's distance from the stable eigenline of
-    the probe's stable curve, a chord starting on it; plus 1e-8 per root.
+    the probe's stable curve, a chord starting on it; plus `ROOT_XTOL` per root.
     """
     params = probe.curve(event.parameter)
     _, ss = probe._saddles(params)
@@ -1062,7 +1061,7 @@ def fold_bound(probe: FiberGapProbe, event: TangencyEvent) -> float:
     h = (xhi - xlo) / (N_FIBERS - 1)
     sag = event.curvature_gap * PROBE_H_MAX ** 2 / 8
     vertex = 6 * h ** 3 / (9 * math.sqrt(3))
-    return (sag + vertex + offset) / abs(event.gap_slope) + 2e-8
+    return (sag + vertex + offset) / abs(event.gap_slope) + 2 * ROOT_XTOL
 
 
 # ---------------------------------------------------------------------------
@@ -1171,13 +1170,13 @@ def tangency_locus(
     """Tangency locus nu(mu) and its least-squares line.
 
     `brackets` maps each mu to a (nu_lo, nu_hi) bracket; the root of
-    gap_fn(mu, .) inside it is found by Brent's method to 1e-8.  A mu whose
+    gap_fn(mu, .) inside it is found by Brent's method to `ROOT_XTOL`.  A mu whose
     bracket shows no sign change is skipped and reported.
     """
     mus, nus, skipped = [], [], []
     for mu, (lo, hi) in brackets.items():
         try:
-            nu = brentq(lambda v: gap_fn(mu, v), lo, hi, xtol=1e-8)
+            nu = brentq(lambda v: gap_fn(mu, v), lo, hi, xtol=ROOT_XTOL)
         except WindowRejected:
             raise  # a failed measurement, not a lost locus
         except ValueError:  # no sign change over the bracket
@@ -1194,43 +1193,38 @@ def tangency_locus(
 
 def _cubic_arclength(mu, nu, x_from, x_to):
     xs = np.linspace(x_from, x_to, 2000)
-    ys = -(xs ** 3) + mu * xs + nu
+    ys = -(xs * xs * xs) + mu * xs + nu
     return float(np.sum(np.hypot(np.diff(xs), np.diff(ys))))
 
 
-def region_probe(fam: PlanarFamily, mu: float, region: str, branch: SharedBranch | None = None):
-    """FiberGapProbe for the upper (peak) or lower (valley) near-touch of the
-    n-step family at fixed mu, scanning t = nu; window and growth targets are
-    centered on the limit family's analytic prediction.  Both regions seed
-    the same unstable branch, so their probes can share a `branch`.
+def region_probes(fam: PlanarFamily, mu: float):
+    """The probes of the n-step family's antimonotonic pair at fixed mu,
+    scanning t = nu: "upper" (peak) and "lower" (valley), with windows and
+    growth targets centred on the limit family's analytic prediction.  The
+    lower region is the upper one with s = -1 (c -> -c, y1+ -> y1-, window
+    y-offsets and stable direction reflected as s*(s*y +- a), bit-equal to
+    each region's own sums).  Both grow W^u of one saddle, through one
+    `SharedBranch`.
 
-    Returns (probe, nu_pred) with nu_pred the limit family's tangency
-    parameter at this mu (ValueError if it has none in [-0.6, 0.6], or if
-    `region` is neither "upper" nor "lower").
+    Returns ({"upper": probe, "lower": probe}, nu_pred), nu_pred the limit
+    family's tangency parameter at mu (ValueError if none in [-0.6, 0.6]).
     """
-    if region not in ("upper", "lower"):
-        raise ValueError(f"region must be 'upper' or 'lower', got {region!r}")
     try:
         nu_pred = brentq(lambda v: limit_upper_gap(mu, v), -0.6, 0.6, xtol=1e-10)
     except (ValueError, OverflowError, RuntimeError) as exc:
         raise ValueError(f"the limit family has no upper tangency at mu={mu} for nu in [-0.6, 0.6]") from exc
     f1 = Cubic1D(mu, nu_pred)
-    y1p = periodic_ordinate(mu, nu_pred, +1)
-    y1m = periodic_ordinate(mu, nu_pred, -1)
     cpos = f1.critical_points()[1]
+    y1p = periodic_ordinate(mu, nu_pred, +1)
     seed_u = (f1(y1p), y1p)
-    x_start = f1(y1p)
-    if region == "upper":
-        window = ((cpos - 0.45, cpos + 0.45), (y1p - 0.8, y1p + 0.4))
-        seed_s, sdir = seed_u, (1.0, 0.0)
-        u_len = _cubic_arclength(mu, nu_pred, x_start, cpos + 0.75) + 0.3
-        mode = "peak"
-    else:
-        window = ((-cpos - 0.45, -cpos + 0.45), (y1m - 0.4, y1m + 0.8))
-        seed_s, sdir = (f1(y1m), y1m), (-1.0, 0.0)
-        u_len = _cubic_arclength(mu, nu_pred, x_start, -cpos + 0.75) + 0.3
-        mode = "valley"
-    return FiberGapProbe(
-        fam, lambda t: (mu, t), seed_u, seed_s, window, mode,
-        stable_direction=sdir, unstable_arclength=u_len, branch=branch,
-    ), nu_pred
+    branch = SharedBranch()
+    probes = {}
+    for region, s in (("upper", 1), ("lower", -1)):
+        c, y1 = s * cpos, y1p if s > 0 else periodic_ordinate(mu, nu_pred, s)
+        window = ((c - 0.45, c + 0.45), tuple(sorted((s * (s * y1 - 0.8), s * (s * y1 + 0.4)))))
+        probes[region] = FiberGapProbe(
+            fam, lambda t: (mu, t), seed_u, (f1(y1), y1), window, "peak" if s > 0 else "valley",
+            stable_direction=(float(s), 0.0),
+            unstable_arclength=_cubic_arclength(mu, nu_pred, seed_u[0], c + 0.75) + 0.3, branch=branch,
+        )
+    return probes, nu_pred

@@ -28,8 +28,9 @@ __all__ = [
     "zoom_in",
     "zoom_out",
     "reparam",
-    "reparam_inverse",
     "limit_family",
+    "coupling",
+    "quartic_coeff",
     "renormalized_family",
     "renormalized_unreduced",
     "deviation_from_limit",
@@ -38,6 +39,7 @@ __all__ = [
     "obeys_bare_law",
     "fit_decay_rate",
     "decay_rate_bound",
+    "rate_fit",
 ]
 
 
@@ -112,15 +114,6 @@ def reparam(params: ModelParams, n: int, mu_bar, nu_bar):
     return (mu, nu)
 
 
-def reparam_inverse(params: ModelParams, n: int, mu, nu):
-    s = params.sigma
-    mu_bar = s ** n * mu
-    # grouped so the sigma^-n constant cancels before the large rescale;
-    # the recoverable precision of nu_bar is still ulp(sigma^-n)*sigma^(3n/2)
-    nu_bar = params.g * s ** (1.5 * n) * (nu + params.c * params.lam ** n - s ** (-n))
-    return (mu_bar, nu_bar)
-
-
 def _fold_step(params: ModelParams, mu, nu, x, y):
     dy = y - 1
     h2 = params.eps * dy ** 4
@@ -144,11 +137,16 @@ def limit_family() -> PlanarFamily:
     return PlanarFamily("cubic-limit", ("mu_bar", "nu_bar"), fwd, inverse=None, jacobian=jac)
 
 
-def _coupling(params: ModelParams, n: int) -> float:
+MAX_COUPLING = 0.05  # largest coupling at which the limit family's tangency is a reliable prediction
+
+
+def coupling(params: ModelParams, n: int) -> float:
+    """The coupling k = a*c*(lam*sigma)^n of the n-step family's x term."""
     return params.a * params.c * (params.lam * params.sigma) ** n
 
 
-def _quartic_coeff(params: ModelParams, n: int) -> float:
+def quartic_coeff(params: ModelParams, n: int) -> float:
+    """The coefficient q = eps*b^(-3/2)*sigma^(-n/2) of its y^4 term."""
     return params.eps * params.g ** -3 * params.sigma ** (-n / 2)
 
 
@@ -163,8 +161,8 @@ def renormalized_family(params: ModelParams, n: int) -> PlanarFamily:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = _coupling(params, n)
-    q = _quartic_coeff(params, n)
+    k = coupling(params, n)
+    q = quartic_coeff(params, n)
 
     # products, not `**`: numpy's power is many times slower on arrays
     def fwd(p, x, y):
@@ -213,8 +211,8 @@ def deviation_from_limit(params: ModelParams, n: int):
     k = a*c*(lam*sigma)^n and q = eps*b^{-3/2}*sigma^{-n/2}, exactly.
     y^4 is taken as (y*y)^2: numpy's `power` costs many products per element.
     """
-    k = _coupling(params, n)
-    q = _quartic_coeff(params, n)
+    k = coupling(params, n)
+    q = quartic_coeff(params, n)
 
     def dev(x, y):
         y2 = y * y
@@ -264,7 +262,7 @@ def obeys_bare_law(params: ModelParams, row: dict) -> bool:
     The deviation k*x peaks at the box edge |x| = 2, which every grid of
     `residual_sup`'s box [-2, 2]^2 samples.
     """
-    want = 2.0 * abs(params.a * params.c) * (params.lam * params.sigma) ** row["n"]
+    want = 2.0 * abs(coupling(params, row["n"]))
     ok = row["sup_H2"] == 0.0 if want == 0.0 else abs(row["sup_H2"] - want) <= 1e-10 * want
     return ok and row["sup_H1"] == 0.0
 
@@ -283,3 +281,12 @@ def decay_rate_bound(params: ModelParams) -> float:
     """log of the expected decay rate max(sigma^-1/2, lam*sigma)."""
     return math.log(params.rate)
 
+
+RATE_TOL = 0.05  # largest |fitted slope - log(rate)| of a certified decay-rate fit
+
+
+def rate_fit(params: ModelParams, rows) -> tuple[float, bool]:
+    """`fit_decay_rate` of `rows`, and whether it lies within `RATE_TOL` of
+    `decay_rate_bound(params)`."""
+    slope = fit_decay_rate(rows)
+    return slope, abs(slope - decay_rate_bound(params)) <= RATE_TOL

@@ -135,13 +135,8 @@ def _criterion_renorm(c: _Check):
         )
     target = renorm.decay_rate_bound(mp)
     for eps in (0.1, 1.0):
-        mq = renorm.ModelParams(eps=eps)
-        rows = renorm.residual_table(mq, range(4, 15))
-        slope = renorm.fit_decay_rate(rows)
-        c.expect(
-            abs(slope - target) <= 0.05,
-            f"quartic eps={eps}: log-residual slope {slope:.4f} within 0.05 of {target:.4f}",
-        )
+        slope, ok = renorm.rate_fit(mp, renorm.residual_table(renorm.ModelParams(eps=eps), range(4, 15)))
+        c.expect(ok, f"quartic eps={eps}: log-residual slope {slope:.4f} within {renorm.RATE_TOL} of {target:.4f}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +166,9 @@ def _criterion_velocity(c: _Check):
 def _criterion_tangency(c: _Check):
     mp = renorm.ModelParams()
     n = 6
-    coupling = (mp.lam * mp.sigma) ** n
-    c.expect(coupling <= 0.05, f"coupling (lam*sigma)^n = {coupling:.4f} <= 0.05 at n={n}")
+    coupling = renorm.coupling(mp, n)
+    c.expect(coupling <= renorm.MAX_COUPLING,
+             f"coupling (lam*sigma)^n = {coupling:.4f} <= {renorm.MAX_COUPLING} at n={n}")
     residual = renorm.residual_sup(mp, n)[1]
     tol = 0.1 + residual
     fam = renorm.renormalized_family(mp, n)
@@ -185,17 +181,17 @@ def _criterion_tangency(c: _Check):
         f"family's {exact[('gap_slope', +1)]} and {exact[('locus_slope', +1)]}",
     )
 
-    up, nu_pred = planar.region_probe(fam, 3.0, "upper")
-    lo, _ = planar.region_probe(fam, 3.0, "lower")
-    bracket = (nu_pred - 0.03, nu_pred + 0.03)
     # the locus goes first: its mu = 3 root is the upper probe's fold root in
-    # `bracket`, which the event cross-check below reads
+    # `bracket` (nu_pred +- 0.03), which the event cross-check below reads
     mus = [float(m) for m in np.linspace(2.85, 3.15, 7)]
-    probes = {mu: (up, nu_pred) if mu == 3.0 else planar.region_probe(fam, mu, "upper") for mu in mus}
+    probes = {mu: planar.region_probes(fam, mu) for mu in mus}
     fit = planar.tangency_locus(
-        lambda mu, nu: planar.fold_extremum(probes[mu][0], nu).penetration,
+        lambda mu, nu: planar.fold_extremum(probes[mu][0]["upper"], nu).penetration,
         {mu: (pred - 0.03, pred + 0.03) for mu, (_, pred) in probes.items()},
     )
+    regions, nu_pred = probes[3.0]
+    up, lo = regions["upper"], regions["lower"]
+    bracket = (nu_pred - 0.03, nu_pred + 0.03)
     _, ev_up = planar.scan_events(up, bracket)
     _, ev_lo = planar.scan_events(lo, bracket)
     if ev_up is None:

@@ -107,10 +107,10 @@ def misiurewicz_check(mu_star: float, interval: tuple) -> MisiurewiczCertificate
     is negative there for every mu > 0, which is algebra, so the clause
     checks mu* > 0 and that `Cubic1D.schwarzian` equals the closed form
     exactly, in rationals, at the points k/8 inside the interval;
-    (iii) every periodic orbit through period `MAX_PERIOD` has multiplier
-    magnitude > 1; (iv) the forward critical orbit is finite (it ends on the
-    fixed point 0), so its distance to the critical set is an exact minimum
-    over four points.
+    (iii) every periodic orbit through period `MAX_PERIOD` is resolved (its
+    residual within tolerance) and has multiplier magnitude > 1; (iv) the
+    forward critical orbit is finite (it ends on the fixed point 0), so its
+    distance to the critical set is an exact minimum over four points.
     """
     f = Cubic1D(mu_star, 0.0)
     c = f.critical_points()[1]
@@ -135,7 +135,7 @@ def misiurewicz_check(mu_star: float, interval: tuple) -> MisiurewiczCertificate
             m = abs(float(orb.multiplier))
             if m < weakest:
                 weakest, weakest_orbit = m, (p, orb.points[0])
-            if m <= 1.0 + 1e-6:
+            if m <= 1.0 + 1e-6 or not orb.resolved:
                 ok = False
     checks["all_orbits_repelling"] = (ok, {"weakest_multiplier": weakest, "witness": weakest_orbit})
 
@@ -224,8 +224,8 @@ def make_T_family(model: renorm.ModelParams, n: int, s: float = 1.0) -> PlanarFa
     if not 1.0 <= s <= 2.0:
         raise ValueError("s must lie in [1, 2]")
     nu = s * model.rate ** n
-    k = renorm._coupling(model, n)
-    q = renorm._quartic_coeff(model, n)
+    k = renorm.coupling(model, n)
+    q = renorm.quartic_coeff(model, n)
 
     def fwd(p, x, y):
         (alpha,) = p

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tangencylab
-from tangencylab import cantor, planar, verify
+from tangencylab import cantor, planar, renorm, verify
 from tangencylab.cli import ExperimentConfig, _write_json, main
 from tangencylab.renorm import ModelParams, residual_sup
 
@@ -357,7 +357,7 @@ class TestTangencyCommand:
                 return 1.0
 
         probes = {"upper": Rejecting(0.03), "lower": Rejecting(-0.03)}
-        monkeypatch.setattr(planar, "region_probe", lambda fam, mu, region, branch: (probes[region], 0.0))
+        monkeypatch.setattr(planar, "region_probes", lambda fam, mu: (probes, 0.0))
         with pytest.raises(SystemExit):
             main(["tangency", "--points", "3", "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -366,6 +366,17 @@ class TestTangencyCommand:
     def test_single_point_cannot_bracket_an_event(self, tmp_path, capsys):
         assert main(["tangency", "--mu-bar", "2.95", "--points", "1", "--out", str(tmp_path)]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_underflowed_coupling_is_a_usage_error(self, tmp_path, capsys):
+        # 0.4^n underflows to 0 past n = 813: the family has no inverse to grow W^s with
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["tangency", "--n", "900", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert ("tangencylab tangency: error: --n: the coupling underflows to 0 at n=900; "
+                "the renormalized family has no inverse\n") in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_coupling_warning(self, tmp_path, capsys):
         main(["tangency", "--n", "2", "--points", "0", "--out", str(tmp_path)])
@@ -556,6 +567,29 @@ class TestFaultInjection:
         res = verify.run_criterion("wang_young")
         assert not res.passed
         assert any("left bracket" in f for f in res.failures)
+
+    def test_rate_tolerance_has_one_home(self, tmp_path, monkeypatch):
+        # CLI renorm and criterion renorm_rate judge a decay-rate fit by one tolerance
+        monkeypatch.setattr(renorm, "RATE_TOL", 1e-6)
+        assert main(["renorm", "--eps", "0.1", "--out", str(tmp_path)]) == 1
+        assert json.loads((tmp_path / "rate.json").read_text())["certified"] is False
+        res = verify.run_criterion("renorm_rate")
+        assert not res.passed
+        assert len(res.failures) == 2 and all(" within 1e-06 of " in f for f in res.failures)
+
+    def test_coupling_limit_has_one_home(self, tmp_path, capsys, monkeypatch):
+        # CLI tangency's warning and criterion tangency's coupling line read one
+        # limit; at n = 6 the coupling is 0.4^6 = 0.004096
+        monkeypatch.setattr(renorm, "MAX_COUPLING", 0.004)
+        assert main(["tangency", "--points", "0", "--out", str(tmp_path)]) == 0
+        assert "warning: coupling 0.0041 > 0.004; " in capsys.readouterr().err
+        assert json.loads((tmp_path / "summary.json").read_text())["coupling_warning"] is True
+        res = verify.run_criterion("tangency")
+        assert res.failures == ["FAILED: coupling (lam*sigma)^n = 0.0041 <= 0.004 at n=6"]
+        monkeypatch.setattr(renorm, "MAX_COUPLING", 0.2)
+        assert main(["tangency", "--n", "2", "--points", "0", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert verify.run_criterion("tangency").passed
 
     def test_missing_tangency_event_is_a_named_failure(self, monkeypatch):
         scan = planar.scan_events

@@ -235,7 +235,7 @@ class TestSaddles:
             assert len(saddles) == 3
         else:
             fam, period = renormalized_family(ModelParams(), 6), planar.PROBE_PERIOD
-            probe, nu_pred = planar.region_probe(fam, 3.0, case)
+            probe, nu_pred = region_probe(fam, 3.0, case)
             params = probe.curve(nu_pred)
             saddles = [find_saddle(fam, params, period=period, seed=seed)
                        for seed in (probe.unstable_seed, probe.stable_seed)]
@@ -566,8 +566,9 @@ class TestManifoldStops:
         assert len(w.points) <= 500
         assert np.max(np.hypot(*np.diff(w.points, axis=0).T)) <= 1e-2
 
-    def test_levels_spent(self):
-        w = self.henon_curve(target_arclength=50.0, max_levels=3)
+    def test_levels_spent(self, monkeypatch):
+        monkeypatch.setattr(planar, "MAX_LEVELS", 3)
+        w = self.henon_curve(target_arclength=50.0)
         assert not w.complete
         assert_sequential_arclength(w, 50.0)
 
@@ -781,7 +782,6 @@ class TestDetect:
         c = window_extremal_gap(parabola_curve(), flat_curve(), ((-0.9, 0.9), (-1, 2)), "valley")
         assert abs(c.location[0]) < 1e-9
         assert abs(c.gap) < 1e-9
-        assert c.kind == "valley"
 
     def test_separated_parabola(self):
         c = window_extremal_gap(parabola_curve(0.1), flat_curve(), ((-0.9, 0.9), (-1, 2)), "valley")
@@ -873,7 +873,7 @@ class LinearProbe:
 
     def __call__(self, t):
         pen = self.slope * (t - self.root)
-        return TangencyCandidate((t, 0.0), pen, pen, "peak", -1.0, 0.0)
+        return TangencyCandidate((t, 0.0), pen, pen, -1.0, 0.0)
 
     def penetration(self, t):
         return self(t).penetration
@@ -988,6 +988,12 @@ class TestLocus:
         assert abs(fit.slope + 5.0 / 6.0) < 0.02
 
 
+def region_probe(fam, mu, region):
+    """One region's probe of `fam` at mu, and the limit family's nu_pred."""
+    probes, nu_pred = planar.region_probes(fam, mu)
+    return probes[region], nu_pred
+
+
 def upper_probe_at_mu3():
     fam = renormalized_family(ModelParams(), 6)
     f1 = Cubic1D(3.0, 0.0)
@@ -1025,13 +1031,13 @@ class TestProbeOnRenormalizedFamily:
         # (the upper's last) from the shared branch; or alternating with it,
         # every t from the shared branch
         fam = renormalized_family(ModelParams(), 6)
-        lower, nu_pred = planar.region_probe(fam, 3.0, "lower")
+        lower, nu_pred = region_probe(fam, 3.0, "lower")
         ts = [nu_pred - 0.02, nu_pred, nu_pred + 0.01]
-        alone = [lower(t) for t in ts]
+        alone = [dataclasses.replace(lower, branch=None)(t) for t in ts]
         runs = []
         for order in ("after", "alternating"):
-            branch = planar.SharedBranch()
-            up, lo = (planar.region_probe(fam, 3.0, r, branch)[0] for r in ("upper", "lower"))
+            probes, _ = planar.region_probes(fam, 3.0)
+            up, lo = probes["upper"], probes["lower"]
             got = {}
             for t in ts:
                 up(t)
@@ -1043,9 +1049,26 @@ class TestProbeOnRenormalizedFamily:
         assert alone == runs[0] == runs[1]
         assert repr(alone) == repr(runs[0]) == repr(runs[1])
 
-    def test_unknown_region_rejected(self):
-        with pytest.raises(ValueError, match=r"^region must be 'upper' or 'lower', got 'Upper'$"):
-            planar.region_probe(renormalized_family(ModelParams(), 6), 3.0, "Upper")
+    @pytest.mark.parametrize("mu", [float(m) for m in np.linspace(2.85, 3.15, 7)])
+    def test_region_pair_fields_equal_each_region_formulas(self, mu):
+        # the lower region is the upper one reflected (s = -1); negation is
+        # exact, so every field equals that region's own sums, bit for bit
+        probes, nu_pred = planar.region_probes(renormalized_family(ModelParams(), 6), mu)
+        f1 = Cubic1D(mu, nu_pred)
+        y1p, y1m = periodic_ordinate(mu, nu_pred, +1), periodic_ordinate(mu, nu_pred, -1)
+        cpos = f1.critical_points()[1]
+        seed_u = (f1(y1p), y1p)
+        want = {
+            "upper": (seed_u, ((cpos - 0.45, cpos + 0.45), (y1p - 0.8, y1p + 0.4)), "peak", (1.0, 0.0),
+                      planar._cubic_arclength(mu, nu_pred, f1(y1p), cpos + 0.75) + 0.3),
+            "lower": ((f1(y1m), y1m), ((-cpos - 0.45, -cpos + 0.45), (y1m - 0.4, y1m + 0.8)), "valley", (-1.0, 0.0),
+                      planar._cubic_arclength(mu, nu_pred, f1(y1p), -cpos + 0.75) + 0.3),
+        }
+        for region, probe in probes.items():
+            got = (probe.stable_seed, probe.window, probe.mode, probe.stable_direction, probe.unstable_arclength)
+            assert got == want[region] and repr(got) == repr(want[region])
+            assert probe.unstable_seed == seed_u and probe.curve(0.25) == (mu, 0.25)
+        assert probes["upper"].branch is probes["lower"].branch is not None
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match=r"^mode must be 'peak' or 'valley', got 'peek'$"):
@@ -1091,8 +1114,8 @@ class TestProbeOnRenormalizedFamily:
 
         monkeypatch.setattr(planar, "grow_manifold", counted)
         fam = renormalized_family(ModelParams(), 6)
-        branch = planar.SharedBranch()
-        (up, nu_pred), (lo, _) = (planar.region_probe(fam, mu, r, branch) for r in ("upper", "lower"))
+        probes, nu_pred = planar.region_probes(fam, mu)
+        up, lo = probes["upper"], probes["lower"]
         longer = dataclasses.replace(up, unstable_arclength=up.unstable_arclength + 0.5)
         for nu in np.linspace(nu_pred - 0.03, nu_pred + 0.03, 5):
             params = (mu, float(nu))
@@ -1121,8 +1144,8 @@ class TestProbeOnRenormalizedFamily:
 
         monkeypatch.setattr(planar, "grow_manifold", budget)
         fam = renormalized_family(ModelParams(), 6)
-        branch = planar.SharedBranch()
-        (up, nu_pred), (lo, _) = (planar.region_probe(fam, 3.0, r, branch) for r in ("upper", "lower"))
+        probes, nu_pred = planar.region_probes(fam, 3.0)
+        up, lo = probes["upper"], probes["lower"]
         params = up.curve(nu_pred)
         su, held = up._unstable(params)
         su_taken, wu = lo._unstable(params)
@@ -1139,8 +1162,8 @@ class TestProbeOnRenormalizedFamily:
         # both regions' curves at their prediction, the lower unstable one
         # taken from the upper's, against the reference growth loop
         fam = renormalized_family(ModelParams(), 6)
-        branch = planar.SharedBranch()
-        (up, nu_pred), (lo, _) = (planar.region_probe(fam, mu, r, branch) for r in ("upper", "lower"))
+        probes, nu_pred = planar.region_probes(fam, mu)
+        up, lo = probes["upper"], probes["lower"]
         params = up.curve(nu_pred)
         for probe in (up, lo):
             su, wu = probe._unstable(params)
@@ -1167,7 +1190,7 @@ class TestProbeOnRenormalizedFamily:
             return grown[-1][2]
 
         monkeypatch.setattr(planar, "grow_manifold", recorded)
-        probe, nu_pred = planar.region_probe(renormalized_family(ModelParams(), 6), mu, region)
+        probe, nu_pred = region_probe(renormalized_family(ModelParams(), 6), mu, region)
         for t in (nu_pred - 0.03, nu_pred, nu_pred + 0.03):
             with contextlib.suppress(WindowRejected):  # both curves are grown by then
                 probe(t)
@@ -1182,7 +1205,7 @@ class TestProbeOnRenormalizedFamily:
         # the upper probe's unstable curve ends early in its last level; only
         # that part is refined, at fewer than 10 map evaluations a kept point
         fam = renormalized_family(ModelParams(), 6)
-        probe, nu_pred = planar.region_probe(fam, 3.0, "upper")
+        probe, nu_pred = region_probe(fam, 3.0, "upper")
         params = probe.curve(nu_pred)
         s = find_saddle(fam, params, period=planar.PROBE_PERIOD, seed=probe.unstable_seed)
         evaluated = []
@@ -1210,7 +1233,7 @@ class TestProbeOnRenormalizedFamily:
             return find(*args, **kwargs)
 
         monkeypatch.setattr(planar, "find_saddle", counted)
-        probe, nu_pred = planar.region_probe(renormalized_family(ModelParams(), 6), 3.0, region)
+        probe, nu_pred = region_probe(renormalized_family(ModelParams(), 6), 3.0, region)
         for t in (nu_pred - 0.01, nu_pred + 0.01):
             probe(t)
         assert (probe.stable_seed == probe.unstable_seed) == (region == "upper")
@@ -1225,7 +1248,7 @@ class TestFold:
 
     @staticmethod
     def probe(mu, region):
-        return planar.region_probe(renormalized_family(ModelParams(), 6), mu, region)
+        return region_probe(renormalized_family(ModelParams(), 6), mu, region)
 
     def test_probe_and_fold_loci_agree_within_the_bound(self):
         probes = {mu: self.probe(mu, "upper") for mu in self.mus}

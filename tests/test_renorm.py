@@ -16,7 +16,6 @@ from tangencylab.renorm import (
     renormalized_family,
     renormalized_unreduced,
     reparam,
-    reparam_inverse,
     residual_sup,
     residual_table,
     zoom_in,
@@ -97,26 +96,6 @@ class TestReparam:
                     assert r < prev
                 prev = r
             assert prev < 1e-8
-
-    @given(
-        st.floats(0, 4), st.floats(-1, 1), st.integers(1, 30),
-    )
-    @settings(max_examples=150)
-    def test_round_trip_ulp_scale(self, mu_bar, nu_bar, n):
-        # storing nu squeezes the nu_bar signal sigma^(n/2) below an O(1)
-        # constant, so the recoverable precision degrades by that factor
-        mu, nu = reparam(MP, n, mu_bar, nu_bar)
-        mb, nb = reparam_inverse(MP, n, mu, nu)
-        assert abs(mb - mu_bar) <= 1e-12 * max(1.0, abs(mu_bar))
-        assert abs(nb - nu_bar) <= 1e-12 + 5e-16 * MP.sigma ** (n / 2)
-
-    def test_round_trip_relative_below_n22(self):
-        for n in range(1, 23):
-            for mu_bar, nu_bar in ((3.0, 0.5), (1.0, -1.0), (4.0, 1.0)):
-                mu, nu = reparam(MP, n, mu_bar, nu_bar)
-                mb, nb = reparam_inverse(MP, n, mu, nu)
-                assert abs(mb - mu_bar) <= 1e-12 * max(1.0, abs(mu_bar))
-                assert abs(nb - nu_bar) <= 1e-12 * max(1.0, abs(nu_bar))
 
 
 class TestRenormalizedMap:
@@ -227,7 +206,7 @@ class TestResiduals:
         X, Y = np.meshgrid(axis, axis)
         prev = None
         for row in residual_table(mp, range(4, 15)):
-            d2 = renorm._coupling(mp, row["n"]) * X + renorm._quartic_coeff(mp, row["n"]) * Y ** 4
+            d2 = renorm.coupling(mp, row["n"]) * X + renorm.quartic_coeff(mp, row["n"]) * Y ** 4
             total = float(np.max(np.abs(d2)))
             assert (row["sup_H1"], row["sup_H2"]) == (0.0, total)
             assert row["ratio"] == total / prev if prev else math.isnan(row["ratio"])

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from tangencylab.maps1d import Cubic1D, find_periodic
+from tangencylab import wangyoung
+from tangencylab.maps1d import Cubic1D, PeriodicOrbit1D, find_periodic
 from tangencylab.planar import PlanarFamily, SaddlePoint, cubic_henon, grow_manifold
 from tangencylab.renorm import ModelParams, limit_family, renormalized_family
 from tangencylab.wangyoung import (
@@ -121,6 +122,16 @@ class TestMisiurewicz:
                             lambda self, y: closed(self, y) + (y == F(1, 8)) * F(1, 2**60))
         cert = misiurewicz_check(mu_star, interval)
         assert not cert.checks["negative_schwarzian"][0] and not cert.passed
+
+    def test_unresolved_orbit_fails_the_repelling_clause(self, mu_star, interval, monkeypatch):
+        # a repelling orbit whose residual is out of tolerance is not a checked orbit
+        assert all(orb.resolved for p in range(1, 9) for orb in find_periodic(Cubic1D(mu_star, 0.0), p, interval))
+        unresolved = PeriodicOrbit1D((0.5,), 1, multiplier=-4.0, residual=1e-3, resolved=False)
+        monkeypatch.setattr(wangyoung, "find_periodic", lambda f, p, interval: [unresolved])
+        cert = misiurewicz_check(mu_star, interval)
+        ok, w = cert.checks["all_orbits_repelling"]
+        assert not ok and not cert.passed
+        assert w["weakest_multiplier"] == 4.0
 
     def test_fixed_point_multipliers_closed_form(self, mu_star, interval):
         # F'(0) = mu*; F'(+-e) = 3 - 2 mu*
