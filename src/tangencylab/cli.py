@@ -305,23 +305,12 @@ def cmd_tangency(args, parser) -> int:
     except ValueError as exc:
         parser.error(f"--mu-bar: {exc}")
     # the scan runs before --out exists: a t that cannot be measured is a usage
-    # error.  Both regions measure each t in turn, so they grow one unstable
-    # branch there; errors are reported as scanning one region after the
-    # other would report them.
+    # error.  Each region is scanned on the folds of its unstable curve, upper first.
     ts = [float(t) for t in np.linspace(args.t_min, args.t_max, args.points)]
-    pens, failed, events = {r: [] for r in probes}, {}, {}
-    for t in ts:
-        for region, probe in probes.items():
-            if region not in failed:
-                try:
-                    pens[region].append(probe.penetration(t))
-                except (planar.WindowRejected, planar.NewtonDivergenceError) as exc:
-                    failed[region] = exc
+    pens, events = {}, {}
     for region, probe in probes.items():
         try:
-            if region in failed:  # the scan's error, reported in region order
-                raise failed[region]
-            _, event = planar.scan_events(probe, ts, pens[region])
+            pens[region], event = planar.scan_events(planar.FoldProbe(probe), ts)
         except planar.WindowRejected as exc:
             parser.error(f"--t-min/--t-max: the {region} region's window rejects {exc}")
         except planar.NewtonDivergenceError as exc:

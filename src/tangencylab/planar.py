@@ -54,6 +54,7 @@ __all__ = [
     "FoldPoint",
     "fold_extremum",
     "fold_zero",
+    "FoldProbe",
     "fold_bound",
     "periodic_ordinate",
     "velocity_table",
@@ -497,9 +498,7 @@ def grow_manifold(
     would overrun `max_points` ends growth without appending its level, so
     the curve keeps only levels that met the controls and is incomplete;
     the budget counts the points kept so far and the level as cut, so points
-    past the target never spend it.  Hence the curve grown to a smaller
-    target is, bit for bit, the one grown to a larger target up to its first
-    point at the smaller one, unless that one stops short of it.
+    past the target never spend it.
 
     Level 0 is the seed domain itself, and its points (midpoints included)
     lie on the chord [p + eps*v, M(p + eps*v)].  With a strong multiplier
@@ -750,12 +749,12 @@ class TangencyEvent:
     gap_slope: float  # d(penetration)/dt, Richardson refined
     classification: str  # contact-making | contact-breaking | transverse | withheld
     richardson_consistent: bool
-    curvature_gap: float  # |curvature| of the t0 candidate's gap fit
-    fit_noise: float  # the t0 candidate's quadratic-fit residual
+    candidate: TangencyCandidate | FoldPoint  # the candidate at t0
 
 
-def classify_tangency(probe: Callable[[float], TangencyCandidate], t0: float) -> TangencyEvent:
-    """Classify the event tracked by `probe` (t -> TangencyCandidate) at t0.
+def classify_tangency(probe: Callable[[float], TangencyCandidate | FoldPoint], t0: float) -> TangencyEvent:
+    """Classify the event tracked by `probe` (t -> TangencyCandidate, or a
+    fold's `FoldPoint`) at t0; the event's location and gaps are t0's.
 
     The penetration slope is measured by central differences at
     dt = `CLASSIFY_DT` and dt/2 and Richardson-extrapolated; making = upward
@@ -788,8 +787,7 @@ def classify_tangency(probe: Callable[[float], TangencyCandidate], t0: float) ->
         gap_slope=slope,
         classification=cls,
         richardson_consistent=consistent,
-        curvature_gap=abs(c0.curvature_gap),
-        fit_noise=c0.fit_noise,
+        candidate=c0,
     )
 
 
@@ -811,32 +809,12 @@ def _naming(t: float):
         raise NewtonDivergenceError(f"t={t}: {exc}", exc.last) from exc
 
 
-def _prefix(curve: ManifoldCurve, target: float) -> ManifoldCurve | None:
-    """`curve` up to its first point past the seed at `target`: the curve
-    `grow_manifold` grows to that smaller target (see there); None if
-    `curve` stops short of it."""
-    i = int(np.searchsorted(curve.arclength[1:], target)) + 1
-    if i == len(curve.arclength):
-        return None
-    return ManifoldCurve(curve.points[:i + 1], curve.kind, curve.arclength[:i + 1])
-
-
-class SharedBranch:
-    """The unstable saddle and curve that one of the probes sharing this
-    instance grew last, with its (family, parameters, unstable seed) `key`
-    and `target` arclength: both regions of one mu_bar solve the same saddle
-    and grow the same branch, to different targets."""
-
-    key = target = saddle = curve = None
-
-
 @dataclass(frozen=True)
 class FiberGapProbe:
     """t -> TangencyCandidate for one tangency region of a parameter scan.
 
     `curve` maps the scan parameter t to family parameters.  Measuring a t
-    solves both period-`PROBE_PERIOD` saddles from `unstable_seed` and
-    `stable_seed` (once when the seeds are equal), grows both manifolds
+    solves the period-`PROBE_PERIOD` saddles (`_saddles`), grows both manifolds
     (the stable one `PROBE_STABLE_ARCLENGTH` long) with spacing
     `PROBE_H_MAX` inside the |coordinate| <= `PROBE_CLIP` box and takes the
     window's extremal gap, so the result depends on t alone, not on earlier
@@ -845,10 +823,7 @@ class FiberGapProbe:
     Each t is measured once per instance: a repeated t returns the stored
     candidate.  `mode` is "peak" for regions where the unstable curve
     crests into the stable one from below and "valley" for the mirrored
-    geometry.  Probes given one `branch` hold there the unstable saddle and
-    curve they grow last; one that measures the held parameters with no
-    longer a target takes the held curve up to its first point at its own
-    target (`_prefix`), which is the curve it would grow, bit for bit.
+    geometry.
     """
 
     family: PlanarFamily
@@ -859,7 +834,6 @@ class FiberGapProbe:
     mode: str
     stable_direction: tuple
     unstable_arclength: float
-    branch: SharedBranch | None = field(default=None, repr=False, compare=False)
     _measured: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -872,41 +846,28 @@ class FiberGapProbe:
                 self._measured[t] = self._measure(t)
         return self._measured[t]
 
-    def _saddle(self, params, seed) -> SaddlePoint:
-        return find_saddle(self.family, params, period=PROBE_PERIOD, seed=seed)
-
-    def _saddles(self, params, su=None) -> tuple:
-        """The unstable saddle at `params` (`su` if given) and the stable one."""
-        su = su or self._saddle(params, self.unstable_seed)
-        if self.stable_seed == self.unstable_seed:
-            return su, su  # the Newton solve is deterministic
-        return su, self._saddle(params, self.stable_seed)
-
-    def _unstable(self, params) -> tuple:
-        """The unstable saddle and curve at `params`, from `branch` if it holds them."""
-        key, target, branch = (self.family, params, self.unstable_seed), self.unstable_arclength, self.branch
-        su = wu = None
-        if branch is not None and branch.key == key and branch.target >= target:
-            su, wu = branch.saddle, _prefix(branch.curve, target)
-        if wu is None:  # not held, or the held curve stops short of the target
-            su = su or self._saddle(params, self.unstable_seed)
-            wu = grow_manifold(
-                self.family, params, su, "unstable", target_arclength=target, h_max=PROBE_H_MAX,
-                direction=PROBE_UNSTABLE_DIRECTION, clip=PROBE_CLIP,
-            )
-            if branch is not None:
-                branch.key, branch.target, branch.saddle, branch.curve = key, target, su, wu
-        return su, wu
+    def _saddles(self, params) -> tuple:
+        """The unstable saddle at `params`, solved from `unstable_seed`, and
+        the stable one: the point of its cycle nearest `stable_seed`.  Each
+        cycle point after the first is the map's image of the one before, with
+        the cycle's multipliers and the eigenvectors carried by the Jacobian."""
+        cycle = [find_saddle(self.family, params, period=PROBE_PERIOD, seed=self.unstable_seed)]
+        for _ in range(PROBE_PERIOD - 1):
+            s = cycle[-1]
+            (a, b), (c, d) = self.family.jacobian(params, *s.location)
+            carried = [(a * x + b * y, c * x + d * y) for x, y in (s.vec_unstable, s.vec_stable)]
+            vu, vs = ((x / math.hypot(x, y), y / math.hypot(x, y)) for x, y in carried)
+            cycle.append(SaddlePoint(self.family.forward(params, *s.location), s.period, s.eig_unstable,
+                                     s.eig_stable, vu, vs))
+        return cycle[0], min(cycle, key=lambda s: math.dist(s.location, self.stable_seed))
 
     def _measure(self, t: float) -> TangencyCandidate:
         params = self.curve(t)
-        su, wu = self._unstable(params)
-        _, ss = self._saddles(params, su)
-        ws = grow_manifold(
-            self.family, params, ss, "stable",
-            target_arclength=PROBE_STABLE_ARCLENGTH, h_max=PROBE_H_MAX,
-            direction=self.stable_direction, clip=PROBE_CLIP,
-        )
+        su, ss = self._saddles(params)
+        wu = grow_manifold(self.family, params, su, "unstable", target_arclength=self.unstable_arclength,
+                           h_max=PROBE_H_MAX, direction=PROBE_UNSTABLE_DIRECTION, clip=PROBE_CLIP)
+        ws = grow_manifold(self.family, params, ss, "stable", target_arclength=PROBE_STABLE_ARCLENGTH,
+                           h_max=PROBE_H_MAX, direction=self.stable_direction, clip=PROBE_CLIP)
         return window_extremal_gap(wu, ws, self.window, self.mode)
 
     def penetration(self, t: float) -> float:
@@ -920,17 +881,16 @@ class FiberGapProbe:
         return brentq(self.penetration, *bracket, xtol=ROOT_XTOL)
 
 
-def scan_events(probe: FiberGapProbe, ts, pens=None) -> tuple[list, TangencyEvent | None]:
-    """The penetrations of `probe` at the scan values `ts` (`pens` when they
-    are measured already), and its first tangency event over them.
+def scan_events(probe: FiberGapProbe | FoldProbe, ts) -> tuple[list, TangencyEvent | None]:
+    """The penetrations of `probe` (or of a `FoldProbe`) at the scan values
+    `ts`, and its first tangency event over them.
 
     The first consecutive pair of `ts` whose penetrations change sign (or
     whose left end is exactly zero) brackets the zero, which `locate_zero`
     refines and `classify_tangency` classifies.  Returns (penetrations,
     event); the event is None when no pair changes sign.
     """
-    if pens is None:
-        pens = [probe.penetration(t) for t in ts]
+    pens = [probe.penetration(t) for t in ts]
     for i in range(len(ts) - 1):
         if pens[i] == 0.0 or pens[i] * pens[i + 1] < 0:
             return pens, classify_tangency(probe, probe.locate_zero((ts[i], ts[i + 1])))
@@ -950,6 +910,8 @@ FOLD_TOL = 1e-13  # gap spread that ends the refinement; the extremum is then wi
 class FoldPoint:
     sigma: float  # seed coordinate of the extremum on the unstable curve
     penetration: float  # max G at a peak, -min G at a valley
+    location: tuple  # q(sigma)
+    gap: float  # G there: the penetration at a peak, minus it at a valley
 
 
 def fold_extremum(probe: FiberGapProbe, t: float) -> FoldPoint:
@@ -1014,7 +976,7 @@ def _fold_extremum(probe: FiberGapProbe, t: float) -> FoldPoint:
     if g[i] == -np.inf:
         raise WindowRejected("the unstable arc misses the window")
     lo, hi = sig[max(i - 1, 0)], sig[min(i + 1, len(sig) - 1)]
-    best = (sig[i], g[i])
+    best = (sig[i], g[i], xs[i], ys[i])
     while True:
         s = np.linspace(lo, hi, FOLD_ZOOM)
         level = np.floor(s)
@@ -1026,7 +988,7 @@ def _fold_extremum(probe: FiberGapProbe, t: float) -> FoldPoint:
         gs = gap(qx, qy, s)
         j = int(np.argmax(gs))
         if gs[j] >= best[1]:
-            best = (s[j], gs[j])
+            best = (s[j], gs[j], qx[j], qy[j])
         j = min(max(j, 1), FOLD_ZOOM - 2)
         spread = best[1] - min(gs[j - 1], gs[j + 1])
         if spread == np.inf:
@@ -1034,7 +996,8 @@ def _fold_extremum(probe: FiberGapProbe, t: float) -> FoldPoint:
         if spread <= FOLD_TOL or s[j + 1] - s[j - 1] <= 4 * np.spacing(s[j]):
             break
         lo, hi = s[j - 1], s[j + 1]
-    return FoldPoint(float(best[0]), float(best[1]))
+    sigma, pen, x, y = map(float, best)
+    return FoldPoint(sigma, pen, (x, y), pen if probe.mode == "peak" else -pen)
 
 
 def fold_zero(probe: FiberGapProbe, bracket: tuple) -> float:
@@ -1045,12 +1008,30 @@ def fold_zero(probe: FiberGapProbe, bracket: tuple) -> float:
     return brentq(lambda t: fold_extremum(probe, t).penetration, *bracket, xtol=ROOT_XTOL)
 
 
+@dataclass(frozen=True)
+class FoldProbe:
+    """`probe`'s fold route with a probe's interface, for `scan_events` and
+    `classify_tangency`: t -> `fold_extremum`, and `fold_zero` roots."""
+
+    probe: FiberGapProbe
+
+    def __call__(self, t: float) -> FoldPoint:
+        return fold_extremum(self.probe, t)
+
+    def penetration(self, t: float) -> float:
+        return self(t).penetration
+
+    def locate_zero(self, bracket: tuple) -> float:
+        return fold_zero(self.probe, bracket)
+
+
 def fold_bound(probe: FiberGapProbe, event: TangencyEvent) -> float:
-    """Largest expected |event - fold root| in t: over |gap_slope|, the
-    polyline's chord sag curvature_gap * h^2 / 8 (h = `PROBE_H_MAX`), the
-    three-fiber parabola's error |g'''| h_f^3 / (9 sqrt 3) with g''' = -6 the
-    limit cubic's, and the far end's distance from the stable eigenline of
-    the probe's stable curve, a chord starting on it; plus `ROOT_XTOL` per root.
+    """Largest expected |probe event - fold root| in t: over |gap_slope|, the
+    polyline's chord sag |curvature_gap| h^2 / 8 of the event's candidate (h
+    = `PROBE_H_MAX`), the three-fiber parabola's error |g'''| h_f^3 / (9 sqrt 3)
+    with g''' = -6 the limit cubic's, and the far end's distance from the
+    stable eigenline of the probe's stable curve, a chord starting on it;
+    plus `ROOT_XTOL` per root.
     """
     params = probe.curve(event.parameter)
     _, ss = probe._saddles(params)
@@ -1059,7 +1040,7 @@ def fold_bound(probe: FiberGapProbe, event: TangencyEvent) -> float:
     offset = abs((x1[0] - px) * vy - (x1[1] - py) * vx) / math.hypot(vx, vy)
     (xlo, xhi), _ = probe.window
     h = (xhi - xlo) / (N_FIBERS - 1)
-    sag = event.curvature_gap * PROBE_H_MAX ** 2 / 8
+    sag = abs(event.candidate.curvature_gap) * PROBE_H_MAX ** 2 / 8
     vertex = 6 * h ** 3 / (9 * math.sqrt(3))
     return (sag + vertex + offset) / abs(event.gap_slope) + 2 * ROOT_XTOL
 
@@ -1203,8 +1184,7 @@ def region_probes(fam: PlanarFamily, mu: float):
     growth targets centred on the limit family's analytic prediction.  The
     lower region is the upper one with s = -1 (c -> -c, y1+ -> y1-, window
     y-offsets and stable direction reflected as s*(s*y +- a), bit-equal to
-    each region's own sums).  Both grow W^u of one saddle, through one
-    `SharedBranch`.
+    each region's own sums).  Both follow W^u of one saddle.
 
     Returns ({"upper": probe, "lower": probe}, nu_pred), nu_pred the limit
     family's tangency parameter at mu (ValueError if none in [-0.6, 0.6]).
@@ -1217,7 +1197,6 @@ def region_probes(fam: PlanarFamily, mu: float):
     cpos = f1.critical_points()[1]
     y1p = periodic_ordinate(mu, nu_pred, +1)
     seed_u = (f1(y1p), y1p)
-    branch = SharedBranch()
     probes = {}
     for region, s in (("upper", 1), ("lower", -1)):
         c, y1 = s * cpos, y1p if s > 0 else periodic_ordinate(mu, nu_pred, s)
@@ -1225,6 +1204,6 @@ def region_probes(fam: PlanarFamily, mu: float):
         probes[region] = FiberGapProbe(
             fam, lambda t: (mu, t), seed_u, (f1(y1), y1), window, "peak" if s > 0 else "valley",
             stable_direction=(float(s), 0.0),
-            unstable_arclength=_cubic_arclength(mu, nu_pred, seed_u[0], c + 0.75) + 0.3, branch=branch,
+            unstable_arclength=_cubic_arclength(mu, nu_pred, seed_u[0], c + 0.75) + 0.3,
         )
     return probes, nu_pred

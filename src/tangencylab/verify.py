@@ -206,9 +206,10 @@ def _criterion_tangency(c: _Check):
             math.hypot(ev_up.location[0] - 1.0, ev_up.location[1] - 2.0) < 0.3,
             f"upper event located at {ev_up.location} near (1, 2)",
         )
+        cand = ev_up.candidate
         c.expect(
-            ev_up.curvature_gap > 10 * max(ev_up.fit_noise, 1e-12),
-            f"curvature mismatch {ev_up.curvature_gap:.3f} exceeds 10x interpolation noise",
+            abs(cand.curvature_gap) > 10 * max(cand.fit_noise, 1e-12),
+            f"curvature mismatch {abs(cand.curvature_gap):.3f} exceeds 10x interpolation noise",
         )
         c.expect(ev_up.richardson_consistent, "upper slope Richardson-consistent under dt halving")
     if ev_lo is None:
@@ -257,7 +258,8 @@ def _criterion_wangyoung(c: _Check):
         f"the Schwarzian exactly at {w['points']} rational points",
     )
     ok, w = cert.checks["all_orbits_repelling"]
-    c.expect(ok, f"all period<={wangyoung.MAX_PERIOD} orbits repelling (weakest multiplier {w['weakest_multiplier']:.4f})")
+    c.expect(ok, f"all period<={wangyoung.MAX_PERIOD} orbits repelling (weakest multiplier {w['weakest_multiplier']:.4f}; "
+                 f"{w['unresolved']} unresolved, worst residual {w['worst_residual']:.2e})")
     c.expect(cert.passed, "Misiurewicz certificate passed")
     tr = wangyoung.transversality_check(mu)
     c.expect(tr.dp_dmu < 0.4, f"dp/dmu = {tr.dp_dmu:.6f} < 0.4")

@@ -130,14 +130,18 @@ def misiurewicz_check(mu_star: float, interval: tuple) -> MisiurewiczCertificate
     weakest = math.inf
     weakest_orbit = None
     ok = True
+    unresolved, worst_residual = 0, 0.0
     for p in range(1, MAX_PERIOD + 1):
         for orb in find_periodic(f, p, interval):
             m = abs(float(orb.multiplier))
             if m < weakest:
                 weakest, weakest_orbit = m, (p, orb.points[0])
+            unresolved += not orb.resolved
+            worst_residual = max(worst_residual, orb.residual)
             if m <= 1.0 + 1e-6 or not orb.resolved:
                 ok = False
-    checks["all_orbits_repelling"] = (ok, {"weakest_multiplier": weakest, "witness": weakest_orbit})
+    checks["all_orbits_repelling"] = (ok, {"weakest_multiplier": weakest, "witness": weakest_orbit,
+                                           "unresolved": unresolved, "worst_residual": worst_residual})
 
     orbit = (c, f(c), -math.sqrt(mu_star), 0.0)
     if not abs(f(orbit[2])) < 1e-9:

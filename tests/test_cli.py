@@ -330,34 +330,28 @@ class TestTangencyCommand:
         assert json.loads((tmp_path / "summary.json").read_text())["events"] == []
         assert len((tmp_path / "scan.csv").read_text().splitlines()) == 2 + 2
 
-    def test_scan_grows_one_unstable_branch_per_t(self, tmp_path, monkeypatch):
-        # the regions measure each scan t in turn, and the lower probe takes
-        # the upper's unstable curve there; no event, so nothing else is grown
-        grown = []
-        grow = planar.grow_manifold
-
-        def counted(*args, **kwargs):
-            grown.append((args[1], args[3]))
-            return grow(*args, **kwargs)
-
-        monkeypatch.setattr(planar, "grow_manifold", counted)
-        assert main(["tangency", "--mu-bar", "2.95", "--points", "3", "--out", str(tmp_path)]) == 1
-        unstable = [params for params, kind in grown if kind == "unstable"]
-        assert len(unstable) == len(set(unstable)) == 3
-        assert len(grown) == 3 + 2 * 3  # and each region's stable curve
+    def test_scan_grows_no_manifold(self, tmp_path, monkeypatch):
+        # both regions' scans, roots and slopes are read off folds of the
+        # unstable curve: no polyline is grown and no probe is measured
+        calls = []
+        monkeypatch.setattr(planar, "grow_manifold", lambda *a, **k: calls.append("grow_manifold"))
+        monkeypatch.setattr(planar.FiberGapProbe, "_measure", lambda *a: calls.append("probe"))
+        assert main(["tangency", "--out", str(tmp_path)]) == 0
+        kinds = {e["region"]: e["classification"] for e in json.loads((tmp_path / "summary.json").read_text())["events"]}
+        assert kinds == {"upper": "contact-making", "lower": "contact-breaking"}
+        assert calls == []
 
     def test_upper_error_is_reported_before_an_earlier_lower_one(self, tmp_path, capsys, monkeypatch):
-        class Rejecting:
-            def __init__(self, bad_t):
-                self.bad_t = bad_t
+        # the upper region rejects the last scan t, the lower one the first
+        bad_t = {"upper": 0.03, "lower": -0.03}
 
-            def penetration(self, t):
-                if t == self.bad_t:
-                    raise planar.WindowRejected(f"t={t}: no crossing")
-                return 1.0
+        def fold_extremum(region, t):
+            if t == bad_t[region]:
+                raise planar.WindowRejected(f"t={t}: no crossing")
+            return planar.FoldPoint(0.0, 1.0, (0.0, 0.0), 1.0)
 
-        probes = {"upper": Rejecting(0.03), "lower": Rejecting(-0.03)}
-        monkeypatch.setattr(planar, "region_probes", lambda fam, mu: (probes, 0.0))
+        monkeypatch.setattr(planar, "region_probes", lambda fam, mu: ({r: r for r in bad_t}, 0.0))
+        monkeypatch.setattr(planar, "fold_extremum", fold_extremum)
         with pytest.raises(SystemExit):
             main(["tangency", "--points", "3", "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
@@ -445,8 +439,8 @@ class TestVerifyCommand:
      "--skip names every criterion; nothing would be checked"),
     (["renorm", "--eps", "nan"], "need a finite eps, got nan"),
     (["renorm", "--eps", "inf"], "need a finite eps, got inf"),
-    (["tangency", "--t-min", "-0.1", "--t-max", "0.1", "--points", "9"],
-     "--t-min/--t-max: the lower region's window rejects t=0.1: fiber x="),
+    (["tangency", "--t-min", "-1", "--t-max", "1", "--points", "9"],
+     "--t-min/--t-max: the upper region's window rejects t=-1.0: the unstable arc misses the window"),
     (["renorm", "--eps", "0.1", "--n-min", "2200", "--n-max", "2201"],
      "--n-min/--n-max: both residuals underflow to 0 at n=2200; the decay-rate fit needs them positive"),
     (["tangency", "--t-min", "1e6", "--t-max", "1e6", "--points", "1"],

@@ -645,27 +645,6 @@ class TestManifoldStops:
         assert np.array_equal(w.points, full.points)
         assert np.array_equal(w.arclength, full.arclength)
 
-    @pytest.mark.parametrize("kw", [dict(clip=1.0), dict(max_points=500), dict(max_points=500, h_max=1e-3)],
-                             ids=["clip", "budget-in-a-pass", "budget"])
-    def test_a_smaller_target_grows_a_prefix(self, kw):
-        # the branch to a smaller target is the larger-target curve up to its
-        # first point at that target; past an incomplete curve's end there is
-        # no prefix, and growth to such a target may keep other points
-        fam, p = cubic_henon(), (2.8, 0.1)
-        s = find_saddle(fam, p, seed=(0.0, 0.0))
-        long = grow_manifold(fam, p, s, "unstable", target_arclength=50.0, direction=(1, 1), **kw)
-        end = long.arclength[-1]
-        assert not long.complete
-        for target in (0.3 * end, 0.9 * end, end, 1.001 * end, 1.5 * end):
-            short = grow_manifold(fam, p, s, "unstable", target_arclength=target, direction=(1, 1), **kw)
-            prefix = planar._prefix(long, target)
-            if target > end:
-                assert prefix is None
-                continue
-            assert short.complete and prefix.complete
-            assert np.array_equal(prefix.points, short.points)
-            assert np.array_equal(prefix.arclength, short.arclength)
-
     def test_nan_clip_rejected(self):
         s = find_saddle(linear_family(), (0.2, 2.0), seed=(0.0, 0.0))
         with pytest.raises(ValueError, match="^clip must not be NaN$"):
@@ -1013,7 +992,8 @@ class TestProbeOnRenormalizedFamily:
         assert ev.classification == "contact-making"
         assert abs(ev.gap_slope - 0.9) < 0.11
         assert math.hypot(ev.location[0] - 1, ev.location[1] - 2) < 0.3
-        assert ev.fit_noise == probe(t0).fit_noise
+        assert ev.candidate is probe(t0)
+        assert (ev.location, ev.min_gap, ev.penetration) == (probe(t0).location, probe(t0).gap, probe(t0).penetration)
 
     def test_probe_is_independent_of_call_order(self):
         probe = upper_probe_at_mu3()
@@ -1025,29 +1005,6 @@ class TestProbeOnRenormalizedFamily:
         on_second_probe = other(0.0)
         assert fresh == after_other_call == on_second_probe
         assert repr(fresh) == repr(after_other_call) == repr(on_second_probe)
-
-    def test_lower_probe_is_independent_of_the_shared_branch(self):
-        # the lower probe alone; after the upper one, the first t it measures
-        # (the upper's last) from the shared branch; or alternating with it,
-        # every t from the shared branch
-        fam = renormalized_family(ModelParams(), 6)
-        lower, nu_pred = region_probe(fam, 3.0, "lower")
-        ts = [nu_pred - 0.02, nu_pred, nu_pred + 0.01]
-        alone = [dataclasses.replace(lower, branch=None)(t) for t in ts]
-        runs = []
-        for order in ("after", "alternating"):
-            probes, _ = planar.region_probes(fam, 3.0)
-            up, lo = probes["upper"], probes["lower"]
-            got = {}
-            for t in ts:
-                up(t)
-                if order == "alternating":
-                    got[t] = lo(t)
-            for t in reversed(ts):
-                got[t] = lo(t)
-            runs.append([got[t] for t in ts])
-        assert alone == runs[0] == runs[1]
-        assert repr(alone) == repr(runs[0]) == repr(runs[1])
 
     @pytest.mark.parametrize("mu", [float(m) for m in np.linspace(2.85, 3.15, 7)])
     def test_region_pair_fields_equal_each_region_formulas(self, mu):
@@ -1068,7 +1025,6 @@ class TestProbeOnRenormalizedFamily:
             got = (probe.stable_seed, probe.window, probe.mode, probe.stable_direction, probe.unstable_arclength)
             assert got == want[region] and repr(got) == repr(want[region])
             assert probe.unstable_seed == seed_u and probe.curve(0.25) == (mu, 0.25)
-        assert probes["upper"].branch is probes["lower"].branch is not None
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match=r"^mode must be 'peak' or 'valley', got 'peek'$"):
@@ -1100,84 +1056,6 @@ class TestProbeOnRenormalizedFamily:
         other = upper_probe_at_mu3()
         assert [other(ts[i]) for i in order] == [first[i] for i in order]
         assert len(grown) == 4 * len(ts)
-
-    @pytest.mark.parametrize("mu", [float(m) for m in np.linspace(2.85, 3.15, 7)])
-    def test_shared_branch_curves_match_growth_to_each_target(self, monkeypatch, mu):
-        # a region's curve taken from the shared branch, held by the upper
-        # probe or by a longer one, is the curve grown to its own target
-        grown = []
-        grow = planar.grow_manifold
-
-        def counted(*args, **kwargs):
-            grown.append(kwargs["target_arclength"])
-            return grow(*args, **kwargs)
-
-        monkeypatch.setattr(planar, "grow_manifold", counted)
-        fam = renormalized_family(ModelParams(), 6)
-        probes, nu_pred = planar.region_probes(fam, mu)
-        up, lo = probes["upper"], probes["lower"]
-        longer = dataclasses.replace(up, unstable_arclength=up.unstable_arclength + 0.5)
-        for nu in np.linspace(nu_pred - 0.03, nu_pred + 0.03, 5):
-            params = (mu, float(nu))
-            for holder, takers in ((up, [lo]), (longer, [up, lo])):
-                su, _ = holder._unstable(params)
-                for probe in takers:
-                    del grown[:]
-                    su_taken, wu = probe._unstable(params)
-                    assert grown == [] and su_taken is su
-                    want = grow(fam, params, su, "unstable", target_arclength=probe.unstable_arclength,
-                                h_max=planar.PROBE_H_MAX, direction=planar.PROBE_UNSTABLE_DIRECTION,
-                                clip=planar.PROBE_CLIP)
-                    assert want.complete and wu.complete
-                    assert np.array_equal(wu.points, want.points)
-                    assert np.array_equal(wu.arclength, want.arclength)
-
-    def test_shared_branch_grows_a_curve_the_held_one_stops_short_of(self, monkeypatch):
-        # with a budget of 1000 points the upper curve ends before the lower
-        # target: the lower probe grows its own curve from the held saddle
-        grown = []
-        grow = planar.grow_manifold
-
-        def budget(*args, **kwargs):
-            grown.append(kwargs["target_arclength"])
-            return grow(*args, max_points=1000, **kwargs)
-
-        monkeypatch.setattr(planar, "grow_manifold", budget)
-        fam = renormalized_family(ModelParams(), 6)
-        probes, nu_pred = planar.region_probes(fam, 3.0)
-        up, lo = probes["upper"], probes["lower"]
-        params = up.curve(nu_pred)
-        su, held = up._unstable(params)
-        su_taken, wu = lo._unstable(params)
-        assert not held.complete and held.arclength[-1] < lo.unstable_arclength
-        assert grown == [up.unstable_arclength, lo.unstable_arclength] and su_taken is su
-        want = grow(fam, params, su, "unstable", target_arclength=lo.unstable_arclength, h_max=planar.PROBE_H_MAX,
-                    direction=planar.PROBE_UNSTABLE_DIRECTION, clip=planar.PROBE_CLIP, max_points=1000)
-        assert wu.complete == want.complete
-        assert np.array_equal(wu.points, want.points)
-        assert np.array_equal(wu.arclength, want.arclength)
-
-    @pytest.mark.parametrize("mu", [2.85, 3.15])
-    def test_shared_branch_curves_match_reference_loop(self, mu):
-        # both regions' curves at their prediction, the lower unstable one
-        # taken from the upper's, against the reference growth loop
-        fam = renormalized_family(ModelParams(), 6)
-        probes, nu_pred = planar.region_probes(fam, mu)
-        up, lo = probes["upper"], probes["lower"]
-        params = up.curve(nu_pred)
-        for probe in (up, lo):
-            su, wu = probe._unstable(params)
-            _, ss = probe._saddles(params, su)
-            kw = dict(h_max=planar.PROBE_H_MAX, clip=planar.PROBE_CLIP)
-            ws = grow_manifold(fam, params, ss, "stable", target_arclength=planar.PROBE_STABLE_ARCLENGTH,
-                               direction=probe.stable_direction, **kw)
-            for w, args in ((wu, (su, "unstable", probe.unstable_arclength, planar.PROBE_UNSTABLE_DIRECTION)),
-                            (ws, (ss, "stable", planar.PROBE_STABLE_ARCLENGTH, probe.stable_direction))):
-                saddle, kind, target, direction = args
-                pts, arc, complete = reference_grow_manifold(fam, params, saddle, kind, target, direction=direction, **kw)
-                assert np.array_equal(w.points, pts)
-                assert np.array_equal(w.arclength, arc)
-                assert w.complete == complete
 
     @pytest.mark.parametrize("region", ["upper", "lower"])
     @pytest.mark.parametrize("mu", [2.85, 3.0, 3.15])
@@ -1222,9 +1100,10 @@ class TestProbeOnRenormalizedFamily:
         assert w.complete
         assert sum(evaluated) < 10 * len(w.points)
 
-    @pytest.mark.parametrize("region, solves", [("upper", 1), ("lower", 2)])
-    def test_equal_seeds_solve_one_saddle(self, monkeypatch, region, solves):
-        # the upper probe seeds both manifolds at the same saddle
+    @pytest.mark.parametrize("region", ["upper", "lower"])
+    def test_each_measurement_solves_one_saddle(self, monkeypatch, region):
+        # the upper probe seeds both manifolds at the same saddle, the lower
+        # one its stable manifold at the image of that saddle
         solved = []
         find = planar.find_saddle
 
@@ -1237,7 +1116,30 @@ class TestProbeOnRenormalizedFamily:
         for t in (nu_pred - 0.01, nu_pred + 0.01):
             probe(t)
         assert (probe.stable_seed == probe.unstable_seed) == (region == "upper")
-        assert len(solved) == 2 * solves
+        assert solved == [probe.unstable_seed] * 2
+
+    @pytest.mark.parametrize("mu", [float(m) for m in np.linspace(2.85, 3.15, 7)])
+    def test_stable_saddle_is_the_cycle_point_near_its_seed(self, mu):
+        # the upper probe's stable saddle is its unstable one; the lower's is
+        # the 2-cycle's other point, carried there by the map, which agrees
+        # with a Newton solve from the stable seed to a few ulps (the solve's
+        # stable multiplier loses digits to cancellation, |ls / lu| ~ 3e-9)
+        fam = renormalized_family(ModelParams(), 6)
+        probes, nu_pred = planar.region_probes(fam, mu)
+        for nu in np.linspace(nu_pred - 0.03, nu_pred + 0.03, 13):
+            params = (mu, float(nu))
+            su, ss = probes["upper"]._saddles(params)
+            assert ss is su
+            su, ss = probes["lower"]._saddles(params)
+            assert ss.location == fam.forward(params, *su.location)
+            newton = find_saddle(fam, params, period=2, seed=probes["lower"].stable_seed)
+            assert math.dist(ss.location, newton.location) < 1e-14
+            for got, want in ((ss.vec_stable, newton.vec_stable), (ss.vec_unstable, newton.vec_unstable)):
+                assert math.hypot(*got) == pytest.approx(1.0, abs=1e-15)
+                assert min(math.dist(got, want), math.dist(got, (-want[0], -want[1]))) < 1e-14
+            assert (ss.eig_unstable, ss.eig_stable) == (su.eig_unstable, su.eig_stable)
+            assert ss.eig_unstable == pytest.approx(newton.eig_unstable, rel=1e-13)
+            assert ss.eig_stable == pytest.approx(newton.eig_stable, rel=1e-10)
 
 
 class TestFold:
@@ -1262,6 +1164,30 @@ class TestFold:
             assert abs(nu_fold - nu_probe) <= planar.fold_bound(probe, event), mu
         assert by_fold.strictly_decreasing
         assert abs(by_fold.slope - by_probe.slope) < 1e-4
+
+    def test_cli_fold_events_pin_the_probe_events(self):
+        # CLI tangency's route (`scan_events` on a `FoldProbe`) finds each
+        # probe event within `fold_bound`, with its classification: the upper
+        # region at criterion 5's grid, the lower at mu = 3, the only grid
+        # point whose bracket holds a lower root
+        cases = [(mu, "upper") for mu in self.mus] + [(3.0, "lower")]
+        for mu, region in cases:
+            probe, pred = self.probe(mu, region)
+            bracket = (pred - 0.03, pred + 0.03)
+            (_, by_probe), (_, by_fold) = scan_events(probe, bracket), scan_events(planar.FoldProbe(probe), bracket)
+            assert abs(by_fold.parameter - by_probe.parameter) <= planar.fold_bound(probe, by_probe), (mu, region)
+            assert by_fold.classification == by_probe.classification, (mu, region)
+            assert by_fold.classification == ("contact-making" if region == "upper" else "contact-breaking")
+
+    def test_fold_point_location_and_gap(self):
+        # the location is q(sigma) on the unstable curve, and the gap is signed
+        # like the probe's: unstable minus stable ordinate side
+        for region in ("upper", "lower"):
+            probe, pred = self.probe(3.0, region)
+            fold, cand = planar.fold_extremum(probe, pred + 0.01), probe(pred + 0.01)
+            assert fold.gap == (fold.penetration if region == "upper" else -fold.penetration)
+            assert math.dist(fold.location, cand.location) < 1e-4
+            assert abs(fold.gap - cand.gap) < 2e-5 < abs(cand.gap)
 
     def test_lower_window_reads_only_the_probes_arc(self):
         # levels 3, 4 and 5 of W^u pass through the lower window, but the

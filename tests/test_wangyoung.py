@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from tangencylab import wangyoung
+from tangencylab import verify, wangyoung
 from tangencylab.maps1d import Cubic1D, PeriodicOrbit1D, find_periodic
 from tangencylab.planar import PlanarFamily, SaddlePoint, cubic_henon, grow_manifold
 from tangencylab.renorm import ModelParams, limit_family, renormalized_family
@@ -132,6 +132,12 @@ class TestMisiurewicz:
         ok, w = cert.checks["all_orbits_repelling"]
         assert not ok and not cert.passed
         assert w["weakest_multiplier"] == 4.0
+        # one unresolved orbit per period 1..8, each with residual 1e-3
+        assert w["unresolved"] == wangyoung.MAX_PERIOD == 8 and w["worst_residual"] == 1e-3
+        # the criterion's line names them, not only the multiplier
+        res = verify.run_criterion("wang_young")
+        assert "FAILED: all period<=8 orbits repelling (weakest multiplier 4.0000; 8 unresolved, " \
+               "worst residual 1.00e-03)" in res.failures
 
     def test_fixed_point_multipliers_closed_form(self, mu_star, interval):
         # F'(0) = mu*; F'(+-e) = 3 - 2 mu*
