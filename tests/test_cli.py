@@ -341,6 +341,29 @@ class TestTangencyCommand:
         assert kinds == {"upper": "contact-making", "lower": "contact-breaking"}
         assert calls == []
 
+    def test_artifacts_are_the_fold_route(self, tmp_path):
+        # scan.csv holds each region's fold penetrations at the scan t, and
+        # events.csv the fold at each root: its point, signed gap and penetration
+        assert main(["tangency", "--out", str(tmp_path)]) == 0
+        probes, _ = planar.region_probes(renorm.renormalized_family(ModelParams(), 6), 3.0)
+
+        def rows(name):
+            return list(csv.DictReader(l for l in (tmp_path / name).read_text().splitlines() if not l.startswith("#")))
+
+        scan = rows("scan.csv")
+        assert len(scan) == 13
+        for row in scan:
+            t = float(row["t"])
+            for region, probe in probes.items():
+                assert float(row[f"{region}_penetration"]) == planar.fold_extremum(probe, t).penetration
+        events = rows("events.csv")
+        assert [row["region"] for row in events] == ["upper", "lower"]
+        for row in events:
+            fold = planar.fold_extremum(probes[row["region"]], float(row["t"]))
+            got = tuple(float(row[k]) for k in ("x", "y", "min_gap", "penetration"))
+            assert got == (*fold.location, fold.gap, fold.penetration)
+            assert got[2] == (got[3] if row["region"] == "upper" else -got[3])
+
     def test_upper_error_is_reported_before_an_earlier_lower_one(self, tmp_path, capsys, monkeypatch):
         # the upper region rejects the last scan t, the lower one the first
         bad_t = {"upper": 0.03, "lower": -0.03}

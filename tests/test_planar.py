@@ -1006,6 +1006,40 @@ class TestProbeOnRenormalizedFamily:
         assert fresh == after_other_call == on_second_probe
         assert repr(fresh) == repr(after_other_call) == repr(on_second_probe)
 
+    def test_lower_probe_classifies_breaking(self):
+        # the mirrored region: a downward zero crossing, with the event's
+        # fields read off the probe's candidate at its root
+        fam = renormalized_family(ModelParams(), 6)
+        probe, nu_pred = region_probe(fam, 3.0, "lower")
+        t0 = probe.locate_zero((nu_pred - 0.03, nu_pred + 0.03))
+        ev = classify_tangency(probe, t0)
+        assert ev.classification == "contact-breaking"
+        assert abs(ev.gap_slope + 0.9) < 0.11
+        assert ev.candidate is probe(t0)
+        assert (ev.location, ev.min_gap, ev.penetration) == (probe(t0).location, probe(t0).gap, probe(t0).penetration)
+
+    def test_lower_probe_is_independent_of_the_upper_one(self):
+        # the lower probe alone, after the upper one measured the same t, and
+        # alternating with it: each t depends on t alone
+        fam = renormalized_family(ModelParams(), 6)
+        _, nu_pred = planar.region_probes(fam, 3.0)
+        ts = [nu_pred - 0.02, nu_pred, nu_pred + 0.01]
+        runs = []
+        for order in ("alone", "after", "alternating"):
+            probes, _ = planar.region_probes(fam, 3.0)
+            up, lo = probes["upper"], probes["lower"]
+            got = {}
+            for t in ts:
+                if order != "alone":
+                    up(t)
+                if order == "alternating":
+                    got[t] = lo(t)
+            for t in reversed(ts):
+                got[t] = lo(t)
+            runs.append([got[t] for t in ts])
+        assert runs[0] == runs[1] == runs[2]
+        assert repr(runs[0]) == repr(runs[1]) == repr(runs[2])
+
     @pytest.mark.parametrize("mu", [float(m) for m in np.linspace(2.85, 3.15, 7)])
     def test_region_pair_fields_equal_each_region_formulas(self, mu):
         # the lower region is the upper one reflected (s = -1); negation is
@@ -1188,6 +1222,35 @@ class TestFold:
             assert fold.gap == (fold.penetration if region == "upper" else -fold.penetration)
             assert math.dist(fold.location, cand.location) < 1e-4
             assert abs(fold.gap - cand.gap) < 2e-5 < abs(cand.gap)
+
+    @pytest.mark.parametrize("region", ["upper", "lower"])
+    def test_fold_probe_is_the_fold_route(self, region):
+        # a FoldProbe's value, penetration and root are fold_extremum's and
+        # fold_zero's, and each fold call starts afresh
+        probe, pred = self.probe(3.0, region)
+        fp = planar.FoldProbe(probe)
+        ts = [pred - 0.02, pred, pred + 0.01]
+        fresh = [planar.fold_extremum(probe, t) for t in ts]
+        assert [fp(t) for t in reversed(ts)][::-1] == fresh
+        assert [fp.penetration(t) for t in ts] == [f.penetration for f in fresh]
+        bracket = (pred - 0.03, pred + 0.03)
+        assert fp.locate_zero(bracket) == planar.fold_zero(probe, bracket)
+
+    @pytest.mark.parametrize("region", ["upper", "lower"])
+    def test_fold_event_carries_its_root_fold(self, region):
+        # classify_tangency on a FoldProbe: the event's location and gaps are
+        # the fold at the root, whose penetration vanishes to the root tolerance
+        probe, pred = self.probe(3.0, region)
+        fp = planar.FoldProbe(probe)
+        t0 = fp.locate_zero((pred - 0.03, pred + 0.03))
+        ev = classify_tangency(fp, t0)
+        fold = planar.fold_extremum(probe, t0)
+        assert isinstance(ev.candidate, planar.FoldPoint) and ev.candidate == fold
+        assert (ev.parameter, ev.location, ev.min_gap, ev.penetration) == (t0, fold.location, fold.gap, fold.penetration)
+        assert abs(ev.penetration) < abs(ev.gap_slope) * 10 * planar.ROOT_XTOL
+        assert ev.richardson_consistent
+        assert ev.classification == ("contact-making" if region == "upper" else "contact-breaking")
+        assert abs(abs(ev.gap_slope) - 0.9) < 0.01
 
     def test_lower_window_reads_only_the_probes_arc(self):
         # levels 3, 4 and 5 of W^u pass through the lower window, but the
