@@ -10,6 +10,8 @@ renorm     the renormalization cascade around a folding saddle model and
            its decay-rate measurements
 planar     planar engine: orbits, saddles, Lyapunov exponents, invariant
            manifolds, tangency detection and classification
+fold       tangencies as folds of the unstable curve: the batched fold
+           kernel and lockstep fold roots
 wangyoung  certificates for the cubic family on its trapping interval and
            the thickened two-parameter wrappers
 verify     the consolidated eight-criterion verification suite
@@ -20,4 +22,4 @@ __version__ = "0.1.0"
 
 # `cli` is left to `import tangencylab.cli`, so `python -m tangencylab.cli`
 # does not find it already imported
-from . import cantor, maps1d, planar, renorm, verify, wangyoung  # noqa: F401,E402
+from . import cantor, fold, maps1d, planar, renorm, verify, wangyoung  # noqa: F401,E402

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cantor, planar, renorm, verify
+from . import cantor, fold, planar, renorm, verify
 
 SCHEMA_VERSION = 1
 
@@ -310,7 +310,7 @@ def cmd_tangency(args, parser) -> int:
     pens, events = {}, {}
     for region, probe in probes.items():
         try:
-            pens[region], event = planar.scan_events(planar.FoldProbe(probe), ts)
+            pens[region], event = planar.scan_events(fold.FoldProbe(probe), ts)
         except planar.WindowRejected as exc:
             parser.error(f"--t-min/--t-max: the {region} region's window rejects {exc}")
         except planar.NewtonDivergenceError as exc:

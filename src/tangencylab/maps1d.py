@@ -1,6 +1,7 @@
 """One-dimensional dynamics: piecewise-affine N-shaped maps, odd cubic maps,
 the sine conjugacy between them, a periodic-orbit solver, and the package's
-bracketed root finder (`brentq`).
+bracketed root finder (`brentq`, and `brent_lockstep` for several
+searches at once).
 
 The maps are polymorphic over the scalar type.  Feeding `fractions.Fraction`
 inputs into a map whose coefficients are rational produces exact rational
@@ -20,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "brentq",
+    "brent_lockstep",
     "DomainError",
     "AffineBranch",
     "PiecewiseAffineMap",
@@ -40,24 +42,75 @@ def brentq(f, a, b, xtol: float) -> float:
     """A root of `f` in [a, b] to within xtol + BRENT_RTOL*|root| (xtol > 0),
     by Brent's method (Brent 1973, ch. 4).
 
-    A line-for-line port of scipy's `brentq.c`, so it takes the same iterates
-    as `scipy.optimize.brentq(f, a, b, xtol=xtol)`.  f(a) and f(b) must
-    differ in sign (else ValueError); a NaN value raises ValueError and no
-    convergence within BRENT_MAXITER iterations raises RuntimeError.
+    Drives one `_brent` search, evaluating f at each point it asks for, so
+    it takes the same iterates as `scipy.optimize.brentq(f, a, b,
+    xtol=xtol)`; `brent_lockstep` drives several searches at once on the
+    same core.  f(a) and f(b) must differ in sign (else ValueError); a NaN
+    value raises ValueError and no convergence within BRENT_MAXITER
+    iterations raises RuntimeError.
     """
+    fx = [0.0]
+    for x in _brent(a, b, xtol, fx):
+        fx[0] = f(x)
+    return fx[0]
 
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
 
+def brent_lockstep(evaluate, brackets, xtol: float) -> list:
+    """Brent searches on every (a, b) of `brackets` in lockstep, each taking
+    `brentq`'s iterates.
+
+    Each round calls `evaluate(rows)` once, with a (k, x) row for every live
+    search k, x the point it asks for next, and reads back each row's value,
+    or the exception its evaluation raised, which ends that search alone.
+    Returns, per bracket, the root or the exception that ended its search:
+    `brentq`'s ValueError or RuntimeError, or the evaluation's.
+    """
+    boxes = [[0.0] for _ in brackets]
+    searches = [_brent(a, b, xtol, box) for (a, b), box in zip(brackets, boxes)]
+    out: list = [None] * len(searches)
+    rows = [(k, next(search)) for k, search in enumerate(searches)]
+    while rows:
+        asked, rows = rows, []
+        for (k, _), fx in zip(asked, evaluate(asked)):
+            if isinstance(fx, BaseException):
+                out[k] = fx
+                continue
+            boxes[k][0] = fx
+            try:
+                x = next(searches[k], None)
+            except (ValueError, RuntimeError) as exc:
+                out[k] = exc
+                continue
+            if x is None:
+                out[k] = boxes[k][0]
+            else:
+                rows.append((k, x))
+    return out
+
+
+def _brent_value(x, fx) -> float:
+    fx = float(fx)
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
+
+
+def _brent(a, b, xtol, fx: list):
+    """Brent's method as a generator: yields each point it needs f at and
+    reads f there from fx[0] when resumed; on ending it leaves the root in
+    fx[0].  A line-for-line port of scipy's `brentq.c`; raises as `brentq`
+    documents."""
     xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
+    yield xpre
+    fpre = _brent_value(xpre, fx[0])
+    yield xcur
+    fcur = _brent_value(xcur, fx[0])
     if fpre == 0:
-        return xpre
+        fx[0] = xpre
+        return
     if fcur == 0:
-        return xcur
+        fx[0] = xcur
+        return
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
@@ -72,7 +125,8 @@ def brentq(f, a, b, xtol: float) -> float:
         delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
-            return xcur
+            fx[0] = xcur
+            return
 
         stry = math.nan  # fails the short-step test: bisect
         if abs(spre) > delta and abs(fcur) < abs(fpre):
@@ -92,7 +146,8 @@ def brentq(f, a, b, xtol: float) -> float:
 
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
+        yield xcur
+        fcur = _brent_value(xcur, fx[0])
     raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")
 
 

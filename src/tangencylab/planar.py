@@ -2,8 +2,9 @@
 
 Orbits, saddle solving, Lyapunov exponents, invariant-manifold polylines,
 and tangency detection/classification between an unstable and a stable
-curve measured along vertical fibers; the same tangencies as folds of the
-unstable curve against the stable eigenline, without polylines.
+curve measured along vertical fibers; `tangencylab.fold` measures the same
+tangencies as folds of the unstable curve against the stable eigenline,
+without polylines.
 
 Sign conventions for tangency events
 ------------------------------------
@@ -21,14 +22,16 @@ lower (valley) event it is the negative of it.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 import numpy as np
 
 from .maps1d import Cubic1D, brentq
+
+if TYPE_CHECKING:
+    from .fold import FoldPoint, FoldProbe
 
 __all__ = [
     "PlanarFamily",
@@ -51,11 +54,6 @@ __all__ = [
     "TangencyEvent",
     "classify_tangency",
     "scan_events",
-    "FoldPoint",
-    "fold_extremum",
-    "fold_zero",
-    "FoldProbe",
-    "fold_bound",
     "periodic_ordinate",
     "velocity_table",
     "limit_velocities",
@@ -278,7 +276,8 @@ def _newton_step(family, params, x, y, period):
     sx, sy = (b * ry - d * rx) / div, (c * rx - a * ry) / div
     x, y = x + sx, y + sy
     rn, sn, zn = np.sqrt(rx * rx + ry * ry), np.sqrt(sx * sx + sy * sy), np.sqrt(x * x + y * y)
-    ok = (det != 0.0) & np.isfinite(det) & np.isfinite(rn) & np.isfinite(sn) & np.isfinite(zn)
+    # finite, compared rather than tested (np.isfinite is slow on floats): inf and NaN compare False
+    ok = (det != 0.0) & (abs(det) < np.inf) & (rn < np.inf) & (sn < np.inf) & (zn < np.inf)
     return x, y, singular, ok, ok & _newton_converged(rn, sn, zn)
 
 
@@ -413,8 +412,8 @@ MAX_LEVELS = 64  # levels a manifold curve grows at most
 
 
 def _seed_domain(family: PlanarFamily, params, saddle: SaddlePoint, kind: str, direction):
-    """(advance, x0, x1): `advance(x, y, levels)` applies `grow_manifold`'s
-    map M `levels` times, and [x0, x1 = M(x0)] is its seed domain."""
+    """(base_map, reps, x0, x1): `grow_manifold`'s map M is `reps`
+    applications of `base_map`, and [x0, x1 = M(x0)] is its seed domain."""
     if kind == "unstable":
         mult, v = saddle.eig_unstable, saddle.vec_unstable
         base_map = family.forward
@@ -429,20 +428,23 @@ def _seed_domain(family: PlanarFamily, params, saddle: SaddlePoint, kind: str, d
     reps = saddle.period * (2 if mult < 0 else 1)
     p = np.array(saddle.location)
     vv = np.array(v, dtype=float)
-    vv /= np.linalg.norm(vv)
-    if direction is not None and float(np.dot(vv, np.asarray(direction, float))) < 0:
+    vv /= math.sqrt(vv.dot(vv))  # np.linalg.norm's arithmetic, without its overhead
+    if direction is not None and vv.dot(direction) < 0:
         vv = -vv
 
-    def advance(x, y, levels):
-        for _ in range(levels * reps):
-            x, y = base_map(params, x, y)
-        return np.asarray(x, float), np.asarray(y, float)
-
     x0 = p + SEED_EPS * vv
-    x1 = np.array(advance(x0[0], x0[1], 1))
-    if np.linalg.norm(x1 - p) <= np.linalg.norm(x0 - p):
+    x1 = np.array(_apply(base_map, params, x0[0], x0[1], reps))
+    d1, d0 = x1 - p, x0 - p
+    if math.sqrt(d1.dot(d1)) <= math.sqrt(d0.dot(d0)):
         raise ValueError("seed direction is not expanding under the chosen map")
-    return advance, x0, x1
+    return base_map, reps, x0, x1
+
+
+def _apply(base_map, params, x, y, times: int):
+    """`base_map` applied `times` times to (x, y)."""
+    for _ in range(times):
+        x, y = base_map(params, x, y)
+    return x, y
 
 
 # an escaping tail overflows to inf and NaN; the bisection masks keep it
@@ -525,7 +527,10 @@ def grow_manifold(
         raise ValueError("max_points must be >= 2")
     if math.isnan(clip):
         raise ValueError("clip must not be NaN")
-    advance, x0, x1 = _seed_domain(family, params, saddle, kind, direction)
+    base_map, reps, x0, x1 = _seed_domain(family, params, saddle, kind, direction)
+
+    def advance(x, y, levels):
+        return _apply(base_map, params, x, y, levels * reps)
 
     def eval_level(ts, level):
         return advance(x0[0] + ts * (x1[0] - x0[0]), x0[1] + ts * (x1[1] - x0[1]), level)
@@ -756,6 +761,7 @@ def classify_tangency(probe: Callable[[float], TangencyCandidate | FoldPoint], t
     """Classify the event tracked by `probe` (t -> TangencyCandidate, or a
     fold's `FoldPoint`) at t0; the event's location and gaps are t0's.
 
+    The four offsets are measured after t0, in one batch on a `FoldProbe`.
     The penetration slope is measured by central differences at
     dt = `CLASSIFY_DT` and dt/2 and Richardson-extrapolated; making = upward
     zero crossing of the penetration, breaking = downward.  A slope below
@@ -764,8 +770,7 @@ def classify_tangency(probe: Callable[[float], TangencyCandidate | FoldPoint], t
     """
     dt = CLASSIFY_DT
     c0 = probe(t0)
-    cp, cm = probe(t0 + dt), probe(t0 - dt)
-    cp2, cm2 = probe(t0 + dt / 2), probe(t0 - dt / 2)
+    cp, cm, cp2, cm2 = _measure_all(probe, [t0 + dt, t0 - dt, t0 + dt / 2, t0 - dt / 2])
     s1 = (cp.penetration - cm.penetration) / (2 * dt)
     s2 = (cp2.penetration - cm2.penetration) / dt
     slope = (4 * s2 - s1) / 3
@@ -798,15 +803,17 @@ PROBE_UNSTABLE_DIRECTION = (1.0, -1.0)  # the probes' unstable seed direction
 PROBE_STABLE_ARCLENGTH = 4.5  # the length of the probes' stable curves
 
 
-@contextmanager
-def _naming(t: float):
-    """Re-raise a `WindowRejected` or `NewtonDivergenceError` with the t it was measured at."""
-    try:
-        yield
-    except WindowRejected as exc:
-        raise WindowRejected(f"t={t}: {exc}") from exc
-    except NewtonDivergenceError as exc:
-        raise NewtonDivergenceError(f"t={t}: {exc}", exc.last) from exc
+def _named(t: float, exc: Exception) -> Exception:
+    """A `WindowRejected` or `NewtonDivergenceError` renamed with the t it was
+    measured at, caused by `exc`; any other exception as it is."""
+    if isinstance(exc, WindowRejected):
+        named = WindowRejected(f"t={t}: {exc}")
+    elif isinstance(exc, NewtonDivergenceError):
+        named = NewtonDivergenceError(f"t={t}: {exc}", exc.last)
+    else:
+        return exc
+    named.__cause__ = exc
+    return named
 
 
 @dataclass(frozen=True)
@@ -842,8 +849,10 @@ class FiberGapProbe:
 
     def __call__(self, t: float) -> TangencyCandidate:
         if t not in self._measured:
-            with _naming(t):
+            try:
                 self._measured[t] = self._measure(t)
+            except (WindowRejected, NewtonDivergenceError) as exc:
+                raise _named(t, exc) from exc
         return self._measured[t]
 
     def _saddles(self, params) -> tuple:
@@ -885,164 +894,25 @@ def scan_events(probe: FiberGapProbe | FoldProbe, ts) -> tuple[list, TangencyEve
     """The penetrations of `probe` (or of a `FoldProbe`) at the scan values
     `ts`, and its first tangency event over them.
 
-    The first consecutive pair of `ts` whose penetrations change sign (or
-    whose left end is exactly zero) brackets the zero, which `locate_zero`
-    refines and `classify_tangency` classifies.  Returns (penetrations,
-    event); the event is None when no pair changes sign.
+    A `FoldProbe` measures all of `ts` in one batch.  The first consecutive
+    pair of `ts` whose penetrations change sign, or whose left end is exactly
+    zero (or, for the last pair, either end), brackets the zero, which
+    `locate_zero` refines and `classify_tangency` classifies.  Returns
+    (penetrations, event); the event is None when no pair brackets a zero.
     """
-    pens = [probe.penetration(t) for t in ts]
+    pens = [c.penetration for c in _measure_all(probe, ts)]
+    last = len(ts) - 2
     for i in range(len(ts) - 1):
-        if pens[i] == 0.0 or pens[i] * pens[i + 1] < 0:
+        if pens[i] == 0.0 or pens[i] * pens[i + 1] < 0 or (i == last and pens[i + 1] == 0.0):
             return pens, classify_tangency(probe, probe.locate_zero((ts[i], ts[i + 1])))
     return pens, None
 
 
-# ---------------------------------------------------------------------------
-# Tangency as a fold of the unstable curve
-# ---------------------------------------------------------------------------
-
-FOLD_GRID = 128  # seed-coordinate points per level of the fold search's grid
-FOLD_ZOOM = 65  # points per refinement step of the fold search
-FOLD_TOL = 1e-13  # gap spread that ends the refinement; the extremum is then within a quarter of it
-
-
-@dataclass(frozen=True)
-class FoldPoint:
-    sigma: float  # seed coordinate of the extremum on the unstable curve
-    penetration: float  # max G at a peak, -min G at a valley
-    location: tuple  # q(sigma)
-    gap: float  # G there: the penetration at a peak, minus it at a valley
-
-
-def fold_extremum(probe: FiberGapProbe, t: float) -> FoldPoint:
-    """A probe's penetration at t from the fold of its unstable curve, with
-    no stable curve or polyline (Krauskopf & Osinga 1998): max G at a peak,
-    -min G at a valley, of G(sigma) = <q(sigma) - p_s, n_s>, the signed
-    distance from the stable saddle p_s's eigenline (upward normal n_s).
-
-    With `grow_manifold`'s domain [x0, x1] and map M, q(sigma) =
-    M^floor(sigma)(x0 + frac(sigma)(x1 - x0)) runs on across levels.  Only
-    the probe's own arc counts: arclength at most `unstable_arclength`,
-    inside the window; later levels fold back through it.  A grid of
-    `FOLD_GRID` points per level, even in log(1 + (lam - 1) frac(sigma)),
-    brackets the extremum, and `FOLD_ZOOM`-point grids refine it until the
-    gap spread is `FOLD_TOL`.  Each call starts afresh.  A missed window or
-    an extremum at an end of the arc there raises `WindowRejected`, and a
-    diverging saddle solve `NewtonDivergenceError`, each naming t.
-    """
-    with _naming(t):
-        return _fold_extremum(probe, t)
-
-
-# sigma points far along W^u escape to inf and NaN; they fall outside the
-# window and the arc, so numpy need not warn about them
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _fold_extremum(probe: FiberGapProbe, t: float) -> FoldPoint:
-    params = probe.curve(t)
-    su, ss = probe._saddles(params)
-    advance, x0, x1 = _seed_domain(probe.family, params, su, "unstable", PROBE_UNSTABLE_DIRECTION)
-
-    lam = math.hypot(x1[0] - su.location[0], x1[1] - su.location[1]) / SEED_EPS
-    ts = np.expm1(math.log(lam) * np.arange(FOLD_GRID) / FOLD_GRID) / (lam - 1)
-    X, Y = x0[0] + ts * (x1[0] - x0[0]), x0[1] + ts * (x1[1] - x0[1])
-    sig, xs, ys, runs = [], [], [], []
-    arc, last = 0.0, x0
-    for level in range(MAX_LEVELS):
-        if level:
-            X, Y = advance(X, Y, 1)
-        sig.append(level + ts)
-        xs.append(X)
-        ys.append(Y)
-        runs.append(arc + np.cumsum(np.hypot(X - np.append(last[0], X[:-1]), Y - np.append(last[1], Y[:-1]))))
-        arc, last = runs[-1][-1], (X[-1], Y[-1])
-        if not arc < probe.unstable_arclength:  # reached, or non-finite
-            break
-    sig, xs, ys = np.concatenate(sig), np.concatenate(xs), np.concatenate(ys)
-    past = ~(np.concatenate(runs) <= probe.unstable_arclength)  # NaN past an escape counts as past
-    sigma_end = sig[int(np.argmax(past)) - 1] if past.any() else sig[-1]
-
-    (xlo, xhi), (ylo, yhi) = probe.window
-    (px, py), (vx, vy) = ss.location, ss.vec_stable
-    norm = math.hypot(vx, vy) * (1.0 if vx >= 0 else -1.0) * (1.0 if probe.mode == "peak" else -1.0)
-    nx, ny = -vy / norm, vx / norm  # the upward unit normal, turned down for a valley
-
-    def gap(x, y, sigma):
-        """The extremized G, and -inf off the arc in the window."""
-        inside = (xlo <= x) & (x <= xhi) & (ylo <= y) & (y <= yhi) & (sigma <= sigma_end)
-        return np.where(inside, (x - px) * nx + (y - py) * ny, -np.inf)
-
-    g = gap(xs, ys, sig)
-    i = int(np.argmax(g))
-    if g[i] == -np.inf:
-        raise WindowRejected("the unstable arc misses the window")
-    lo, hi = sig[max(i - 1, 0)], sig[min(i + 1, len(sig) - 1)]
-    best = (sig[i], g[i], xs[i], ys[i])
-    while True:
-        s = np.linspace(lo, hi, FOLD_ZOOM)
-        level = np.floor(s)
-        frac = s - level
-        qx, qy = advance(x0[0] + frac * (x1[0] - x0[0]), x0[1] + frac * (x1[1] - x0[1]), int(level[0]))
-        for extra in range(1, int(level[-1] - level[0]) + 1):  # a bracket across a level end
-            on = level >= level[0] + extra
-            qx[on], qy[on] = advance(qx[on], qy[on], 1)
-        gs = gap(qx, qy, s)
-        j = int(np.argmax(gs))
-        if gs[j] >= best[1]:
-            best = (s[j], gs[j], qx[j], qy[j])
-        j = min(max(j, 1), FOLD_ZOOM - 2)
-        spread = best[1] - min(gs[j - 1], gs[j + 1])
-        if spread == np.inf:
-            raise WindowRejected(f"the {probe.mode} lies at an end of the arc in the window, sigma={best[0]}")
-        if spread <= FOLD_TOL or s[j + 1] - s[j - 1] <= 4 * np.spacing(s[j]):
-            break
-        lo, hi = s[j - 1], s[j + 1]
-    sigma, pen, x, y = map(float, best)
-    return FoldPoint(sigma, pen, (x, y), pen if probe.mode == "peak" else -pen)
-
-
-def fold_zero(probe: FiberGapProbe, bracket: tuple) -> float:
-    """Zero of the fold penetration inside `bracket`, by Brent's method to `ROOT_XTOL`.
-
-    Raises `ValueError` when the penetration has the same sign at both ends.
-    """
-    return brentq(lambda t: fold_extremum(probe, t).penetration, *bracket, xtol=ROOT_XTOL)
-
-
-@dataclass(frozen=True)
-class FoldProbe:
-    """`probe`'s fold route with a probe's interface, for `scan_events` and
-    `classify_tangency`: t -> `fold_extremum`, and `fold_zero` roots."""
-
-    probe: FiberGapProbe
-
-    def __call__(self, t: float) -> FoldPoint:
-        return fold_extremum(self.probe, t)
-
-    def penetration(self, t: float) -> float:
-        return self(t).penetration
-
-    def locate_zero(self, bracket: tuple) -> float:
-        return fold_zero(self.probe, bracket)
-
-
-def fold_bound(probe: FiberGapProbe, event: TangencyEvent) -> float:
-    """Largest expected |probe event - fold root| in t: over |gap_slope|, the
-    polyline's chord sag |curvature_gap| h^2 / 8 of the event's candidate (h
-    = `PROBE_H_MAX`), the three-fiber parabola's error |g'''| h_f^3 / (9 sqrt 3)
-    with g''' = -6 the limit cubic's, and the far end's distance from the
-    stable eigenline of the probe's stable curve, a chord starting on it;
-    plus `ROOT_XTOL` per root.
-    """
-    params = probe.curve(event.parameter)
-    _, ss = probe._saddles(params)
-    _, _, x1 = _seed_domain(probe.family, params, ss, "stable", probe.stable_direction)
-    (px, py), (vx, vy) = ss.location, ss.vec_stable
-    offset = abs((x1[0] - px) * vy - (x1[1] - py) * vx) / math.hypot(vx, vy)
-    (xlo, xhi), _ = probe.window
-    h = (xhi - xlo) / (N_FIBERS - 1)
-    sag = abs(event.candidate.curvature_gap) * PROBE_H_MAX ** 2 / 8
-    vertex = 6 * h ** 3 / (9 * math.sqrt(3))
-    return (sag + vertex + offset) / abs(event.gap_slope) + 2 * ROOT_XTOL
+def _measure_all(probe, ts) -> list:
+    """probe(t) for each t of `ts`: in one batch on a probe that measures
+    many t at once (`fold.FoldProbe.at`), in turn on any other."""
+    at = getattr(probe, "at", None)
+    return at(ts) if at else [probe(t) for t in ts]
 
 
 # ---------------------------------------------------------------------------
@@ -1144,25 +1014,23 @@ class LocusFit:
     strictly_decreasing: bool
 
 
-def tangency_locus(
-    gap_fn: Callable[[float, float], float],
-    brackets: Mapping[float, tuple],
-) -> LocusFit:
+def tangency_locus(roots: Mapping[float, float | Exception]) -> LocusFit:
     """Tangency locus nu(mu) and its least-squares line.
 
-    `brackets` maps each mu to a (nu_lo, nu_hi) bracket; the root of
-    gap_fn(mu, .) inside it is found by Brent's method to `ROOT_XTOL`.  A mu whose
-    bracket shows no sign change is skipped and reported.
+    `roots` maps each mu to the outcome of its root search to `ROOT_XTOL`
+    (`fold.fold_roots`, or `maps1d.brent_lockstep`): the root, or the exception
+    that ended the search.  A mu whose search ended in a ValueError (its
+    bracket shows no sign change) is skipped and reported; any other
+    exception, a `WindowRejected` included, is re-raised, the first in mu
+    order.
     """
     mus, nus, skipped = [], [], []
-    for mu, (lo, hi) in brackets.items():
-        try:
-            nu = brentq(lambda v: gap_fn(mu, v), lo, hi, xtol=ROOT_XTOL)
-        except WindowRejected:
-            raise  # a failed measurement, not a lost locus
-        except ValueError:  # no sign change over the bracket
+    for mu, nu in roots.items():
+        if isinstance(nu, ValueError) and not isinstance(nu, WindowRejected):  # no sign change over the bracket
             skipped.append(mu)
             continue
+        if isinstance(nu, Exception):
+            raise nu  # a failed measurement, not a lost locus
         mus.append(mu)
         nus.append(nu)
     if len(mus) < 2:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.random import default_rng
 
-from . import cantor, maps1d, planar, renorm, wangyoung
+from . import cantor, fold, maps1d, planar, renorm, wangyoung
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all", "EXPECTED"]
 
@@ -183,15 +183,15 @@ def _criterion_tangency(c: _Check):
 
     # the locus goes first: its mu = 3 root is the upper probe's fold root in
     # `bracket` (nu_pred +- 0.03), which the event cross-check below reads
+    # with the lower one; the locus searches and the lower root run in lockstep
     mus = [float(m) for m in np.linspace(2.85, 3.15, 7)]
     probes = {mu: planar.region_probes(fam, mu) for mu in mus}
-    fit = planar.tangency_locus(
-        lambda mu, nu: planar.fold_extremum(probes[mu][0]["upper"], nu).penetration,
-        {mu: (pred - 0.03, pred + 0.03) for mu, (_, pred) in probes.items()},
-    )
     regions, nu_pred = probes[3.0]
     up, lo = regions["upper"], regions["lower"]
     bracket = (nu_pred - 0.03, nu_pred + 0.03)
+    *roots, lo_root = fold.fold_roots(
+        [(p["upper"], (pred - 0.03, pred + 0.03)) for p, pred in probes.values()] + [(lo, bracket)])
+    fit = planar.tangency_locus(dict(zip(mus, roots)))
     _, ev_up = planar.scan_events(up, bracket)
     _, ev_lo = planar.scan_events(lo, bracket)
     if ev_up is None:
@@ -221,8 +221,10 @@ def _criterion_tangency(c: _Check):
         # the fold route reads no polyline, so each event sits within its probe's
         # interpolation error of the fold root
         up_root = dict(zip(fit.mu_values, fit.nu_values))[3.0]
-        offs = [(abs(ev.parameter - root), planar.fold_bound(probe, ev))
-                for probe, ev, root in ((up, ev_up, up_root), (lo, ev_lo, planar.fold_zero(lo, bracket)))]
+        if isinstance(lo_root, Exception):
+            raise lo_root
+        offs = [(abs(ev.parameter - root), fold.fold_bound(probe, ev))
+                for probe, ev, root in ((up, ev_up, up_root), (lo, ev_lo, lo_root))]
         c.expect(
             all(d <= b for d, b in offs),
             "probe events within the derived bound of their fold roots: "

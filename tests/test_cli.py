@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import tangencylab
-from tangencylab import cantor, planar, renorm, verify
+from tangencylab import cantor, fold, planar, renorm, verify
 from tangencylab.cli import ExperimentConfig, _write_json, main
 from tangencylab.renorm import ModelParams, residual_sup
 
@@ -355,26 +355,49 @@ class TestTangencyCommand:
         for row in scan:
             t = float(row["t"])
             for region, probe in probes.items():
-                assert float(row[f"{region}_penetration"]) == planar.fold_extremum(probe, t).penetration
+                assert float(row[f"{region}_penetration"]) == fold.fold_extremum(probe, t).penetration
         events = rows("events.csv")
         assert [row["region"] for row in events] == ["upper", "lower"]
         for row in events:
-            fold = planar.fold_extremum(probes[row["region"]], float(row["t"]))
+            point = fold.fold_extremum(probes[row["region"]], float(row["t"]))
             got = tuple(float(row[k]) for k in ("x", "y", "min_gap", "penetration"))
-            assert got == (*fold.location, fold.gap, fold.penetration)
+            assert got == (*point.location, point.gap, point.penetration)
             assert got[2] == (got[3] if row["region"] == "upper" else -got[3])
+
+    def test_each_fold_row_is_measured_once(self, tmp_path, monkeypatch):
+        # at the defaults the two regions' scans, roots and slopes read 40
+        # distinct (region, t) fold rows, each measured once, in batches of one
+        # region's rows; the values do not depend on the order they are measured in
+        batches, folds = [], {}
+        batch = fold.fold_extrema
+
+        def recording(rows):
+            batches.append([(probe.mode, t) for probe, t in rows])
+            out = batch(rows)
+            folds.update(((probe, t), point) for (probe, t), point in zip(rows, out))
+            return out
+
+        monkeypatch.setattr(fold, "fold_extrema", recording)
+        assert main(["tangency", "--out", str(tmp_path)]) == 0
+        rows = [row for b in batches for row in b]
+        assert len(rows) == len(set(rows)) == 40
+        assert all(len({mode for mode, _ in b}) == 1 for b in batches)
+        assert [len(b) for b in batches][:2] == [13, 1]  # the scan, then Brent's first step
+        keys = list(folds)
+        assert batch(keys[::-1])[::-1] == [folds[k] for k in keys]
 
     def test_upper_error_is_reported_before_an_earlier_lower_one(self, tmp_path, capsys, monkeypatch):
         # the upper region rejects the last scan t, the lower one the first
         bad_t = {"upper": 0.03, "lower": -0.03}
 
-        def fold_extremum(region, t):
-            if t == bad_t[region]:
-                raise planar.WindowRejected(f"t={t}: no crossing")
-            return planar.FoldPoint(0.0, 1.0, (0.0, 0.0), 1.0)
+        def fold_extrema(rows):
+            for region, t in rows:
+                if t == bad_t[region]:
+                    raise planar.WindowRejected(f"t={t}: no crossing")
+            return [fold.FoldPoint(0.0, 1.0, (0.0, 0.0), 1.0) for _ in rows]
 
         monkeypatch.setattr(planar, "region_probes", lambda fam, mu: ({r: r for r in bad_t}, 0.0))
-        monkeypatch.setattr(planar, "fold_extremum", fold_extremum)
+        monkeypatch.setattr(fold, "fold_extrema", fold_extrema)
         with pytest.raises(SystemExit):
             main(["tangency", "--points", "3", "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err

@@ -10,6 +10,7 @@ from scipy.optimize import brentq as scipy_brentq
 from tangencylab import maps1d, wangyoung
 from tangencylab.maps1d import (
     Cubic1D,
+    brent_lockstep,
     brentq,
     DomainError,
     conjugacy,
@@ -445,6 +446,63 @@ class TestBrentq:
 
         b = a + width
         assert outcome(lambda: brentq(f, a, b, xtol)) == outcome(lambda: scipy_brentq(f, a, b, xtol=xtol))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        searches=st.lists(st.tuples(
+            st.sampled_from(sorted(BRENT_FUNCTIONS)), st.floats(-5, 5), st.floats(-3, 3),
+            st.integers(-300, 300), st.floats(-4, 4), st.floats(1e-6, 8),
+        ), min_size=1, max_size=6),
+        xtol=st.sampled_from([1e-8, 1e-10, 1e-13, 1e-14]),
+    )
+    def test_lockstep_takes_each_searchs_iterates(self, searches, xtol):
+        # every search asks for the points `brentq` evaluates on its bracket,
+        # in order, and ends in scipy's root or exception type
+        fs, brackets = [], []
+        for kind, p, q, scale, a, width in searches:
+            g, s = BRENT_FUNCTIONS[kind](p, q), 10.0**scale
+            fs.append(lambda x, g=g, s=s: s * g(x))
+            brackets.append((a, a + width))
+        asked = [[] for _ in fs]
+
+        def evaluate(rows):
+            assert len({k for k, _ in rows}) == len(rows)  # one row per live search
+            for k, x in rows:
+                asked[k].append(x)
+            return [fs[k](x) for k, x in rows]
+
+        got = brent_lockstep(evaluate, brackets, xtol)
+        for f, (a, b), root, points in zip(fs, brackets, got, asked):
+            seen = []
+            serial = outcome(lambda: brentq(lambda x: seen.append(x) or f(x), a, b, xtol))
+            assert (root.hex() if isinstance(root, float) else type(root).__name__) == serial
+            assert serial == outcome(lambda: scipy_brentq(f, a, b, xtol=xtol))
+            assert points == seen
+
+    def test_lockstep_failures_end_their_own_search(self):
+        # an exact zero at an end, a same-sign bracket, a NaN value and an
+        # evaluation that fails: each search's own outcome, the others run on
+        failure = KeyError("no value")
+        fs = [
+            lambda x: x - 0.25,
+            lambda x: x - 3.0,  # zero at b
+            lambda x: x * x + 1.0,  # no sign change
+            lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5,
+            lambda x: failure if 0.0 < x < 1.0 else x - 0.75,  # fails at its first interior point
+        ]
+        brackets = [(0.0, 1.0), (1.0, 3.0), (-1.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
+        rounds = []
+
+        def evaluate(rows):
+            rounds.append([k for k, _ in rows])
+            return [fs[k](x) for k, x in rows]
+
+        got = brent_lockstep(evaluate, brackets, 1e-14)
+        assert got[0] == brentq(fs[0], 0.0, 1.0, 1e-14) and got[1] == 3.0
+        assert isinstance(got[2], ValueError) and "different signs" in str(got[2])
+        assert isinstance(got[3], ValueError) and "NaN" in str(got[3])
+        assert got[4] is failure
+        assert rounds[:2] == [[0, 1, 2, 3, 4]] * 2 and all(2 not in r and 1 not in r for r in rounds[2:])
 
     def test_returns_a_float(self):
         root = brentq(lambda x: np.float64(x) - 0.5, 0.0, 1.0, 1e-14)

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from tangencylab import planar
-from tangencylab.maps1d import Cubic1D
+from tangencylab import fold, planar
+from tangencylab.maps1d import Cubic1D, brent_lockstep, brentq
 from tangencylab.planar import (
     _fiber_ordinates,
     FiberGapProbe,
@@ -844,6 +844,14 @@ class TestClassify:
         assert ev.classification == "withheld"
 
 
+def locus(gap, brackets):
+    """`tangency_locus` of the roots of gap(mu, .) in each mu's bracket, the
+    searches in lockstep."""
+    mus = list(brackets)
+    roots = brent_lockstep(lambda rows: [gap(mus[k], nu) for k, nu in rows], brackets.values(), planar.ROOT_XTOL)
+    return tangency_locus(dict(zip(mus, roots)))
+
+
 class LinearProbe:
     """Penetration slope * (t - root); records every bracket it is asked to solve."""
 
@@ -878,6 +886,15 @@ class TestScanEvents:
         probe = LinearProbe(1.0, 2.0)
         assert scan_events(probe, self.ts) == ([-2.5, -2.0, -1.5, -1.0], None)
         assert probe.brackets == []
+
+    def test_zero_at_the_last_scan_value(self):
+        # the right end of the last pair is exactly zero, with no sign change before it
+        probe = LinearProbe(1.0, 1.0)
+        pens, ev = scan_events(probe, self.ts)
+        assert pens == [-1.5, -1.0, -0.5, 0.0]
+        assert probe.brackets == [(0.5, 1.0)]
+        assert ev.parameter == 1.0
+        assert ev.classification == "contact-making"
 
     def test_sign_change_in_the_last_interval(self):
         falling, rising = LinearProbe(-1.0, 0.75), LinearProbe(1.0, -2.0)
@@ -916,7 +933,7 @@ class TestVelocities:
 
     def test_limit_locus_slope_matches_the_velocities(self):
         mus = np.linspace(2.99, 3.01, 5)
-        fit = tangency_locus(limit_upper_gap, {float(m): (-0.1, 0.1) for m in mus})
+        fit = locus(limit_upper_gap, {float(m): (-0.1, 0.1) for m in mus})
         assert abs(fit.slope - planar.limit_velocities()[("locus_slope", +1)]) < 1e-3
 
     def test_periodic_ordinate_solves_period_two(self):
@@ -929,7 +946,7 @@ class TestVelocities:
 class TestLocus:
     def test_limit_surrogate_slope(self):
         mus = np.linspace(2.95, 3.05, 5)
-        fit = tangency_locus(limit_upper_gap, {float(m): (-0.3, 0.3) for m in mus})
+        fit = locus(limit_upper_gap, {float(m): (-0.3, 0.3) for m in mus})
         assert abs(fit.slope + 5.0 / 6.0) < 0.02
         assert fit.strictly_decreasing
         assert not fit.skipped
@@ -944,7 +961,7 @@ class TestLocus:
             return crest - periodic_ordinate(mu, nu, +1)
 
         mus = np.linspace(2.98, 3.02, 5)
-        fit = tangency_locus(gap, {float(m): (-0.3, 0.3) for m in mus})
+        fit = locus(gap, {float(m): (-0.3, 0.3) for m in mus})
         assert abs(fit.slope + 2.5) < 0.05
 
     def test_lost_locus_skipped(self):
@@ -952,19 +969,33 @@ class TestLocus:
             return 1.0  # never crosses
 
         with pytest.raises(ValueError):
-            tangency_locus(gap, {mu: (-0.1, 0.1) for mu in (2.9, 3.0, 3.1)})
+            locus(gap, {mu: (-0.1, 0.1) for mu in (2.9, 3.0, 3.1)})
 
     def test_partially_lost_locus_skipped_and_rest_fitted(self):
         # the root near nu = -5/6 (mu - 3) lies outside the bracket given for
         # mu = 3.0, so that point alone is lost
         brackets = {float(m): (-0.3, 0.3) for m in np.linspace(2.95, 3.05, 5)}
         brackets[3.0] = (0.2, 0.3)
-        fit = tangency_locus(limit_upper_gap, brackets)
+        fit = locus(limit_upper_gap, brackets)
         assert fit.skipped == (3.0,)
         assert 3.0 not in fit.mu_values
         assert len(fit.mu_values) == 4
         assert all(abs(limit_upper_gap(m, v)) < 1e-6 for m, v in zip(fit.mu_values, fit.nu_values))
         assert abs(fit.slope + 5.0 / 6.0) < 0.02
+
+    def test_a_failed_measurement_is_raised_in_mu_order(self):
+        # a ValueError outcome is a lost grid point; any other is re-raised,
+        # a WindowRejected (a ValueError) included, the first in mu order
+        rejected, diverged = WindowRejected("t=0.1: missed"), NewtonDivergenceError("t=0.2: diverged", (0, 0))
+        roots = {2.9: ValueError("no sign change"), 3.0: rejected, 3.1: diverged}
+        with pytest.raises(WindowRejected) as exc:
+            tangency_locus(roots)
+        assert exc.value is rejected
+        with pytest.raises(NewtonDivergenceError) as exc:
+            tangency_locus({**roots, 3.0: -0.1})
+        assert exc.value is diverged
+        fit = tangency_locus({2.9: ValueError("no sign change"), 3.0: 0.1, 3.1: 0.0})
+        assert fit.skipped == (2.9,) and fit.mu_values == (3.0, 3.1)
 
 
 def region_probe(fam, mu, region):
@@ -1189,13 +1220,13 @@ class TestFold:
     def test_probe_and_fold_loci_agree_within_the_bound(self):
         probes = {mu: self.probe(mu, "upper") for mu in self.mus}
         brackets = {mu: (pred - 0.03, pred + 0.03) for mu, (_, pred) in probes.items()}
-        by_probe = tangency_locus(lambda mu, nu: probes[mu][0].penetration(nu), brackets)
-        by_fold = tangency_locus(lambda mu, nu: planar.fold_extremum(probes[mu][0], nu).penetration, brackets)
+        by_probe = locus(lambda mu, nu: probes[mu][0].penetration(nu), brackets)
+        by_fold = tangency_locus(dict(zip(self.mus, fold.fold_roots([(probes[mu][0], brackets[mu]) for mu in self.mus]))))
         assert by_probe.mu_values == by_fold.mu_values == tuple(self.mus)
         for mu, nu_probe, nu_fold in zip(self.mus, by_probe.nu_values, by_fold.nu_values):
             probe = probes[mu][0]
             event = classify_tangency(probe, nu_probe)
-            assert abs(nu_fold - nu_probe) <= planar.fold_bound(probe, event), mu
+            assert abs(nu_fold - nu_probe) <= fold.fold_bound(probe, event), mu
         assert by_fold.strictly_decreasing
         assert abs(by_fold.slope - by_probe.slope) < 1e-4
 
@@ -1208,8 +1239,8 @@ class TestFold:
         for mu, region in cases:
             probe, pred = self.probe(mu, region)
             bracket = (pred - 0.03, pred + 0.03)
-            (_, by_probe), (_, by_fold) = scan_events(probe, bracket), scan_events(planar.FoldProbe(probe), bracket)
-            assert abs(by_fold.parameter - by_probe.parameter) <= planar.fold_bound(probe, by_probe), (mu, region)
+            (_, by_probe), (_, by_fold) = scan_events(probe, bracket), scan_events(fold.FoldProbe(probe), bracket)
+            assert abs(by_fold.parameter - by_probe.parameter) <= fold.fold_bound(probe, by_probe), (mu, region)
             assert by_fold.classification == by_probe.classification, (mu, region)
             assert by_fold.classification == ("contact-making" if region == "upper" else "contact-breaking")
 
@@ -1218,35 +1249,37 @@ class TestFold:
         # like the probe's: unstable minus stable ordinate side
         for region in ("upper", "lower"):
             probe, pred = self.probe(3.0, region)
-            fold, cand = planar.fold_extremum(probe, pred + 0.01), probe(pred + 0.01)
-            assert fold.gap == (fold.penetration if region == "upper" else -fold.penetration)
-            assert math.dist(fold.location, cand.location) < 1e-4
-            assert abs(fold.gap - cand.gap) < 2e-5 < abs(cand.gap)
+            point, cand = fold.fold_extremum(probe, pred + 0.01), probe(pred + 0.01)
+            assert point.gap == (point.penetration if region == "upper" else -point.penetration)
+            assert math.dist(point.location, cand.location) < 1e-4
+            assert abs(point.gap - cand.gap) < 2e-5 < abs(cand.gap)
 
     @pytest.mark.parametrize("region", ["upper", "lower"])
     def test_fold_probe_is_the_fold_route(self, region):
-        # a FoldProbe's value, penetration and root are fold_extremum's and
-        # fold_zero's, and each fold call starts afresh
+        # a FoldProbe's values, penetrations and root are fold_extremum's and
+        # Brent's method on them, in any call order, and its batches are the same
         probe, pred = self.probe(3.0, region)
-        fp = planar.FoldProbe(probe)
+        fp = fold.FoldProbe(probe)
         ts = [pred - 0.02, pred, pred + 0.01]
-        fresh = [planar.fold_extremum(probe, t) for t in ts]
+        fresh = [fold.fold_extremum(probe, t) for t in ts]
         assert [fp(t) for t in reversed(ts)][::-1] == fresh
         assert [fp.penetration(t) for t in ts] == [f.penetration for f in fresh]
+        assert fold.FoldProbe(probe).at(ts[::-1] + ts) == fresh[::-1] + fresh
         bracket = (pred - 0.03, pred + 0.03)
-        assert fp.locate_zero(bracket) == planar.fold_zero(probe, bracket)
+        root = brentq(lambda t: fold.fold_extremum(probe, t).penetration, *bracket, xtol=planar.ROOT_XTOL)
+        assert fp.locate_zero(bracket) == root == fold.fold_roots([(probe, bracket)])[0]
 
     @pytest.mark.parametrize("region", ["upper", "lower"])
     def test_fold_event_carries_its_root_fold(self, region):
         # classify_tangency on a FoldProbe: the event's location and gaps are
         # the fold at the root, whose penetration vanishes to the root tolerance
         probe, pred = self.probe(3.0, region)
-        fp = planar.FoldProbe(probe)
+        fp = fold.FoldProbe(probe)
         t0 = fp.locate_zero((pred - 0.03, pred + 0.03))
         ev = classify_tangency(fp, t0)
-        fold = planar.fold_extremum(probe, t0)
-        assert isinstance(ev.candidate, planar.FoldPoint) and ev.candidate == fold
-        assert (ev.parameter, ev.location, ev.min_gap, ev.penetration) == (t0, fold.location, fold.gap, fold.penetration)
+        point = fold.fold_extremum(probe, t0)
+        assert isinstance(ev.candidate, fold.FoldPoint) and ev.candidate == point
+        assert (ev.parameter, ev.location, ev.min_gap, ev.penetration) == (t0, point.location, point.gap, point.penetration)
         assert abs(ev.penetration) < abs(ev.gap_slope) * 10 * planar.ROOT_XTOL
         assert ev.richardson_consistent
         assert ev.classification == ("contact-making" if region == "upper" else "contact-breaking")
@@ -1257,41 +1290,41 @@ class TestFold:
         # probe's arc ends in level 3; over every level the fold is a later sheet's
         probe, pred = self.probe(3.0, "lower")
         bracket = (pred - 0.03, pred + 0.03)
-        root = planar.fold_zero(probe, bracket)
-        assert 3.11 < planar.fold_extremum(probe, root).sigma < 3.35
+        root = fold.FoldProbe(probe).locate_zero(bracket)
+        assert 3.11 < fold.fold_extremum(probe, root).sigma < 3.35
         _, event = scan_events(probe, bracket)
-        assert abs(root - event.parameter) <= planar.fold_bound(probe, event)
+        assert abs(root - event.parameter) <= fold.fold_bound(probe, event)
         every_level = dataclasses.replace(probe, unstable_arclength=1e9)
-        other = planar.fold_zero(every_level, bracket)
-        assert other > 0.006 and planar.fold_extremum(every_level, other).sigma > 4
+        other = fold.FoldProbe(every_level).locate_zero(bracket)
+        assert other > 0.006 and fold.fold_extremum(every_level, other).sigma > 4
 
     @pytest.mark.parametrize("mu, lo, hi", [(2.85, 4.0, 4.01), (3.0, 3.72, 4.0)])
     def test_upper_crest_across_a_level_end(self, mu, lo, hi):
         # the crest sits just past sigma = 4 at 2.85 and before it at 3
         probe, pred = self.probe(mu, "upper")
-        root = planar.fold_zero(probe, (pred - 0.03, pred + 0.03))
-        assert lo < planar.fold_extremum(probe, root).sigma < hi
+        root = fold.FoldProbe(probe).locate_zero((pred - 0.03, pred + 0.03))
+        assert lo < fold.fold_extremum(probe, root).sigma < hi
 
     def test_value_does_not_depend_on_earlier_calls(self):
         probe, pred = self.probe(3.0, "upper")
-        fresh = planar.fold_extremum(probe, pred)
+        fresh = fold.fold_extremum(probe, pred)
         for t in (pred + 0.03, pred - 0.03):
-            planar.fold_extremum(probe, t)
+            fold.fold_extremum(probe, t)
         other, _ = self.probe(3.0, "upper")
-        other_first = planar.fold_extremum(other, pred - 0.01)
-        assert planar.fold_extremum(probe, pred) == fresh == planar.fold_extremum(other, pred)
+        other_first = fold.fold_extremum(other, pred - 0.01)
+        assert fold.fold_extremum(probe, pred) == fresh == fold.fold_extremum(other, pred)
         assert other_first != fresh
 
     def test_bracket_without_sign_change_rejected(self):
         probe, pred = self.probe(3.0, "upper")
         with pytest.raises(ValueError, match="different signs"):
-            planar.fold_zero(probe, (pred + 0.01, pred + 0.03))
+            fold.FoldProbe(probe).locate_zero((pred + 0.01, pred + 0.03))
 
     def test_missed_window_names_t(self):
         probe, pred = self.probe(3.0, "upper")
         missed = dataclasses.replace(probe, window=((5.0, 6.0), (5.0, 6.0)))
         with pytest.raises(WindowRejected, match=rf"^t={pred}: the unstable arc misses the window$"):
-            planar.fold_extremum(missed, pred)
+            fold.fold_extremum(missed, pred)
 
     @pytest.mark.parametrize("region, window", [
         ("upper", ((0.55, 0.9), (1.2, 2.6))),  # the crest at x = 1 is outside
@@ -1301,7 +1334,7 @@ class TestFold:
         probe, pred = self.probe(3.0, region)
         cut = dataclasses.replace(probe, window=window)
         with pytest.raises(WindowRejected, match=rf"^t={pred}: the (peak|valley) lies at an end of the arc"):
-            planar.fold_extremum(cut, pred)
+            fold.fold_extremum(cut, pred)
 
     def test_escaping_sigma_points_raise_no_warning(self):
         # with no arclength limit the grid runs on until its points overflow;
@@ -1318,6 +1351,123 @@ class TestFold:
         every_level = dataclasses.replace(probe, family=fam, unstable_arclength=math.inf)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fold = planar.fold_extremum(every_level, pred)
+            point = fold.fold_extremum(every_level, pred)
         assert any(seen)
-        assert np.isfinite(fold.penetration)
+        assert np.isfinite(point.penetration)
+
+
+def fold_outcome(outcome):
+    """A `fold._fold_rows` outcome as text: the FoldPoint's repr, or the error's type and message."""
+    return repr(outcome) if isinstance(outcome, fold.FoldPoint) else f"{type(outcome).__name__}: {outcome}"
+
+
+def one_row(probe, t):
+    try:
+        return fold_outcome(fold.fold_extremum(probe, t))
+    except (WindowRejected, NewtonDivergenceError) as exc:
+        return fold_outcome(exc)
+
+
+class TestFoldBatch:
+    """`fold_extrema` measures many (probe, t) rows at once, each bit for bit
+    as its one-row call, and `fold_roots` runs Brent searches in lockstep."""
+
+    mus = TestFold.mus
+
+    @staticmethod
+    def grid_rows():
+        """Criterion 5's 7 mu x both regions x 13 t."""
+        fam = renormalized_family(ModelParams(), 6)
+        rows = []
+        for mu in TestFoldBatch.mus:
+            probes, pred = planar.region_probes(fam, mu)
+            for probe in probes.values():
+                rows += [(probe, float(t)) for t in np.linspace(pred - 0.03, pred + 0.03, 13)]
+        return rows
+
+    def test_batches_equal_one_row_calls(self):
+        rows = self.grid_rows()
+        single = [fold.fold_extremum(p, t) for p, t in rows]
+        assert fold.fold_extrema(rows) == single
+        assert [repr(f) for f in fold.fold_extrema(rows[::-1])] == [repr(f) for f in single[::-1]]
+        for at in range(0, len(rows), 13):  # the CLI's per-region scans
+            assert [repr(f) for f in fold.fold_extrema(rows[at:at + 13])] == [repr(f) for f in single[at:at + 13]]
+
+    def test_mixed_batch_in_any_order(self):
+        # probes of different mu, regions and arc limits stop growing at
+        # different levels (a negative or NaN limit ends the arc at once, an
+        # infinite one where the curve escapes); each row is its own, in any order
+        fam = renormalized_family(ModelParams(), 6)
+        rows = []
+        for mu in (2.85, 3.0, 3.15):
+            probes, pred = planar.region_probes(fam, mu)
+            for probe in probes.values():
+                for limit in (probe.unstable_arclength, 1.0, 2.5, math.inf, -1.0, math.nan):
+                    arc = dataclasses.replace(probe, unstable_arclength=limit)
+                    rows += [(arc, pred - 0.02), (arc, pred + 0.03)]
+        want = [one_row(p, t) for p, t in rows]
+        assert sum(w.startswith("FoldPoint") for w in want) > len(rows) // 4
+        order = np.random.default_rng(7).permutation(len(rows))
+        got = fold._fold_rows([rows[i] for i in order])
+        assert [fold_outcome(got[k]) for k in np.argsort(order)] == want
+
+    @pytest.mark.parametrize("first, second", [
+        ("arc end", "divergence"), ("missed", "divergence"), ("arc end", "missed"),
+    ])
+    def test_earliest_failing_row_is_raised(self, first, second):
+        # a later row that fails in an earlier phase (saddle solve, then grid,
+        # then zoom) neither hides the earlier row's error nor stops the others
+        probe, pred = region_probe(renormalized_family(ModelParams(), 6), 3.0, "upper")
+        failing = {
+            "arc end": (dataclasses.replace(probe, window=((0.55, 0.9), (1.2, 2.6))), pred),
+            "missed": (dataclasses.replace(probe, window=((5.0, 6.0), (5.0, 6.0))), pred),
+            "divergence": (probe, 1e6),
+        }
+        rows = [(probe, pred - 0.01), failing[first], (probe, pred), failing[second]]
+        want = [one_row(p, t) for p, t in rows]
+        assert [fold_outcome(f) for f in fold._fold_rows(rows)] == want
+        assert want[0].startswith("FoldPoint") and want[2].startswith("FoldPoint")
+        kind, text = want[1].split(": ", 1)
+        with pytest.raises(getattr(planar, kind)) as exc:
+            fold.fold_extrema(rows)
+        assert str(exc.value) == text
+
+    def test_rows_with_different_map_repetitions(self, monkeypatch):
+        # fixed-point saddles: at (sqrt 2, sqrt 2) the unstable multiplier is
+        # about -3, so M is two steps, and at the origin about 3, one step;
+        # each row advances by its own count
+        monkeypatch.setattr(planar, "PROBE_PERIOD", 1)
+        probes, pred = planar.region_probes(renormalized_family(ModelParams(), 6), 3.0)
+        r2 = math.sqrt(2.0)
+        negative = dataclasses.replace(probes["upper"], unstable_seed=(r2, r2), stable_seed=(r2, r2))
+        positive = dataclasses.replace(probes["lower"], unstable_seed=(0.0, 0.0), stable_seed=(0.0, 0.0))
+        reps = {}
+        for probe in (negative, positive):
+            su, _ = probe._saddles(probe.curve(pred))
+            reps[probe.mode] = planar._seed_domain(probe.family, probe.curve(pred), su, "unstable",
+                                                   planar.PROBE_UNSTABLE_DIRECTION)[1]
+            assert (su.eig_unstable < 0) == (probe is negative)
+        assert reps == {"peak": 2, "valley": 1}
+        rows = [(probe, t) for t in (pred - 0.02, pred, pred + 0.02) for probe in (negative, positive)]
+        want = [one_row(p, t) for p, t in rows]
+        assert all(w.startswith("FoldPoint") for w in want)
+        assert [fold_outcome(f) for f in fold._fold_rows(rows)] == want
+
+    def test_lockstep_roots_equal_serial_ones(self):
+        # the locus searches and the lower region's root in lockstep, as
+        # criterion 5 runs them; a bracket without a sign change and a window
+        # that rejects a t end their own search only
+        fam = renormalized_family(ModelParams(), 6)
+        probes = {mu: planar.region_probes(fam, mu) for mu in self.mus}
+        searches = [(p["upper"], (pred - 0.03, pred + 0.03)) for p, pred in probes.values()]
+        regions, pred = probes[3.0]
+        searches.append((regions["lower"], (pred - 0.03, pred + 0.03)))
+        searches.append((regions["upper"], (pred + 0.01, pred + 0.03)))
+        missed = dataclasses.replace(regions["upper"], window=((5.0, 6.0), (5.0, 6.0)))
+        searches.append((missed, (pred - 0.03, pred + 0.03)))
+        got = fold.fold_roots(searches)
+        for (probe, bracket), root in zip(searches[:-2], got):
+            assert root == fold.FoldProbe(probe).locate_zero(bracket)
+        assert isinstance(got[-2], ValueError) and "different signs" in str(got[-2])
+        assert isinstance(got[-1], WindowRejected)
+        assert str(got[-1]) == f"t={pred - 0.03}: the unstable arc misses the window"
