@@ -14,8 +14,9 @@ the scale) stays below 2^62, and hold Python ints (dtype `object`) otherwise;
 the same array code runs on either.  Validation, Markov refinement and
 `thickness` work on those integers, so every thickness identity is checked
 with zero rounding error.  Its `intervals` are reduced `Fraction`s built the
-first time they are read; `translate` maps those and builds a new stage from
-them.  Stages and thickness reports are frozen values.
+first time they are read; `translate` shifts the grid integers and the
+Gap-Lemma check compares them, so neither forms one.  Stages and thickness
+reports are frozen values.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ __all__ = [
     "CantorStage",
     "ThicknessReport",
     "ThicknessUndefinedError",
+    "EmptyStageError",
     "ConstructionError",
     "thickness",
     "build_nmap_cantor",
@@ -58,6 +60,10 @@ class ConstructionError(ValueError):
 
 class ThicknessUndefinedError(ValueError):
     """Thickness needs at least two intervals."""
+
+
+class EmptyStageError(ValueError):
+    """A stage without intervals has no hull and meets no other stage."""
 
 
 class _Value:
@@ -182,6 +188,8 @@ class CantorStage(_Value):
 
     @property
     def hull(self):
+        if not len(self):
+            raise EmptyStageError("an empty stage has no hull")
         return (self._point(self._lows[0]), self._point(self._highs[-1]))
 
     def gaps(self) -> list[tuple]:
@@ -190,11 +198,23 @@ class CantorStage(_Value):
         return [(b0, a1) for (_, b0), (a1, _) in zip(ivals, ivals[1:])]
 
     def translate(self, offset) -> "CantorStage":
-        return CantorStage(
-            ambient=(self.ambient[0] + offset, self.ambient[1] + offset),
-            intervals=tuple((a + offset, b + offset) for a, b in self.intervals),
-            generation=self.generation,
-            source=self.source,
+        """The stage shifted by `offset`, which must sum with a `Fraction` to a
+        `Fraction` (`TypeError` naming the shifted ambient end otherwise).
+        The grid integers move over the scale lcm(scale, denominator)."""
+        ambient = tuple(v + offset for v in self.ambient)
+        for v in ambient:
+            if not isinstance(v, Fraction):
+                raise TypeError(f"endpoint {v!r} is not a Fraction")
+        shift = ambient[0] - self.ambient[0]
+        scale = math.lcm(self.scale, shift.denominator)
+        factor, step = scale // self.scale, shift.numerator * (scale // shift.denominator)
+        amb = [v * factor + step for v in self._amb]
+        # every interval end lies in the ambient, so its ends bound the grid
+        bound = max(2 * max(map(abs, amb)), scale)
+        lows, highs = _rescaled(self, factor, abs(step))
+        return CantorStage._from_grid(
+            scale, amb, _grid_array(lows + step, bound), _grid_array(highs + step, bound),
+            self.generation, self.source, ambient,
         )
 
 
@@ -238,6 +258,17 @@ def _grid_array(values, bound: int) -> np.ndarray:
     arr = np.array(values, dtype=np.int64 if bound < _INT64_BOUND else object)
     arr.flags.writeable = False
     return arr
+
+
+def _rescaled(stage: CantorStage, factor: int, slack: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The stage's grid arrays times `factor`, computed in Python ints when
+    a value times `factor`, plus `slack`, could reach 2^62."""
+    lows, highs = stage._lows, stage._highs
+    if factor == 1 and not slack:
+        return lows, highs
+    if max(*map(abs, stage._amb), 1) * factor + slack >= _INT64_BOUND:
+        lows, highs = lows.astype(object), highs.astype(object)
+    return lows * factor, highs * factor
 
 
 def _blockers(lengths: np.ndarray) -> np.ndarray:
@@ -505,12 +536,14 @@ class GapLemmaVerdict:
     tau_product: float
 
 
-def _hull_in_gap(hull: tuple, other: CantorStage) -> bool:
-    lo, hi = hull
-    o_lo, o_hi = other.hull
-    if hi < o_lo or lo > o_hi:  # an unbounded complementary component
-        return True
-    return any(glo < lo and hi < ghi for glo, ghi in other.gaps())
+def _hull_in_gap(lows: np.ndarray, highs: np.ndarray, o_lows: np.ndarray, o_highs: np.ndarray) -> bool:
+    """Whether the hull of one stage lies in a complementary component of
+    the other, bounded or not; both stages' grid arrays on one scale."""
+    lo, hi = lows[0], highs[-1]
+    # the other's intervals before i end below lo; the component from
+    # o_highs[i - 1] (or -inf) to o_lows[i] (or +inf) holds lo
+    i = int(np.searchsorted(o_highs, lo))
+    return i == len(o_lows) or hi < o_lows[i]
 
 
 def gap_lemma_check(k1: CantorStage, k2: CantorStage) -> GapLemmaVerdict:
@@ -519,24 +552,28 @@ def gap_lemma_check(k1: CantorStage, k2: CantorStage) -> GapLemmaVerdict:
     `intervals-intersect` means some closed intervals overlap at this
     generation: the checkable surrogate for nonempty Cantor intersection.
     Containment counts both bounded gaps and the unbounded components beyond
-    the other stage's hull.
+    the other stage's hull.  An empty stage raises `EmptyStageError`.
+
+    Both stages are compared as grid integers over the lcm of their scales.
+    Each stage's intervals are sorted and disjoint, so an interval of K1
+    meets K2 iff it meets the first interval of K2 ending at or after its
+    left end: one `searchsorted` decides every interval.
     """
+    if not (len(k1) and len(k2)):
+        raise EmptyStageError("the Gap Lemma check needs two nonempty stages")
     try:
         tau = float(thickness(k1).thickness) * float(thickness(k2).thickness)
     except ThicknessUndefinedError:
         tau = float("nan")
-    i, j = 0, 0
-    a, b = k1.intervals, k2.intervals
-    while i < len(a) and j < len(b):
-        if max(a[i][0], b[j][0]) <= min(a[i][1], b[j][1]):
-            return GapLemmaVerdict("intervals-intersect", tau)
-        if a[i][1] < b[j][1]:
-            i += 1
-        else:
-            j += 1
-    if _hull_in_gap(k1.hull, k2):
+    scale = math.lcm(k1.scale, k2.scale)
+    (a_lo, a_hi), (b_lo, b_hi) = (_rescaled(k, scale // k.scale) for k in (k1, k2))
+    j = np.searchsorted(b_hi, a_lo)
+    met = j < len(b_lo)
+    if np.any(b_lo[j[met]] <= a_hi[met]):
+        return GapLemmaVerdict("intervals-intersect", tau)
+    if _hull_in_gap(a_lo, a_hi, b_lo, b_hi):
         return GapLemmaVerdict("K1-in-gap-of-K2", tau)
-    if _hull_in_gap(k2.hull, k1):
+    if _hull_in_gap(b_lo, b_hi, a_lo, a_hi):
         return GapLemmaVerdict("K2-in-gap-of-K1", tau)
     return GapLemmaVerdict("inconclusive-at-this-generation", tau)
 

@@ -225,6 +225,10 @@ class Cubic1D:
     through unharmed.  An array's cube is `y*y*y`, as numpy's `power` costs
     many products per element; a scalar's stays `y**3`, the C library's
     pow, which the roots and certificates are computed with.
+
+    `iterate` is the scalar orbit loop: it writes `__call__`'s scalar
+    expression inline, so n steps give the bits of n calls without n
+    dispatches.  `find_periodic` runs on it.
     """
 
     mu: object
@@ -244,8 +248,15 @@ class Cubic1D:
         raise ValueError(f"order must be 0..3, got {order}")
 
     def iterate(self, y, steps: int):
+        """The map applied `steps` times: an array through `__call__`, a
+        scalar by the same expression inline."""
+        if isinstance(y, np.ndarray):
+            for _ in range(steps):
+                y = self(y)
+            return y
+        mu, nu = self.mu, self.nu
         for _ in range(steps):
-            y = self(y)
+            y = -(y**3) + mu * y + nu
         return y
 
     def critical_points(self):
@@ -344,6 +355,11 @@ def find_periodic(fmap, period: int, domain: tuple) -> list[PeriodicOrbit1D]:
     accepted, every cell that strictly holds one of its points holds no
     other root, and it is skipped unsolved: solving it would give a later
     point of that orbit, which the deduplication drops.
+
+    Past the grid everything is scalar.  For a `Cubic1D` the orbit steps
+    run in `Cubic1D.iterate`'s loop and the multiplier is the product of
+    `-3*y**2 + mu` along the cycle, the bits of `fmap(y)` and `fmap(y, 1)`;
+    any other map is called once per step.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
@@ -352,6 +368,8 @@ def find_periodic(fmap, period: int, domain: tuple) -> list[PeriodicOrbit1D]:
 
 
 def _iter_map(fmap, x, steps):
+    if isinstance(fmap, Cubic1D):
+        return fmap.iterate(x, steps)
     for _ in range(steps):
         x = fmap(x)
     return x
@@ -408,6 +426,10 @@ def _scan(fmap, period, lo, hi, cells_per_unit):
 
 def _orbit_of(fmap, x, period):
     pts = [x]
+    if isinstance(fmap, Cubic1D):
+        for _ in range(period - 1):
+            pts.append(fmap.iterate(pts[-1], 1))
+        return pts
     for _ in range(period - 1):
         pts.append(fmap(pts[-1]))
     return pts
@@ -415,12 +437,14 @@ def _orbit_of(fmap, x, period):
 
 def _multiplier(fmap, orbit):
     m = 1.0
+    if isinstance(fmap, Cubic1D):
+        mu = fmap.mu
+        for x in orbit:
+            m *= -3 * x**2 + mu
+        return m
+    h = 1e-7
     for x in orbit:
-        if isinstance(fmap, Cubic1D):
-            m *= fmap(x, 1)
-        else:
-            h = 1e-7
-            m *= (fmap(x + h) - fmap(x - h)) / (2 * h)
+        m *= (fmap(x + h) - fmap(x - h)) / (2 * h)
     return m
 
 

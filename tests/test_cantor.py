@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 from fractions import Fraction as F
 
@@ -11,6 +12,8 @@ from tangencylab import cantor
 from tangencylab.cantor import (
     CantorStage,
     ConstructionError,
+    EmptyStageError,
+    GapLemmaVerdict,
     MarkovBranchSystem,
     ThicknessReport,
     ThicknessUndefinedError,
@@ -633,6 +636,20 @@ class TestGridArrays:
         assert list(stage.fraction_columns()) == want
         assert all(type(v) is int for column in stage.fraction_columns() for v in column)
 
+    def test_translate_past_int64(self):
+        # the nmap grid is int64; an offset with denominator 5^30 (about 2^70) makes it Python ints
+        stage = build_nmap_cantor(6, 3)
+        ref = ReferenceStage(stage.ambient, stage.intervals, 3, stage.source)
+        offset = F(1, 5**30)
+        moved = stage.translate(offset)
+        assert stage._lows.dtype == np.int64 and moved._lows.dtype == object
+        assert moved.scale >= 2**62
+        assert_same_stage(moved, ref.translate(offset))
+        assert_same(thickness(moved), quadratic_thickness(ref.translate(offset)))
+        back = moved.translate(-offset)
+        assert_same_stage(back, ref)
+        assert back == stage
+
     @pytest.mark.parametrize("make", [lambda: build_nmap_cantor(6, 2), lambda: markov_cantor(wide_slope_system(), 3)],
                              ids=["int64", "wide"])
     def test_grid_arrays_are_read_only(self, make):
@@ -641,6 +658,73 @@ class TestGridArrays:
             with pytest.raises(ValueError, match="read-only"):
                 ends[0] = 0
         assert stage == make()
+
+
+def reference_hull_in_gap(hull, other):
+    """Whether `hull` lies in a complementary component of the reference
+    stage `other`: beyond its hull, or strictly inside one of its gaps."""
+    lo, hi = hull
+    o_lo, o_hi = other.hull
+    if hi < o_lo or lo > o_hi:
+        return True
+    return any(glo < lo and hi < ghi for glo, ghi in other.gaps())
+
+
+def reference_gap_lemma(r1, r2):
+    """The Gap-Lemma verdict on two reference stages by a two-pointer walk
+    over their Fraction intervals; the thickness product from
+    `quadratic_thickness`, NaN when a stage has fewer than two intervals."""
+    taus = [float(quadratic_thickness(r).thickness) if len(r.intervals) > 1 else None for r in (r1, r2)]
+    tau = float("nan") if None in taus else taus[0] * taus[1]
+    i, j = 0, 0
+    a, b = r1.intervals, r2.intervals
+    while i < len(a) and j < len(b):
+        if max(a[i][0], b[j][0]) <= min(a[i][1], b[j][1]):
+            return GapLemmaVerdict("intervals-intersect", tau)
+        if a[i][1] < b[j][1]:
+            i += 1
+        else:
+            j += 1
+    if reference_hull_in_gap(r1.hull, r2):
+        return GapLemmaVerdict("K1-in-gap-of-K2", tau)
+    if reference_hull_in_gap(r2.hull, r1):
+        return GapLemmaVerdict("K2-in-gap-of-K1", tau)
+    return GapLemmaVerdict("inconclusive-at-this-generation", tau)
+
+
+def assert_gap_lemma_matches(pair1, pair2):
+    """`gap_lemma_check` on two stages against the reference walk on their
+    twins, in both orders; returns the verdict for (pair1, pair2)."""
+    (k1, r1), (k2, r2) = pair1, pair2
+    got = gap_lemma_check(k1, k2)
+    # repr: tau_product may be NaN, which `==` never matches
+    assert repr(got) == repr(reference_gap_lemma(r1, r2))
+    assert repr(gap_lemma_check(k2, k1)) == repr(reference_gap_lemma(r2, r1))
+    return got.verdict
+
+
+def twin(stage):
+    return stage, ReferenceStage(stage.ambient, stage.intervals, stage.generation, stage.source)
+
+
+def twin_translate(pair, offset):
+    stage, ref = pair
+    return stage.translate(offset), ref.translate(offset)
+
+
+def placed_in(pair, lo, hi):
+    """The stage of `pair` moved affinely into the open interval (lo, hi),
+    with its hull as ambient, and its reference twin."""
+    stage, _ = pair
+    h0, h1 = stage.hull
+    width = h1 - h0 + 2
+
+    def place(v):
+        return lo + (hi - lo) * (v - h0 + 1) / width
+
+    ivals = tuple((place(a), place(b)) for a, b in stage.intervals)
+    amb = (ivals[0][0], ivals[-1][1])
+    return CantorStage(amb, ivals, stage.generation), ReferenceStage(amb, ivals, stage.generation)
 
 
 class TestGapLemma:
@@ -664,6 +748,73 @@ class TestGapLemma:
         a = CantorStage((F(0), F(10)), ((F(0), F(1, 100)), (F(5), F(5) + F(1, 100))), 1)
         b = CantorStage((F(0), F(10)), ((F(2), F(2) + F(1, 100)), (F(8), F(8) + F(1, 100))), 1)
         assert gap_lemma_check(a, b).verdict == "inconclusive-at-this-generation"
+        assert_gap_lemma_matches(twin(a), twin(b))
+
+    @given(rational_stages(), rational_stages(), st.fractions(min_value=-30, max_value=30, max_denominator=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_on_translates(self, pair1, pair2, offset):
+        assert_gap_lemma_matches(pair1, twin_translate(pair1, offset))
+        assert_gap_lemma_matches(pair1, twin_translate(pair2, offset))
+
+    @given(rational_stages(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_shared_endpoint_intersects(self, pair, data):
+        # closed intervals: a copy moved so one interval starts where another ends meets it
+        ivals = pair[1].intervals
+        i = data.draw(st.integers(0, len(ivals) - 1))
+        j = data.draw(st.integers(0, len(ivals) - 1))
+        moved = twin_translate(pair, ivals[i][1] - ivals[j][0])
+        assert assert_gap_lemma_matches(pair, moved) == "intervals-intersect"
+
+    @given(rational_stages(), rational_stages(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_hull_in_a_gap(self, outer, inner, data):
+        gaps = outer[1].gaps()
+        glo, ghi = gaps[data.draw(st.integers(0, len(gaps) - 1))]
+        placed = placed_in(inner, glo, ghi)
+        assert assert_gap_lemma_matches(outer, placed) == "K2-in-gap-of-K1"
+        assert assert_gap_lemma_matches(placed, outer) == "K1-in-gap-of-K2"
+
+    @given(rational_stages(), rational_stages(), st.fractions(min_value=F(1, 40), max_value=5, max_denominator=40))
+    @settings(max_examples=200, deadline=None)
+    def test_disjoint_hulls(self, pair1, pair2, margin):
+        lo, hi = pair2[1].hull
+        right = twin_translate(pair2, pair1[1].hull[1] - lo + margin)
+        left = twin_translate(pair2, pair1[1].hull[0] - hi - margin)
+        assert assert_gap_lemma_matches(pair1, right) == "K1-in-gap-of-K2"
+        assert assert_gap_lemma_matches(pair1, left) == "K1-in-gap-of-K2"
+
+    @given(rational_stages(), rational_stages(), st.fractions(min_value=-3, max_value=3, max_denominator=6))
+    @settings(max_examples=100, deadline=None)
+    def test_common_scale_past_int64(self, pair1, pair2, offset):
+        # scales of 3^30 and 2^30 times small factors: their lcm passes 2^62,
+        # while each stage alone stays int64
+        k1, r1 = twin_translate(pair1, F(1, 3**30))
+        k2, r2 = twin_translate(pair2, offset + F(1, 2**30))
+        assert k1._lows.dtype == k2._lows.dtype == np.int64
+        scale = math.lcm(k1.scale, k2.scale)
+        assert scale >= 2**62 and cantor._rescaled(k1, scale // k1.scale)[0].dtype == object
+        assert_gap_lemma_matches((k1, r1), (k2, r2))
+
+    @pytest.mark.parametrize("gen", range(1, 5))
+    def test_nmap_stages_match_reference(self, gen):
+        k = twin(build_nmap_cantor(6, gen))
+        lo, hi = k[1].hull
+        # a copy moved by the hull's length touches at one point
+        for offset in (F(0), F(1, 1000), F(-1, 7), F(10), hi - lo):
+            assert_gap_lemma_matches(k, twin_translate(k, offset))
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_empty_stage_rejected(self, first):
+        empty, k = CantorStage((F(0), F(1)), (), 1), build_nmap_cantor(6, 2)
+        pair = (empty, k) if first else (k, empty)
+        with pytest.raises(EmptyStageError, match="two nonempty stages"):
+            gap_lemma_check(*pair)
+        with pytest.raises(EmptyStageError, match="no hull"):
+            empty.hull
+        assert issubclass(EmptyStageError, ValueError)
+        assert len(empty.translate(F(1, 3))) == 0
+
 
 
 class TestMarkov:

@@ -134,6 +134,76 @@ class TestCubic:
                 assert abs(fd3 - f(y, 3)) < 1e-6 * max(1, abs(f(y, 3)))
 
 
+def called(f, y, steps):
+    """Reference orbit: `steps` calls of the map."""
+    for _ in range(steps):
+        y = f(y)
+    return y
+
+
+def bits(v):
+    """A value's type and exact content: float bits, array bytes, or the Fraction."""
+    if isinstance(v, (float, np.ndarray, np.floating)):
+        return type(v), getattr(v, "dtype", None), np.asarray(v).tobytes()
+    return type(v), v
+
+
+class TestIterate:
+    """`Cubic1D.iterate`'s inline scalar loop gives the bits of repeated calls."""
+
+    coefficients = st.tuples(
+        st.floats(min_value=0.0, max_value=4.0), st.floats(min_value=-1.0, max_value=1.0)
+    )
+
+    @given(st.floats(min_value=-2.1, max_value=2.1), coefficients, st.integers(0, 12))
+    @settings(max_examples=300)
+    def test_float(self, y, coef, steps):
+        # a negative y takes -pow(|y|, 3) in CPython: both sides go through it
+        f = Cubic1D(*coef)
+        try:
+            want = bits(called(f, y, steps))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                f.iterate(y, steps)
+            return
+        assert bits(f.iterate(y, steps)) == want
+
+    @given(st.floats(min_value=-2.1, max_value=2.1), coefficients, st.integers(0, 12))
+    @settings(max_examples=200)
+    def test_numpy_scalar(self, y, coef, steps):
+        f = Cubic1D(*coef)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert bits(f.iterate(np.float64(y), steps)) == bits(called(f, np.float64(y), steps))
+
+    @given(st.lists(st.floats(min_value=-2.1, max_value=2.1), min_size=0, max_size=20), coefficients,
+           st.integers(0, 12))
+    @settings(max_examples=100)
+    def test_array(self, ys, coef, steps):
+        f = Cubic1D(*coef)
+        y = np.array(ys, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert bits(f.iterate(y, steps)) == bits(called(f, y, steps))
+
+    @given(
+        st.fractions(min_value=-2, max_value=2, max_denominator=20),
+        st.fractions(min_value=0, max_value=4, max_denominator=20),
+        st.fractions(min_value=-1, max_value=1, max_denominator=20) | st.integers(-1, 1),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=100)
+    def test_fraction(self, y, mu, nu, steps):
+        f = Cubic1D(mu, nu)
+        assert bits(f.iterate(y, steps)) == bits(called(f, y, steps))
+
+    @pytest.mark.parametrize("y,steps", [(1e200, 1), (2.5, 12), (-3.0, 12)])
+    def test_float_overflow_raises(self, y, steps):
+        f = Cubic1D(3.0, 0.0)
+        with pytest.raises(OverflowError):
+            called(f, y, steps)
+        with pytest.raises(OverflowError):
+            f.iterate(y, steps)
+
+
 class TestSchwarzian:
     def test_hand_values(self):
         # F'''/F' - 1.5 (F''/F')^2 at (mu,nu)=(3,0):
@@ -205,8 +275,18 @@ class TestConjugacy:
             conjugacy_defect(x)
 
 
+def ref_multiplier(fmap, orbit):
+    """The product of the derivative along the orbit: `fmap(x, 1)` for a
+    `Cubic1D`, a central difference with step 1e-7 otherwise."""
+    m, h = 1.0, 1e-7
+    for x in orbit:
+        m *= fmap(x, 1) if isinstance(fmap, Cubic1D) else (fmap(x + h) - fmap(x - h)) / (2 * h)
+    return m
+
+
 def loop_float_roots(fmap, period, lo, hi, cells_per_unit):
-    """Reference scan: visit every cell of F^p(y) - y in turn."""
+    """Reference scan: visit every cell of F^p(y) - y in turn.  Scalar
+    orbits call `fmap` once per step (`called`)."""
     n_cells = max(8, math.ceil(cells_per_unit * (hi - lo)))
     xs = np.linspace(lo, hi, n_cells + 1)
     ys = xs.copy()
@@ -221,7 +301,7 @@ def loop_float_roots(fmap, period, lo, hi, cells_per_unit):
         if ga == 0.0:
             roots.append(float(a))
         elif ga * gb < 0.0:
-            roots.append(float(scipy_brentq(lambda x: maps1d._iter_map(fmap, x, period) - x, float(a), float(b), xtol=1e-14)))
+            roots.append(float(scipy_brentq(lambda x: called(fmap, x, period) - x, float(a), float(b), xtol=1e-14)))
     if np.isfinite(g[-1]) and g[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots
@@ -232,7 +312,7 @@ def full_scan_orbits(fmap, period, lo, hi, cells_per_unit):
     in turn, with a linear duplicate test against every kept representative."""
     orbits, kept = [], []
     for x in loop_float_roots(fmap, period, lo, hi, cells_per_unit):
-        if any(abs(maps1d._iter_map(fmap, x, d) - x) <= 1e-11 for d in range(1, period) if period % d == 0):
+        if any(abs(called(fmap, x, d) - x) <= 1e-11 for d in range(1, period) if period % d == 0):
             continue
         orbit = [x]
         for _ in range(period - 1):
@@ -243,9 +323,9 @@ def full_scan_orbits(fmap, period, lo, hi, cells_per_unit):
         kept.append(rep)
         k = orbit.index(rep)
         orbit = orbit[k:] + orbit[:k]
-        res = abs(float(maps1d._iter_map(fmap, rep, period) - rep))
+        res = abs(float(called(fmap, rep, period) - rep))
         orbits.append(maps1d.PeriodicOrbit1D(
-            points=tuple(orbit), period=period, multiplier=maps1d._multiplier(fmap, orbit),
+            points=tuple(orbit), period=period, multiplier=ref_multiplier(fmap, orbit),
             residual=res, resolved=res <= 1e-10 * max(1.0, abs(float(rep))),
         ))
     return sorted(orbits, key=lambda o: o.points[0])
