@@ -356,10 +356,10 @@ def find_periodic(fmap, period: int, domain: tuple) -> list[PeriodicOrbit1D]:
     other root, and it is skipped unsolved: solving it would give a later
     point of that orbit, which the deduplication drops.
 
-    Past the grid everything is scalar.  For a `Cubic1D` the orbit steps
-    run in `Cubic1D.iterate`'s loop and the multiplier is the product of
-    `-3*y**2 + mu` along the cycle, the bits of `fmap(y)` and `fmap(y, 1)`;
-    any other map is called once per step.
+    Past the grid everything is scalar.  For a `Cubic1D` the multi-step
+    compositions run in `Cubic1D.iterate`'s loop, with the bits of
+    repeated `fmap(y)`, and the multiplier is the product of `fmap(y, 1)`
+    along the cycle; any other map is called once per step.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
@@ -426,10 +426,6 @@ def _scan(fmap, period, lo, hi, cells_per_unit):
 
 def _orbit_of(fmap, x, period):
     pts = [x]
-    if isinstance(fmap, Cubic1D):
-        for _ in range(period - 1):
-            pts.append(fmap.iterate(pts[-1], 1))
-        return pts
     for _ in range(period - 1):
         pts.append(fmap(pts[-1]))
     return pts
@@ -438,9 +434,8 @@ def _orbit_of(fmap, x, period):
 def _multiplier(fmap, orbit):
     m = 1.0
     if isinstance(fmap, Cubic1D):
-        mu = fmap.mu
         for x in orbit:
-            m *= -3 * x**2 + mu
+            m *= fmap(x, 1)
         return m
     h = 1e-7
     for x in orbit:
