@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -110,13 +111,34 @@ def _write_json(path: Path, payload: dict, cfg: ExperimentConfig) -> None:
         fh.write("\n")
 
 
+_CSV_ROWS = 1 << 14  # rows rendered and written at a time
+
+
+def _csv_text(rows: list) -> str:
+    """`rows` as `csv.writer` renders them.  It writes a number as its `str`
+    (a float's, numpy's too, is its repr), so rows of one width are formatted
+    from those in one pass, unless the text shows a field it renders
+    otherwise: a None (written empty) or a field with a comma, quote or line
+    break (quoted).  Those rows, and rows of mixed or under two fields (a
+    lone empty field is quoted), go to `csv.writer`."""
+    n, widths = len(rows), set(map(len, rows))
+    if len(widths) == 1 and (w := widths.pop()) >= 2:
+        text = (("%s," * (w - 1) + "%s\r\n") * n) % tuple(chain.from_iterable(rows))
+        if ("N" not in text and '"' not in text and text.count(",") == (w - 1) * n
+                and text.count("\r") == n == text.count("\n")):
+            return text
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def _write_csv(path: Path, header, rows, cfg: ExperimentConfig) -> None:
+    rows = iter(rows)
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash: {cfg.hash}\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        # csv writes a float as its repr and anything else as its str
-        w.writerows(rows)
+        fh.write(_csv_text([header]))
+        while chunk := list(islice(rows, _CSV_ROWS)):
+            fh.write(_csv_text(chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +273,7 @@ def cmd_attractor(args, parser) -> int:
 
     orb = planar.iterate(fam, p, (0.1, 0.9), args.sample)
     sample = orb.points[min(1000, len(orb.points) - 1):]
-    _write_csv(out / "sample.csv", ["x", "y"], [[float(x), float(y)] for x, y in sample], cfg)
+    _write_csv(out / "sample.csv", ["x", "y"], sample.tolist(), cfg)
 
     fps = planar.find_fixed_points(fam, p, box=((-2.5, 2.5), (-2.5, 2.5)), grid=30)
     fp_payload = [

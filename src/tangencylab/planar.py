@@ -115,18 +115,54 @@ _CHUNK = 64  # Jacobians per tangent-vector renormalization
 _LN2 = math.log(2.0)
 
 
-def _walk(family: PlanarFamily, params, x, y, n: int, bailout: float):
-    """Up to `n` successive images of (x, y) as two lists, cut before the
-    first non-finite one or one beyond `bailout`; and whether one was."""
-    fwd, isfinite, b2 = family.forward, math.isfinite, bailout * bailout
+def _stepwise(fwd, params, x, y, n: int, b2: float):
+    """`_walk`'s images as two lists, each tested as soon as it is made."""
     xs, ys = [], []
     for _ in range(n):
         x, y = fwd(params, x, y)
-        if not (isfinite(x) and isfinite(y)) or x * x + y * y > b2:
+        if not (math.isfinite(x) and math.isfinite(y)) or x * x + y * y > b2:
             return xs, ys, True
         xs.append(x)
         ys.append(y)
     return xs, ys, False
+
+
+def _walk(family: PlanarFamily, params, x, y, n: int, bailout: float):
+    """Up to `n` successive images of (x, y) as two float arrays, cut before
+    the first non-finite one or one beyond `bailout`; whether one was; and
+    the last image kept (else (x, y)) as the map returned it, to go on from.
+
+    The images are made untested, with numpy's floating-point errors raised,
+    and tested once.  Steps after an escape are dropped, also one that
+    raised.  A step that raised before any escape, or a kept image whose
+    test overflows, makes `_stepwise` redo the block, which raises and warns
+    as a loop testing each image does."""
+    fwd, b2, x0, y0 = family.forward, bailout * bailout, x, y
+    xs, ys, failed = [x] * n, [y] * n, False
+    try:
+        with np.errstate(all="raise"):
+            for k in range(n):
+                x, y = fwd(params, x, y)
+                xs[k] = x
+                ys[k] = y
+    except Exception:
+        failed = True  # at step k
+    else:
+        k = n
+    X, Y = np.array(xs[:k]), np.array(ys[:k])
+    with np.errstate(all="ignore"):
+        r2 = X * X + Y * Y
+    finite = np.isfinite(X) & np.isfinite(Y)
+    cut = np.flatnonzero(~finite | (r2 > b2))
+    c = int(cut[0]) if len(cut) else k
+    if (failed and c == k) or (finite & (r2 == math.inf))[:c + 1].any():
+        xs, ys, escaped = _stepwise(fwd, params, x0, y0, n, b2)
+        X, Y, c = np.array(xs), np.array(ys), len(xs)
+    else:
+        escaped = c < k
+    if c:
+        x0, y0 = xs[c - 1], ys[c - 1]
+    return X[:c], Y[:c], escaped, x0, y0
 
 
 def iterate(family: PlanarFamily, params, start, steps: int, bailout: float = 1e6) -> Orbit:
@@ -138,13 +174,12 @@ def iterate(family: PlanarFamily, params, start, steps: int, bailout: float = 1e
     pts[0] = (x, y)
     k = 1
     while k <= steps:
-        xs, ys, escaped = _walk(family, params, x, y, min(_BLOCK, steps + 1 - k), bailout)
+        xs, ys, escaped, x, y = _walk(family, params, x, y, min(_BLOCK, steps + 1 - k), bailout)
         pts[k:k + len(xs), 0] = xs
         pts[k:k + len(xs), 1] = ys
         k += len(xs)
         if escaped:
             return Orbit(pts[:k].copy(), escaped=True)
-        x, y = xs[-1], ys[-1]
     return Orbit(pts, escaped=False)
 
 
@@ -186,10 +221,10 @@ def _estimate(family, params, start, discard, steps, bailout):
     for lo, hi in zip(cuts, cuts[1:]):
         part = (lo >= discard) + (lo >= q0)
         for i0 in range(lo, hi, _BLOCK):
-            xs, ys, escaped = _walk(family, params, x, y, min(_BLOCK, hi - i0), bailout)
+            xs, ys, escaped, xn, yn = _walk(family, params, x, y, min(_BLOCK, hi - i0), bailout)
             # Jacobians up to the step whose image escaped, if one did
-            px = np.array([x] + (xs if escaped else xs[:-1]))
-            py = np.array([y] + (ys if escaped else ys[:-1]))
+            px = np.concatenate(([x], xs if escaped else xs[:-1]))
+            py = np.concatenate(([y], ys if escaped else ys[:-1]))
             n, m = len(px), -(-len(px) // _CHUNK)
             j = np.empty((4, m * _CHUNK))
             j[:, n:] = ((1.0,), (0.0,), (0.0,), (1.0,))
@@ -216,7 +251,7 @@ def _estimate(family, params, start, discard, steps, bailout):
             if escaped:
                 i = i0 + n - 1
                 return LyapunovEstimate(math.nan, math.nan, i if i < discard else i - discard + 1, escaped=True)
-            x, y = xs[-1], ys[-1]
+            x, y = xn, yn
     last = math.fsum(sums[2]) + pows[2] * _LN2
     full = (math.fsum(sums[1]) + pows[1] * _LN2 + last) / steps
     return LyapunovEstimate(full, abs(last / max(1, steps // 4) - full), steps)
@@ -846,6 +881,8 @@ class FiberGapProbe:
     def __post_init__(self):
         if self.mode not in ("peak", "valley"):
             raise ValueError(f"mode must be 'peak' or 'valley', got {self.mode!r}")
+        if not self.unstable_arclength > 0:
+            raise ValueError(f"unstable_arclength must be > 0, got {self.unstable_arclength!r}")
 
     def __call__(self, t: float) -> TangencyCandidate:
         if t not in self._measured:

@@ -343,12 +343,12 @@ def _criterion_structural(c: _Check):
     fam = planar.cubic_henon()
     p = (2.8, 0.1)
     worst = 0.0
-    for x, y in rng.uniform(-2, 2, size=(1000, 2)):
+    for x, y in rng.uniform(-2, 2, size=(1000, 2)).tolist():
         fx, fy = fam.forward(p, x, y)
         bx, by = fam.inverse(p, fx, fy)
         worst = max(worst, math.hypot(bx - x, by - y))
     rfam = renorm.renormalized_family(renorm.ModelParams(), 6)
-    for x, y in rng.uniform(-2, 2, size=(200, 2)):
+    for x, y in rng.uniform(-2, 2, size=(200, 2)).tolist():
         fx, fy = rfam.forward((3.0, 0.0), x, y)
         bx, by = rfam.inverse((3.0, 0.0), fx, fy)
         worst = max(worst, math.hypot(bx - x, by - y))

@@ -1,18 +1,23 @@
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tangencylab
 from tangencylab import cantor, fold, planar, renorm, verify
-from tangencylab.cli import ExperimentConfig, _write_json, main
+from tangencylab.cli import ExperimentConfig, _csv_text, _write_json, main
 from tangencylab.renorm import ModelParams, residual_sup
 
 
@@ -63,6 +68,45 @@ class TestJsonWriter:
         want = json.dumps(fractions_as_objects(dict(obj, config_hash=cfg.hash, schema_version=1)),
                           indent=2, sort_keys=True, default=str) + "\n"
         assert (tmp_path / "x.json").read_text() == want
+
+
+
+def csv_writer_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+NUMBERS = st.one_of(
+    st.integers(-2**70, 2**70),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, np.float64(-0.0), math.nan, math.inf, -math.inf, True]),
+)
+
+
+class TestCsvWriter:
+    @given(st.lists(st.lists(st.one_of(NUMBERS, st.text(), st.none()), max_size=5), max_size=12))
+    def test_matches_csv_writer(self, rows):
+        # None, a field csv quotes, a lone field and rows of mixed widths go to csv.writer
+        assert _csv_text(rows) == csv_writer_text(rows)
+
+    @given(st.integers(2, 6).flatmap(
+        lambda w: st.lists(st.lists(NUMBERS, min_size=w, max_size=w), min_size=1, max_size=40)))
+    def test_number_rows_of_one_width_are_formatted(self, rows):
+        want = csv_writer_text(rows)
+        with mock.patch.object(csv, "writer", side_effect=AssertionError("number rows went to csv.writer")):
+            assert _csv_text(rows) == want
+
+    @pytest.mark.parametrize("row", [
+        [None, 1], [1, None], ["a,b", 1], ['say "x"', 2.5], ["a\nb", 1], ["a\rb", 1], [""], [], [3], ["None", 1],
+    ])
+    def test_fields_csv_renders_otherwise_reach_csv_writer(self, row):
+        rows = [[1, 2.5], row, [np.float64(0.1), -0.0]]
+        want = csv_writer_text(rows)
+        with mock.patch.object(csv, "writer", wraps=csv.writer) as writer:
+            assert _csv_text(rows) == want
+        assert writer.call_count == 1
 
 
 def reference_thickness_json(m, gen, out):
@@ -290,6 +334,13 @@ class TestAttractorCommand:
         lam = json.loads((tmp_path / "lyapunov.json").read_text())
         assert all(e["value"] > 0 for e in lam["estimates"])
         assert not lam["orbit_escaped"]
+
+    def test_sample_csv_matches_reference_rendering(self, tmp_path):
+        main(["attractor", "--steps", "10000", "--sample", "6000", "--out", str(tmp_path)])
+        cfg = ExperimentConfig("attractor", {"a": 2.8, "b": 0.1, "steps": 10000, "sample": 6000}, str(tmp_path))
+        sample = planar.iterate(planar.cubic_henon(), (2.8, 0.1), (0.1, 0.9), 6000).points[1000:]
+        want = f"# config_hash: {cfg.hash}\n" + csv_writer_text([["x", "y"], *([float(x), float(y)] for x, y in sample)])
+        assert (tmp_path / "sample.csv").read_bytes() == want.encode()
 
     def test_rejects_degenerate_b(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -379,6 +379,114 @@ class TestLyapunov:
         assert math.isnan(est.value)
 
 
+def stepwise_walk(family, params, x, y, n, bailout):
+    """`planar._walk` as a loop that tests each image as soon as it is made:
+    the oracle of the block-tested walk under `iterate` and `lyapunov`."""
+    fwd, isfinite, b2 = family.forward, math.isfinite, bailout * bailout
+    xs, ys, escaped, last = [], [], False, (x, y)
+    for _ in range(n):
+        x, y = fwd(params, x, y)
+        if not (isfinite(x) and isfinite(y)) or x * x + y * y > b2:
+            escaped = True
+            break
+        xs.append(x)
+        ys.append(y)
+        last = (x, y)
+    return np.array(xs), np.array(ys), escaped, *last
+
+
+def poisoned_family(value):
+    """x counts the steps; the step whose image has x >= p[0] sets y to `value`."""
+    return PlanarFamily(
+        "poisoned", ("at",), lambda p, x, y: (x + 1.0, value if x + 1.0 >= p[0] else y), None,
+        lambda p, x, y: ((1.1, 0.3), (-0.2, 0.9)),
+    )
+
+
+def dividing_family():
+    """x counts the steps; the step whose image has x == p[0] divides 0 by 0."""
+    return PlanarFamily(
+        "dividing", ("at",), lambda p, x, y: (x + 1.0, y / (p[0] - x - 1.0)), None,
+        lambda p, x, y: ((1.1, 0.3), (-0.2, 0.9)),
+    )
+
+
+def walk_outcome(fn, args, warning_filter):
+    """What a call leaves behind: its result or exception, and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(warning_filter)
+        try:
+            out = fn(*args)
+        except Exception as exc:
+            out = (type(exc), str(exc))
+    if isinstance(out, planar.Orbit):
+        out = (out.points.dtype, out.points.shape, out.points.tobytes(), out.escaped)
+    elif isinstance(out, planar.LyapunovEstimate):
+        out = repr(dataclasses.astuple(out))
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+BLOCK_EDGES = (100, planar._BLOCK - 1, planar._BLOCK, planar._BLOCK + 1, 35_000)
+H64 = (np.float64(2.8), np.float64(0.1))
+WALK_CASES = {
+    **{f"escape-at-{s}": (counter_family(), (), (0.0, 0.0), s - 0.5) for s in BLOCK_EDGES},
+    **{f"{v}-at-{s}": (poisoned_family(float(v)), (float(s),), (0.0, 0.0), 1e6)
+       for v in ("inf", "nan") for s in (100, planar._BLOCK + 1)},
+    "henon-escapes-then-overflows": (cubic_henon(), (2.8, 0.1), (2.0, 2.5), 1e6),
+    "henon-numpy-escapes-then-overflows": (cubic_henon(), H64, (2.0, 2.5), 1e6),
+    "henon-overflows-unbounded": (cubic_henon(), (2.8, 0.1), (2.0, 2.5), math.inf),
+    "henon-numpy-overflows-unbounded": (cubic_henon(), H64, (2.0, 2.5), math.inf),
+    "linear-unbounded": (linear_family(), (2.0, 0.5), (1.0, 1.0), math.inf),
+    "linear-numpy-unbounded": (linear_family(), (np.float64(2.0), np.float64(0.5)), (1.0, 1.0), math.inf),
+    # the test x*x + y*y of a numpy image overflows: where the step does not, and at an escape
+    "numpy-test-overflows": (linear_family(), (np.float64(1.0), np.float64(0.5)), (1e200, 1.0), math.inf),
+    "numpy-escape-test-overflows": (linear_family(), (np.float64(1e200), np.float64(0.5)), (1.0, 1.0), 1e6),
+    "raises-before-escape": (dividing_family(), (float(planar._BLOCK + 7),), (0.0, 0.0), 1e6),
+    "numpy-raises-before-escape": (dividing_family(), (np.float64(planar._BLOCK + 7),), (0.0, 0.0), 1e6),
+    "bounded": (cubic_henon(), (2.8, 0.1), (0.1, 0.9), 1e6),
+}
+
+
+class TestBlockWalk:
+    @pytest.mark.parametrize("warning_filter", ["default", "error"])
+    @pytest.mark.parametrize("case", WALK_CASES)
+    @pytest.mark.parametrize("call", ["iterate", "lyapunov", "lyapunov-discard"])
+    def test_matches_stepwise_walk(self, monkeypatch, case, call, warning_filter):
+        # the walk makes a block of images untested and tests them at once;
+        # no step after an escape may change a value, an exception or a warning
+        fam, p, start, bailout = WALK_CASES[case]
+        fn, args = {
+            "iterate": (iterate, (fam, p, start, 40_000, bailout)),
+            "lyapunov": (lyapunov, (fam, p, start, 40_000, 0, bailout)),
+            "lyapunov-discard": (lyapunov, (fam, p, start, 10_000, 20_000, bailout)),
+        }[call]
+        got = walk_outcome(fn, args, warning_filter)
+        monkeypatch.setattr(planar, "_walk", stepwise_walk)
+        assert got == walk_outcome(fn, args, warning_filter)
+
+    def test_cases_reach_their_branches(self):
+        # escapes on both sides of the first block's end, steps that raise
+        # or warn after an escape and before one, and tests that overflow
+        def walked(case, warning_filter="default"):
+            fam, p, start, bailout = WALK_CASES[case]
+            return walk_outcome(iterate, (fam, p, start, 40_000, bailout), warning_filter)
+
+        for s in BLOCK_EDGES:
+            (_, shape, _, escaped), caught = walked(f"escape-at-{s}")
+            assert (shape, escaped, caught) == ((s, 2), True, [])
+        assert walked("henon-escapes-then-overflows")[0][3] is True
+        assert walked("henon-numpy-escapes-then-overflows", "error")[0][3] is True
+        assert walked("henon-overflows-unbounded")[0][0] is OverflowError
+        assert walked("henon-numpy-overflows-unbounded", "error")[0][0] is RuntimeWarning
+        assert walked("henon-numpy-overflows-unbounded")[1] != []
+        assert walked("numpy-test-overflows", "error")[0] == (RuntimeWarning, "overflow encountered in scalar multiply")
+        assert walked("numpy-escape-test-overflows", "error")[0] == walked("numpy-test-overflows", "error")[0]
+        assert walked("raises-before-escape")[0] == (ZeroDivisionError, "float division by zero")
+        assert walked("numpy-raises-before-escape", "error")[0][0] is RuntimeWarning
+        (_, shape, _, escaped), caught = walked("bounded")
+        assert (shape, escaped, caught) == ((40_001, 2), False, [])
+
+
 class TestManifolds:
     def test_linear_unstable_is_axis(self):
         s = find_saddle(linear_family(), (0.2, 2.0), seed=(0.0, 0.0))
@@ -1016,6 +1124,11 @@ def upper_probe_at_mu3():
 
 
 class TestProbeOnRenormalizedFamily:
+    @pytest.mark.parametrize("arclength", [-1.0, 0.0, math.nan])
+    def test_rejects_an_arc_limit_that_is_not_positive(self, arclength):
+        with pytest.raises(ValueError, match=r"^unstable_arclength must be > 0, got "):
+            dataclasses.replace(upper_probe_at_mu3(), unstable_arclength=arclength)
+
     def test_upper_probe_classifies_making(self):
         probe = upper_probe_at_mu3()
         t0 = probe.locate_zero((-0.03, 0.03))
@@ -1395,14 +1508,14 @@ class TestFoldBatch:
 
     def test_mixed_batch_in_any_order(self):
         # probes of different mu, regions and arc limits stop growing at
-        # different levels (a negative or NaN limit ends the arc at once, an
-        # infinite one where the curve escapes); each row is its own, in any order
+        # different levels (a 1e-12 limit ends the arc at once, an infinite
+        # one where the curve escapes); each row is its own, in any order
         fam = renormalized_family(ModelParams(), 6)
         rows = []
         for mu in (2.85, 3.0, 3.15):
             probes, pred = planar.region_probes(fam, mu)
             for probe in probes.values():
-                for limit in (probe.unstable_arclength, 1.0, 2.5, math.inf, -1.0, math.nan):
+                for limit in (probe.unstable_arclength, 1.0, 2.5, math.inf, 1e-12):
                     arc = dataclasses.replace(probe, unstable_arclength=limit)
                     rows += [(arc, pred - 0.02), (arc, pred + 0.03)]
         want = [one_row(p, t) for p, t in rows]
