@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -181,19 +181,25 @@ def _criterion_tangency(c: _Check):
         f"family's {exact[('gap_slope', +1)]} and {exact[('locus_slope', +1)]}",
     )
 
-    # the locus goes first: its mu = 3 root is the upper probe's fold root in
-    # `bracket` (nu_pred +- 0.03), which the event cross-check below reads
-    # with the lower one; the locus searches and the lower root run in lockstep
+    # both mu = 3 events come from the fold route, as in CLI tangency, the
+    # upper one the locus's mu = 3 root (same probe, bracket and Brent iterates)
     mus = [float(m) for m in np.linspace(2.85, 3.15, 7)]
     probes = {mu: planar.region_probes(fam, mu) for mu in mus}
     regions, nu_pred = probes[3.0]
-    up, lo = regions["upper"], regions["lower"]
     bracket = (nu_pred - 0.03, nu_pred + 0.03)
-    *roots, lo_root = fold.fold_roots(
-        [(p["upper"], (pred - 0.03, pred + 0.03)) for p, pred in probes.values()] + [(lo, bracket)])
-    fit = planar.tangency_locus(dict(zip(mus, roots)))
-    _, ev_up = planar.scan_events(up, bracket)
-    _, ev_lo = planar.scan_events(lo, bracket)
+    searches = [(p["upper"], (pred - 0.03, pred + 0.03)) for p, pred in probes.values()]
+    fit = planar.tangency_locus(dict(zip(mus, fold.fold_roots(searches))))
+    events = {name: planar.scan_events(fold.FoldProbe(regions[name]), bracket)[1] for name in ("upper", "lower")}
+    ev_up, ev_lo = events["upper"], events["lower"]
+    # the polyline probe at each fold event and b either side of it, b the
+    # probe's derived distance from the fold root (`fold_bound` on its candidate)
+    polyline = {}
+    for name, ev in events.items():
+        if ev is not None:
+            probe = regions[name]
+            cand = probe(ev.parameter)
+            b = fold.fold_bound(probe, replace(ev, candidate=cand))
+            polyline[name] = cand, b, probe.penetration(ev.parameter - b), probe.penetration(ev.parameter + b)
     if ev_up is None:
         c.expect(False, f"no upper event in [{bracket[0]:.6f}, {bracket[1]:.6f}]")
     else:
@@ -206,7 +212,7 @@ def _criterion_tangency(c: _Check):
             math.hypot(ev_up.location[0] - 1.0, ev_up.location[1] - 2.0) < 0.3,
             f"upper event located at {ev_up.location} near (1, 2)",
         )
-        cand = ev_up.candidate
+        cand = polyline["upper"][0]
         c.expect(
             abs(cand.curvature_gap) > 10 * max(cand.fit_noise, 1e-12),
             f"curvature mismatch {abs(cand.curvature_gap):.3f} exceeds 10x interpolation noise",
@@ -218,18 +224,12 @@ def _criterion_tangency(c: _Check):
         c.expect(ev_lo.classification == "contact-breaking", f"lower event at nu={ev_lo.parameter:.6f} is contact-breaking")
         c.expect(ev_lo.gap_slope < 0, f"lower gap slope {ev_lo.gap_slope:.4f} negative")
     if ev_up is not None and ev_lo is not None:
-        # the fold route reads no polyline, so each event sits within its probe's
-        # interpolation error of the fold root
-        up_root = dict(zip(fit.mu_values, fit.nu_values))[3.0]
-        if isinstance(lo_root, Exception):
-            raise lo_root
-        offs = [(abs(ev.parameter - root), fold.fold_bound(probe, ev))
-                for probe, ev, root in ((up, ev_up, up_root), (lo, ev_lo, lo_root))]
+        # a sign change of the probe's penetration over [t - b, t + b], in the
+        # fold slope's direction, puts a probe zero within b of the fold root
         c.expect(
-            all(d <= b for d, b in offs),
-            "probe events within the derived bound of their fold roots: "
-            + ", ".join(f"{name} |dnu| {d:.2e} <= {b:.2e} (margin {b - d:.2e})"
-                        for name, (d, b) in zip(("upper", "lower"), offs)),
+            all(events[name].gap_slope * lo < 0 < events[name].gap_slope * hi for name, (_, _, lo, hi) in polyline.items()),
+            "probe penetrations change sign within the derived bound of the fold events: "
+            + ", ".join(f"{name} +-{b:.2e}: {lo:.2e}, {hi:.2e}" for name, (_, b, lo, hi) in polyline.items()),
         )
 
     c.expect(not fit.skipped, f"fold locus found at every mu grid point {list(fit.mu_values)}")
@@ -262,6 +262,9 @@ def _criterion_wangyoung(c: _Check):
     ok, w = cert.checks["all_orbits_repelling"]
     c.expect(ok, f"all period<={wangyoung.MAX_PERIOD} orbits repelling (weakest multiplier {w['weakest_multiplier']:.4f}; "
                  f"{w['unresolved']} unresolved, worst residual {w['worst_residual']:.2e})")
+    _, a = wangyoung.markov_partition(mu)
+    for p, (got, want) in enumerate(zip(w["orbits"], wangyoung.trace_orbit_counts(a, wangyoung.MAX_PERIOD)), 1):
+        c.expect(got == want, f"period {p}: find_periodic's {got} orbits == the Markov partition's tr(A^p) count {want}")
     c.expect(cert.passed, "Misiurewicz certificate passed")
     tr = wangyoung.transversality_check(mu)
     c.expect(tr.dp_dmu < 0.4, f"dp/dmu = {tr.dp_dmu:.6f} < 0.4")

@@ -23,6 +23,9 @@ __all__ = [
     "MisiurewiczCertificate",
     "MAX_PERIOD",
     "misiurewicz_check",
+    "MarkovPartitionError",
+    "markov_partition",
+    "trace_orbit_counts",
     "TransversalityReport",
     "transversality_check",
     "transversality_h",
@@ -33,6 +36,7 @@ __all__ = [
 MU_LO = 3.0 * math.sqrt(3.0) / 2.0  # left end of the bracket; F^2(c) = 0 exactly here
 MU_HI = 3.0
 MAX_PERIOD = 8  # the Misiurewicz certificate checks every periodic orbit up to this period
+MARKOV_TOL = 1e-9  # how far the image of a cut may lie from a cut, the |F^3(c)| bound of criterion 6
 
 
 def critical_gap(mu: float) -> float:
@@ -108,7 +112,8 @@ def misiurewicz_check(mu_star: float, interval: tuple) -> MisiurewiczCertificate
     checks mu* > 0 and that `Cubic1D.schwarzian` equals the closed form
     exactly, in rationals, at the points k/8 inside the interval;
     (iii) every periodic orbit through period `MAX_PERIOD` is resolved (its
-    residual within tolerance) and has multiplier magnitude > 1; (iv) the
+    residual within tolerance) and has multiplier magnitude > 1 (the
+    witness's "orbits" counts them by period); (iv) the
     forward critical orbit is finite (it ends on the fixed point 0), so its
     distance to the critical set is an exact minimum over four points.
     """
@@ -131,8 +136,11 @@ def misiurewicz_check(mu_star: float, interval: tuple) -> MisiurewiczCertificate
     weakest_orbit = None
     ok = True
     unresolved, worst_residual = 0, 0.0
+    counts = []
     for p in range(1, MAX_PERIOD + 1):
-        for orb in find_periodic(f, p, interval):
+        orbits = find_periodic(f, p, interval)
+        counts.append(len(orbits))
+        for orb in orbits:
             m = abs(float(orb.multiplier))
             if m < weakest:
                 weakest, weakest_orbit = m, (p, orb.points[0])
@@ -141,7 +149,8 @@ def misiurewicz_check(mu_star: float, interval: tuple) -> MisiurewiczCertificate
             if m <= 1.0 + 1e-6 or not orb.resolved:
                 ok = False
     checks["all_orbits_repelling"] = (ok, {"weakest_multiplier": weakest, "witness": weakest_orbit,
-                                           "unresolved": unresolved, "worst_residual": worst_residual})
+                                           "unresolved": unresolved, "worst_residual": worst_residual,
+                                           "orbits": tuple(counts)})
 
     orbit = (c, f(c), -math.sqrt(mu_star), 0.0)
     if not abs(f(orbit[2])) < 1e-9:
@@ -151,6 +160,55 @@ def misiurewicz_check(mu_star: float, interval: tuple) -> MisiurewiczCertificate
 
     passed = all(v[0] for v in checks.values())
     return MisiurewiczCertificate(checks, passed)
+
+
+class MarkovPartitionError(ValueError):
+    """The critical orbit's cuts are not a Markov partition of F_mu."""
+
+
+def markov_partition(mu: float) -> tuple[tuple, np.ndarray]:
+    """The postcritical Markov partition of F_mu and its transition matrix.
+
+    The cuts are the critical orbit c, F(c), F^2(c), its mirror image (F is
+    odd) and the fixed point 0, in increasing order; at mu* they are
+    -F(c) < -sqrt(mu) < -c < 0 < c < sqrt(mu) < F(c), cutting six intervals.
+    The critical points are cuts, so F is monotone on each interval, and the
+    partition is Markov when F maps every cut to within `MARKOV_TOL` of a
+    cut; a cut that lands elsewhere raises `MarkovPartitionError`.  A[i, j]
+    is 1 when F maps interval i over interval j.
+    """
+    f = Cubic1D(mu, 0.0)
+    c = f.critical_points()[1]
+    orbit = (c, f(c), f(f(c)))
+    cuts = tuple(sorted({0.0, *orbit, *(-y for y in orbit)}))
+    ends = []
+    for y in cuts:
+        fy = f(y)
+        j = min(range(len(cuts)), key=lambda k: abs(cuts[k] - fy))
+        if not abs(cuts[j] - fy) <= MARKOV_TOL:
+            raise MarkovPartitionError(f"mu={mu}: F({y}) = {fy} lies {abs(cuts[j] - fy):.2e} from the nearest cut")
+        ends.append(j)
+    n = len(cuts) - 1
+    a = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        lo, hi = sorted(ends[i : i + 2])
+        a[i, lo:hi] = 1
+    return cuts, a
+
+
+def trace_orbit_counts(a: np.ndarray, max_period: int) -> list[int]:
+    """Orbits of each minimal period 1..`max_period` of F_mu* from
+    `markov_partition`'s matrix `a`: tr(A^p) counts period-p itineraries;
+    at mu* the one periodic cut is the fixed point 0, which ends two
+    intervals and so has two, so tr(A^p) - 1 points have period dividing p,
+    and Moebius inversion leaves those of period exactly p.
+    """
+    points: dict = {}
+    power = np.eye(len(a), dtype=np.int64)
+    for p in range(1, max_period + 1):
+        power = power @ a
+        points[p] = int(np.trace(power)) - 1 - sum(points[d] for d in range(1, p) if p % d == 0)
+    return [points[p] // p for p in range(1, max_period + 1)]
 
 
 @dataclass(frozen=True)

@@ -686,10 +686,49 @@ class TestFaultInjection:
         scan = planar.scan_events
         monkeypatch.setattr(
             planar, "scan_events",
-            lambda probe, ts: (scan(probe, ts)[0], None) if probe.mode == "peak" else scan(probe, ts),
+            lambda probe, ts: (scan(probe, ts)[0], None) if probe.probe.mode == "peak" else scan(probe, ts),
         )
         res = verify.run_criterion("tangency")
         assert not res.passed
         assert len(res.failures) == 1
         assert re.fullmatch(r"FAILED: no upper event in \[-?\d+\.\d{6}, -?\d+\.\d{6}\]", res.failures[0])
         assert any(d.startswith("ok: lower event at nu=") for d in res.details)
+
+    def test_probe_cross_check_is_live(self, monkeypatch):
+        # with a bound far inside the probe-to-fold distance the polyline
+        # probe's penetration keeps its sign over [t - b, t + b]: exactly the
+        # cross-check line fails, by name, with the bound it read
+        monkeypatch.setattr(fold, "fold_bound", lambda probe, event: 1e-9)
+        res = verify.run_criterion("tangency")
+        assert len(res.failures) == 1
+        assert res.failures[0].startswith(
+            "FAILED: probe penetrations change sign within the derived bound of the fold events: upper +-1.00e-09: ")
+        assert ", lower +-1.00e-09: " in res.failures[0]
+
+    def test_events_are_the_fold_routes(self, monkeypatch):
+        # criterion tangency's two mu = 3 events are CLI tangency's route,
+        # scan_events on a FoldProbe, and the upper one is the locus's mu = 3
+        # root: the same probe, bracket and Brent iterates give the same bits
+        scan, locus, seen = planar.scan_events, planar.tangency_locus, {}
+
+        def recording_scan(probe, ts):
+            out = scan(probe, ts)
+            seen[probe.probe.mode] = out[1]
+            return out
+
+        def recording_locus(roots):
+            seen["fit"] = locus(roots)
+            return seen["fit"]
+
+        monkeypatch.setattr(planar, "scan_events", recording_scan)
+        monkeypatch.setattr(planar, "tangency_locus", recording_locus)
+        assert verify.run_criterion("tangency").passed
+        monkeypatch.undo()
+        regions, pred = planar.region_probes(renorm.renormalized_family(ModelParams(), 6), 3.0)
+        bracket = (pred - 0.03, pred + 0.03)
+        for name, mode in (("upper", "peak"), ("lower", "valley")):
+            want = scan(fold.FoldProbe(regions[name]), bracket)[1]
+            assert seen[mode].parameter == want.parameter == fold.fold_roots([(regions[name], bracket)])[0]
+            assert seen[mode].gap_slope == want.gap_slope
+        fit = seen["fit"]
+        assert seen["peak"].parameter == fit.nu_values[fit.mu_values.index(3.0)]

@@ -393,6 +393,30 @@ class TestRootScan:
         assert counts == [3, 2, 4, 10, 28, 66, 164, 386]
         assert [len(find_periodic(f, p, interval)) for p in range(1, 9)] == counts
 
+    def test_markov_partition_counts_what_the_oracle_counts(self, mu_star_map):
+        # wangyoung's partition takes its cuts from the critical orbit and its
+        # matrix from the cut each cut maps to; the oracle tests midpoints
+        f, _ = mu_star_map
+        cuts, a = wangyoung.markov_partition(f.mu)
+        c = f.critical_points()[1]
+        want = [-f(c), -math.sqrt(f.mu), -c, 0.0, c, math.sqrt(f.mu), f(c)]
+        assert cuts == pytest.approx(want, abs=1e-14)
+        assert a.tolist() == [
+            [0, 0, 0, 1, 1, 0],
+            [1, 1, 1, 0, 0, 0],
+            [1, 1, 1, 0, 0, 0],
+            [0, 0, 0, 1, 1, 1],
+            [0, 0, 0, 1, 1, 1],
+            [0, 1, 1, 0, 0, 0],
+        ]
+        assert wangyoung.trace_orbit_counts(a, 8) == markov_orbit_counts(f.mu, 8)
+
+    def test_markov_partition_refuses_a_cut_that_lands_off_the_cuts(self):
+        # at mu = 2.9 the critical orbit does not land on 0, and a cut's image
+        # falls between cuts
+        with pytest.raises(wangyoung.MarkovPartitionError, match=r"^mu=2\.9: F\(\S+\) = \S+ lies 8\.43e-02 from the nearest cut$"):
+            wangyoung.markov_partition(2.9)
+
     def test_cells_covered_by_an_accepted_orbit_are_not_solved(self, mu_star_map, monkeypatch):
         calls = []
         own = maps1d.brentq

@@ -139,6 +139,17 @@ class TestMisiurewicz:
         assert "FAILED: all period<=8 orbits repelling (weakest multiplier 4.0000; 8 unresolved, " \
                "worst residual 1.00e-03)" in res.failures
 
+    def test_orbit_census_is_checked_against_the_markov_partition(self, mu_star, interval, monkeypatch):
+        # criterion wang_young compares find_periodic's count per period with
+        # the partition's trace count, one line per period
+        _, w = misiurewicz_check(mu_star, interval).checks["all_orbits_repelling"]
+        assert w["orbits"] == (3, 2, 4, 10, 28, 66, 164, 386)
+        counts = wangyoung.trace_orbit_counts
+        monkeypatch.setattr(wangyoung, "trace_orbit_counts", lambda a, p: counts(a, p)[:-1] + [385])
+        res = verify.run_criterion("wang_young")
+        assert res.failures == ["FAILED: period 8: find_periodic's 386 orbits == the Markov partition's tr(A^p) count 385"]
+        assert "ok: period 7: find_periodic's 164 orbits == the Markov partition's tr(A^p) count 164" in res.details
+
     def test_fixed_point_multipliers_closed_form(self, mu_star, interval):
         # F'(0) = mu*; F'(+-e) = 3 - 2 mu*
         f = Cubic1D(mu_star, 0.0)
