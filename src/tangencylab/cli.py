@@ -327,16 +327,20 @@ def cmd_tangency(args, parser) -> int:
     except ValueError as exc:
         parser.error(f"--mu-bar: {exc}")
     # the scan runs before --out exists: a t that cannot be measured is a usage
-    # error.  Each region is scanned on the folds of its unstable curve, upper first.
+    # error, of the first region (upper before lower) whose own route fails.
+    # Each region is scanned on the folds of its unstable curve; the two regions'
+    # roots and events are solved together.
     ts = [float(t) for t in np.linspace(args.t_min, args.t_max, args.points)]
     pens, events = {}, {}
-    for region, probe in probes.items():
+    for region, route in zip(probes, fold.fold_scans([fold.FoldProbe(p) for p in probes.values()], ts)):
         try:
-            pens[region], event = planar.scan_events(fold.FoldProbe(probe), ts)
+            if isinstance(route, Exception):
+                raise route
         except planar.WindowRejected as exc:
             parser.error(f"--t-min/--t-max: the {region} region's window rejects {exc}")
         except planar.NewtonDivergenceError as exc:
             parser.error(f"--t-min/--t-max: the {region} region's saddle solve fails at {exc}")
+        pens[region], event = route
         if event is not None:
             events[region] = event
     out = _outdir(args)

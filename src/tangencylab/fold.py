@@ -11,8 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import planar
 from .maps1d import brent_lockstep, brentq
 from .planar import (
+    CLASSIFY_OFFSETS,
     MAX_LEVELS,
     N_FIBERS,
     PROBE_H_MAX,
@@ -27,7 +29,8 @@ from .planar import (
     _seed_domain,
 )
 
-__all__ = ["FoldPoint", "fold_extremum", "fold_extrema", "fold_roots", "FoldProbe", "fold_bound"]
+__all__ = ["FoldPoint", "fold_extremum", "fold_extrema", "measure", "fold_roots", "fold_events", "fold_scans",
+           "FoldProbe", "fold_bound"]
 
 FOLD_GRID = 128  # seed-coordinate points per level of the fold search's grid
 FOLD_ZOOM = 65  # points per refinement step of the fold search
@@ -226,29 +229,81 @@ def _fold_group(base_map, reps: int, members: list, out: list) -> None:
             out[k] = FoldPoint(sigma, pen, (x, y), pen if probe.mode == "peak" else -pen)
 
 
+def measure(rows) -> list:
+    """Each (`FoldProbe`, t) row's `FoldPoint`, or the t-named exception that
+    ends it, with every row no probe has stored measured in one `_fold_rows`
+    batch and each outcome stored in its probe; a failing row stops no other."""
+    new = {(id(probe), t): (probe, t) for probe, t in rows if t not in probe._measured}
+    if new:
+        for (probe, t), outcome in zip(new.values(), _fold_rows([(probe.probe, t) for probe, t in new.values()])):
+            probe._measured[t] = outcome
+    return [probe._measured[t] for probe, t in rows]
+
+
 def fold_roots(searches) -> list:
-    """The zero of the fold penetration in each (probe, bracket) of
+    """The zero of the fold penetration in each (`FoldProbe`, bracket) of
     `searches`, by Brent's method to `ROOT_XTOL`, the searches in lockstep:
-    each round measures every live search's next t in one batch.
+    each round measures every live search's next t in one `measure` batch.
 
     Per search, the root or the exception that ended it: a ValueError when
     the penetration has the same sign at both ends, or a measurement's
     t-named error.
     """
     def penetrations(rows):
-        folds = _fold_rows([(searches[k][0], t) for k, t in rows])
+        folds = measure([(searches[k][0], t) for k, t in rows])
         return [f if isinstance(f, Exception) else f.penetration for f in folds]
 
     return brent_lockstep(penetrations, [bracket for _, bracket in searches], ROOT_XTOL)
+
+
+def fold_events(roots) -> list:
+    """`planar.classify_tangency`'s event at each (`FoldProbe`, t0) of `roots`,
+    with every event's offsets t0 + `CLASSIFY_OFFSETS` measured first in one
+    batch.  In place of an event: t0 itself when it is the exception that
+    ended a root search, or the error `classify_tangency` raises."""
+    found = [(probe, t0) for probe, t0 in roots if not isinstance(t0, Exception)]
+    measure([(probe, t0 + dt) for probe, t0 in found for dt in CLASSIFY_OFFSETS])
+    out = []
+    for probe, t0 in roots:
+        try:
+            out.append(t0 if isinstance(t0, Exception) else planar.classify_tangency(probe, t0))
+        except Exception as exc:  # a stored measurement's error
+            out.append(exc)
+    return out
+
+
+def fold_scans(probes, ts) -> list:
+    """`planar.scan_events(probe, ts)` for each `FoldProbe` of `probes`, bit
+    for bit: (penetrations, event), or the exception that `scan_events` alone
+    would raise first.  Each probe's scan is one batch; the roots of all the
+    scans' brackets come from one `fold_roots` lockstep, and their events
+    from `fold_events`."""
+    out, searches = [], []
+    for probe in probes:
+        points = measure([(probe, t) for t in ts])
+        failed = [p for p in points if isinstance(p, Exception)]
+        if failed:
+            out.append(failed[0])
+            continue
+        pens = [p.penetration for p in points]
+        out.append((pens, None))
+        bracket = planar.scan_bracket(ts, pens)
+        if bracket is not None:
+            searches.append((len(out) - 1, probe, bracket))
+    roots = fold_roots([(probe, bracket) for _, probe, bracket in searches])
+    events = fold_events([(probe, root) for (_, probe, _), root in zip(searches, roots)])
+    for (k, _, _), event in zip(searches, events):
+        out[k] = event if isinstance(event, Exception) else (out[k][0], event)
+    return out
 
 
 @dataclass(frozen=True)
 class FoldProbe:
     """`probe`'s fold route with a probe's interface, for `scan_events` and
     `classify_tangency`: t -> `fold_extremum`, measured once per instance
-    like a `FiberGapProbe`'s candidates, and roots by Brent's method on those
-    values.  `at(ts)` measures every new t of `ts` in one `fold_extrema`
-    batch."""
+    (a failure is stored and raised again, as the measurement depends on t
+    alone), and roots by Brent's method on those values.  `at(ts)` measures
+    every new t of `ts` in one `measure` batch."""
 
     probe: FiberGapProbe
     _measured: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -257,10 +312,11 @@ class FoldProbe:
         return self.at([t])[0]
 
     def at(self, ts) -> list[FoldPoint]:
-        new = [t for t in dict.fromkeys(ts) if t not in self._measured]
-        if new:
-            self._measured.update(zip(new, fold_extrema([(self.probe, t) for t in new])))
-        return [self._measured[t] for t in ts]
+        points = measure([(self, t) for t in ts])
+        for point in points:
+            if isinstance(point, Exception):
+                raise point
+        return points
 
     def penetration(self, t: float) -> float:
         return self(t).penetration

@@ -54,6 +54,7 @@ __all__ = [
     "TangencyEvent",
     "classify_tangency",
     "scan_events",
+    "scan_bracket",
     "periodic_ordinate",
     "velocity_table",
     "limit_velocities",
@@ -668,7 +669,7 @@ class WindowRejected(ValueError):
 
 N_FIBERS = 81  # vertical fibers across a tangency window
 NOISE_FLOOR = 1e-4  # penetration slope below which a classification is withheld
-CLASSIFY_DT = 1e-3  # the larger of the two central-difference steps of a penetration slope
+CLASSIFY_OFFSETS = (1e-3, -1e-3, 5e-4, -5e-4)  # t0 +- dt, t0 +- dt/2: a penetration slope's central differences
 ROOT_XTOL = 1e-8  # Brent tolerance in t of every tangency root: probe, fold and locus
 
 
@@ -796,16 +797,15 @@ def classify_tangency(probe: Callable[[float], TangencyCandidate | FoldPoint], t
     """Classify the event tracked by `probe` (t -> TangencyCandidate, or a
     fold's `FoldPoint`) at t0; the event's location and gaps are t0's.
 
-    The four offsets are measured after t0, in one batch on a `FoldProbe`.
-    The penetration slope is measured by central differences at
-    dt = `CLASSIFY_DT` and dt/2 and Richardson-extrapolated; making = upward
-    zero crossing of the penetration, breaking = downward.  A slope below
-    `NOISE_FLOOR` withholds classification; a penetration bounded away from
-    zero across the probe interval reports transverse.
-    """
-    dt = CLASSIFY_DT
+    The offsets t0 + `CLASSIFY_OFFSETS` are measured after t0, in one batch
+    on a `FoldProbe` (`fold.fold_events` may have measured them already), and
+    the penetration slope is their central differences at dt and dt/2,
+    Richardson-extrapolated; making = upward zero crossing, breaking = downward.
+    A slope below `NOISE_FLOOR` withholds classification; a penetration
+    bounded away from zero across the probe interval reports transverse."""
+    dt = CLASSIFY_OFFSETS[0]
     c0 = probe(t0)
-    cp, cm, cp2, cm2 = _measure_all(probe, [t0 + dt, t0 - dt, t0 + dt / 2, t0 - dt / 2])
+    cp, cm, cp2, cm2 = _measure_all(probe, [t0 + offset for offset in CLASSIFY_OFFSETS])
     s1 = (cp.penetration - cm.penetration) / (2 * dt)
     s2 = (cp2.penetration - cm2.penetration) / dt
     slope = (4 * s2 - s1) / 3
@@ -928,21 +928,21 @@ class FiberGapProbe:
 
 
 def scan_events(probe: FiberGapProbe | FoldProbe, ts) -> tuple[list, TangencyEvent | None]:
-    """The penetrations of `probe` (or of a `FoldProbe`) at the scan values
-    `ts`, and its first tangency event over them.
-
-    A `FoldProbe` measures all of `ts` in one batch.  The first consecutive
-    pair of `ts` whose penetrations change sign, or whose left end is exactly
-    zero (or, for the last pair, either end), brackets the zero, which
-    `locate_zero` refines and `classify_tangency` classifies.  Returns
-    (penetrations, event); the event is None when no pair brackets a zero.
-    """
+    """The penetrations of `probe` (or of a `FoldProbe`, in one batch) at the scan values
+    `ts`, and its first tangency event over them: the zero `locate_zero` refines in
+    `scan_bracket`'s pair, classified by `classify_tangency`; None if there is none."""
     pens = [c.penetration for c in _measure_all(probe, ts)]
-    last = len(ts) - 2
+    bracket = scan_bracket(ts, pens)
+    return pens, None if bracket is None else classify_tangency(probe, probe.locate_zero(bracket))
+
+
+def scan_bracket(ts, pens) -> tuple | None:
+    """The first pair of consecutive scan values `ts` whose penetrations `pens` change
+    sign or whose left end (for the last pair, either end) is exactly zero, or None."""
     for i in range(len(ts) - 1):
-        if pens[i] == 0.0 or pens[i] * pens[i + 1] < 0 or (i == last and pens[i + 1] == 0.0):
-            return pens, classify_tangency(probe, probe.locate_zero((ts[i], ts[i + 1])))
-    return pens, None
+        if pens[i] == 0.0 or pens[i] * pens[i + 1] < 0 or (i == len(ts) - 2 and pens[i + 1] == 0.0):
+            return ts[i], ts[i + 1]
+    return None
 
 
 def _measure_all(probe, ts) -> list:

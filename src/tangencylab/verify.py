@@ -181,15 +181,25 @@ def _criterion_tangency(c: _Check):
         f"family's {exact[('gap_slope', +1)]} and {exact[('locus_slope', +1)]}",
     )
 
-    # both mu = 3 events come from the fold route, as in CLI tangency, the
-    # upper one the locus's mu = 3 root (same probe, bracket and Brent iterates)
+    # both mu = 3 events come from the fold route, as in CLI tangency: the lower
+    # search runs in the locus's lockstep, and the upper event is the locus's
+    # mu = 3 root; a search whose bracket shows no sign change finds no event
     mus = [float(m) for m in np.linspace(2.85, 3.15, 7)]
     probes = {mu: planar.region_probes(fam, mu) for mu in mus}
     regions, nu_pred = probes[3.0]
     bracket = (nu_pred - 0.03, nu_pred + 0.03)
-    searches = [(p["upper"], (pred - 0.03, pred + 0.03)) for p, pred in probes.values()]
-    fit = planar.tangency_locus(dict(zip(mus, fold.fold_roots(searches))))
-    events = {name: planar.scan_events(fold.FoldProbe(regions[name]), bracket)[1] for name in ("upper", "lower")}
+    searches = [(fold.FoldProbe(p["upper"]), (pred - 0.03, pred + 0.03)) for p, pred in probes.values()]
+    searches.append((fold.FoldProbe(regions["lower"]), bracket))
+    roots = fold.fold_roots(searches)
+    fit = planar.tangency_locus(dict(zip(mus, roots)))
+    at_3 = mus.index(3.0)
+    ends = [(searches[at_3][0], roots[at_3]), (searches[-1][0], roots[-1])]
+    events = dict(zip(("upper", "lower"), fold.fold_events(ends)))
+    for name, ev in events.items():
+        if isinstance(ev, ValueError) and not isinstance(ev, planar.WindowRejected):
+            events[name] = None  # no sign change over the bracket
+        elif isinstance(ev, Exception):
+            raise ev
     ev_up, ev_lo = events["upper"], events["lower"]
     # the polyline probe at each fold event and b either side of it, b the
     # probe's derived distance from the fold root (`fold_bound` on its candidate)

@@ -417,10 +417,12 @@ class TestTangencyCommand:
 
     def test_each_fold_row_is_measured_once(self, tmp_path, monkeypatch):
         # at the defaults the two regions' scans, roots and slopes read 40
-        # distinct (region, t) fold rows, each measured once, in batches of one
-        # region's rows; the values do not depend on the order they are measured in
+        # distinct (region, t) fold rows, each measured once: each region's
+        # scan in its own batch, then both regions' Brent steps and both
+        # events' offsets together, no batch over 13 rows; the values do not
+        # depend on the order they are measured in
         batches, folds = [], {}
-        batch = fold.fold_extrema
+        batch = fold._fold_rows
 
         def recording(rows):
             batches.append([(probe.mode, t) for probe, t in rows])
@@ -428,31 +430,72 @@ class TestTangencyCommand:
             folds.update(((probe, t), point) for (probe, t), point in zip(rows, out))
             return out
 
-        monkeypatch.setattr(fold, "fold_extrema", recording)
+        monkeypatch.setattr(fold, "_fold_rows", recording)
         assert main(["tangency", "--out", str(tmp_path)]) == 0
         rows = [row for b in batches for row in b]
         assert len(rows) == len(set(rows)) == 40
-        assert all(len({mode for mode, _ in b}) == 1 for b in batches)
-        assert [len(b) for b in batches][:2] == [13, 1]  # the scan, then Brent's first step
+        assert [len(b) for b in batches] == [13, 13, 2, 2, 2, 8]
+        assert [{mode for mode, _ in b} for b in batches[:2]] == [{"peak"}, {"valley"}]
+        assert all({mode for mode, _ in b} == {"peak", "valley"} for b in batches[2:])
         keys = list(folds)
-        assert batch(keys[::-1])[::-1] == [folds[k] for k in keys]
+        assert fold.fold_extrema(keys[::-1])[::-1] == [folds[k] for k in keys]
+
+    @pytest.mark.parametrize("argv", [["--mu-bar", "2.98", "--points", "9"], ["--points", "2"]])
+    def test_artifacts_equal_the_per_region_route(self, tmp_path, monkeypatch, argv):
+        # solving both regions together writes, byte for byte, what scanning,
+        # solving and classifying each region alone with scan_events writes
+        out = tmp_path / "out"
+        assert main(["tangency", *argv, "--out", str(out)]) == 0
+        joint = read_artifacts(out)
+        for f in out.iterdir():
+            f.unlink()
+        monkeypatch.setattr(fold, "fold_scans", lambda probes, ts: [planar.scan_events(p, ts) for p in probes])
+        assert main(["tangency", *argv, "--out", str(out)]) == 0
+        assert read_artifacts(out) == joint
 
     def test_upper_error_is_reported_before_an_earlier_lower_one(self, tmp_path, capsys, monkeypatch):
         # the upper region rejects the last scan t, the lower one the first
         bad_t = {"upper": 0.03, "lower": -0.03}
 
-        def fold_extrema(rows):
-            for region, t in rows:
-                if t == bad_t[region]:
-                    raise planar.WindowRejected(f"t={t}: no crossing")
-            return [fold.FoldPoint(0.0, 1.0, (0.0, 0.0), 1.0) for _ in rows]
+        def fold_rows(rows):
+            return [planar.WindowRejected(f"t={t}: no crossing") if t == bad_t[region]
+                    else fold.FoldPoint(0.0, 1.0, (0.0, 0.0), 1.0) for region, t in rows]
 
         monkeypatch.setattr(planar, "region_probes", lambda fam, mu: ({r: r for r in bad_t}, 0.0))
-        monkeypatch.setattr(fold, "fold_extrema", fold_extrema)
+        monkeypatch.setattr(fold, "_fold_rows", fold_rows)
         with pytest.raises(SystemExit):
             main(["tangency", "--points", "3", "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert "error: --t-min/--t-max: the upper region's window rejects t=0.03: no crossing\n" in err
+
+    def test_upper_slope_error_is_reported_before_a_lower_scan_error(self, tmp_path, capsys, monkeypatch):
+        # the upper region's scan brackets a root at t = 0 and rejects only its
+        # slope offset t = 0.001, measured after the lower scan that rejects
+        # t = -0.03: the upper route fails first, at its own earliest t
+        def fold_rows(rows):
+            out = []
+            for region, t in rows:
+                bad = t == (0.001 if region == "upper" else -0.03)
+                out.append(planar.WindowRejected(f"t={t}: no crossing") if bad else fold.FoldPoint(0.0, t, (0.0, 0.0), t))
+            return out
+
+        monkeypatch.setattr(planar, "region_probes", lambda fam, mu: ({"upper": "upper", "lower": "lower"}, 0.0))
+        monkeypatch.setattr(fold, "_fold_rows", fold_rows)
+        with pytest.raises(SystemExit):
+            main(["tangency", "--points", "3", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert "error: --t-min/--t-max: the upper region's window rejects t=0.001: no crossing\n" in err
+
+    def test_lower_only_error_names_the_lower_region(self, tmp_path, capsys):
+        # at t = -0.5 the lower valley lies at an end of its arc; the upper
+        # region measures every t of the scan
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["tangency", "--t-min", "-0.5", "--t-max", "-0.1", "--points", "3", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: --t-min/--t-max: the lower region's window rejects t=-0.5: " in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_single_point_cannot_bracket_an_event(self, tmp_path, capsys):
         assert main(["tangency", "--mu-bar", "2.95", "--points", "1", "--out", str(tmp_path)]) == 0
@@ -682,17 +725,36 @@ class TestFaultInjection:
         assert capsys.readouterr().err == ""
         assert verify.run_criterion("tangency").passed
 
+    @staticmethod
+    def losing(monkeypatch, mode):
+        """Make criterion tangency's mu = 3 search of the `mode` region find no
+        sign change, as a bracket without a root does."""
+        roots = fold.fold_roots
+
+        def fold_roots(searches):
+            return [ValueError("f(a) and f(b) must have different signs")
+                    if probe.probe.mode == mode and probe.probe.curve(0.0)[0] == 3.0 else root
+                    for (probe, _), root in zip(searches, roots(searches))]
+
+        monkeypatch.setattr(fold, "fold_roots", fold_roots)
+
     def test_missing_tangency_event_is_a_named_failure(self, monkeypatch):
-        scan = planar.scan_events
-        monkeypatch.setattr(
-            planar, "scan_events",
-            lambda probe, ts: (scan(probe, ts)[0], None) if probe.probe.mode == "peak" else scan(probe, ts),
-        )
+        # the upper event is the locus's mu = 3 root, so the locus loses that
+        # grid point too; the lower event is still found and classified
+        self.losing(monkeypatch, "peak")
         res = verify.run_criterion("tangency")
         assert not res.passed
-        assert len(res.failures) == 1
+        assert len(res.failures) == 2
         assert re.fullmatch(r"FAILED: no upper event in \[-?\d+\.\d{6}, -?\d+\.\d{6}\]", res.failures[0])
+        assert res.failures[1] == "FAILED: fold locus found at every mu grid point [2.85, 2.9, 2.95, 3.05, 3.1, 3.15]"
         assert any(d.startswith("ok: lower event at nu=") for d in res.details)
+
+    def test_missing_lower_event_is_a_named_failure(self, monkeypatch):
+        self.losing(monkeypatch, "valley")
+        res = verify.run_criterion("tangency")
+        assert len(res.failures) == 1
+        assert re.fullmatch(r"FAILED: no lower event in \[-?\d+\.\d{6}, -?\d+\.\d{6}\]", res.failures[0])
+        assert any(d.startswith("ok: upper event at nu=") for d in res.details)
 
     def test_probe_cross_check_is_live(self, monkeypatch):
         # with a bound far inside the probe-to-fold distance the polyline
@@ -706,29 +768,42 @@ class TestFaultInjection:
         assert ", lower +-1.00e-09: " in res.failures[0]
 
     def test_events_are_the_fold_routes(self, monkeypatch):
-        # criterion tangency's two mu = 3 events are CLI tangency's route,
-        # scan_events on a FoldProbe, and the upper one is the locus's mu = 3
-        # root: the same probe, bracket and Brent iterates give the same bits
-        scan, locus, seen = planar.scan_events, planar.tangency_locus, {}
+        # criterion tangency's two mu = 3 events are CLI tangency's route, equal
+        # to scan_events on each region's own FoldProbe, and the upper one is the
+        # locus's mu = 3 root: the same probe, bracket and Brent iterates give
+        # the same bits
+        classify, locus, seen = planar.classify_tangency, planar.tangency_locus, {}
 
-        def recording_scan(probe, ts):
-            out = scan(probe, ts)
-            seen[probe.probe.mode] = out[1]
-            return out
+        def recording_classify(probe, t0):
+            seen[probe.probe.mode] = classify(probe, t0)
+            return seen[probe.probe.mode]
 
         def recording_locus(roots):
             seen["fit"] = locus(roots)
             return seen["fit"]
 
-        monkeypatch.setattr(planar, "scan_events", recording_scan)
+        monkeypatch.setattr(planar, "classify_tangency", recording_classify)
         monkeypatch.setattr(planar, "tangency_locus", recording_locus)
         assert verify.run_criterion("tangency").passed
         monkeypatch.undo()
         regions, pred = planar.region_probes(renorm.renormalized_family(ModelParams(), 6), 3.0)
         bracket = (pred - 0.03, pred + 0.03)
         for name, mode in (("upper", "peak"), ("lower", "valley")):
-            want = scan(fold.FoldProbe(regions[name]), bracket)[1]
-            assert seen[mode].parameter == want.parameter == fold.fold_roots([(regions[name], bracket)])[0]
-            assert seen[mode].gap_slope == want.gap_slope
+            want = planar.scan_events(fold.FoldProbe(regions[name]), bracket)[1]
+            assert repr(seen[mode]) == repr(want)
+            assert want.parameter == fold.fold_roots([(fold.FoldProbe(regions[name]), bracket)])[0]
         fit = seen["fit"]
         assert seen["peak"].parameter == fit.nu_values[fit.mu_values.index(3.0)]
+
+    def test_criterion_fold_batches(self, monkeypatch):
+        # the locus's seven searches and the lower one share each Brent round
+        # (the two bracket ends, three steps), then both events' offsets one batch
+        batch, sizes = fold._fold_rows, []
+
+        def recording(rows):
+            sizes.append(len(rows))
+            return batch(rows)
+
+        monkeypatch.setattr(fold, "_fold_rows", recording)
+        assert verify.run_criterion("tangency").passed
+        assert sizes == [8] * 6

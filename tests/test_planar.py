@@ -1334,7 +1334,8 @@ class TestFold:
         probes = {mu: self.probe(mu, "upper") for mu in self.mus}
         brackets = {mu: (pred - 0.03, pred + 0.03) for mu, (_, pred) in probes.items()}
         by_probe = locus(lambda mu, nu: probes[mu][0].penetration(nu), brackets)
-        by_fold = tangency_locus(dict(zip(self.mus, fold.fold_roots([(probes[mu][0], brackets[mu]) for mu in self.mus]))))
+        searches = [(fold.FoldProbe(probes[mu][0]), brackets[mu]) for mu in self.mus]
+        by_fold = tangency_locus(dict(zip(self.mus, fold.fold_roots(searches))))
         assert by_probe.mu_values == by_fold.mu_values == tuple(self.mus)
         for mu, nu_probe, nu_fold in zip(self.mus, by_probe.nu_values, by_fold.nu_values):
             probe = probes[mu][0]
@@ -1380,7 +1381,7 @@ class TestFold:
         assert fold.FoldProbe(probe).at(ts[::-1] + ts) == fresh[::-1] + fresh
         bracket = (pred - 0.03, pred + 0.03)
         root = brentq(lambda t: fold.fold_extremum(probe, t).penetration, *bracket, xtol=planar.ROOT_XTOL)
-        assert fp.locate_zero(bracket) == root == fold.fold_roots([(probe, bracket)])[0]
+        assert fp.locate_zero(bracket) == root == fold.fold_roots([(fold.FoldProbe(probe), bracket)])[0]
 
     @pytest.mark.parametrize("region", ["upper", "lower"])
     def test_fold_event_carries_its_root_fold(self, region):
@@ -1566,6 +1567,26 @@ class TestFoldBatch:
         assert all(w.startswith("FoldPoint") for w in want)
         assert [fold_outcome(f) for f in fold._fold_rows(rows)] == want
 
+    def test_joint_batch_keeps_every_outcome(self, monkeypatch):
+        # rows of two FoldProbes in one batch: the failing row stops no other,
+        # every success is stored in its probe, and the failure is stored and
+        # raised again, so no row is measured twice
+        probe, pred = region_probe(renormalized_family(ModelParams(), 6), 3.0, "upper")
+        good = fold.FoldProbe(probe)
+        bad = fold.FoldProbe(dataclasses.replace(probe, window=((5.0, 6.0), (5.0, 6.0))))
+        want = [fold.fold_extremum(probe, pred - 0.01), fold.fold_extremum(probe, pred)]
+        batches = []
+        monkeypatch.setattr(fold, "_fold_rows", lambda rows, batch=fold._fold_rows: batches.append(rows) or batch(rows))
+        got = fold.measure([(good, pred - 0.01), (bad, pred), (good, pred), (good, pred - 0.01)])
+        assert [len(rows) for rows in batches] == [3]
+        assert [got[0], got[2]] == want and got[3] is got[0]
+        assert isinstance(got[1], WindowRejected) and str(got[1]) == f"t={pred}: the unstable arc misses the window"
+        assert good.at([pred, pred - 0.01]) == [got[2], got[0]]
+        with pytest.raises(WindowRejected) as exc:
+            bad(pred)
+        assert exc.value is got[1]
+        assert len(batches) == 1
+
     def test_lockstep_roots_equal_serial_ones(self):
         # the locus searches and the lower region's root in lockstep, as
         # criterion 5 runs them; a bracket without a sign change and a window
@@ -1578,7 +1599,7 @@ class TestFoldBatch:
         searches.append((regions["upper"], (pred + 0.01, pred + 0.03)))
         missed = dataclasses.replace(regions["upper"], window=((5.0, 6.0), (5.0, 6.0)))
         searches.append((missed, (pred - 0.03, pred + 0.03)))
-        got = fold.fold_roots(searches)
+        got = fold.fold_roots([(fold.FoldProbe(probe), bracket) for probe, bracket in searches])
         for (probe, bracket), root in zip(searches[:-2], got):
             assert root == fold.FoldProbe(probe).locate_zero(bracket)
         assert isinstance(got[-2], ValueError) and "different signs" in str(got[-2])
