@@ -232,7 +232,11 @@ def _fold_group(base_map, reps: int, members: list, out: list) -> None:
 def measure(rows) -> list:
     """Each (`FoldProbe`, t) row's `FoldPoint`, or the t-named exception that
     ends it, with every row no probe has stored measured in one `_fold_rows`
-    batch and each outcome stored in its probe; a failing row stops no other."""
+    batch and each outcome stored in its probe; a failing row stops no other.
+    A row whose probe is not a `FoldProbe` raises TypeError."""
+    for probe, _ in rows:
+        if not isinstance(probe, FoldProbe):
+            raise TypeError(f"measure takes (FoldProbe, t) rows, not a {type(probe).__name__}")
     new = {(id(probe), t): (probe, t) for probe, t in rows if t not in probe._measured}
     if new:
         for (probe, t), outcome in zip(new.values(), _fold_rows([(probe.probe, t) for probe, t in new.values()])):

@@ -225,10 +225,6 @@ class Cubic1D:
     through unharmed.  An array's cube is `y*y*y`, as numpy's `power` costs
     many products per element; a scalar's stays `y**3`, the C library's
     pow, which the roots and certificates are computed with.
-
-    `iterate` is the scalar orbit loop: it writes `__call__`'s scalar
-    expression inline, so n steps give the bits of n calls without n
-    dispatches.  `find_periodic` runs on it.
     """
 
     mu: object
@@ -248,16 +244,8 @@ class Cubic1D:
         raise ValueError(f"order must be 0..3, got {order}")
 
     def iterate(self, y, steps: int):
-        """The map applied `steps` times: an array through `__call__`, a
-        scalar by the same expression inline."""
-        if isinstance(y, np.ndarray):
-            for _ in range(steps):
-                y = self(y)
-            return y
-        mu, nu = self.mu, self.nu
-        for _ in range(steps):
-            y = -(y**3) + mu * y + nu
-        return y
+        """The map applied `steps` times."""
+        return _iterate(self, y, steps)
 
     def critical_points(self):
         """The pair (-sqrt(mu/3), +sqrt(mu/3)); requires mu > 0."""
@@ -329,37 +317,37 @@ class PeriodicOrbit1D:
             raise ValueError("points/period mismatch")
 
 
-def _divisors(p: int) -> list[int]:
-    return [d for d in range(1, p) if p % d == 0]
-
-
 def _cells_per_unit(period: int) -> int:
-    # slope magnitude is 3 per step for the maps treated here,
-    # so 4*3^p cells per unit length cannot skip a branch chain
+    """4*3^p grid cells per unit length.  The premise is a slope of at most 3
+    in magnitude per step, so that a cell holds at most one root of
+    F^p(y) - y and the sign changes across it.  Where |F'| is larger it
+    fails: for the cubic mu = 3, nu = 0 on (-2.6, 2.6), |F'| = 9 at the
+    boundary 2-cycle +-2, F^8(y) - y swings by about 10^3 per cell there,
+    and the cell [-1.99994, -1.99990] holds four roots and one sign at its
+    ends, so one orbit of period 8 is missed."""
     return 4 * 3**period
 
 
 def find_periodic(fmap, period: int, domain: tuple) -> list[PeriodicOrbit1D]:
     """All period-`period` orbits of `fmap` found inside `domain`, in binary64.
 
-    `fmap` must evaluate numpy arrays.  F^p(y) - y is evaluated on a uniform
-    grid of 4*3^p cells per unit length, and the cells where it changes sign
-    are visited once, in ascending order.  Brent's method narrows each one
-    to width 1e-14 (robust against the slope-3^p stiffness that defeats
-    Newton here), and the root is accepted or rejected at once.  Orbits are
-    deduplicated by membership, represented by their smallest point, and
-    carry the multiplier along the cycle.
+    `fmap` must evaluate numpy arrays.  F^p(y) - y is evaluated on a grid of
+    `_cells_per_unit(p)` cells per unit length, and every cell where it
+    changes sign is solved at once in array passes: Brent's method to width
+    1e-14 (robust against the slope-3^p stiffness that defeats Newton here),
+    then the root's orbit, divisor test, residual and multiplier.  A replay
+    walks the cells in ascending order.  It skips a cell that strictly holds
+    a point of a kept orbit (the grid assumes one root per cell), and drops
+    a root whose period is not minimal or whose smallest point, the orbit's
+    representative, lies within 1e-9 of a kept one.
 
-    The grid assumes each cell holds at most one root of F^p(y) - y, which
-    is what 4*3^p cells per unit buys for slope-3 maps.  So once an orbit is
-    accepted, every cell that strictly holds one of its points holds no
-    other root, and it is skipped unsolved: solving it would give a later
-    point of that orbit, which the deduplication drops.
-
-    Past the grid everything is scalar.  For a `Cubic1D` the multi-step
-    compositions run in `Cubic1D.iterate`'s loop, with the bits of
-    repeated `fmap(y)`, and the multiplier is the product of `fmap(y, 1)`
-    along the cycle; any other map is called once per step.
+    The arrays carry the bits of scalar calls: a `Cubic1D`'s cube is
+    `np.float_power`, the C pow that `y**3` calls, and its multiplier the
+    product of `fmap(y, 1)`; any other map is called per point, its
+    multiplier by central differences.  A cell the arrays cannot finish (a
+    value that is not finite, ends of one sign, no convergence) is solved by
+    scalar calls and `brentq` when the replay reaches it, and raises what
+    they raise; a skipped cell raises and warns nothing.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
@@ -367,103 +355,191 @@ def find_periodic(fmap, period: int, domain: tuple) -> list[PeriodicOrbit1D]:
     return _scan(fmap, period, float(lo), float(hi), _cells_per_unit(period))
 
 
-def _iter_map(fmap, x, steps):
-    if isinstance(fmap, Cubic1D):
-        return fmap.iterate(x, steps)
-    for _ in range(steps):
-        x = fmap(x)
-    return x
-
-
 def _scan(fmap, period, lo, hi, cells_per_unit):
     n_cells = max(8, math.ceil(cells_per_unit * (hi - lo)))
     xs = np.linspace(lo, hi, n_cells + 1)
-    ys = xs
-    for _ in range(period):
-        ys = np.asarray(fmap(ys), dtype=float)
-    g = ys - xs
-    ga, gb = g[:-1], g[1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        cells = np.flatnonzero(np.isfinite(ga) & np.isfinite(gb) & ((ga == 0.0) | (ga * gb < 0.0)))
-
-    def gap(x):
-        return _iter_map(fmap, x, period) - x
-
+    step, slope = _maps(fmap)
+    with np.errstate(all="ignore"):
+        cells, last = _sign_changes(fmap, period, xs)
+        a, b = xs[cells], xs[cells + 1]
+        x, ok = _brent_rows(lambda v: _iterate(step, v, period) - v, a, b,
+                            _iterate(step, a, period) - a, _iterate(step, b, period) - b, 1e-14)
+        if last:  # the last grid point, a root that starts no cell
+            x, ok = np.append(x, xs[-1]), np.append(ok, True)
+        minimal, pts = _orbits(step, period, x)
+        res, mult = _tails(step, slope, period, pts)
+        ok &= np.isfinite(pts).all(axis=1) & np.isfinite(res) & np.isfinite(mult)
+        # the cells held by the orbit of each root that is its orbit's
+        # smallest point: as a rule, the roots the replay keeps
+        first = np.flatnonzero(ok & minimal & (pts[:, 0] == x))
+        held = dict(zip(first.tolist(), _held(xs, pts[first]).tolist()))
+    strict = _maps(fmap, strict=True)
+    rep, minimal, res, mult = pts[:, 0].tolist(), minimal.tolist(), res.tolist(), mult.tolist()
     orbits: list[PeriodicOrbit1D] = []
     seen: list = []  # representatives, sorted
-    covered: set = set()  # cells strictly holding a point of an accepted orbit
-
-    def accept(x):
-        orbit = _accept(fmap, x, period, seen)
-        if orbit is not None:
-            orbits.append(orbit)
-            # xs[k-1] < q <= xs[k]; the cell k-1 holds q strictly unless q == xs[k]
-            for q, k in zip(orbit.points, np.searchsorted(xs, orbit.points).tolist()):
-                if 0 < k <= n_cells and q < xs[k]:
-                    covered.add(k - 1)
-
-    for i in cells.tolist():
+    covered: set = set()  # cells strictly holding a point of a kept orbit
+    for r, (i, good) in enumerate(zip(cells.tolist() + [None], ok.tolist())):  # None: the last grid point
         if i in covered:
             continue
-        # numpy's y**3 and the C library's pow may differ in the last bit, so
-        # each flagged cell is re-checked in the scalar arithmetic brentq uses
-        a, b = float(xs[i]), float(xs[i + 1])
-        ga, gb = gap(a), gap(b)
-        if ga == 0.0:
-            accept(a)
-        elif gb == 0.0:
-            accept(b)
-        elif (ga < 0.0) != (gb < 0.0):
-            known = {a: ga, b: gb}  # brentq starts by evaluating both ends again
-            accept(brentq(lambda x: known[x] if x in known else gap(x), a, b, xtol=1e-14))
-        else:  # the sign change was rounding: the end nearer zero is a root to within it
-            accept(a if abs(ga) <= abs(gb) else b)
-    if np.isfinite(g[-1]) and g[-1] == 0.0:
-        accept(float(xs[-1]))
+        if good:
+            if not minimal[r] or not _admit(seen, rep[r]):
+                continue
+            orbit, residual, multiplier = pts[r], res[r], mult[r]
+        else:  # by scalar calls, which raise what they raise
+            root = float(xs[-1]) if i is None else _scalar_root(fmap, period, float(xs[i]), float(xs[i + 1]))
+            (keep,), line = _orbits(strict[0], period, np.array([root]))
+            if not keep or not _admit(seen, float(line[0, 0])):
+                continue
+            (residual,), (multiplier,) = (v.tolist() for v in _tails(*strict, period, line))
+            orbit = line[0]
+        covered.update(held[r] if r in held else _held(xs, orbit).tolist())
+        orbit = orbit.tolist()
+        orbits.append(PeriodicOrbit1D(points=tuple(orbit), period=period, multiplier=multiplier, residual=residual,
+                                      resolved=residual <= 1e-10 * max(1.0, abs(orbit[0]))))
     orbits.sort(key=lambda o: float(o.points[0]))
     return orbits
 
 
-def _orbit_of(fmap, x, period):
-    pts = [x]
-    for _ in range(period - 1):
-        pts.append(fmap(pts[-1]))
-    return pts
-
-
-def _multiplier(fmap, orbit):
-    m = 1.0
-    if isinstance(fmap, Cubic1D):
-        for x in orbit:
-            m *= fmap(x, 1)
-        return m
+def _maps(fmap, strict: bool = False):
+    """`fmap`'s step and slope on 1-D arrays, with the bits of scalar calls:
+    a `Cubic1D`'s in numpy (float_power is the C library's pow, which `y**3`
+    and `y**2` call), else, or when `strict`, by a call per point, a call
+    that raises giving NaN unless `strict`."""
+    if isinstance(fmap, Cubic1D) and not strict:
+        mu, nu = float(fmap.mu), float(fmap.nu)
+        return lambda y: mu * y - np.float_power(y, 3) + nu, lambda y: -3.0 * np.float_power(y, 2) + mu
     h = 1e-7
-    for x in orbit:
-        m *= (fmap(x + h) - fmap(x - h)) / (2 * h)
-    return m
+    slope = (lambda y: fmap(y, 1)) if isinstance(fmap, Cubic1D) else (lambda y: (fmap(y + h) - fmap(y - h)) / (2 * h))
+    return tuple((lambda ys, f=f: np.array([f(y) if strict else _or_nan(f, y) for y in ys.tolist()], dtype=float))
+                 for f in (fmap, slope))
 
 
-def _accept(fmap, x, period, seen):
-    """The orbit of the root `x`, or None if its period is not minimal or
-    its representative lies within 1e-9 of one in `seen` (sorted, and
-    updated in place when the orbit is new)."""
-    for d in _divisors(period):
-        if abs(_iter_map(fmap, x, d) - x) <= 1e-11:
-            return None
-    orbit = _orbit_of(fmap, x, period)
-    rep = min(orbit)
-    # the nearest representative on either side decides the duplicate test
+def _or_nan(f, y):
+    try:
+        return f(y)
+    except Exception:
+        return math.nan
+
+
+def _sign_changes(fmap, period, xs):
+    """The grid cells where g = F^p(x) - x, with the bits of repeated
+    `fmap(xs)`, is finite at both ends and changes sign or starts at a zero;
+    and whether g is zero at the last grid point.  g dies here, before the
+    solver's arrays are made: kept alive under them, it held the heap up
+    and raised a later peak of the process's memory by 0.7 MB."""
+    if not isinstance(fmap, Cubic1D):
+        g = _iterate(lambda y: np.asarray(fmap(y), dtype=float), xs, period) - xs
+    else:
+        mu, nu = float(fmap.mu), float(fmap.nu)
+        g, cube = xs.copy(), np.empty_like(xs)
+        for _ in range(period):  # -(y*y*y) + mu*y + nu, in two buffers
+            np.multiply(g, g, out=cube)
+            cube *= g
+            g *= mu
+            g -= cube
+            g += nu
+        g -= xs
+    fine = np.isfinite(g)
+    return np.flatnonzero(fine[:-1] & fine[1:] & ((g[:-1] == 0.0) | (g[:-1] * g[1:] < 0.0))), g[-1] == 0.0
+
+
+def _iterate(step, y, steps):
+    for _ in range(steps):
+        y = step(y)
+    return y
+
+
+def _brent_rows(f, a, b, fa, fb, xtol):
+    """`_brent` on every bracket [a[k], b[k]] at once, given fa = f(a) and
+    fb = f(b), f evaluating arrays.  Returns the roots and a mask of the
+    rows that end with `brentq`'s root, bit for bit; a row whose ends have
+    one sign, that meets a value that is not finite, or that does not
+    converge within BRENT_MAXITER iterations is masked out."""
+    root = np.where(fa == 0, a, b)
+    ok = np.isfinite(fa) & np.isfinite(fb) & ((fa == 0) | (fb == 0) | (np.signbit(fa) != np.signbit(fb)))
+    rows = np.flatnonzero(ok & (fa != 0) & (fb != 0))
+    xpre, xcur, fpre, fcur = a[rows], b[rows], fa[rows], fb[rows]
+    xblk = fblk = spre = scur = np.zeros(len(rows))
+    with np.errstate(all="ignore"):  # a division by zero gives inf or NaN, as in C, and bisects
+        for _ in range(BRENT_MAXITER):
+            # fpre != 0 here, and a row with fcur == 0 ends below whatever it flips
+            flip = np.signbit(fpre) != np.signbit(fcur)
+            xblk, fblk, span = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk), xcur - xpre
+            spre, scur = np.where(flip, span, spre), np.where(flip, span, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+            delta, sbis = (xtol + BRENT_RTOL * np.abs(xcur)) / 2, (xblk - xcur) / 2
+            done = (fcur == 0) | (np.abs(sbis) < delta)
+            if done.any():
+                root[rows[done]], live = xcur[done], ~done
+                rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                    v[live] for v in (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis))
+                if not len(rows):
+                    break
+            dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk, -fcur * (xcur - xpre) / (fcur - fpre),
+                            -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+            stry = np.where((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre)), stry, np.nan)
+            good = 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
+            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+            fcur = f(xcur)
+            ok[rows[~np.isfinite(fcur)]] = False
+        ok[rows] = False
+    return root, ok
+
+
+def _scalar_root(fmap, period, a, b):
+    """The root of the cell [a, b] by scalar calls and `brentq`."""
+    ga, gb = (_iterate(fmap, v, period) - v for v in (a, b))
+    if ga == 0.0:
+        return a
+    if gb == 0.0:
+        return b
+    if (ga < 0.0) != (gb < 0.0):
+        known = {a: ga, b: gb}  # brentq starts by evaluating both ends again
+        return brentq(lambda x: known[x] if x in known else _iterate(fmap, x, period) - x, a, b, xtol=1e-14)
+    return a if abs(ga) <= abs(gb) else b  # the sign change was array rounding: the end nearer zero
+
+
+def _orbits(step, period, x):
+    """Per root in `x`: whether `period` is minimal (no divisor d with
+    |F^d(x) - x| <= 1e-11), and its orbit from its smallest point.  Steps no
+    further once a divisor leaves no root minimal."""
+    line, minimal = [x], np.ones(len(x), dtype=bool)
+    for d in range(1, period):
+        line.append(step(line[-1]))
+        if period % d == 0:
+            minimal &= ~(np.abs(line[d] - x) <= 1e-11)
+            if not minimal.any():  # no orbit to assemble: x fills the line
+                line += [x] * (period - 1 - d)
+                break
+    pts = np.stack(line, axis=1)
+    return minimal, np.take_along_axis(pts, (pts.argmin(axis=1)[:, None] + np.arange(period)) % period, axis=1)
+
+
+def _tails(step, slope, period, pts):
+    """Per orbit, a row of `pts` from its smallest point y: |F^p(y) - y|,
+    and the product of the slopes along the row."""
+    res, mult = np.abs(_iterate(step, pts[:, 0], period) - pts[:, 0]), np.ones(len(pts))
+    for j in range(period):
+        mult = mult * slope(pts[:, j])
+    return res, mult
+
+
+def _admit(seen: list, rep) -> bool:
+    """Whether `rep` lies more than 1e-9 from every representative in `seen`
+    (sorted), where it is then inserted.  The nearest on either side decide."""
     i = bisect_left(seen, rep)
     if any(abs(rep - s) <= 1e-9 for s in seen[max(i - 1, 0):i + 1]):
-        return None
+        return False
     seen.insert(i, rep)
-    k = orbit.index(rep)
-    orbit = orbit[k:] + orbit[:k]
-    res = abs(float(_iter_map(fmap, rep, period) - rep))
-    return PeriodicOrbit1D(
-        points=tuple(orbit),
-        period=period,
-        multiplier=_multiplier(fmap, orbit),
-        residual=res,
-        resolved=res <= 1e-10 * max(1.0, abs(float(rep))),
-    )
+    return True
+
+
+def _held(xs, pts):
+    """Per point, the grid cell that strictly holds it, or -1."""
+    k = np.searchsorted(xs, pts)  # xs[k-1] < q <= xs[k]; the cell k-1 holds q strictly unless q == xs[k]
+    return np.where((k > 0) & (k < len(xs)) & (pts < xs[np.minimum(k, len(xs) - 1)]), k - 1, -1)

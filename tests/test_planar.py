@@ -1587,6 +1587,15 @@ class TestFoldBatch:
         assert exc.value is got[1]
         assert len(batches) == 1
 
+    def test_a_polyline_probe_is_refused(self):
+        # a FiberGapProbe measured at t keeps its polyline value there; the
+        # fold route names its type instead of reading that value
+        probe, pred = region_probe(renormalized_family(ModelParams(), 6), 3.0, "upper")
+        probe(pred)
+        for call in (lambda: fold.measure([(probe, pred)]), lambda: fold.fold_roots([(probe, (pred, pred))])):
+            with pytest.raises(TypeError, match=r"^measure takes \(FoldProbe, t\) rows, not a FiberGapProbe$"):
+                call()
+
     def test_lockstep_roots_equal_serial_ones(self):
         # the locus searches and the lower region's root in lockstep, as
         # criterion 5 runs them; a bracket without a sign change and a window
