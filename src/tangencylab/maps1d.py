@@ -224,7 +224,8 @@ class Cubic1D:
     scalar type (rational in -> rational out).  numpy arrays also pass
     through unharmed.  An array's cube is `y*y*y`, as numpy's `power` costs
     many products per element; a scalar's stays `y**3`, the C library's
-    pow, which the roots and certificates are computed with.
+    pow, which the roots and certificates are computed with.  `pointwise`
+    carries the scalar bits on arrays.
     """
 
     mu: object
@@ -242,6 +243,16 @@ class Cubic1D:
         if order == 3:
             return -6 + 0 * y  # constant; 0*y keeps array shape for ndarray input
         raise ValueError(f"order must be 0..3, got {order}")
+
+    def pointwise(self, y, order: int = 0):
+        """`self(v, order)` for every float v of the array `y`, bit for bit,
+        for order 0 or 1.  The powers are `np.float_power`, the C library's
+        pow that scalar `**` calls; numpy's `y*y*y` and `y**2` miss its last
+        bit on some floats."""
+        mu = float(self.mu)
+        if order == 0:
+            return mu * y - np.float_power(y, 3) + float(self.nu)
+        return -3.0 * np.float_power(y, 2) + mu
 
     def iterate(self, y, steps: int):
         """The map applied `steps` times."""
@@ -295,10 +306,8 @@ def conjugacy_defect(x):
     def h(v):  # `conjugacy` on arrays
         return 2.0 * np.sin(np.pi * v / 3.0)
 
-    # F(y) = -y^3 + 3y as `Cubic1D(3.0, 0.0)` evaluates it on a float:
-    # float_power is the C library's pow, which `y**3` calls
-    hx = h(xs)
-    d = np.abs(h(sx) - (-np.float_power(hx, 3) + 3.0 * hx + 0.0))
+    hx = h(xs)  # F(y) = -y^3 + 3y as `Cubic1D(3.0, 0.0)` evaluates it on a float
+    d = np.abs(h(sx) - Cubic1D(3.0, 0.0).pointwise(hx))
     return float(d) if d.ndim == 0 else d
 
 
@@ -318,13 +327,10 @@ class PeriodicOrbit1D:
 
 
 def _cells_per_unit(period: int) -> int:
-    """4*3^p grid cells per unit length.  The premise is a slope of at most 3
-    in magnitude per step, so that a cell holds at most one root of
-    F^p(y) - y and the sign changes across it.  Where |F'| is larger it
-    fails: for the cubic mu = 3, nu = 0 on (-2.6, 2.6), |F'| = 9 at the
-    boundary 2-cycle +-2, F^8(y) - y swings by about 10^3 per cell there,
-    and the cell [-1.99994, -1.99990] holds four roots and one sign at its
-    ends, so one orbit of period 8 is missed."""
+    """4*3^p grid cells per unit length, premised on |F'| <= 3: then a cell
+    holds at most one root of F^p(y) - y, and F^p(y) - y changes sign across
+    it.  It fails near the cubic mu = 3, nu = 0's 2-cycle +-2, where |F'| = 9:
+    the cell [-1.99994, -1.99990] holds four roots of period 8, ends of one sign."""
     return 4 * 3**period
 
 
@@ -341,13 +347,12 @@ def find_periodic(fmap, period: int, domain: tuple) -> list[PeriodicOrbit1D]:
     a root whose period is not minimal or whose smallest point, the orbit's
     representative, lies within 1e-9 of a kept one.
 
-    The arrays carry the bits of scalar calls: a `Cubic1D`'s cube is
-    `np.float_power`, the C pow that `y**3` calls, and its multiplier the
-    product of `fmap(y, 1)`; any other map is called per point, its
-    multiplier by central differences.  A cell the arrays cannot finish (a
-    value that is not finite, ends of one sign, no convergence) is solved by
-    scalar calls and `brentq` when the replay reaches it, and raises what
-    they raise; a skipped cell raises and warns nothing.
+    The arrays carry the bits of scalar calls (`Cubic1D.pointwise`; any
+    other map is called per point, its multiplier by central differences).
+    A cell the arrays cannot finish (a value that is not finite, ends of one
+    sign, no convergence) is solved by scalar calls in Python floats and
+    `brentq` once the replay reaches it, and raises what they raise; a
+    skipped cell raises and warns nothing.
     """
     if period < 1:
         raise ValueError("period must be >= 1")
@@ -367,13 +372,10 @@ def _scan(fmap, period, lo, hi, cells_per_unit):
         if last:  # the last grid point, a root that starts no cell
             x, ok = np.append(x, xs[-1]), np.append(ok, True)
         minimal, pts = _orbits(step, period, x)
-        res, mult = _tails(step, slope, period, pts)
+        res, mult = np.abs(_iterate(step, pts[:, 0], period) - pts[:, 0]), np.ones(len(pts))
+        for j in range(period):  # the slopes along each orbit from its smallest point
+            mult = mult * slope(pts[:, j])
         ok &= np.isfinite(pts).all(axis=1) & np.isfinite(res) & np.isfinite(mult)
-        # the cells held by the orbit of each root that is its orbit's
-        # smallest point: as a rule, the roots the replay keeps
-        first = np.flatnonzero(ok & minimal & (pts[:, 0] == x))
-        held = dict(zip(first.tolist(), _held(xs, pts[first]).tolist()))
-    strict = _maps(fmap, strict=True)
     rep, minimal, res, mult = pts[:, 0].tolist(), minimal.tolist(), res.tolist(), mult.tolist()
     orbits: list[PeriodicOrbit1D] = []
     seen: list = []  # representatives, sorted
@@ -384,34 +386,37 @@ def _scan(fmap, period, lo, hi, cells_per_unit):
         if good:
             if not minimal[r] or not _admit(seen, rep[r]):
                 continue
-            orbit, residual, multiplier = pts[r], res[r], mult[r]
-        else:  # by scalar calls, which raise what they raise
+            orbit, residual, multiplier = pts[r].tolist(), res[r], mult[r]
+        else:  # by scalar calls in Python floats, which raise what they raise
             root = float(xs[-1]) if i is None else _scalar_root(fmap, period, float(xs[i]), float(xs[i + 1]))
-            (keep,), line = _orbits(strict[0], period, np.array([root]))
-            if not keep or not _admit(seen, float(line[0, 0])):
+            orbit = _scalar_orbit(fmap, period, root)
+            if orbit is None or not _admit(seen, orbit[0]):
                 continue
-            (residual,), (multiplier,) = (v.tolist() for v in _tails(*strict, period, line))
-            orbit = line[0]
-        covered.update(held[r] if r in held else _held(xs, orbit).tolist())
-        orbit = orbit.tolist()
+            residual = abs(float(_iterate(fmap, orbit[0], period) - orbit[0]))
+            multiplier = math.prod(map(_slope(fmap), orbit), start=1.0)
+        # xs[k-1] < q <= xs[k]; the cell k-1 holds q strictly unless q == xs[k]
+        held = xs.searchsorted(pts[r] if good else orbit).tolist()
+        covered.update(k - 1 for q, k in zip(orbit, held) if 0 < k <= n_cells and q < xs[k])
         orbits.append(PeriodicOrbit1D(points=tuple(orbit), period=period, multiplier=multiplier, residual=residual,
-                                      resolved=residual <= 1e-10 * max(1.0, abs(orbit[0]))))
+                                      resolved=residual <= 1e-10 * max(1.0, abs(float(orbit[0])))))
     orbits.sort(key=lambda o: float(o.points[0]))
     return orbits
 
 
-def _maps(fmap, strict: bool = False):
+def _maps(fmap):
     """`fmap`'s step and slope on 1-D arrays, with the bits of scalar calls:
-    a `Cubic1D`'s in numpy (float_power is the C library's pow, which `y**3`
-    and `y**2` call), else, or when `strict`, by a call per point, a call
-    that raises giving NaN unless `strict`."""
-    if isinstance(fmap, Cubic1D) and not strict:
-        mu, nu = float(fmap.mu), float(fmap.nu)
-        return lambda y: mu * y - np.float_power(y, 3) + nu, lambda y: -3.0 * np.float_power(y, 2) + mu
+    a `Cubic1D`'s by `Cubic1D.pointwise`, any other map's by a call per
+    point, a call that raises giving NaN."""
+    if isinstance(fmap, Cubic1D):
+        return fmap.pointwise, lambda y: fmap.pointwise(y, 1)
+    return tuple((lambda ys, f=f: np.array([_or_nan(f, y) for y in ys.tolist()], dtype=float))
+                 for f in (fmap, _slope(fmap)))
+
+
+def _slope(fmap):
+    """`fmap`'s slope at a float: `fmap(y, 1)` for a `Cubic1D`, else a central difference."""
     h = 1e-7
-    slope = (lambda y: fmap(y, 1)) if isinstance(fmap, Cubic1D) else (lambda y: (fmap(y + h) - fmap(y - h)) / (2 * h))
-    return tuple((lambda ys, f=f: np.array([f(y) if strict else _or_nan(f, y) for y in ys.tolist()], dtype=float))
-                 for f in (fmap, slope))
+    return (lambda y: fmap(y, 1)) if isinstance(fmap, Cubic1D) else (lambda y: (fmap(y + h) - fmap(y - h)) / (2 * h))
 
 
 def _or_nan(f, y):
@@ -425,14 +430,14 @@ def _sign_changes(fmap, period, xs):
     """The grid cells where g = F^p(x) - x, with the bits of repeated
     `fmap(xs)`, is finite at both ends and changes sign or starts at a zero;
     and whether g is zero at the last grid point.  g dies here, before the
-    solver's arrays are made: kept alive under them, it held the heap up
-    and raised a later peak of the process's memory by 0.7 MB."""
+    solver's arrays are made: kept alive under them, it raised a later peak
+    of the process's memory by 0.7 MB."""
     if not isinstance(fmap, Cubic1D):
         g = _iterate(lambda y: np.asarray(fmap(y), dtype=float), xs, period) - xs
-    else:
+    else:  # `Cubic1D.__call__`'s array form in two buffers: 2 ms less than it at period 8
         mu, nu = float(fmap.mu), float(fmap.nu)
         g, cube = xs.copy(), np.empty_like(xs)
-        for _ in range(period):  # -(y*y*y) + mu*y + nu, in two buffers
+        for _ in range(period):  # -(y*y*y) + mu*y + nu
             np.multiply(g, g, out=cube)
             cube *= g
             g *= mu
@@ -470,7 +475,7 @@ def _brent_rows(f, a, b, fa, fb, xtol):
             xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
             fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
             delta, sbis = (xtol + BRENT_RTOL * np.abs(xcur)) / 2, (xblk - xcur) / 2
-            done = (fcur == 0) | (np.abs(sbis) < delta)
+            done = (fcur == 0) | (np.abs(sbis) < delta) | ~ok[rows]  # a row met a value not finite
             if done.any():
                 root[rows[done]], live = xcur[done], ~done
                 rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
@@ -504,29 +509,28 @@ def _scalar_root(fmap, period, a, b):
     return a if abs(ga) <= abs(gb) else b  # the sign change was array rounding: the end nearer zero
 
 
+def _scalar_orbit(fmap, period, x):
+    """The orbit of the root `x` from its smallest point by scalar calls, or
+    None if `period` is not minimal (`_orbits`' rules)."""
+    line = [x]
+    for d in range(1, period):
+        line.append(fmap(line[-1]))
+        if period % d == 0 and abs(line[d] - x) <= 1e-11:
+            return None
+    k = line.index(min(line))
+    return line[k:] + line[:k]
+
+
 def _orbits(step, period, x):
     """Per root in `x`: whether `period` is minimal (no divisor d with
-    |F^d(x) - x| <= 1e-11), and its orbit from its smallest point.  Steps no
-    further once a divisor leaves no root minimal."""
+    |F^d(x) - x| <= 1e-11), and its orbit from its smallest point."""
     line, minimal = [x], np.ones(len(x), dtype=bool)
     for d in range(1, period):
         line.append(step(line[-1]))
         if period % d == 0:
             minimal &= ~(np.abs(line[d] - x) <= 1e-11)
-            if not minimal.any():  # no orbit to assemble: x fills the line
-                line += [x] * (period - 1 - d)
-                break
     pts = np.stack(line, axis=1)
     return minimal, np.take_along_axis(pts, (pts.argmin(axis=1)[:, None] + np.arange(period)) % period, axis=1)
-
-
-def _tails(step, slope, period, pts):
-    """Per orbit, a row of `pts` from its smallest point y: |F^p(y) - y|,
-    and the product of the slopes along the row."""
-    res, mult = np.abs(_iterate(step, pts[:, 0], period) - pts[:, 0]), np.ones(len(pts))
-    for j in range(period):
-        mult = mult * slope(pts[:, j])
-    return res, mult
 
 
 def _admit(seen: list, rep) -> bool:
@@ -537,9 +541,3 @@ def _admit(seen: list, rep) -> bool:
         return False
     seen.insert(i, rep)
     return True
-
-
-def _held(xs, pts):
-    """Per point, the grid cell that strictly holds it, or -1."""
-    k = np.searchsorted(xs, pts)  # xs[k-1] < q <= xs[k]; the cell k-1 holds q strictly unless q == xs[k]
-    return np.where((k > 0) & (k < len(xs)) & (pts < xs[np.minimum(k, len(xs) - 1)]), k - 1, -1)

@@ -443,6 +443,20 @@ class TestRootScan:
         with pytest.raises(ZeroDivisionError, match="^no value at"):
             find_periodic(failing_at(first), period, (lo, hi))
 
+    def test_overflowing_multiplier_is_inf_without_a_warning(self):
+        # jumps of 1e300 just outside the 2-cycle -2, 2 make the central
+        # differences there about 5e306: their product overflows, so the
+        # arrays leave that orbit to the scalar route, whose Python floats
+        # give inf without a warning
+        def kinked(y):
+            return 3.0 * y - y * y * y + 1e300 * (y > 2.0 + 5e-8) - 1e300 * (y < -2.0 - 5e-8)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = find_periodic(kinked, 2, (-2.0, 2.0))
+        assert (got[0].points, got[0].multiplier) == ((-2.0, 2.0), math.inf)
+        assert repr(got) == repr(full_scan_orbits(kinked, 2, -2.0, 2.0, maps1d._cells_per_unit(2)))
+
     def test_every_cell_at_mu_star_is_solved_in_arrays(self, mu_star_map, monkeypatch):
         def scalar_root(*args):
             raise AssertionError(f"a cell solved by scalar calls: {args}")
@@ -680,6 +694,24 @@ class TestBrentq:
         root, ok = maps1d._brent_rows(g, a, b, g(a), g(b), 1e-14)
         assert ok.tolist() == [True, True, True, False, True, True]
         assert [x for x, good in zip(root.tolist(), ok.tolist()) if good] == [0.0, 0.0, 1.0, 0.0, brentq(g, 0.5, 2.0, 1e-14)]
+
+    def test_array_core_retires_a_row_that_meets_nan(self):
+        # the first row's root 0.5 lies in a NaN band, where brentq raises
+        # once an iterate lands; the row ends there, the second row runs on
+        # to its root, and no round is spent after that
+        rounds = []
+
+        def f(x):
+            rounds.append(len(x))
+            return np.where((0.4 < x) & (x < 0.6), np.nan, x * x * x - 0.25 * x)
+
+        a, b = np.array([0.3, -0.7]), np.array([1.0, -0.3])
+        root, ok = maps1d._brent_rows(f, a, b, f(a), f(b), 1e-14)
+        assert rounds[-1] == 1 and len(rounds) < 2 + 20  # the ends, then the rounds
+        scalar = lambda x: float(f(np.array([x]))[0])  # noqa: E731
+        assert ok.tolist() == [False, True] and root[1] == brentq(scalar, -0.7, -0.3, 1e-14)
+        with pytest.raises(ValueError, match="NaN"):
+            brentq(scalar, 0.3, 1.0, 1e-14)
 
     def test_lockstep_failures_end_their_own_search(self):
         # an exact zero at an end, a same-sign bracket, a NaN value and an
