@@ -7,13 +7,12 @@ The maps are polymorphic over the scalar type.  Feeding `fractions.Fraction`
 inputs into a map whose coefficients are rational produces exact rational
 outputs, which is what keeps the Cantor-set constructions in
 `tangencylab.cantor` free of rounding error.  The periodic-orbit solver is
-binary64 only: it scans maps that evaluate numpy arrays, such as `Cubic1D`
-with float coefficients.
+binary64 only, and takes a `Cubic1D`: a census by cylinders of the cubic's
+laps (`find_periodic`).
 """
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -326,126 +325,125 @@ class PeriodicOrbit1D:
             raise ValueError("points/period mismatch")
 
 
-def _cells_per_unit(period: int) -> int:
-    """4*3^p grid cells per unit length, premised on |F'| <= 3: then a cell
-    holds at most one root of F^p(y) - y, and F^p(y) - y changes sign across
-    it.  It fails near the cubic mu = 3, nu = 0's 2-cycle +-2, where |F'| = 9:
-    the cell [-1.99994, -1.99990] holds four roots of period 8, ends of one sign."""
-    return 4 * 3**period
-
-
 def find_periodic(fmap, period: int, domain: tuple) -> list[PeriodicOrbit1D]:
-    """All period-`period` orbits of `fmap` found inside `domain`, in binary64.
+    """All period-`period` orbits of the cubic `fmap` lying wholly inside
+    `domain`, in binary64, sorted by their smallest points.
 
-    `fmap` must evaluate numpy arrays.  F^p(y) - y is evaluated on a grid of
-    `_cells_per_unit(p)` cells per unit length, and every cell where it
-    changes sign is solved at once in array passes: Brent's method to width
-    1e-14 (robust against the slope-3^p stiffness that defeats Newton here),
-    then the root's orbit, divisor test, residual and multiplier.  A replay
-    walks the cells in ascending order.  It skips a cell that strictly holds
-    a point of a kept orbit (the grid assumes one root per cell), and drops
-    a root whose period is not minimal or whose smallest point, the orbit's
-    representative, lies within 1e-9 of a kept one.
+    A census by cylinders (Milnor & Thurston 1988).  The cylinder of a word
+    over F's laps L, M, R holds the points whose first p steps follow it
+    and stay in the domain; F^p is monotone on it.  An orbit of minimal
+    period p spells a primitive word and has a point in the cylinder of
+    each rotation; only the leftmost, which holds its smallest point, is
+    solved.  Where F^p increases, F's negative Schwarzian (Singer 1978)
+    makes g = F^p(y) - y monotone between the at most two points where
+    (F^p)' = 1, where a cylinder that could hold several roots is cut.
+    Each piece across which g changes sign holds one root, found by
+    Brent's method to width 1e-14 in array passes with the bits of scalar
+    calls (`Cubic1D.pointwise`).
 
-    The arrays carry the bits of scalar calls (`Cubic1D.pointwise`; any
-    other map is called per point, its multiplier by central differences).
-    A cell the arrays cannot finish (a value that is not finite, ends of one
-    sign, no convergence) is solved by scalar calls in Python floats and
-    `brentq` once the replay reaches it, and raises what they raise; a
-    skipped cell raises and warns nothing.
+    Raises TypeError for a map that is not a `Cubic1D`, ValueError for a
+    domain that is not finite with lo < hi and for mu <= 0 (no laps), and
+    RuntimeError for a search that fails.
     """
+    if not isinstance(fmap, Cubic1D):
+        raise TypeError(f"find_periodic solves a Cubic1D, not a {type(fmap).__name__}")
     if period < 1:
         raise ValueError("period must be >= 1")
-    lo, hi = domain
-    return _scan(fmap, period, float(lo), float(hi), _cells_per_unit(period))
-
-
-def _scan(fmap, period, lo, hi, cells_per_unit):
-    n_cells = max(8, math.ceil(cells_per_unit * (hi - lo)))
-    xs = np.linspace(lo, hi, n_cells + 1)
-    step, slope = _maps(fmap)
+    lo, hi = (float(v) for v in domain)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"domain must be finite with lo < hi, got {domain}")
+    step, c = fmap.pointwise, fmap.critical_points()[1]
     with np.errstate(all="ignore"):
-        cells, last = _sign_changes(fmap, period, xs)
-        a, b = xs[cells], xs[cells + 1]
-        x, ok = _brent_rows(lambda v: _iterate(step, v, period) - v, a, b,
-                            _iterate(step, a, period) - a, _iterate(step, b, period) - b, 1e-14)
-        if last:  # the last grid point, a root that starts no cell
-            x, ok = np.append(x, xs[-1]), np.append(ok, True)
-        minimal, pts = _orbits(step, period, x)
-        res, mult = np.abs(_iterate(step, pts[:, 0], period) - pts[:, 0]), np.ones(len(pts))
-        for j in range(period):  # the slopes along each orbit from its smallest point
-            mult = mult * slope(pts[:, j])
-        ok &= np.isfinite(pts).all(axis=1) & np.isfinite(res) & np.isfinite(mult)
-    rep, minimal, res, mult = pts[:, 0].tolist(), minimal.tolist(), res.tolist(), mult.tolist()
-    orbits: list[PeriodicOrbit1D] = []
-    seen: list = []  # representatives, sorted
-    covered: set = set()  # cells strictly holding a point of a kept orbit
-    for r, (i, good) in enumerate(zip(cells.tolist() + [None], ok.tolist())):  # None: the last grid point
-        if i in covered:
-            continue
-        if good:
-            if not minimal[r] or not _admit(seen, rep[r]):
-                continue
-            orbit, residual, multiplier = pts[r].tolist(), res[r], mult[r]
-        else:  # by scalar calls in Python floats, which raise what they raise
-            root = float(xs[-1]) if i is None else _scalar_root(fmap, period, float(xs[i]), float(xs[i + 1]))
-            orbit = _scalar_orbit(fmap, period, root)
-            if orbit is None or not _admit(seen, orbit[0]):
-                continue
-            residual = abs(float(_iterate(fmap, orbit[0], period) - orbit[0]))
-            multiplier = math.prod(map(_slope(fmap), orbit), start=1.0)
-        # xs[k-1] < q <= xs[k]; the cell k-1 holds q strictly unless q == xs[k]
-        held = xs.searchsorted(pts[r] if good else orbit).tolist()
-        covered.update(k - 1 for q, k in zip(orbit, held) if 0 < k <= n_cells and q < xs[k])
-        orbits.append(PeriodicOrbit1D(points=tuple(orbit), period=period, multiplier=multiplier, residual=residual,
-                                      resolved=residual <= 1e-10 * max(1.0, abs(float(orbit[0])))))
-    orbits.sort(key=lambda o: float(o.points[0]))
-    return orbits
+        a, b, up = _cylinders(fmap, period, lo, hi, c)
+        ends = np.stack([a, b], axis=1)
+        ga, gb = (_iterate(step, ends, period) - ends).T
+        # F^p increasing, its image overlapping the cylinder, g not rising from <= 0 to >= 0
+        split = up & (ga < b - a) & (gb > a - b) & ((ga > 0) | (gb < 0))
+        cuts = ends.copy()  # a cut not made is the end next to it
+        if split.any():
+            cuts[split] = _unit_slope_points(fmap, period, a[split], b[split])
+        xs = np.column_stack([a, cuts, b])
+        gs = np.column_stack([ga, _iterate(step, cuts, period) - cuts, gb])
+        x0, x1, g0, g1 = (v.ravel() for v in (xs[:, :-1], xs[:, 1:], gs[:, :-1], gs[:, 1:]))
+        rows = (x0 < x1) & ~(np.sign(g0) * np.sign(g1) > 0)  # a value that is not finite fails below
+        x, ok = _brent_rows(lambda v: _iterate(step, v, period) - v, x0[rows], x1[rows], g0[rows], g1[rows], 1e-14)
+        if not ok.all():
+            raise RuntimeError(f"period {period}: Brent's method failed on {np.count_nonzero(~ok)} cylinder pieces")
+        line, mult = [x], np.ones(len(x))
+        for _ in range(period):  # the orbit from its smallest point, and the slopes along it
+            mult = mult * step(line[-1], 1)
+            line.append(step(line[-1]))
+        pts, res = np.stack(line[:-1], axis=1).tolist(), np.abs(line[-1] - x).tolist()
+    return sorted((PeriodicOrbit1D(points=tuple(o), period=period, multiplier=m, residual=r,
+                                   resolved=r <= 1e-10 * max(1.0, abs(o[0])))
+                   for o, r, m in zip(pts, res, mult.tolist())), key=lambda o: o.points[0])
 
 
-def _maps(fmap):
-    """`fmap`'s step and slope on 1-D arrays, with the bits of scalar calls:
-    a `Cubic1D`'s by `Cubic1D.pointwise`, any other map's by a call per
-    point, a call that raises giving NaN."""
-    if isinstance(fmap, Cubic1D):
-        return fmap.pointwise, lambda y: fmap.pointwise(y, 1)
-    return tuple((lambda ys, f=f: np.array([_or_nan(f, y) for y in ys.tolist()], dtype=float))
-                 for f in (fmap, _slope(fmap)))
+def _cylinders(f, period, lo, hi, c):
+    """The cylinder [a, b] of each primitive word kept by the leftmost rule,
+    and whether F^p increases on it: the domain pulled back through the
+    word's letters, last first, clipped to each lap's image and to the lap;
+    an empty cylinder is dropped with all its extensions."""
+    laps = [(k, l0, l1, *sorted((f(l0), f(l1))))  # L, M, R, each with its image
+            for k, (l0, l1) in enumerate([(lo, min(hi, -c)), (max(lo, -c), min(hi, c)), (max(lo, c), hi)]) if l0 <= l1]
+    codes, a, b, up = np.zeros(1, dtype=np.int64), np.array([lo]), np.array([hi]), np.ones(1, dtype=bool)
+    for j in range(period):
+        parts = []
+        for k, l0, l1, i0, i1 in laps:
+            ts = (np.maximum(a, i0), np.minimum(b, i1))[::1 if k == 1 else -1]  # L and R reverse order
+            y0, y1 = (_preimage(f, k - 1, t, c) for t in ts)
+            parts.append((codes + k * 3**j, np.maximum(y0, l0), np.minimum(y1, l1), up ^ (k != 1)))
+        codes, a, b, up = (np.concatenate(v) for v in zip(*parts))
+        live = a <= b
+        codes, a, b, up = codes[live], a[live], b[live], up[live]
+    # keep a word if its cylinder precedes those of all its other rotations
+    # (empty ones last); a word equal to a rotation of itself is not primitive
+    rank = np.full(3**period, len(codes))
+    rank[codes[np.lexsort((codes, a))]] = np.arange(len(codes))
+    keep, rot, top = np.ones(len(codes), dtype=bool), codes, 3 ** (period - 1)
+    for _ in range(period - 1):
+        rot = rot % top * 3 + rot // top
+        keep &= rank[rot] > rank[codes]
+    return a[keep], b[keep], up[keep]
 
 
-def _slope(fmap):
-    """`fmap`'s slope at a float: `fmap(y, 1)` for a `Cubic1D`, else a central difference."""
-    h = 1e-7
-    return (lambda y: fmap(y, 1)) if isinstance(fmap, Cubic1D) else (lambda y: (fmap(y + h) - fmap(y - h)) / (2 * h))
+def _preimage(f, lap, t, c):
+    """F's inverse on lap -1, 0 or 1 (L, M, R) at the array t.  With r =
+    (t - nu)/(2c^3), it is 2c sin((lap*pi -+ asin r)/3), r clipped to
+    [-1, 1] against rounding at a lap's image end; on L for r > 1 and on R
+    for r < -1, lap*2c cosh(acosh |r| / 3), which meets it at |r| = 1."""
+    r = (t - float(f.nu)) / (2 * c**3)
+    y = 2 * c * np.sin((lap * math.pi + (-1 if lap else 1) * np.arcsin(np.clip(r, -1.0, 1.0))) / 3)
+    return np.where(-lap * r > 1, lap * 2 * c * np.cosh(np.arccosh(np.maximum(-lap * r, 1.0)) / 3), y)
 
 
-def _or_nan(f, y):
-    try:
-        return f(y)
-    except Exception:
-        return math.nan
+def _unit_slope_points(f, period, a, b):
+    """Per cylinder [a, b] on which F^p increases, the points where
+    (F^p)' = 1 left and right of a point m where it exceeds 1, or a and b
+    where there is none.  (F^p)' is unimodal there, by the minimum
+    principle; m is the best point of a golden section for its maximum,
+    stopped once every row has found a point above 1."""
+    def slope(y):  # (F^p)'(y) - 1
+        d = np.ones_like(y)
+        for _ in range(period):
+            d, y = d * f.pointwise(y, 1), f.pointwise(y)
+        return d - 1.0
 
-
-def _sign_changes(fmap, period, xs):
-    """The grid cells where g = F^p(x) - x, with the bits of repeated
-    `fmap(xs)`, is finite at both ends and changes sign or starts at a zero;
-    and whether g is zero at the last grid point.  g dies here, before the
-    solver's arrays are made: kept alive under them, it raised a later peak
-    of the process's memory by 0.7 MB."""
-    if not isinstance(fmap, Cubic1D):
-        g = _iterate(lambda y: np.asarray(fmap(y), dtype=float), xs, period) - xs
-    else:  # `Cubic1D.__call__`'s array form in two buffers: 2 ms less than it at period 8
-        mu, nu = float(fmap.mu), float(fmap.nu)
-        g, cube = xs.copy(), np.empty_like(xs)
-        for _ in range(period):  # -(y*y*y) + mu*y + nu
-            np.multiply(g, g, out=cube)
-            cube *= g
-            g *= mu
-            g -= cube
-            g += nu
-        g -= xs
-    fine = np.isfinite(g)
-    return np.flatnonzero(fine[:-1] & fine[1:] & ((g[:-1] == 0.0) | (g[:-1] * g[1:] < 0.0))), g[-1] == 0.0
+    inv, lo, hi = (math.sqrt(5.0) - 1.0) / 2.0, a, b
+    x1, x2 = hi - inv * (hi - lo), lo + inv * (hi - lo)
+    s1, s2 = slope(x1), slope(x2)
+    for _ in range(40):  # the bracket shrinks 0.618^40 = 4e-9-fold
+        if (np.maximum(s1, s2) > 0).all():
+            break
+        right = s1 < s2  # the maximum lies in [x1, hi]
+        lo, hi = np.where(right, x1, lo), np.where(right, hi, x2)
+        x = np.where(right, lo + inv * (hi - lo), hi - inv * (hi - lo))
+        s = slope(x)
+        x1, x2, s1, s2 = np.where(right, [x2, x, s2, s], [x, x1, s, s1])
+    m, sm = np.where(s1 > s2, x1, x2), np.maximum(s1, s2)
+    root, ok = _brent_rows(slope, np.concatenate([a, m]), np.concatenate([m, b]),
+                           np.concatenate([slope(a), sm]), np.concatenate([sm, slope(b)]), 1e-14)
+    return np.where(ok, root, np.concatenate([a, b])).reshape(2, -1).T
 
 
 def _iterate(step, y, steps):
@@ -495,49 +493,3 @@ def _brent_rows(f, a, b, fa, fb, xtol):
         ok[rows] = False
     return root, ok
 
-
-def _scalar_root(fmap, period, a, b):
-    """The root of the cell [a, b] by scalar calls and `brentq`."""
-    ga, gb = (_iterate(fmap, v, period) - v for v in (a, b))
-    if ga == 0.0:
-        return a
-    if gb == 0.0:
-        return b
-    if (ga < 0.0) != (gb < 0.0):
-        known = {a: ga, b: gb}  # brentq starts by evaluating both ends again
-        return brentq(lambda x: known[x] if x in known else _iterate(fmap, x, period) - x, a, b, xtol=1e-14)
-    return a if abs(ga) <= abs(gb) else b  # the sign change was array rounding: the end nearer zero
-
-
-def _scalar_orbit(fmap, period, x):
-    """The orbit of the root `x` from its smallest point by scalar calls, or
-    None if `period` is not minimal (`_orbits`' rules)."""
-    line = [x]
-    for d in range(1, period):
-        line.append(fmap(line[-1]))
-        if period % d == 0 and abs(line[d] - x) <= 1e-11:
-            return None
-    k = line.index(min(line))
-    return line[k:] + line[:k]
-
-
-def _orbits(step, period, x):
-    """Per root in `x`: whether `period` is minimal (no divisor d with
-    |F^d(x) - x| <= 1e-11), and its orbit from its smallest point."""
-    line, minimal = [x], np.ones(len(x), dtype=bool)
-    for d in range(1, period):
-        line.append(step(line[-1]))
-        if period % d == 0:
-            minimal &= ~(np.abs(line[d] - x) <= 1e-11)
-    pts = np.stack(line, axis=1)
-    return minimal, np.take_along_axis(pts, (pts.argmin(axis=1)[:, None] + np.arange(period)) % period, axis=1)
-
-
-def _admit(seen: list, rep) -> bool:
-    """Whether `rep` lies more than 1e-9 from every representative in `seen`
-    (sorted), where it is then inserted.  The nearest on either side decide."""
-    i = bisect_left(seen, rep)
-    if any(abs(rep - s) <= 1e-9 for s in seen[max(i - 1, 0):i + 1]):
-        return False
-    seen.insert(i, rep)
-    return True

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction as F
@@ -277,11 +278,10 @@ class TestConjugacy:
 
 
 def ref_multiplier(fmap, orbit):
-    """The product of the derivative along the orbit: `fmap(x, 1)` for a
-    `Cubic1D`, a central difference with step 1e-7 otherwise."""
-    m, h = 1.0, 1e-7
+    """The product of `fmap(x, 1)` along the orbit."""
+    m = 1.0
     for x in orbit:
-        m *= fmap(x, 1) if isinstance(fmap, Cubic1D) else (fmap(x + h) - fmap(x - h)) / (2 * h)
+        m *= fmap(x, 1)
     return m
 
 
@@ -365,28 +365,14 @@ def markov_orbit_counts(mu, max_period):
 
 
 class TestRootScan:
-    @pytest.mark.parametrize(
-        "fmap,domain,period",
-        [
-            (Cubic1D(3.0, 0.0), (-2.0, 2.0), 1),  # roots on grid points
-            (Cubic1D(3.0, 0.0), (-2.0, 2.0), 4),
-            (Cubic1D(2.9, 0.0), (-2.3, 2.3), 5),  # orbits escape: non-finite cells
-            (lambda y: 1.0 / y, (-1.0, 1.0), 1),  # a pole on the grid point 0: infinite cells
-        ],
-    )
-    def test_matches_cell_by_cell_loop(self, fmap, domain, period):
-        cells = maps1d._cells_per_unit(period)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            want = full_scan_orbits(fmap, period, *domain, cells)
-            got = maps1d._scan(fmap, period, *domain, cells)
-        assert repr(got) == repr(want)
-        assert want
-
     @pytest.mark.parametrize("period", range(1, 9))
     def test_matches_full_scan_at_mu_star(self, mu_star_map, period):
+        # the brackets are cylinders, not grid cells, so the roots' last bits differ
         f, interval = mu_star_map
-        want = full_scan_orbits(f, period, *interval, maps1d._cells_per_unit(period))
-        assert repr(find_periodic(f, period, interval)) == repr(want)
+        want = full_scan_orbits(f, period, *interval, 4 * 3**period)
+        got = find_periodic(f, period, interval)
+        assert len(got) == len(want)
+        assert max(abs(o.points[0] - w.points[0]) for o, w in zip(got, want)) <= 1e-12
 
     def test_orbit_counts_match_markov_partition(self, mu_star_map):
         f, interval = mu_star_map
@@ -418,125 +404,118 @@ class TestRootScan:
         with pytest.raises(wangyoung.MarkovPartitionError, match=r"^mu=2\.9: F\(\S+\) = \S+ lies 8\.43e-02 from the nearest cut$"):
             wangyoung.markov_partition(2.9)
 
-    def test_covered_cells_are_not_solved_by_scalar_calls(self):
-        # scalar calls at the ends of a cell raise: the arrays take them as
-        # NaN and leave that cell to the replay, which never reaches the cell
-        # of an orbit's later point (covered once the orbit is kept) and
-        # raises in the cell of its first point
-        period, lo, hi = 2, -2.0, 2.0
-        xs = np.linspace(lo, hi, math.ceil(maps1d._cells_per_unit(period) * (hi - lo)) + 1)
-
-        def failing_at(cell):
-            ends = set() if cell is None else {float(xs[cell]), float(xs[cell + 1])}
-
-            def fmap(y):
-                if not isinstance(y, np.ndarray) and y in ends:
-                    raise ZeroDivisionError(f"no value at {y}")
-                return 3.0 * y - y * y * y
-            return fmap
-
-        want = find_periodic(failing_at(None), period, (lo, hi))
-        orbit = next(o for o in want if o.points[0] == -1.618033988749895)
-        first, later = (np.searchsorted(xs, orbit.points) - 1).tolist()
-        assert first < later and xs[later] < orbit.points[1] < xs[later + 1]
-        assert repr(find_periodic(failing_at(later), period, (lo, hi))) == repr(want)
-        with pytest.raises(ZeroDivisionError, match="^no value at"):
-            find_periodic(failing_at(first), period, (lo, hi))
-
-    def test_overflowing_multiplier_is_inf_without_a_warning(self):
-        # jumps of 1e300 just outside the 2-cycle -2, 2 make the central
-        # differences there about 5e306: their product overflows, so the
-        # arrays leave that orbit to the scalar route, whose Python floats
-        # give inf without a warning
-        def kinked(y):
-            return 3.0 * y - y * y * y + 1e300 * (y > 2.0 + 5e-8) - 1e300 * (y < -2.0 - 5e-8)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = find_periodic(kinked, 2, (-2.0, 2.0))
-        assert (got[0].points, got[0].multiplier) == ((-2.0, 2.0), math.inf)
-        assert repr(got) == repr(full_scan_orbits(kinked, 2, -2.0, 2.0, maps1d._cells_per_unit(2)))
-
-    def test_every_cell_at_mu_star_is_solved_in_arrays(self, mu_star_map, monkeypatch):
-        def scalar_root(*args):
-            raise AssertionError(f"a cell solved by scalar calls: {args}")
-
-        monkeypatch.setattr(maps1d, "_scalar_root", scalar_root)
-        f, interval = mu_star_map
-        assert len(find_periodic(f, 8, interval)) == 386
-
     def test_array_maps_have_the_scalar_bits(self):
         # np.float_power is the C library's pow, which y**3 and y**2 call
         rng = np.random.default_rng(7)
         for _ in range(20):
             f = Cubic1D(rng.uniform(0, 4), rng.uniform(-1, 1))
             y = rng.uniform(-3, 3, 2000)
-            step, slope = maps1d._maps(f)
-            assert step(y).tobytes() == np.array([f(v) for v in y.tolist()]).tobytes()
-            assert slope(y).tobytes() == np.array([f(v, 1) for v in y.tolist()]).tobytes()
+            assert f.pointwise(y).tobytes() == np.array([f(v) for v in y.tolist()]).tobytes()
+            assert f.pointwise(y, 1).tobytes() == np.array([f(v, 1) for v in y.tolist()]).tobytes()
 
     def test_full_shift_census_at_period_7(self):
-        # F^7(y) - y overflows on the grid outside [-2, 2]: those cells are
-        # skipped without a warning (pytest makes RuntimeWarnings errors)
+        # points of [-2.6, 2.6] outside [-2, 2] escape; pulling the domain
+        # back never evaluates them, so nothing overflows or warns
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             orbits = find_periodic(Cubic1D(3.0, 0.0), 7, (-2.6, 2.6))
         assert len(orbits) == (3**7 - 3) // 7 == 312
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "near the boundary 2-cycle +-2, |F'| = 9 breaks _cells_per_unit's slope premise: the cell "
-        "[-1.99994, -1.99990] holds four roots and one sign at its ends, so one orbit is missed, "
-        "also on an 8x finer grid; ROADMAP item 10(b)'s census by itinerary is the fix"))
     def test_full_shift_census_at_period_8(self):
+        # next to the 2-cycle +-2, where |F'| = 9, a cell of the old grid
+        # scan held four roots with one sign at its ends
         assert len(find_periodic(Cubic1D(3.0, 0.0), 8, (-2.6, 2.6))) == (3**8 - 3**4) // 8 == 810
 
-    def test_cell_whose_sign_change_is_array_rounding(self, monkeypatch):
-        # the array path rounds each step one ulp up, as numpy's y**3 may
-        # against the C library's pow; next to the fixed point sqrt(mu - 1)
-        # that flips the sign of F^2(y) - y at a grid point
-        mu = 2.4725
+    @pytest.mark.parametrize("mu,nu", [
+        (3.103928912618845, 0.0018991763043018778),
+        (3.1259222578499486, -0.005618056128241955),
+        (3.1789806463878416, -0.0196727552222965),
+        (3.1994155293943627, -0.047570640762002105),
+    ])
+    def test_full_shift_census_off_the_axis(self, mu, nu):
+        # the grid scan found 311, 310, 311 and 311: orbits within a cell of
+        # another orbit's points, next to the 2-cycle near +-2
+        assert len(find_periodic(Cubic1D(mu, nu), 7, (-2.6, 2.6))) == 312
 
-        def fmap(y):
-            v = mu * y - y * y * y
-            return np.nextafter(v, np.inf) if isinstance(y, np.ndarray) else v
+    @pytest.mark.parametrize("mu,nu,domain,period,count", [
+        # saddle-node pairs in windows: the pair shares a cylinder, across
+        # which F^4(y) - y has one sign
+        (2.8288957595839523, 0.0007605900389059117, (-2.6, 2.6), 4, 8),
+        (2.620335350309904, -0.06264126412923829, (-2.6, 2.6), 4, 6),
+        # the fixed points -sqrt(mu - 1), 0, sqrt(mu - 1) all lie on M, and
+        # F(y) - y falls from + to - across it
+        (1.2, 0.0, (-1.5, 1.5), 1, 3),
+    ])
+    def test_cylinder_holding_several_orbits(self, mu, nu, domain, period, count):
+        orbits = find_periodic(Cubic1D(mu, nu), period, domain)
+        assert len(orbits) == count
+        assert all(o.resolved for o in orbits)
+        assert min(abs(o.multiplier) for o in orbits) < 1 < max(abs(o.multiplier) for o in orbits)
 
-        r = math.sqrt(mu - 1.0)
-        lo, hi = r - 0.25, r + 0.25
-        xs = np.linspace(lo, hi, 9)  # the grid of 16 cells per unit
-        g_array = fmap(fmap(xs)) - xs
-        g_scalar = np.array([fmap(fmap(x)) - x for x in xs.tolist()])
-        flipped = (g_array[:-1] * g_array[1:] < 0) & (g_scalar[:-1] * g_scalar[1:] > 0)
-        assert flipped.tolist() == [False] * 4 + [True] + [False] * 3
+    @pytest.mark.parametrize("fmap,domain,error,match", [
+        (Cubic1D(3.0, 0.0), (1.0, -1.0), ValueError, r"^domain must be finite with lo < hi, got \(1\.0, -1\.0\)$"),
+        (Cubic1D(3.0, 0.0), (1.0, 1.0), ValueError, "^domain must be finite with lo < hi"),
+        (Cubic1D(3.0, 0.0), (math.nan, 2.0), ValueError, "^domain must be finite with lo < hi"),
+        (Cubic1D(3.0, 0.0), (-2.0, math.inf), ValueError, "^domain must be finite with lo < hi"),
+        (Cubic1D(0.0, 0.1), (-1.0, 1.0), ValueError, "^no real critical pair for mu=0.0 <= 0$"),
+        (Cubic1D(-1.0, 0.0), (-1.0, 1.0), ValueError, "^no real critical pair for mu=-1.0 <= 0$"),
+        (n_map(), (-1.5, 1.5), TypeError, "^find_periodic solves a Cubic1D, not a PiecewiseAffineMap$"),
+        (lambda y: 3.0 * y - y**3, (-2.0, 2.0), TypeError, "^find_periodic solves a Cubic1D, not a function$"),
+    ])
+    def test_bad_input_raises_a_named_error(self, fmap, domain, error, match):
+        with pytest.raises(error, match=match):
+            find_periodic(fmap, 2, domain)
 
-        solved = []  # the cells left to scalar calls, and their roots
-        own = maps1d._scalar_root
 
-        def recording(fmap, period, a, b):
-            solved.append((a, b, own(fmap, period, a, b)))
-            return solved[-1][2]
+def nmap_orbits(period):
+    """The N-map's orbits of minimal period `period`, exactly.  Each word w
+    over its laps composes to S_w(x) = a*x + b with a = +-3^p and b an
+    integer, so x = b/(1 - a) is the word's one candidate.  A word least
+    among its rotations (so primitive) whose candidate follows it under
+    `n_map()` and closes gives one orbit."""
+    orbits = []
+    for w in itertools.product(range(3), repeat=period):
+        if not all(w < w[k:] + w[:k] for k in range(1, period)):
+            continue
+        a, b = 1, 0
+        for k in w:  # S's laps: -3x - 3, 3x, -3x + 3
+            a, b = (-3, 3, -3)[k] * a, (-3, 3, -3)[k] * b + (-3, 0, 3)[k]
+        orbit = [F(b, 1 - a)]
+        for k in w:
+            if not (-F(3, 2) <= orbit[-1] <= F(3, 2) and S.branch_index(orbit[-1]) == k):
+                break
+            orbit.append(S(orbit[-1]))
+        else:
+            assert orbit.pop() == orbit[0]
+            orbits.append(orbit)
+    return orbits
 
-        monkeypatch.setattr(maps1d, "_scalar_root", recording)
-        orbits = maps1d._scan(fmap, 2, lo, hi, 16)
-        # the arrays find the ends of one sign; the end nearer zero is the root
-        assert solved == [(float(xs[4]), float(xs[5]), float(xs[4]))]
-        assert abs(fmap(fmap(xs[4])) - xs[4]) <= 4 * np.spacing(xs[4])
-        assert [o.period for o in orbits] == [2]
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(
-        st.sampled_from([-math.sqrt(2), 0.0, math.sqrt(2)]),
-        st.sampled_from([0.0, 4e-10, -4e-10, 8e-10, -8e-10, 3e-9, -3e-9]),
-    ), max_size=30))
-    def test_duplicates_dropped_as_by_full_scan(self, draws):
-        # a root within 1e-9 of any earlier kept representative is a duplicate
-        roots = [c + d for c, d in draws]
-        kept = []
-        for x in roots:
-            if not any(abs(x - s) <= 1e-9 for s in kept):
-                kept.append(x)
-        seen = []
-        assert [x for x in roots if maps1d._admit(seen, x)] == kept
-        assert seen == sorted(kept)
+class TestExactOrbitsAtThree:
+    """At (3, 0) the cubic is conjugate to the N-map by h (`conjugacy`), so
+    the N-map's exact orbits are the census's oracle there."""
+
+    @pytest.mark.parametrize("period,count", enumerate([3, 3, 8, 18, 48, 116, 312, 810], 1))
+    def test_census_is_h_of_the_exact_orbits(self, period, count):
+        exact = nmap_orbits(period)
+        assert len(exact) == count
+        got = find_periodic(Cubic1D(3.0, 0.0), period, (-2.6, 2.6))
+        assert len(got) == count
+        # h is increasing, so it carries each exact orbit's smallest point to its image's
+        want = sorted(conjugacy(float(min(o))) for o in exact)
+        assert max(abs(o.points[0] - x) for o, x in zip(got, want)) <= 1e-12
+
+    @pytest.mark.parametrize("domain", [(-1.9, 1.9), (-2.0, 1.5), (-1.2, 2.6), (0.1, 1.9)])
+    @pytest.mark.parametrize("period", [1, 4, 6])
+    def test_orbits_lie_wholly_inside_the_domain(self, domain, period):
+        # the orbits found are h of the exact orbits whose every point h
+        # carries into the domain
+        lo, hi = domain
+        inside = [[conjugacy(float(x)) for x in o] for o in nmap_orbits(period)]
+        want = sorted(min(o) for o in inside if lo <= min(o) and max(o) <= hi)
+        got = find_periodic(Cubic1D(3.0, 0.0), period, domain)
+        assert len(got) == len(want) and want
+        assert max(abs(o.points[0] - x) for o, x in zip(got, want)) <= 1e-12
 
 
 class TestFindPeriodic:
