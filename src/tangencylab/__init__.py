@@ -16,10 +16,9 @@ wangyoung  certificates for the cubic family on its trapping interval and
            the thickened two-parameter wrappers
 verify     the consolidated eight-criterion verification suite
 cli        experiment orchestration (`tangencylab` command)
+
+`import tangencylab` loads none of them; import each by name
+(`from tangencylab import planar`).
 """
 
 __version__ = "0.1.0"
-
-# `cli` is left to `import tangencylab.cli`, so `python -m tangencylab.cli`
-# does not find it already imported
-from . import cantor, fold, maps1d, planar, renorm, verify, wangyoung  # noqa: F401,E402

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import cantor, fold, planar, renorm, verify
-
+# each command imports the package modules it runs, after its own argument
+# checks, so start-up and usage errors load none of them
 SCHEMA_VERSION = 1
 
 
@@ -150,6 +150,8 @@ def cmd_cantor(args, parser) -> int:
         parser.error("--m must be an even integer >= 6")
     if args.gen < 1:
         parser.error("--gen must be >= 1")
+    from . import cantor
+
     out = _outdir(args)
     cfg = ExperimentConfig("cantor", {"m": args.m, "gen": args.gen}, str(out))
     rep = cantor.nmap_cantor_report(args.m, args.gen)
@@ -205,6 +207,8 @@ def cmd_renorm(args, parser) -> int:
         parser.error("--n-max must be >= --n-min")
     if args.grid < 1:
         parser.error("--grid must be >= 1")
+    from . import renorm
+
     try:
         mp = renorm.ModelParams(args.lam, args.sigma, args.a, args.b, args.c, args.eps)
     except ValueError as exc:
@@ -263,6 +267,8 @@ def cmd_attractor(args, parser) -> int:
         parser.error("--steps must be >= 10000 (the Lyapunov estimate needs 10^4 steps)")
     if args.sample < 0:
         parser.error("--sample must be >= 0")
+    from . import planar
+
     out = _outdir(args)
     cfg = ExperimentConfig(
         "attractor", {"a": args.a, "b": args.b, "steps": args.steps, "sample": args.sample},
@@ -317,6 +323,8 @@ def cmd_tangency(args, parser) -> int:
         parser.error(f"--t-min/--t-max must be finite, got [{args.t_min}, {args.t_max}]")
     if not args.t_min <= args.t_max:
         parser.error("--t-max must be >= --t-min")
+    from . import fold, planar, renorm
+
     mp = renorm.ModelParams()
     coupling = renorm.coupling(mp, args.n)
     if coupling == 0:
@@ -394,6 +402,8 @@ def cmd_tangency(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args, parser) -> int:
+    from . import verify
+
     if set(verify.CRITERIA) <= set(args.skip):
         parser.error("--skip names every criterion; nothing would be checked")
     out = _outdir(args)
@@ -418,6 +428,17 @@ def cmd_verify(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+class _CriterionKeys:
+    """`--skip`'s choices: `verify.CRITERIA`'s keys, sorted.  `verify` is
+    imported when they are first listed or searched (`in` iterates), not
+    when the parser is built."""
+
+    def __iter__(self):
+        from . import verify
+
+        return iter(sorted(verify.CRITERIA))
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="tangencylab", description=__doc__)
@@ -453,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=13)
 
     p = sub.add_parser("verify", help="run the consolidated verification suite")
-    p.add_argument("--skip", action="append", default=[], choices=sorted(verify.CRITERIA))
+    skip = p.add_argument("--skip", action="append", default=[])
+    skip.choices = _CriterionKeys()  # not an argument: `add_argument` would list them at once
 
     for p in sub.choices.values():
         p.add_argument("--out", type=str, default=None,

@@ -342,8 +342,9 @@ def find_periodic(fmap, period: int, domain: tuple) -> list[PeriodicOrbit1D]:
     calls (`Cubic1D.pointwise`).
 
     Raises TypeError for a map that is not a `Cubic1D`, ValueError for a
-    domain that is not finite with lo < hi and for mu <= 0 (no laps), and
-    RuntimeError for a search that fails.
+    domain that is not finite with lo < hi or at whose ends F overflows
+    (|y| beyond about 5e102) and for mu <= 0 (no laps), and RuntimeError
+    for a search that fails.
     """
     if not isinstance(fmap, Cubic1D):
         raise TypeError(f"find_periodic solves a Cubic1D, not a {type(fmap).__name__}")
@@ -352,6 +353,10 @@ def find_periodic(fmap, period: int, domain: tuple) -> list[PeriodicOrbit1D]:
     lo, hi = (float(v) for v in domain)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"domain must be finite with lo < hi, got {domain}")
+    try:
+        fmap(lo), fmap(hi)  # the outer laps' images end there
+    except OverflowError:
+        raise ValueError(f"F overflows binary64 at an end of the domain {domain}") from None
     step, c = fmap.pointwise, fmap.critical_points()[1]
     with np.errstate(all="ignore"):
         a, b, up = _cylinders(fmap, period, lo, hi, c)

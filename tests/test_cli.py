@@ -40,13 +40,47 @@ def test_module_entry_point_imports_cleanly():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy is a test dependency only; numpy.random is loaded at import, so a
-    # run's first default_rng does not import it inside the timed work
-    code = "import sys, tangencylab.cli; print('scipy' in sys.modules, 'numpy.random' in sys.modules)"
+def loaded_after(code: str) -> list:
+    """The modules a fresh interpreter has loaded after running `code`, as
+    the last line it prints: the package's submodules by name, then whether
+    `numpy.random` and `scipy` are among them."""
+    code += ("\nimport sys; print(*sorted(m for m in sys.modules if m.startswith('tangencylab.')),"
+             " 'numpy.random' in sys.modules, 'scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is a test dependency only.  `verify` loads numpy.random at import,
+    # so a criterion's first default_rng does not import it inside timed work;
+    # the CLI loads it only with `verify`
+    assert loaded_after("import tangencylab.verify")[-2:] == ["True", "False"]
+    assert loaded_after("import tangencylab.cli")[-2:] == ["False", "False"]
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_after("import tangencylab") == ["False", "False"]
+    assert loaded_after("import tangencylab.cli") == ["tangencylab.cli", "False", "False"]
+
+
+def run_in_fresh_interpreter(argv) -> str:
+    return (f"from tangencylab.cli import main\ntry:\n    main({argv!r})\n"
+            "except SystemExit as exc:\n    assert exc.code in (0, 2), exc.code")
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    cantor_run = run_in_fresh_interpreter(["cantor", "--m", "6", "--gen", "1", "--out", str(tmp_path / "c")])
+    assert loaded_after(cantor_run)[:-2] == ["tangencylab.cantor", "tangencylab.cli", "tangencylab.maps1d"]
+    for command in ("renorm", "tangency"):
+        got = loaded_after(run_in_fresh_interpreter([command, "--out", str(tmp_path / command)]))
+        assert "tangencylab.renorm" in got
+        assert not {"tangencylab.cantor", "tangencylab.verify", "tangencylab.wangyoung"} & set(got)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["renorm", "--grid", "0"]])
+def test_help_and_usage_errors_load_no_numeric_module(argv):
+    assert loaded_after(run_in_fresh_interpreter(argv)) == ["tangencylab.cli", "False", "False"]
 
 
 def fractions_as_objects(x):
@@ -559,9 +593,15 @@ class TestVerifyCommand:
         assert failed == ["cantor_exactness"]
         assert not any(r["passed"] for r in doc["results"] if r.get("skipped"))
 
-    def test_unknown_skip_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
+    def test_unknown_skip_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["verify", "--skip", "nonsense", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        keys = sorted(verify.CRITERIA)
+        err = capsys.readouterr().err
+        assert f"[--skip {{{','.join(keys)}}}]" in err
+        assert err.endswith(f"error: argument --skip: invalid choice: 'nonsense' "
+                            f"(choose from {', '.join(map(repr, keys))})\n")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -457,6 +457,9 @@ class TestRootScan:
         (Cubic1D(3.0, 0.0), (1.0, 1.0), ValueError, "^domain must be finite with lo < hi"),
         (Cubic1D(3.0, 0.0), (math.nan, 2.0), ValueError, "^domain must be finite with lo < hi"),
         (Cubic1D(3.0, 0.0), (-2.0, math.inf), ValueError, "^domain must be finite with lo < hi"),
+        (Cubic1D(3.0, 0.0), (-1e200, 1e200), ValueError,
+         r"^F overflows binary64 at an end of the domain \(-1e\+200, 1e\+200\)$"),
+        (Cubic1D(3.0, 0.0), (0.0, 1e200), ValueError, "^F overflows binary64 at an end of the domain"),
         (Cubic1D(0.0, 0.1), (-1.0, 1.0), ValueError, "^no real critical pair for mu=0.0 <= 0$"),
         (Cubic1D(-1.0, 0.0), (-1.0, 1.0), ValueError, "^no real critical pair for mu=-1.0 <= 0$"),
         (n_map(), (-1.5, 1.5), TypeError, "^find_periodic solves a Cubic1D, not a PiecewiseAffineMap$"),
@@ -465,6 +468,11 @@ class TestRootScan:
     def test_bad_input_raises_a_named_error(self, fmap, domain, error, match):
         with pytest.raises(error, match=match):
             find_periodic(fmap, 2, domain)
+
+    def test_wide_domain_whose_images_stay_finite(self):
+        # F(+-1e100) is about -+1e300, still finite: the full shift's three 2-cycles
+        orbits = find_periodic(Cubic1D(3.0, 0.0), 2, (-1e100, 1e100))
+        assert len(orbits) == 3 and all(o.resolved for o in orbits)
 
 
 def nmap_orbits(period):
